@@ -580,6 +580,20 @@ let time_triggers step count =
   done;
   Unix.gettimeofday () -. started
 
+(* Best of three rounds of each timing thunk, rotating which one runs
+   first, so a slow spell on a shared host does not land on one path
+   alone and flip a ratio gate. *)
+let best_of_rounds timings =
+  let n = Array.length timings in
+  let best = Array.make n infinity in
+  for round = 0 to 2 do
+    for k = 0 to n - 1 do
+      let i = (k + round) mod n in
+      best.(i) <- Float.min best.(i) (timings.(i) ())
+    done
+  done;
+  best
+
 let run_checker_bench () =
   print_endline "=========================================================";
   Printf.printf
@@ -588,7 +602,7 @@ let run_checker_bench () =
   print_endline "=========================================================";
   let triggers = 200_000 * !scale in
   let warmup = 10_000 in
-  let build_checker engine =
+  let build_checker ?(texts = checker_property_texts) engine =
     let tick = ref 0 in
     let checker = Checker.create ~name:"bench" () in
     List.iter
@@ -596,7 +610,7 @@ let run_checker_bench () =
       (checker_bench_samplers tick);
     List.iter
       (fun (name, text) -> Checker.add_property_text ~engine checker ~name text)
-      checker_property_texts;
+      texts;
     let step () =
       incr tick;
       Checker.step checker
@@ -641,27 +655,31 @@ let run_checker_bench () =
           agree := false)
       engine_checkers
   done;
-  (* warm each path (transition cache, allocator, promotions), then time *)
+  (* warm each path (transition cache, allocator), then time *)
   let _, legacy_step = build_legacy () in
   let _, plan_step = build_checker Checker.Otf in
   let _, explicit_step = build_checker Checker.Explicit in
   let _, il_step = build_checker Checker.Il in
-  let _, hybrid_step = build_checker Checker.Hybrid in
   let _, auto_step = build_checker Checker.Auto in
   ignore (time_triggers legacy_step warmup);
   ignore (time_triggers plan_step warmup);
   ignore (time_triggers explicit_step warmup);
   ignore (time_triggers il_step warmup);
-  ignore (time_triggers hybrid_step warmup);
   ignore (time_triggers auto_step warmup);
-  let legacy_seconds = time_triggers legacy_step triggers in
   let cache_before = Transition_cache.stats () in
-  let plan_seconds = time_triggers plan_step triggers in
+  ignore (time_triggers plan_step triggers);
   let cache_after = Transition_cache.stats () in
-  let explicit_seconds = time_triggers explicit_step triggers in
-  let il_seconds = time_triggers il_step triggers in
-  let hybrid_seconds = time_triggers hybrid_step triggers in
-  let auto_seconds = time_triggers auto_step triggers in
+  let seconds =
+    best_of_rounds
+      (Array.map
+         (fun step () -> time_triggers step triggers)
+         [| legacy_step; plan_step; explicit_step; il_step; auto_step |])
+  in
+  let legacy_seconds = seconds.(0)
+  and plan_seconds = seconds.(1)
+  and explicit_seconds = seconds.(2)
+  and il_seconds = seconds.(3)
+  and auto_seconds = seconds.(4) in
   let tps seconds =
     if seconds > 0.0 then float_of_int triggers /. seconds else 0.0
   in
@@ -669,7 +687,6 @@ let run_checker_bench () =
   and plan_tps = tps plan_seconds
   and explicit_tps = tps explicit_seconds
   and il_tps = tps il_seconds
-  and hybrid_tps = tps hybrid_seconds
   and auto_tps = tps auto_seconds in
   let speedup = if legacy_tps > 0.0 then plan_tps /. legacy_tps else 0.0 in
   (* the tentpole claim: one default engine at least as fast as both
@@ -684,6 +701,41 @@ let run_checker_bench () =
       float_of_int hits /. float_of_int (hits + misses)
     else 0.0
   in
+  (* the over-cap case: fresh checkers, as campaign jobs build them,
+     register a property at a bound whose automaton exceeds
+     [Engine.auto_max_states]. [auto] falls back to on-the-fly and pays
+     the failed synthesis once (in the warm-up), so it must keep pace
+     with [otf]; re-paying synthesis per checker would cost it orders of
+     magnitude. *)
+  let over_cap_texts =
+    [
+      ( Spec.property_name Spec.Format,
+        Spec.property_text ~bound:20_000 Spec.Format );
+    ]
+  in
+  let over_cap_checkers = 50 * !scale and over_cap_triggers = 20_000 in
+  let over_cap_sessions engine () =
+    for _ = 1 to over_cap_checkers do
+      let _, step = build_checker ~texts:over_cap_texts engine in
+      for _ = 1 to over_cap_triggers do
+        step ()
+      done
+    done
+  in
+  over_cap_sessions Checker.Otf ();
+  over_cap_sessions Checker.Auto ();
+  let over_cap_seconds =
+    best_of_rounds
+      (Array.map
+         (fun engine () -> time_triggers (over_cap_sessions engine) 1)
+         [| Checker.Otf; Checker.Auto |])
+  in
+  let over_cap_tps seconds =
+    float_of_int (over_cap_checkers * over_cap_triggers) /. seconds
+  in
+  let over_cap_otf_tps = over_cap_tps over_cap_seconds.(0)
+  and over_cap_auto_tps = over_cap_tps over_cap_seconds.(1) in
+  let over_cap_ok = over_cap_auto_tps >= 0.95 *. over_cap_otf_tps in
   Printf.printf "%d triggers, %d properties, %d propositions\n" triggers
     (List.length checker_property_texts)
     (List.length (Checker.proposition_names plan_checker));
@@ -695,14 +747,18 @@ let run_checker_bench () =
     "compiled plan (explicit)" explicit_tps explicit_seconds;
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
     "compiled plan (il tables)" il_tps il_seconds;
-  Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
-    "compiled plan (hybrid)" hybrid_tps hybrid_seconds;
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)  dominates: %b\n"
     "compiled plan (auto)" auto_tps auto_seconds auto_dominates;
   Printf.printf
     "  progression cache: %d hits, %d misses (steady-state hit rate %.4f)\n"
     hits misses hit_rate;
   Printf.printf "  per-step verdicts identical to reference: %b\n" !agree;
+  Printf.printf
+    "over the state cap: %d fresh checkers x %d triggers, Format at F[20000]\n"
+    over_cap_checkers over_cap_triggers;
+  Printf.printf "  %-28s %12.0f triggers/s\n" "on-the-fly" over_cap_otf_tps;
+  Printf.printf "  %-28s %12.0f triggers/s  keeps pace: %b\n" "auto"
+    over_cap_auto_tps over_cap_ok;
   let module Json = Sctc.Trace.Json in
   append_campaign_record ~table:"checker"
        [
@@ -717,9 +773,11 @@ let run_checker_bench () =
          ("plan_tps", Json.float plan_tps);
          ("explicit_tps", Json.float explicit_tps);
          ("il_tps", Json.float il_tps);
-         ("hybrid_tps", Json.float hybrid_tps);
          ("auto_tps", Json.float auto_tps);
          ("auto_dominates", Json.bool auto_dominates);
+         ("over_cap_otf_tps", Json.float over_cap_otf_tps);
+         ("over_cap_auto_tps", Json.float over_cap_auto_tps);
+         ("over_cap_ok", Json.bool over_cap_ok);
          ("speedup", Json.float speedup);
          ("prog_cache_hits", Json.int hits);
          ("prog_cache_misses", Json.int misses);
@@ -729,9 +787,10 @@ let run_checker_bench () =
   Printf.printf "recorded in BENCH_campaign.json\n\n";
   (* the CI gate: verdict agreement must always hold; the throughput
      bar is set below the documented steady-state speedup so a loaded
-     runner cannot flake it; and the default engine must dominate both
-     fixed choices (within the 5% noise allowance above) *)
-  !agree && speedup >= 2.0 && auto_dominates
+     runner cannot flake it; the default engine must dominate both
+     fixed choices (within the 5% noise allowance above); and above the
+     state cap it must keep pace with on-the-fly *)
+  !agree && speedup >= 2.0 && auto_dominates && over_cap_ok
 
 (* ------------------------------------------------------------------ *)
 (* Simulate: bytecode VM vs tree-walking interpreter on the EEE model  *)
@@ -1050,7 +1109,7 @@ let run_ablation () =
           let t2 = Unix.gettimeofday () in
           let states =
             match engine with
-            | Checker.Otf | Checker.Hybrid | Checker.Auto -> "-"
+            | Checker.Otf | Checker.Auto -> "-"
             | Checker.Explicit | Checker.Il ->
               string_of_int
                 (Ar_automaton.num_states

@@ -47,10 +47,9 @@ let engine_arg =
   let doc =
     "Monitor synthesis engine: $(b,otf) (on-the-fly progression), \
      $(b,explicit) (pre-synthesized AR-automaton), $(b,il) (automaton \
-     through the IL form, compiled guard tables), $(b,hybrid) \
-     (on-the-fly with hot residuals promoted to compiled tables), or \
-     $(b,auto) (explicit when synthesis is cheap, hybrid otherwise; the \
-     default). Verdicts are identical across engines"
+     through the IL form, compiled guard tables), or $(b,auto) \
+     (explicit when synthesis stays under the state cap, on-the-fly \
+     otherwise; the default). Verdicts are identical across engines"
   in
   Arg.(
     value

@@ -6,8 +6,9 @@
    - explicit: AR-automaton (synthesis cost up front, table lookups per step)
    - il: explicit automaton round-tripped through the textual IL and
      compiled to mask-indexed guard tables
-   - hybrid: starts on-the-fly, promotes hot residuals to compiled tables
-   - auto: explicit under the state budget, hybrid beyond (the default)
+   - auto: explicit under the state budget, on-the-fly beyond (the
+     default); at bound 20000 it matches otf, since the failed synthesis
+     stops at the 10000-state cap
 
    The paper's TB-100000 column shows verification time dominated by
    AR-automaton generation for large time bounds; this example reproduces

@@ -84,10 +84,12 @@ let synthesize ?(max_states = 200_000) formula =
    the same automaton once per worker domain, not once per job. The cache
    key is the formula's hash-cons id (process-globally unique) plus the
    synthesis bound, since [max_states] decides whether synthesis raises
-   [Too_large]. A synthesized automaton is immutable after construction,
-   so handing the same value to many monitors on the same domain is safe;
-   keeping the cache domain-local means no lock on the lookup path. Only
-   the two-word stats cell outlives a worker domain in the registry. *)
+   [Too_large]; a failure is cached under the same key, so an over-cap
+   property pays its aborted exploration once per domain too. A
+   synthesized automaton is immutable after construction, so handing the
+   same value to many monitors on the same domain is safe; keeping the
+   cache domain-local means no lock on the lookup path. Only the two-word
+   stats cell outlives a worker domain in the registry. *)
 
 type cache_cell = { mutable hits : int; mutable misses : int }
 
@@ -100,20 +102,26 @@ let cache_key =
       Mutex.lock cache_registry_lock;
       cache_registry := cell :: !cache_registry;
       Mutex.unlock cache_registry_lock;
-      ((Hashtbl.create 32 : (int * int, t) Hashtbl.t), cell))
+      ((Hashtbl.create 32 : (int * int, (t, int) result) Hashtbl.t), cell))
 
 let synthesize_memo ?(max_states = 200_000) formula =
   let table, cell = Domain.DLS.get cache_key in
   let key = (Formula.hash formula, max_states) in
   match Hashtbl.find_opt table key with
-  | Some automaton ->
+  | Some outcome -> (
     cell.hits <- cell.hits + 1;
-    (automaton, false)
-  | None ->
-    let automaton = synthesize ~max_states formula in
+    match outcome with
+    | Ok automaton -> (automaton, false)
+    | Error count -> raise (Too_large count))
+  | None -> (
     cell.misses <- cell.misses + 1;
-    Hashtbl.replace table key automaton;
-    (automaton, true)
+    match synthesize ~max_states formula with
+    | automaton ->
+      Hashtbl.replace table key (Ok automaton);
+      (automaton, true)
+    | exception Too_large count ->
+      Hashtbl.replace table key (Error count);
+      raise (Too_large count))
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 

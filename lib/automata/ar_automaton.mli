@@ -29,7 +29,9 @@ val synthesize : ?max_states:int -> Formula.t -> t
     domain derive the automaton once, without any cross-domain locking.
     Returns [(automaton, fresh)]; [fresh] is [false] on a cache hit, so
     callers accounting synthesis time do not double-count
-    {!build_seconds}. Failed synthesis ([Too_large]) is never cached. *)
+    {!build_seconds}. A failure is cached under the same key: a repeated
+    over-cap call re-raises [Too_large] as a hit, without exploring
+    again. *)
 val synthesize_memo : ?max_states:int -> Formula.t -> t * bool
 
 type cache_stats = { cache_hits : int; cache_misses : int }

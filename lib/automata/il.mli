@@ -49,8 +49,7 @@ module Table : sig
 
   val of_automaton : name:string -> Ar_automaton.t -> t
   (** Compile directly from an explicit automaton, skipping cube covers
-      entirely (the automaton's delta is already mask-indexed). Used by
-      the hybrid engine when promoting a hot residual. *)
+      entirely (the automaton's delta is already mask-indexed). *)
 
   val next : t -> int -> int -> int
   (** Same contract (and same missing-guard diagnostics) as {!Il.next}. *)

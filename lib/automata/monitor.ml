@@ -7,35 +7,10 @@ type formula_state = {
          the reachable obligations re-derive the slot mapping once *)
 }
 
-(* A hybrid monitor starts on-the-fly and, once one residual obligation
-   has absorbed [h_promote_after] steps, promotes it to an explicit
-   automaton stepped through a compiled [Il.Table]. The promoted
-   automaton's initial state IS the hot residual, so promotion between
-   two steps never changes any verdict. Synthesis failure ([Too_large],
-   or more propositions than the explicit engine supports) leaves the
-   monitor on-the-fly for good. *)
-type hybrid_mode =
-  | H_formula of formula_state
-  | H_table of {
-      automaton : Ar_automaton.t;
-      table : Il.Table.t;
-      sel : int array; (* automaton props position -> monitor support slot *)
-      mutable state : int;
-    }
-
-type hybrid_state = {
-  h_initial : Formula.t;
-  h_max_states : int;
-  h_promote_after : int;
-  h_visits : (int, int) Hashtbl.t; (* residual formula hash -> steps from it *)
-  mutable h_mode : hybrid_mode;
-}
-
 type engine =
   | Formula_engine of formula_state
   | Automaton_engine of { automaton : Ar_automaton.t; mutable state : int }
   | Il_engine of { il : Il.t; table : Il.Table.t; mutable state : int }
-  | Hybrid_engine of hybrid_state
 
 type t = {
   m_name : string;
@@ -75,10 +50,6 @@ let engine_verdict = function
     | Il.Accept -> Verdict.True
     | Il.Reject -> Verdict.False
     | Il.Pend -> Verdict.Pending)
-  | Hybrid_engine h -> (
-    match h.h_mode with
-    | H_formula e -> Progression.verdict (Transition_cache.formula e.node)
-    | H_table e -> automaton_verdict e.automaton e.state)
 
 (* a residual obligation's support is a subset of the initial formula's,
    so every node proposition resolves to a monitor support slot *)
@@ -102,14 +73,11 @@ let view_of support views formula =
     Hashtbl.replace views (Formula.hash formula) (node, sel);
     (node, sel)
 
-let formula_state support formula =
-  let views = Hashtbl.create 16 in
-  let node, sel = view_of support views formula in
-  { initial = formula; node; sel; views }
-
 let of_formula ~name formula ~binding =
   let support = Array.of_list (Formula.props formula) in
-  let engine = Formula_engine (formula_state support formula) in
+  let views = Hashtbl.create 16 in
+  let node, sel = view_of support views formula in
+  let engine = Formula_engine { initial = formula; node; sel; views } in
   let monitor = make name engine support binding in
   monitor.last_verdict <- engine_verdict engine;
   monitor
@@ -127,28 +95,6 @@ let of_il ~name il ~binding =
   let monitor = make name engine il.Il.props binding in
   monitor.last_verdict <- engine_verdict engine;
   monitor
-
-let of_formula_hybrid ~name ?(promote_after = 32) ?(max_states = 10_000)
-    formula ~binding =
-  let support = Array.of_list (Formula.props formula) in
-  let engine =
-    Hybrid_engine
-      {
-        h_initial = formula;
-        h_max_states = max_states;
-        h_promote_after = max 1 promote_after;
-        h_visits = Hashtbl.create 16;
-        h_mode = H_formula (formula_state support formula);
-      }
-  in
-  let monitor = make name engine support binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
-
-let promoted monitor =
-  match monitor.engine with
-  | Hybrid_engine { h_mode = H_table _; _ } -> true
-  | _ -> false
 
 let name monitor = monitor.m_name
 let verdict monitor = monitor.last_verdict
@@ -171,38 +117,6 @@ let advance_formula support e read =
     e.sel <- sel
   end
 
-(* Promote the current residual to an explicit automaton behind a compiled
-   table. The residual is the automaton's initial state, so swapping modes
-   between steps preserves the verdict sequence exactly. Any failure —
-   too many propositions for explicit synthesis, or a state budget blowout
-   — just keeps the on-the-fly mode. *)
-let try_promote monitor h residual =
-  if List.length (Formula.props residual) <= 16 then
-    match Ar_automaton.synthesize_memo ~max_states:h.h_max_states residual with
-    | exception Ar_automaton.Too_large _ -> ()
-    | automaton, _fresh ->
-      let table = Il.Table.of_automaton ~name:monitor.m_name automaton in
-      let sel =
-        Array.map (slot_of_support monitor.support)
-          (Ar_automaton.props automaton)
-      in
-      h.h_mode <-
-        H_table { automaton; table; sel; state = Ar_automaton.initial automaton }
-
-(* Count the step against the residual we are about to leave; the attempt
-   fires exactly once per residual, when its counter hits the threshold. *)
-let hybrid_before_step monitor h =
-  match h.h_mode with
-  | H_table _ -> ()
-  | H_formula e ->
-    let residual = Transition_cache.formula e.node in
-    let id = Formula.hash residual in
-    let count =
-      1 + Option.value (Hashtbl.find_opt h.h_visits id) ~default:0
-    in
-    Hashtbl.replace h.h_visits id count;
-    if count = h.h_promote_after then try_promote monitor h residual
-
 let advance monitor read =
   match monitor.engine with
   | Formula_engine e -> advance_formula monitor.support e read
@@ -218,16 +132,6 @@ let advance monitor read =
       if read slot then mask := !mask lor (1 lsl slot)
     done;
     e.state <- Il.Table.next e.table e.state !mask
-  | Hybrid_engine h -> (
-    hybrid_before_step monitor h;
-    match h.h_mode with
-    | H_formula e -> advance_formula monitor.support e read
-    | H_table e ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun i slot -> if read slot then mask := !mask lor (1 lsl i))
-        e.sel;
-      e.state <- Il.Table.next e.table e.state !mask)
 
 let finish_step monitor =
   monitor.step_count <- monitor.step_count + 1;
@@ -265,13 +169,6 @@ let finalize ?(strong = false) monitor =
     Progression.finalize ~strong
       (Ar_automaton.state_formula e.automaton e.state)
   | Il_engine _ -> monitor.last_verdict
-  | Hybrid_engine h -> (
-    match h.h_mode with
-    | H_formula e ->
-      Progression.finalize ~strong (Transition_cache.formula e.node)
-    | H_table e ->
-      Progression.finalize ~strong
-        (Ar_automaton.state_formula e.automaton e.state))
 
 let reset monitor =
   (match monitor.engine with
@@ -280,10 +177,6 @@ let reset monitor =
     e.node <- node;
     e.sel <- sel
   | Automaton_engine e -> e.state <- Ar_automaton.initial e.automaton
-  | Il_engine e -> e.state <- e.il.Il.initial
-  | Hybrid_engine h ->
-    (* demote: a fresh run re-earns its promotion from scratch *)
-    Hashtbl.reset h.h_visits;
-    h.h_mode <- H_formula (formula_state monitor.support h.h_initial));
+  | Il_engine e -> e.state <- e.il.Il.initial);
   monitor.step_count <- 0;
   monitor.last_verdict <- engine_verdict monitor.engine

@@ -32,26 +32,6 @@ val of_il : name:string -> Il.t -> binding:(string -> unit -> bool) -> t
     compiled {!Il.Table} guard tables (the guard-list scan {!Il.next} is
     kept only as the reference semantics). *)
 
-val of_formula_hybrid :
-  name:string ->
-  ?promote_after:int ->
-  ?max_states:int ->
-  Formula.t ->
-  binding:(string -> unit -> bool) ->
-  t
-(** Hybrid engine: starts on-the-fly, and once one residual obligation has
-    absorbed [promote_after] steps (default 32) promotes it to an explicit
-    automaton — capped at [max_states] (default 10000) — stepped through a
-    compiled {!Il.Table}. The hot residual is the promoted automaton's
-    initial state, so promotion never perturbs the verdict sequence. If
-    synthesis fails ({!Ar_automaton.Too_large}, or more than 16
-    propositions), the monitor stays on-the-fly; each residual attempts
-    promotion at most once. *)
-
-val promoted : t -> bool
-(** Has a hybrid monitor promoted to its explicit compiled form? Always
-    [false] for non-hybrid engines. *)
-
 val name : t -> string
 
 val step : t -> Verdict.t

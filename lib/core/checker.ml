@@ -1,6 +1,6 @@
 module Registry = Obs.Registry
 
-type engine = Engine.t = Otf | Explicit | Il | Hybrid | Auto
+type engine = Engine.t = Otf | Explicit | Il | Auto
 type syntax = Fltl | Psl | Auto
 
 type property = {
@@ -197,14 +197,6 @@ let compile_plan checker =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
-(* [Auto]'s failed explicit attempts, memoized per domain: campaign
-   sessions re-register the same properties over and over, and
-   [Ar_automaton.synthesize_memo] never caches failures, so without this
-   every registration of a too-large formula would re-pay the aborted
-   synthesis up to the state cap. Keyed by (formula hash, cap). *)
-let auto_failures_key : ((int * int, unit) Hashtbl.t Domain.DLS.key) =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
 let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
   if
     Array.exists
@@ -226,35 +218,26 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
     end;
     automaton
   in
-  let hybrid () =
-    Monitor.of_formula_hybrid ~name ~promote_after:Engine.promote_after
-      ~max_states:(Option.value max_states ~default:Engine.auto_max_states)
-      formula ~binding
-  in
+  let otf () = Monitor.of_formula ~name formula ~binding in
   let monitor =
     match (engine : Engine.t) with
-    | Otf -> Monitor.of_formula ~name formula ~binding
+    | Otf -> otf ()
     | Explicit -> Monitor.of_automaton ~name (synthesized ?max_states ()) ~binding
     | Il ->
       let il = Il.of_automaton ~name (synthesized ?max_states ()) in
       (* round-trip through the textual IL, as the SCTC flow does *)
       let il = Il.parse (Il.to_string il) in
       Monitor.of_il ~name il ~binding
-    | Hybrid -> hybrid ()
-    | Auto ->
+    | Auto -> (
       (* explicit while synthesis stays under the state budget — the
-         fastest steady state — falling back to hybrid when it cannot *)
-      let cap = Option.value max_states ~default:Engine.auto_max_states in
-      let failures = Domain.DLS.get auto_failures_key in
-      let key = (Formula.hash formula, cap) in
-      if List.length (Formula.props formula) > 16 || Hashtbl.mem failures key
-      then hybrid ()
-      else (
-        match synthesized ~max_states:cap () with
+         fastest steady state — and on-the-fly when it cannot; the memo
+         caches a failed attempt, so it is paid once per domain *)
+      let max_states = Option.value max_states ~default:Engine.auto_max_states in
+      if List.length (Formula.props formula) > 16 then otf ()
+      else
+        match synthesized ~max_states () with
         | automaton -> Monitor.of_automaton ~name automaton ~binding
-        | exception Ar_automaton.Too_large _ ->
-          Hashtbl.replace failures key ();
-          hybrid ())
+        | exception Ar_automaton.Too_large _ -> otf ())
   in
   checker.properties <-
     Array.append checker.properties

@@ -23,13 +23,12 @@
     on-the-fly progression, an explicit pre-synthesized AR-automaton, the
     automaton passed through the IL representation and compiled to
     mask-indexed guard tables (property → AR-automaton → IL → monitor,
-    the full paper pipeline), a hybrid that promotes hot residuals from
-    progression to compiled tables, or [Auto], which picks explicit when
-    synthesis is cheap and hybrid otherwise. *)
+    the full paper pipeline), or [Auto], which picks explicit when
+    synthesis is cheap and on-the-fly otherwise. *)
 
 type t
 
-type engine = Engine.t = Otf | Explicit | Il | Hybrid | Auto
+type engine = Engine.t = Otf | Explicit | Il | Auto
 (** Re-export of {!Engine.t} — the one engine enum shared by every front
     end; see {!Engine} for the semantics of each constructor and the
     string/CLI conversions. *)
@@ -78,9 +77,10 @@ val add_property :
     free of synthesis cost unless asked otherwise; the session/harness/CLI
     front ends default to {!Engine.Auto} instead. Under [Auto],
     [max_states] (default {!Engine.auto_max_states}) caps the explicit
-    attempt and a blowout falls back to {!Engine.Hybrid} rather than
-    raising; failed attempts are memoized per domain so campaigns don't
-    re-pay them.
+    attempt, and a blowout (or more than 16 propositions) falls back to
+    an {!Engine.Otf} monitor rather than raising. The failed attempt is
+    cached by {!Ar_automaton.synthesize_memo}, so a campaign re-registering
+    the property pays it once per domain.
     @raise Invalid_argument if a proposition in the formula's support is not
     registered, if the property name is already used, or if [Explicit]/[Il]
     synthesis exceeds [max_states] (see {!Ar_automaton.Too_large}). *)

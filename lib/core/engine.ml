@@ -1,12 +1,11 @@
-type t = Otf | Explicit | Il | Hybrid | Auto
+type t = Otf | Explicit | Il | Auto
 
-let all = [ Otf; Explicit; Il; Hybrid; Auto ]
+let all = [ Otf; Explicit; Il; Auto ]
 
 let to_string = function
   | Otf -> "otf"
   | Explicit -> "explicit"
   | Il -> "il"
-  | Hybrid -> "hybrid"
   | Auto -> "auto"
 
 let of_string text =
@@ -14,7 +13,6 @@ let of_string text =
   | "otf" | "on-the-fly" | "onthefly" -> Some Otf
   | "explicit" -> Some Explicit
   | "il" -> Some Il
-  | "hybrid" -> Some Hybrid
   | "auto" -> Some Auto
   | _ -> None
 
@@ -33,9 +31,7 @@ let describe = function
   | Otf -> "on-the-fly progression with the lazy transition cache"
   | Explicit -> "pre-synthesized explicit AR-automaton"
   | Il -> "AR-automaton via the IL text form, compiled guard tables"
-  | Hybrid -> "on-the-fly start, hot residuals promoted to compiled tables"
-  | Auto -> "explicit when synthesis is cheap, hybrid otherwise (the default)"
+  | Auto -> "explicit when synthesis is cheap, on-the-fly otherwise (the default)"
 
 let default = Auto
 let auto_max_states = 10_000
-let promote_after = 32

@@ -21,21 +21,17 @@
     - {!Il} — the paper's full pipeline: automaton serialized to the IL
       text form, re-parsed, and compiled to mask-indexed guard tables
       ([Il.Table]). Steady-state cost matches {!Explicit}.
-    - {!Hybrid} — starts on-the-fly and promotes a monitor's hot
-      residual obligation to an explicit compiled table once it has been
-      stepped {!promote_after} times ([Monitor.of_formula_hybrid]);
-      falls back gracefully (stays on-the-fly) when synthesis of the
-      residual would exceed the state budget.
     - {!Auto} — the default: {!Explicit} when synthesis stays under
-      {!auto_max_states} states, {!Hybrid} otherwise. Dominates both
-      fixed choices: explicit speed where synthesis is cheap, bounded
-      registration cost where it is not. Verdicts are identical across
-      all engines, per step. *)
+      {!auto_max_states} states, {!Otf} otherwise. Explicit speed where
+      synthesis is cheap; where it is not, the aborted attempt is paid
+      once per domain ([Ar_automaton.synthesize_memo] caches the
+      failure) and the monitor runs on-the-fly from the start. Verdicts
+      are identical across all engines, per step. *)
 
-type t = Otf | Explicit | Il | Hybrid | Auto
+type t = Otf | Explicit | Il | Auto
 
 val all : t list
-(** In {!to_string} order: [otf], [explicit], [il], [hybrid], [auto]. *)
+(** In {!to_string} order: [otf], [explicit], [il], [auto]. *)
 
 val to_string : t -> string
 
@@ -56,9 +52,5 @@ val default : t
 
 val auto_max_states : int
 (** The synthesis state budget {!Auto} tries {!Explicit} under before
-    falling back to {!Hybrid} (10000). [?max_states] overrides it per
+    falling back to {!Otf} (10000). [?max_states] overrides it per
     property. *)
-
-val promote_after : int
-(** Default hybrid promotion threshold: steps taken from one residual
-    obligation before it is synthesized to a compiled table (32). *)

@@ -287,6 +287,33 @@ let test_too_large () =
   | exception Ar_automaton.Too_large n ->
     Alcotest.(check bool) "count reported" true (n > 10)
 
+(* a failed synthesis is memoized like a success: the second over-cap
+   call re-raises the same count as a hit, without exploring again *)
+let test_memo_caches_too_large () =
+  let formula = parse "F[150] p" in
+  let attempt () =
+    match Ar_automaton.synthesize_memo ~max_states:10 formula with
+    | _ -> Alcotest.fail "expected Too_large"
+    | exception Ar_automaton.Too_large n -> n
+  in
+  let before = Ar_automaton.cache_stats () in
+  let first = attempt () in
+  let middle = Ar_automaton.cache_stats () in
+  let second = attempt () in
+  let after = Ar_automaton.cache_stats () in
+  Alcotest.(check int) "first call misses" 1
+    (middle.Ar_automaton.cache_misses - before.Ar_automaton.cache_misses);
+  Alcotest.(check int) "same count re-raised" first second;
+  Alcotest.(check int) "second call leaves misses unchanged"
+    middle.Ar_automaton.cache_misses after.Ar_automaton.cache_misses;
+  Alcotest.(check int) "second call is a hit" 1
+    (after.Ar_automaton.cache_hits - middle.Ar_automaton.cache_hits);
+  (* the cap is part of the key: a larger one synthesizes afresh *)
+  let automaton, fresh = Ar_automaton.synthesize_memo ~max_states:1000 formula in
+  Alcotest.(check bool) "larger cap synthesizes" true fresh;
+  Alcotest.(check bool) "larger cap holds the countdown" true
+    (Ar_automaton.num_states automaton > 150)
+
 let test_absorbing_states () =
   let automaton = Ar_automaton.synthesize (parse "F p") in
   let accept = ref None in
@@ -391,6 +418,8 @@ let suite_automaton =
     Alcotest.test_case "growth with bound" `Quick
       test_automaton_growth_with_bound;
     Alcotest.test_case "too large" `Quick test_too_large;
+    Alcotest.test_case "memo caches Too_large" `Quick
+      test_memo_caches_too_large;
     Alcotest.test_case "absorbing states" `Quick test_absorbing_states;
     QCheck_alcotest.to_alcotest qcheck_explicit_matches_progression;
   ]
