@@ -189,9 +189,8 @@ let git_rev =
        | _ -> "unknown"
      with _ -> "unknown")
 
-(* every new row goes through [Verif.Bench_log.render], which places the
-   uniform "table" tag first — the reader also tolerates the untagged
-   campaign rows written before the tag existed *)
+(* every row goes through [Verif.Bench_log.render], which places the
+   uniform "table" tag first — the reader rejects untagged rows *)
 let append_campaign_record ~table members =
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_campaign.json"
@@ -200,20 +199,15 @@ let append_campaign_record ~table members =
   output_char oc '\n';
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* live heap words with the floating garbage collected away — the
-   peak-RSS proxy both engines are compared on (process RSS high-water
-   marks are monotonic within one process, so deltas of [live_words]
-   around each run are the comparable signal) *)
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
+(* one campaign run with its trace rendered by the JSONL buffer sink *)
+let traced_campaign ~workers plan =
+  let buffer = Buffer.create 65536 in
+  let summary =
+    Harness.run_campaign ~workers
+      ~sinks:[ Verif.Campaign.jsonl_buffer_sink buffer ]
+      plan
+  in
+  (summary, Buffer.contents buffer)
 
 let synth_seconds_sum summary =
   List.fold_left
@@ -221,61 +215,30 @@ let synth_seconds_sum summary =
     0.0
     (Verif.Campaign.results summary)
 
-(* One pooled run of [plan] against the recorded sequential baseline:
-   wall clock, per-stage times from a fresh lib/obs registry (simulate /
-   check / synthesize / parse / merge / queue-wait), identity checks,
-   and the contention counters of this run (job-queue acquisitions from
-   the summary; cons-table counters as deltas of the process-wide
-   totals). Returns [(ok_for_ci, record)]. *)
-let campaign_round ~plan ~sequential ~cores jobs_n =
+(* One pooled run of [plan] against the recorded sequential baseline
+   [(summary, jsonl)]: wall clock, per-stage times from a fresh lib/obs
+   registry (simulate / check / synthesize / parse / merge /
+   queue-wait), identity checks on verdicts and on the JSONL rendered
+   by the buffer sink, and the contention counters of this run
+   (job-queue acquisitions from the summary; cons-table counters as
+   deltas of the process-wide totals). Returns whether the round passes
+   the CI gate. *)
+let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
+    jobs_n =
   let cons_before = Formula.cons_stats () in
   let cache_before = Ar_automaton.cache_stats () in
   let metrics = Registry.create () in
-  let seed_live_before = live_words () in
-  let pooled =
-    Harness.run_campaign ~workers:jobs_n { plan with Harness.metrics }
+  let pooled, pooled_jsonl =
+    traced_campaign ~workers:jobs_n { plan with Harness.metrics }
   in
-  (* the summary (with every retained event buffer) is what the seed
-     engine keeps alive until the merge — measure it before rendering *)
-  let seed_live = live_words () - seed_live_before in
   let cons_after = Formula.cons_stats () in
   let cache_after = Ar_automaton.cache_stats () in
   let verdicts_identical =
     Verif.Campaign.verdicts sequential = Verif.Campaign.verdicts pooled
   in
-  (* charge this render to the merge stage timer of the round *)
-  let seed_jsonl = Verif.Campaign.to_jsonl ~metrics pooled in
-  let jsonl_identical =
-    String.equal (Verif.Campaign.to_jsonl sequential) seed_jsonl
-  in
-  (* the streaming engine at the same worker count: trace flows to a
-     file sink while workers run; nothing accumulates but the summary *)
-  let stream_metrics = Registry.create () in
-  let stream_path = Filename.temp_file "bench_stream" ".jsonl" in
-  let stream_live_before = live_words () in
-  let streamed =
-    Harness.run_campaign_stream ~workers:jobs_n
-      ~sinks:[ Verif.Campaign.jsonl_file_sink stream_path ]
-      { plan with Harness.metrics = stream_metrics }
-  in
-  let stream_live = live_words () - stream_live_before in
-  let stream_jsonl = read_file stream_path in
-  Sys.remove stream_path;
-  let stream_stats =
-    match streamed.Verif.Campaign.stream with
-    | Some stats -> stats
-    | None -> assert false
-  in
-  let stream_verdicts_identical =
-    Verif.Campaign.verdicts pooled = Verif.Campaign.verdicts streamed
-  in
-  let stream_jsonl_identical = String.equal seed_jsonl stream_jsonl in
+  let jsonl_identical = String.equal sequential_jsonl pooled_jsonl in
+  let stream_stats = pooled.Verif.Campaign.stream in
   let stage name = Registry.sum_seconds metrics (Registry.stage_name name) in
-  let seed_merge = stage Registry.Merge in
-  let stream_merge =
-    Registry.sum_seconds stream_metrics (Registry.stage_name Registry.Merge)
-  in
-  let merge_ratio = if seed_merge > 0.0 then stream_merge /. seed_merge else 1.0 in
   let queue_wait = Registry.sum_seconds metrics "campaign_queue_wait_seconds" in
   let speedup =
     if pooled.Verif.Campaign.wall_seconds > 0.0 then
@@ -305,18 +268,12 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
     (stage Registry.Simulate) (stage Registry.Check)
     (stage Registry.Synthesize) (stage Registry.Parse) (stage Registry.Merge)
     queue_wait;
-  Printf.printf "        verdicts identical: %b, merged JSONL identical: %b\n"
-    verdicts_identical jsonl_identical;
   Printf.printf
-    "        streaming: %.2fs wall  merge %.4fs vs seed %.4fs (%.2fx)  live \
-     %dk vs seed %dk words  window %d (peak %d, %d waits)\n"
-    streamed.Verif.Campaign.wall_seconds stream_merge seed_merge merge_ratio
-    (stream_live / 1000) (seed_live / 1000) stream_stats.Verif.Campaign.window
-    stream_stats.Verif.Campaign.peak_window
-    stream_stats.Verif.Campaign.backpressure_waits;
-  Printf.printf
-    "        streaming identical to seed: verdicts %b, JSONL %b\n"
-    stream_verdicts_identical stream_jsonl_identical;
+    "        window %d (peak %d, %d waits)  verdicts identical: %b, merged \
+     JSONL identical: %b\n"
+    stream_stats.Verif.Campaign.window stream_stats.Verif.Campaign.peak_window
+    stream_stats.Verif.Campaign.backpressure_waits verdicts_identical
+    jsonl_identical;
   let slowdown = jobs_n > 1 && speedup < 1.0 in
   if slowdown then begin
     Printf.printf
@@ -376,55 +333,19 @@ let campaign_round ~plan ~sequential ~cores jobs_n =
          ("stage_check_seconds", Json.float (stage Registry.Check));
          ("stage_synthesize_seconds", Json.float (stage Registry.Synthesize));
          ("stage_parse_seconds", Json.float (stage Registry.Parse));
-         ("stage_merge_seconds", Json.float seed_merge);
+         ("stage_merge_seconds", Json.float (stage Registry.Merge));
          ("queue_wait_seconds", Json.float queue_wait);
          ( "check_triggers",
            Json.int (Registry.total metrics "sctc_triggers_total") );
-         ("stream_wall_seconds",
-          Json.float streamed.Verif.Campaign.wall_seconds);
-         ("stream_merge_seconds", Json.float stream_merge);
-         ("merge_ratio", Json.float merge_ratio);
-         ("seed_live_words", Json.int seed_live);
-         ("stream_live_words", Json.int stream_live);
          ("stream_window", Json.int stream_stats.Verif.Campaign.window);
          ( "stream_peak_window",
            Json.int stream_stats.Verif.Campaign.peak_window );
          ( "stream_backpressure_waits",
            Json.int stream_stats.Verif.Campaign.backpressure_waits );
-         ("stream_verdicts_identical", Json.bool stream_verdicts_identical);
-         ("stream_jsonl_identical", Json.bool stream_jsonl_identical);
        ];
-  let identity_ok =
-    verdicts_identical && jsonl_identical && stream_verdicts_identical
-    && stream_jsonl_identical
-  in
-  (* the streaming gates: the merge must cost well under half the seed
-     engine's (a 5ms absolute floor keeps sub-millisecond CI merges from
-     flaking the ratio), and live memory after the run must beat the
-     seed engine, which retains every event buffer until the merge.
-     The merge ratio is only comparable on the 1-worker rounds: pooled
-     streaming emission overlaps simulation, so its wall-clock stage
-     charge absorbs preemption by the concurrently running workers,
-     while the seed merge always runs solo after the pool joins *)
-  let merge_ok =
-    jobs_n > 1
-    || stream_merge <= 0.5 *. seed_merge
-    || stream_merge < 0.005
-  in
-  let memory_ok = stream_live < seed_live in
-  if not merge_ok then
-    Printf.printf
-      "*** WARNING: streaming merge not under 0.5x the seed engine \
-       (%.4fs vs %.4fs) ***\n"
-      stream_merge seed_merge;
-  if not memory_ok then
-    Printf.printf
-      "*** WARNING: streaming engine retained more live words than the \
-       seed engine (%d vs %d) ***\n"
-      stream_live seed_live;
   (* the CI gate: identity must always hold; a slowdown only fails the
      gate where the hardware could actually have parallelized the pool *)
-  identity_ok && merge_ok && memory_ok && not (slowdown && cores >= 2)
+  verdicts_identical && jsonl_identical && not (slowdown && cores >= 2)
 
 (* The documented overhead budget of lib/obs: one pooled run with a live
    registry vs one with [Registry.null] at the same worker count. The
@@ -481,10 +402,10 @@ let run_campaign_bench () =
     }
   in
   let cores = Domain.recommended_domain_count () in
-  let sequential = Harness.run_campaign ~workers:1 plan in
+  let sequential = traced_campaign ~workers:1 plan in
   Printf.printf "%d ops x %d cases on %d core(s); sequential baseline %.2fs\n"
     (List.length plan.Harness.ops)
-    plan.Harness.cases_per_op cores sequential.Verif.Campaign.wall_seconds;
+    plan.Harness.cases_per_op cores (fst sequential).Verif.Campaign.wall_seconds;
   let ok =
     List.fold_left
       (fun ok jobs_n -> campaign_round ~plan ~sequential ~cores jobs_n && ok)
@@ -837,7 +758,8 @@ let exec_throughput ~target backend =
 
 (* One full (small) EEE campaign per backend: same plan, same seed, only
    [plan.backend] differs. The determinism contract across backends is
-   that verdicts and the merged golden trace are byte-identical. *)
+   that verdicts and the merged golden trace are byte-identical. Returns
+   the summary, its JSONL trace and the run's registry. *)
 let simulate_campaign backend =
   let metrics = Registry.create () in
   let plan =
@@ -853,8 +775,8 @@ let simulate_campaign backend =
       metrics;
     }
   in
-  let summary = Harness.run_campaign ~workers:1 plan in
-  (summary, metrics)
+  let summary, jsonl = traced_campaign ~workers:1 plan in
+  (summary, jsonl, metrics)
 
 let run_simulate_bench () =
   print_endline "=========================================================";
@@ -885,16 +807,14 @@ let run_simulate_bench () =
     vm_sps vm_statements vm_seconds speedup;
   (* determinism contract: one small campaign per backend, only
      [plan.backend] differing — verdicts and golden JSONL must match *)
-  let interp_summary, interp_metrics = simulate_campaign Minic.Exec.Interp in
-  let vm_summary, vm_metrics = simulate_campaign Minic.Exec.Vm in
+  let interp_summary, interp_jsonl, interp_metrics =
+    simulate_campaign Minic.Exec.Interp
+  in
+  let vm_summary, vm_jsonl, vm_metrics = simulate_campaign Minic.Exec.Vm in
   let verdicts_identical =
     Verif.Campaign.verdicts interp_summary = Verif.Campaign.verdicts vm_summary
   in
-  let jsonl_identical =
-    String.equal
-      (Verif.Campaign.to_jsonl interp_summary)
-      (Verif.Campaign.to_jsonl vm_summary)
-  in
+  let jsonl_identical = String.equal interp_jsonl vm_jsonl in
   let interp_sim_statements =
     Registry.total interp_metrics "sim_interp_statements_total"
   and vm_sim_statements = Registry.total vm_metrics "sim_vm_statements_total" in
@@ -1001,11 +921,7 @@ let run_smc_scenario scenario =
       ~succeeded:(Harness.smc_succeeded ?prop:None)
       scenario.smc_spec
   in
-  let cancelled =
-    match report.Smc.Runner.stream with
-    | Some stats -> stats.Verif.Campaign.cancelled_jobs
-    | None -> 0
-  in
+  let cancelled = report.Smc.Runner.stream.Verif.Campaign.cancelled_jobs in
   Printf.printf "  %-16s %-8s %9s %8d %9d %7d %8.4f %7.2fs%s\n"
     scenario.smc_name
     (Spec.op_name scenario.smc_op)

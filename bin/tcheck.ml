@@ -232,7 +232,7 @@ let cmd_verify =
           Verif.Session.result session)
     in
     let summary = Tcheck_cli.execute common metrics (List.map job_of named) in
-    Tcheck_cli.finish common metrics summary;
+    Tcheck_cli.finish common metrics;
     List.iter
       (fun outcome ->
         match outcome.Verif.Campaign.result with
@@ -388,7 +388,7 @@ let cmd_eee =
     let summary =
       Tcheck_cli.execute common metrics (Eee.Harness.campaign_jobs plan)
     in
-    Tcheck_cli.finish common metrics summary;
+    Tcheck_cli.finish common metrics;
     List.iter
       (fun outcome ->
         Format.printf "--- %s ---@." outcome.Verif.Campaign.label;
@@ -425,8 +425,7 @@ let cmd_eee =
   let scale =
     Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K"
            ~doc:"Multiply --cases by K — the overnight-campaign knob; \
-                 combine with --stream to keep memory bounded while the \
-                 trace streams out")
+                 memory stays bounded while the trace streams out")
   in
   let bound =
     Arg.(value & opt (some int) None & info [ "bound" ]
@@ -524,13 +523,7 @@ let cmd_smc =
         Printf.eprintf "smc: %s\n" msg;
         exit 2
     in
-    (match common.Tcheck_cli.metrics_file with
-    | None -> ()
-    | Some out -> (
-      try Obs.Export.write_jsonl out metrics
-      with Sys_error msg ->
-        Printf.eprintf "--metrics: %s\n" msg;
-        exit 2));
+    Tcheck_cli.finish common metrics;
     let monitored =
       match prop with
       | Some name -> name
@@ -566,11 +559,9 @@ let cmd_smc =
          else "stopped")
         report.Smc.Runner.samples report.Smc.Runner.p_hat
         report.Smc.Runner.chernoff_n;
-      match report.Smc.Runner.stream with
-      | Some stream when stream.Verif.Campaign.cancelled_jobs > 0 ->
-        Format.printf "cancelled %d queued samples on decision@."
-          stream.Verif.Campaign.cancelled_jobs
-      | _ -> ());
+      let cancelled = report.Smc.Runner.stream.Verif.Campaign.cancelled_jobs in
+      if cancelled > 0 then
+        Format.printf "cancelled %d queued samples on decision@." cancelled);
     List.iter
       (fun (label, msg) -> Format.printf "sample error %s: %s@." label msg)
       report.Smc.Runner.errors;

@@ -13,7 +13,6 @@ type common = {
   backend : Minic.Exec.kind;
   trace_file : string option;
   metrics_file : string option;
-  stream : bool;
   out_shards : int option;
   window : int option;
 }
@@ -83,8 +82,9 @@ let term ~default_seed =
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
            ~doc:"Write the structured verification trace (triggers, \
-                 samples, verdict changes) as JSONL to this file; with \
-                 --jobs the per-job traces are merged in job order")
+                 samples, verdict changes) as JSONL to this file, \
+                 streamed in job order while workers are still running; \
+                 the file is byte-identical for any --jobs")
   in
   let metrics_file =
     Arg.(value & opt (some string) None & info [ "metrics" ]
@@ -102,35 +102,26 @@ let term ~default_seed =
                  $(b,auto) (VM with interpreter fallback; the default). \
                  Verdicts and traces are identical across backends")
   in
-  let stream =
-    Arg.(value & flag & info [ "stream" ]
-           ~doc:"Run the streaming campaign engine: finished jobs flow \
-                 to the --trace file in job order through a bounded \
-                 reassembly window instead of accumulating until the \
-                 end of the run. Output is byte-identical to the \
-                 default engine")
-  in
   let out_shards =
     Arg.(value & opt (some int) None & info [ "out-shards" ] ~docv:"S"
            ~doc:"Split the streamed --trace output over S files \
                  (FILE.000.jsonl, FILE.001.jsonl, ...); concatenating \
                  them in shard order reproduces the unsharded stream \
-                 byte for byte. Implies --stream")
+                 byte for byte. Requires --trace")
   in
   let window =
     Arg.(value & opt (some int) None & info [ "window" ] ~docv:"W"
            ~doc:"Bound of the streaming reassembly window (outcomes a \
                  slow job can park before depositing workers block; \
-                 default 2x the pool size, at least 4). Implies --stream")
+                 default 2x the pool size, at least 4)")
   in
-  let combine jobs chunk seed backend trace_file metrics_file stream
-      out_shards window =
-    let stream = stream || out_shards <> None || window <> None in
-    { jobs; chunk; seed; backend; trace_file; metrics_file; stream;
-      out_shards; window }
+  let combine jobs chunk seed backend trace_file metrics_file out_shards
+      window =
+    { jobs; chunk; seed; backend; trace_file; metrics_file; out_shards;
+      window }
   in
   Term.(const combine $ jobs $ chunk $ seed $ backend $ trace_file
-        $ metrics_file $ stream $ out_shards $ window)
+        $ metrics_file $ out_shards $ window)
 
 (* a live registry only when a snapshot was requested, so un-instrumented
    runs keep the null registry's no-op handles *)
@@ -139,45 +130,35 @@ let registry common =
   | Some _ -> Obs.Registry.create ()
   | None -> Obs.Registry.null
 
-(* Run a job list on the engine the options selected. Streaming routes
-   the trace through sinks while workers are still running — [finish]
-   must not (and does not) rewrite the trace file afterwards. *)
+(* Run a job list with the trace flowing to the --trace file sinks while
+   workers are still running. *)
 let execute common metrics jobs =
   (match common.out_shards with
   | Some shards when shards < 1 ->
     Printf.eprintf "--out-shards must be >= 1\n";
     exit 2
+  | Some _ when common.trace_file = None ->
+    Printf.eprintf "--out-shards requires --trace\n";
+    exit 2
   | _ -> ());
-  if not common.stream then
-    Verif.Campaign.run ~metrics ~workers:common.jobs ?chunk:common.chunk jobs
-  else
-    try
-      let sinks =
-        match (common.trace_file, common.out_shards) with
-        | None, _ -> []
-        | Some out, None -> [ Verif.Campaign.jsonl_file_sink out ]
-        | Some out, Some shards ->
-          [
-            Verif.Campaign.sharded_jsonl_sink ~metrics ~shards
-              ~jobs:(List.length jobs) out;
-          ]
-      in
-      Verif.Campaign.run_stream ~metrics ~workers:common.jobs
-        ?chunk:common.chunk ?window:common.window ~sinks jobs
-    with Sys_error msg | Failure msg ->
-      Printf.eprintf "--stream: %s\n" msg;
-      exit 2
+  try
+    let sinks =
+      match (common.trace_file, common.out_shards) with
+      | None, _ -> []
+      | Some out, None -> [ Verif.Campaign.jsonl_file_sink out ]
+      | Some out, Some shards ->
+        [
+          Verif.Campaign.sharded_jsonl_sink ~metrics ~shards
+            ~jobs:(List.length jobs) out;
+        ]
+    in
+    Verif.Campaign.run_stream ~metrics ~workers:common.jobs
+      ?chunk:common.chunk ?window:common.window ~sinks jobs
+  with Sys_error msg | Failure msg ->
+    Printf.eprintf "--trace: %s\n" msg;
+    exit 2
 
-let finish common metrics summary =
-  (match common.trace_file with
-  | None -> ()
-  | Some out ->
-    if not common.stream then (
-      (* streaming already wrote the trace incrementally through its sink *)
-      try Verif.Campaign.write_jsonl ~metrics out summary
-      with Sys_error msg ->
-        Printf.eprintf "--trace: %s\n" msg;
-        exit 2));
+let finish common metrics =
   match common.metrics_file with
   | None -> ()
   | Some out -> (

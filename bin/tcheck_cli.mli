@@ -9,10 +9,7 @@ type common = {
   backend : Minic.Exec.kind;  (** [--backend interp|vm|auto] *)
   trace_file : string option;  (** [--trace FILE.jsonl] *)
   metrics_file : string option;  (** [--metrics FILE.jsonl] *)
-  stream : bool;
-      (** [--stream]: run {!Verif.Campaign.run_stream} (also implied by
-          [--out-shards] / [--window]) *)
-  out_shards : int option;  (** [--out-shards S]: shard the streamed trace *)
+  out_shards : int option;  (** [--out-shards S]: shard the trace *)
   window : int option;  (** [--window W]: reassembly-window bound *)
 }
 
@@ -40,13 +37,12 @@ val registry : common -> Obs.Registry.t
 val execute :
   common -> Obs.Registry.t -> Verif.Campaign.job list ->
   Verif.Campaign.summary
-(** Run the jobs on the engine the options selected: the seed
-    accumulate-then-merge engine by default, or — under [--stream] —
-    the streaming engine with the trace flowing to [--trace] (sharded
-    when [--out-shards] was given) while workers are still running.
-    Sink failures exit 2 with the failing option named. *)
+(** Run the jobs through {!Verif.Campaign.run_stream} with the trace
+    flowing to [--trace] (sharded when [--out-shards] was given) while
+    workers are still running. [--out-shards] below 1 or without
+    [--trace] exits 2 before any job runs; sink failures exit 2 with
+    [--trace] named. *)
 
-val finish : common -> Obs.Registry.t -> Verif.Campaign.summary -> unit
-(** Write the merged campaign trace ([--trace], charged to the merge
-    stage timer) and the metrics snapshot ([--metrics]). Unwritable
-    files exit 2 with the failing option named. *)
+val finish : common -> Obs.Registry.t -> unit
+(** Write the metrics snapshot ([--metrics]); an unwritable file exits
+    2 with the option named. *)

@@ -214,10 +214,6 @@ let smc_succeeded ?prop (outcome : Verif.Campaign.outcome) =
     in
     not (Verdict.equal verdict Verdict.False)
 
-let run_campaign ?workers ?chunk plan =
-  Verif.Campaign.run ~metrics:plan.metrics ?workers ?chunk
-    (campaign_jobs plan)
-
-let run_campaign_stream ?workers ?chunk ?window ?sinks plan =
+let run_campaign ?workers ?chunk ?window ?sinks plan =
   Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?chunk ?window
     ?sinks (campaign_jobs plan)

@@ -92,12 +92,7 @@ val campaign_jobs : plan -> Verif.Campaign.job list
     compiled/derived program forms on the calling domain first, so
     workers never race to force them. *)
 
-val run_campaign : ?workers:int -> ?chunk:int -> plan -> Verif.Campaign.summary
-(** {!Verif.Campaign.run} over {!campaign_jobs}; [chunk] is the number
-    of consecutive jobs a worker claims per queue-mutex acquisition
-    (scheduling only — results are identical for any value). *)
-
-val run_campaign_stream :
+val run_campaign :
   ?workers:int ->
   ?chunk:int ->
   ?window:int ->
@@ -106,8 +101,9 @@ val run_campaign_stream :
   Verif.Campaign.summary
 (** {!Verif.Campaign.run_stream} over {!campaign_jobs}: outcomes flow
     to [sinks] in job order as soon as ordering allows, under a bounded
-    reassembly [window] — the JSONL a streaming sink receives is byte
-    for byte what {!run_campaign} plus [Campaign.to_jsonl] produces. *)
+    reassembly [window]. [chunk] is the number of consecutive jobs a
+    worker claims per queue-mutex acquisition (scheduling only —
+    results and sink bytes are identical for any value). *)
 
 (** {2 Statistical model checking}
 

@@ -1,18 +1,17 @@
 (* Bench_log — reader/writer for the BENCH_campaign.json trajectory.
 
    One flat JSON object per line, appended by bench/main.ml across the
-   repository's history. Rows written before the "table" tag existed
-   carry no tag; the reader infers their table from distinctive fields
-   instead of rejecting them. Numbers appear both as plain integers and
-   in the %.6g scientific notation of Trace.Json.float (1.33827e+06),
-   which the core trace parser does not accept — hence the dedicated
-   flat parser here. *)
+   repository's history, each tagged with its "table" as the first
+   member; a row without the tag is rejected. Numbers appear both as
+   plain integers and in the %.6g scientific notation of Trace.Json.float
+   (1.33827e+06), which the core trace parser does not accept — hence
+   the dedicated flat parser here. *)
 
 module Json = Sctc.Trace.Json
 
 type value = Number of float | Bool of bool | String of string | Null
 
-type row = { table : string; tagged : bool; fields : (string * value) list }
+type row = { table : string; fields : (string * value) list }
 
 exception Bad of string
 
@@ -144,21 +143,10 @@ let parse_line line =
   with
   | exception Bad msg -> Error msg
   | fields -> (
-    let has key = List.mem_assoc key fields in
     match List.assoc_opt "table" fields with
-    | Some (String table) -> Ok { table; tagged = true; fields }
+    | Some (String table) -> Ok { table; fields }
     | Some _ -> Error "\"table\" is not a string"
-    | None ->
-      (* pre-tag legacy rows: infer the table from fields only that
-         table's writer emits (checker/simulate rows were born tagged,
-         so in practice untagged rows are early campaign rows — the
-         inference still keys on content, not on that history) *)
-      let table =
-        if has "legacy_tps" then "checker"
-        else if has "interp_sps" then "simulate"
-        else "campaign"
-      in
-      Ok { table; tagged = false; fields })
+    | None -> Error "missing \"table\" tag")
 
 let load path =
   let ic = open_in_bin path in

@@ -1,27 +1,22 @@
 (** Reader/writer for the [BENCH_campaign.json] bench trajectory.
 
-    The bench harness appends one flat JSON object per round; the file
-    spans the repository's whole history. Rows written before the
-    ["table"] tag existed carry none — {!parse_line} tolerates them and
-    infers their table from distinctive fields ([legacy_tps] marks a
-    checker row, [interp_sps] a simulate row, anything else a campaign
-    row) instead of rejecting the prefix of the trajectory. Numbers may
-    use the [%.6g] scientific notation the rows are written with
-    ([1.33827e+06]); the core trace parser is integer-only, hence this
-    dedicated flat parser. *)
+    The bench harness appends one flat JSON object per round, tagged
+    with its ["table"]; the file spans the repository's whole history.
+    Numbers may use the [%.6g] scientific notation the rows are written
+    with ([1.33827e+06]); the core trace parser is integer-only, hence
+    this dedicated flat parser. *)
 
 type value = Number of float | Bool of bool | String of string | Null
 
 type row = {
-  table : string;  (** tag, or the inferred table for legacy rows *)
-  tagged : bool;  (** [false] for rows whose table was inferred *)
-  fields : (string * value) list;  (** in line order, ["table"] included
-                                       when present *)
+  table : string;  (** the ["table"] tag *)
+  fields : (string * value) list;  (** in line order, ["table"] included *)
 }
 
 val parse_line : string -> (row, string) result
 (** Parse one trajectory line (a flat JSON object — nested containers
-    are not part of the row format and are rejected). *)
+    are not part of the row format and are rejected). A row without a
+    string ["table"] member is an [Error]. *)
 
 val load : string -> (row list, string) result
 (** Every row of a trajectory file, blank lines skipped; the first

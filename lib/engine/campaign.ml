@@ -25,7 +25,7 @@ type summary = {
   workers : int;
   wall_seconds : float;
   queue : queue_stats;
-  stream : stream_stats option;
+  stream : stream_stats;
 }
 
 type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
@@ -131,13 +131,11 @@ let metered_execute meters index job =
    (and the pool) keeps running. *)
 let default_chunk ~count ~pool = max 1 (count / (pool * 4))
 
-(* The pool scaffolding shared by both engines: claim chunks, execute
-   each claimed job, hand the outcome to [deposit]. The seed engine's
-   deposit writes a private slot; the streaming engine's deposit goes
-   through the ordered reassembly buffer. [stop] is polled at chunk
-   claims only (and per job on the inline path): a claimed chunk always
-   runs to completion, keeping the executed set a contiguous prefix.
-   Returns the queue stats. *)
+(* The pool scaffolding: claim chunks, execute each claimed job, hand
+   the outcome to [deposit] (the ordered reassembly buffer below).
+   [stop] is polled at chunk claims only (and per job on the inline
+   path): a claimed chunk always runs to completion, keeping the
+   executed set a contiguous prefix. Returns the queue stats. *)
 let run_pool ~meters ~pool ~chunk ~count ~stop ~execute ~deposit =
   if pool = 1 then begin
     let index = ref 0 in
@@ -203,36 +201,7 @@ let pool_shape ?chunk ~workers count =
   in
   (pool, chunk)
 
-(* --- the seed engine: accumulate every outcome, merge afterwards -------- *)
-
-let run ?(metrics = Registry.null) ?(workers = 1) ?chunk jobs =
-  let meters = make_meters metrics in
-  let started = Unix.gettimeofday () in
-  let jobs = Array.of_list jobs in
-  let count = Array.length jobs in
-  let pool, chunk = pool_shape ?chunk ~workers count in
-  let slots = Array.make count None in
-  (* Each slot is written by exactly one worker (the one whose chunk
-     covers the index) and read only after every domain joined. *)
-  let queue =
-    run_pool ~meters ~pool ~chunk ~count
-      ~stop:(fun () -> false)
-      ~execute:(fun index -> metered_execute meters index jobs.(index))
-      ~deposit:(fun outcome -> slots.(outcome.index) <- Some outcome)
-  in
-  let outcomes =
-    Array.to_list slots
-    |> List.map (function Some outcome -> outcome | None -> assert false)
-  in
-  {
-    outcomes;
-    workers = pool;
-    wall_seconds = Unix.gettimeofday () -. started;
-    queue;
-    stream = None;
-  }
-
-(* --- the streaming engine: ordered reassembly, bounded window ----------- *)
+(* --- ordered reassembly, bounded window ---------------------------------- *)
 
 (* Finished jobs are handed to this buffer on whatever domain ran them;
    outcomes leave strictly in job order. The frontier [r_next] is the
@@ -268,8 +237,8 @@ let renumber reassembly events =
 
 (* Emission runs under the reassembly lock: sinks are called serially,
    in ascending job order, with events renumbered to the campaign-global
-   sequence — the bytes a streaming JSONL sink writes are exactly those
-   of the seed engine's end-of-run merge. A raising sink is disabled for
+   sequence — the bytes a JSONL sink writes are the campaign's merged
+   trace, whatever the worker count. A raising sink is disabled for
    the rest of the run (the error resurfaces after the pool joins); the
    frontier keeps advancing so no worker is left waiting. *)
 let emit_locked reassembly meters sinks outcome =
@@ -396,15 +365,14 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
     wall_seconds = Unix.gettimeofday () -. started;
     queue;
     stream =
-      Some
-        {
-          window;
-          peak_window = reassembly.r_peak;
-          emitted = reassembly.r_emitted;
-          backpressure_waits = reassembly.r_waits;
-          backpressure_seconds = reassembly.r_wait_seconds;
-          cancelled_jobs = count - executed;
-        };
+      {
+        window;
+        peak_window = reassembly.r_peak;
+        emitted = reassembly.r_emitted;
+        backpressure_waits = reassembly.r_waits;
+        backpressure_seconds = reassembly.r_wait_seconds;
+        cancelled_jobs = count - executed;
+      };
   }
 
 (* --- streaming sinks ----------------------------------------------------- *)
@@ -493,28 +461,6 @@ let errors summary =
     (fun o ->
       match o.result with Error e -> Some (o.label, e) | Ok _ -> None)
     summary.outcomes
-
-let events summary =
-  summary.outcomes
-  |> List.concat_map (fun o -> o.events)
-  |> List.mapi (fun seq event -> { event with Trace.seq })
-
-let to_jsonl ?(metrics = Registry.null) summary =
-  Registry.Timer.time
-    (Registry.stage_timer metrics Registry.Merge)
-    (fun () ->
-      let buffer = Buffer.create 4096 in
-      List.iter
-        (fun event ->
-          Buffer.add_string buffer (Trace.event_to_json event);
-          Buffer.add_char buffer '\n')
-        (events summary);
-      Buffer.contents buffer)
-
-let write_jsonl ?metrics path summary =
-  let oc = open_out_bin path in
-  output_string oc (to_jsonl ?metrics summary);
-  close_out oc
 
 let verdicts summary =
   List.concat_map

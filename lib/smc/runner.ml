@@ -24,7 +24,7 @@ type report = {
   chernoff_n : int;
   errors : (string * string) list;
   wall_seconds : float;
-  stream : Campaign.stream_stats option;
+  stream : Campaign.stream_stats;
 }
 
 (* per-campaign observability: how many samples the estimator drew,

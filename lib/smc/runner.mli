@@ -50,7 +50,7 @@ type report = {
           the campaign would have cost without sequential testing *)
   errors : (string * string) list;  (** crashed jobs, label x exception *)
   wall_seconds : float;
-  stream : Verif.Campaign.stream_stats option;
+  stream : Verif.Campaign.stream_stats;
       (** the underlying streaming campaign's stats; [cancelled_jobs]
           is the work early stopping saved *)
 }

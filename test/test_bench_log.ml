@@ -1,23 +1,23 @@
 (* Decode safety net for the BENCH_campaign.json trajectory reader.
    The fixture lines below are verbatim rows from the repository's own
-   trajectory file: rows written before the "table" tag existed (no tag,
-   table inferred from content), plus tagged checker/simulate/campaign
-   rows with the %.6g scientific-notation floats the bench writes.
-   Bench_log must keep decoding every historical generation — the
-   trajectory is append-only and spans the repo's whole life. *)
+   trajectory file: the early campaign generations (tagged after the
+   fact), plus checker/simulate/campaign rows with the %.6g
+   scientific-notation floats the bench writes. Bench_log must keep
+   decoding every historical generation — the trajectory is append-only
+   and spans the repo's whole life — and must reject an untagged row. *)
 
 module Bench_log = Verif.Bench_log
 module Json = Sctc.Trace.Json
 
 (* ---- verbatim historical fixture lines --------------------------------- *)
 
-(* the very first generation: campaign rows, no "table" tag *)
+(* the very first generation of campaign rows *)
 let legacy_campaign =
-  {|{"unix_time":1786041690,"scale":1,"jobs":4,"ops":7,"cases_per_op":40,"seq_seconds":0.217622,"par_seconds":0.396184,"speedup":0.549295,"verdicts_identical":true,"jsonl_identical":true}|}
+  {|{"table":"campaign","unix_time":1786041690,"scale":1,"jobs":4,"ops":7,"cases_per_op":40,"seq_seconds":0.217622,"par_seconds":0.396184,"speedup":0.549295,"verdicts_identical":true,"jsonl_identical":true}|}
 
-(* later untagged generation: queue/cache columns added, still no tag *)
+(* a later generation: queue/cache columns added *)
 let legacy_campaign_wide =
-  {|{"unix_time":1786044020,"scale":1,"jobs":1,"cores":1,"ops":7,"cases_per_op":40,"seq_seconds":0.169137,"par_seconds":0.179573,"speedup":0.941885,"synth_seconds":0,"vt_seconds":0.166125,"verdicts_identical":true,"jsonl_identical":true,"queue_chunk":1,"queue_acquisitions":0,"queue_contention":0,"cons_dls_hits":239190,"cons_shard_acquisitions":0,"cons_shard_contention":0,"automaton_cache_hits":0,"automaton_cache_misses":0}|}
+  {|{"table":"campaign","unix_time":1786044020,"scale":1,"jobs":1,"cores":1,"ops":7,"cases_per_op":40,"seq_seconds":0.169137,"par_seconds":0.179573,"speedup":0.941885,"synth_seconds":0,"vt_seconds":0.166125,"verdicts_identical":true,"jsonl_identical":true,"queue_chunk":1,"queue_acquisitions":0,"queue_contention":0,"cons_dls_hits":239190,"cons_shard_acquisitions":0,"cons_shard_contention":0,"automaton_cache_hits":0,"automaton_cache_misses":0}|}
 
 (* tagged checker row — scientific-notation floats from Json.float's %.6g *)
 let tagged_checker =
@@ -34,28 +34,21 @@ let parse_ok line =
   | Ok row -> row
   | Error msg -> Alcotest.failf "fixture line failed to parse: %s" msg
 
-(* ---- legacy inference --------------------------------------------------- *)
+(* ---- untagged rows -------------------------------------------------------- *)
 
-let test_legacy_rows_infer_campaign () =
+let test_untagged_rows_rejected () =
+  (* the first-generation row as it was written, before the tag existed *)
+  let untagged =
+    {|{"unix_time":1786041690,"scale":1,"jobs":4,"verdicts_identical":true}|}
+  in
   List.iter
     (fun line ->
-      let row = parse_ok line in
-      Alcotest.(check string) "inferred table" "campaign" row.Bench_log.table;
-      Alcotest.(check bool) "marked untagged" false row.Bench_log.tagged;
-      Alcotest.(check (option bool)) "verdict flag decodes" (Some true)
-        (Bench_log.bool_field row "verdicts_identical"))
-    [ legacy_campaign; legacy_campaign_wide ]
-
-let test_inference_keys_on_content () =
-  (* a hypothetical untagged checker/simulate row is still routed by its
-     distinctive field, not by the historical accident that those tables
-     were born tagged *)
-  let checkerish = {|{"legacy_tps":375961,"speedup":3.5}|} in
-  let simulateish = {|{"interp_sps":1.3695e+07}|} in
-  Alcotest.(check string) "legacy_tps routes to checker" "checker"
-    (parse_ok checkerish).Bench_log.table;
-  Alcotest.(check string) "interp_sps routes to simulate" "simulate"
-    (parse_ok simulateish).Bench_log.table
+      match Bench_log.parse_line line with
+      | Ok row -> Alcotest.failf "untagged row accepted as %S" row.Bench_log.table
+      | Error msg ->
+        Alcotest.(check string) "error names the missing tag"
+          "missing \"table\" tag" msg)
+    [ untagged; {|{"legacy_tps":375961}|}; "{}" ]
 
 (* ---- tagged rows and accessors ------------------------------------------ *)
 
@@ -64,11 +57,12 @@ let test_tagged_rows () =
     (fun (line, table) ->
       let row = parse_ok line in
       Alcotest.(check string) "tag decodes" table row.Bench_log.table;
-      Alcotest.(check bool) "marked tagged" true row.Bench_log.tagged;
       (* the tag stays visible as an ordinary field too *)
       Alcotest.(check (option string)) "tag field" (Some table)
         (Bench_log.str_field row "table"))
     [
+      (legacy_campaign, "campaign");
+      (legacy_campaign_wide, "campaign");
       (tagged_checker, "checker");
       (tagged_simulate, "simulate");
       (tagged_campaign, "campaign");
@@ -97,8 +91,9 @@ let test_field_order_preserved () =
   let row = parse_ok legacy_campaign in
   Alcotest.(check (list string)) "fields keep line order"
     [
-      "unix_time"; "scale"; "jobs"; "ops"; "cases_per_op"; "seq_seconds";
-      "par_seconds"; "speedup"; "verdicts_identical"; "jsonl_identical";
+      "table"; "unix_time"; "scale"; "jobs"; "ops"; "cases_per_op";
+      "seq_seconds"; "par_seconds"; "speedup"; "verdicts_identical";
+      "jsonl_identical";
     ]
     (List.map fst row.Bench_log.fields)
 
@@ -154,10 +149,7 @@ let test_load_mixed_generations () =
   Alcotest.(check int) "blank line skipped, five rows" 5 (List.length rows);
   Alcotest.(check (list string)) "tables across generations"
     [ "campaign"; "campaign"; "checker"; "simulate"; "campaign" ]
-    (List.map (fun r -> r.Bench_log.table) rows);
-  Alcotest.(check (list bool)) "tagged flags"
-    [ false; false; true; true; true ]
-    (List.map (fun r -> r.Bench_log.tagged) rows)
+    (List.map (fun r -> r.Bench_log.table) rows)
 
 let test_load_reports_line_number () =
   let path = write_temp [ legacy_campaign; {|{"broken|} ] in
@@ -207,7 +199,6 @@ let test_render_round_trip () =
   let row = parse_ok line in
   Alcotest.(check string) "round-trips as tagged campaign" "campaign"
     row.Bench_log.table;
-  Alcotest.(check bool) "tagged" true row.Bench_log.tagged;
   Alcotest.(check (list string)) "tag rendered first"
     [ "table"; "unix_time"; "merge_ratio"; "stream_jsonl_identical"; "git_rev" ]
     (List.map fst row.Bench_log.fields);
@@ -228,10 +219,8 @@ let () =
     [
       ( "legacy",
         [
-          Alcotest.test_case "untagged rows infer campaign" `Quick
-            test_legacy_rows_infer_campaign;
-          Alcotest.test_case "inference keys on content" `Quick
-            test_inference_keys_on_content;
+          Alcotest.test_case "untagged rows rejected" `Quick
+            test_untagged_rows_rejected;
         ] );
       ( "tagged",
         [

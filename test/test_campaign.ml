@@ -79,14 +79,24 @@ let counters summary =
     Campaign.total_timeouts summary;
   ]
 
+(* a campaign with its merged trace rendered by the JSONL buffer sink *)
+let traced ~workers ?chunk jobs =
+  let buffer = Buffer.create 4096 in
+  let summary =
+    Campaign.run_stream ~workers ?chunk
+      ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
+      jobs
+  in
+  (summary, Buffer.contents buffer)
+
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   at 0
 
 let test_pool_matches_sequential () =
-  let sequential = Campaign.run ~workers:1 (make_jobs ()) in
-  let pooled = Campaign.run ~workers:4 (make_jobs ()) in
+  let sequential, sequential_jsonl = traced ~workers:1 (make_jobs ()) in
+  let pooled, pooled_jsonl = traced ~workers:4 (make_jobs ()) in
   Alcotest.(check int) "effective workers" 4 pooled.Campaign.workers;
   Alcotest.(check int) "all jobs have outcomes" 6
     (List.length pooled.Campaign.outcomes);
@@ -100,10 +110,10 @@ let test_pool_matches_sequential () =
        (Campaign.verdicts pooled));
   Alcotest.(check (list int))
     "identical merged counters" (counters sequential) (counters pooled);
-  Alcotest.(check string) "byte-identical merged JSONL"
-    (Campaign.to_jsonl sequential) (Campaign.to_jsonl pooled);
+  Alcotest.(check string) "byte-identical merged JSONL" sequential_jsonl
+    pooled_jsonl;
   Alcotest.(check bool) "trace is non-trivial" true
-    (String.length (Campaign.to_jsonl sequential) > 0);
+    (String.length sequential_jsonl > 0);
   (* the mix is chosen to exercise all three verdicts *)
   let verdicts = List.map (fun (_, _, v) -> v) (Campaign.verdicts pooled) in
   List.iter
@@ -115,7 +125,18 @@ let test_pool_matches_sequential () =
     [ Verdict.True; Verdict.False; Verdict.Pending ]
 
 let test_merge_order_and_seq () =
-  let summary = Campaign.run ~workers:3 (make_jobs ()) in
+  let merged = ref [] in
+  let collector =
+    Campaign.sink (fun (o : Campaign.outcome) ->
+        merged := List.rev_append o.events !merged)
+  in
+  let path = Filename.temp_file "campaign" ".jsonl" in
+  let summary =
+    Campaign.run_stream ~workers:3
+      ~sinks:[ collector; Campaign.jsonl_file_sink path ]
+      (make_jobs ())
+  in
+  let merged = List.rev !merged in
   let labels = List.map (fun o -> o.Campaign.label) summary.Campaign.outcomes in
   Alcotest.(check (list string)) "outcomes in job order, not completion order"
     [
@@ -131,10 +152,8 @@ let test_merge_order_and_seq () =
   List.iteri
     (fun expected event ->
       Alcotest.(check int) "campaign-global seq" expected event.Trace.seq)
-    (Campaign.events summary);
+    merged;
   (* and every merged event survives the JSONL round trip *)
-  let path = Filename.temp_file "campaign" ".jsonl" in
-  Campaign.write_jsonl path summary;
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -143,8 +162,7 @@ let test_merge_order_and_seq () =
      done
    with End_of_file -> close_in ic);
   Sys.remove path;
-  Alcotest.(check int) "one line per merged event"
-    (List.length (Campaign.events summary))
+  Alcotest.(check int) "one line per merged event" (List.length merged)
     (List.length !lines);
   List.iter
     (fun line ->
@@ -157,12 +175,12 @@ let test_merge_order_and_seq () =
    acquisition, a few, or more than the whole queue — must leave verdict
    vectors, merged counters and JSONL byte-identical to jobs=1 *)
 let test_chunked_queue_identity () =
-  let sequential = Campaign.run ~workers:1 (make_jobs ()) in
+  let sequential, sequential_jsonl = traced ~workers:1 (make_jobs ()) in
   Alcotest.(check int) "sequential path takes no queue lock" 0
     sequential.Campaign.queue.Campaign.acquisitions;
   List.iter
     (fun chunk ->
-      let pooled = Campaign.run ~workers:8 ~chunk (make_jobs ()) in
+      let pooled, pooled_jsonl = traced ~workers:8 ~chunk (make_jobs ()) in
       let label suffix = Printf.sprintf "chunk=%d: %s" chunk suffix in
       Alcotest.(check int) (label "chunk size recorded") chunk
         pooled.Campaign.queue.Campaign.chunk;
@@ -181,7 +199,7 @@ let test_chunked_queue_identity () =
         (counters sequential) (counters pooled);
       Alcotest.(check string)
         (label "byte-identical merged JSONL")
-        (Campaign.to_jsonl sequential) (Campaign.to_jsonl pooled))
+        sequential_jsonl pooled_jsonl)
     [ 1; 3; 100 (* larger than the queue *) ]
 
 (* a raise in the middle of a claimed chunk must not take down the rest
@@ -201,7 +219,7 @@ let test_chunk_crash_is_contained () =
         ~properties:[ ("eventually_done", "F p_done") ];
     ]
   in
-  let summary = Campaign.run ~workers:2 ~chunk:3 jobs in
+  let summary = Campaign.run_stream ~workers:2 ~chunk:3 jobs in
   Alcotest.(check int) "all outcomes present" 6
     (List.length summary.Campaign.outcomes);
   Alcotest.(check (list string)) "both crashes surface, in job order"
@@ -225,7 +243,7 @@ let test_worker_crash_is_contained () =
         ~properties:[ ("eventually_done", "F p_done") ];
     ]
   in
-  let summary = Campaign.run ~workers:4 jobs in
+  let summary = Campaign.run_stream ~workers:4 jobs in
   Alcotest.(check int) "three outcomes" 3 (List.length summary.Campaign.outcomes);
   (match (List.nth summary.Campaign.outcomes 1).Campaign.result with
   | Error msg ->
@@ -256,8 +274,9 @@ let eee_plan =
   }
 
 let test_eee_campaign_deterministic () =
-  let sequential = Eee.Harness.run_campaign ~workers:1 eee_plan in
-  let pooled = Eee.Harness.run_campaign ~workers:3 eee_plan in
+  let jobs () = Eee.Harness.campaign_jobs eee_plan in
+  let sequential, sequential_jsonl = traced ~workers:1 (jobs ()) in
+  let pooled, pooled_jsonl = traced ~workers:3 (jobs ()) in
   Alcotest.(check bool) "no job errors" true
     (Campaign.errors sequential = [] && Campaign.errors pooled = []);
   Alcotest.(check (list (triple string string string)))
@@ -270,8 +289,8 @@ let test_eee_campaign_deterministic () =
        (Campaign.verdicts pooled));
   Alcotest.(check (list int))
     "identical EEE counters" (counters sequential) (counters pooled);
-  Alcotest.(check string) "byte-identical EEE JSONL"
-    (Campaign.to_jsonl sequential) (Campaign.to_jsonl pooled);
+  Alcotest.(check string) "byte-identical EEE JSONL" sequential_jsonl
+    pooled_jsonl;
   Alcotest.(check int) "every case completed or timed out"
     (2 * eee_plan.Eee.Harness.cases_per_op)
     (Campaign.total_test_cases pooled + Campaign.total_timeouts pooled)

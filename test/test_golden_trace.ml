@@ -36,6 +36,16 @@ let plan approach =
 
 let golden_file approach = Printf.sprintf "eee_a%d_read.jsonl" approach
 
+(* one campaign with its merged trace rendered by the JSONL buffer sink *)
+let run_traced ~workers ?chunk plan =
+  let buffer = Buffer.create 4096 in
+  let summary =
+    Harness.run_campaign ~workers ?chunk
+      ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
+      plan
+  in
+  (summary, Buffer.contents buffer)
+
 (* ---- decimated projection ---------------------------------------------- *)
 
 let keep_every = 100
@@ -72,18 +82,18 @@ let check_golden ~approach () =
   let golden = read_file (Filename.concat "golden" (golden_file approach)) in
   Alcotest.(check bool) "golden trace is non-trivial" true
     (String.length golden > 0);
-  let summary = Harness.run_campaign ~workers:1 (plan approach) in
+  let summary, jsonl = run_traced ~workers:1 (plan approach) in
   Alcotest.(check (list (pair string string))) "no job errors" []
     (Campaign.errors summary);
   Alcotest.(check string) "jobs=1 reproduces the golden bytes" golden
-    (project (Campaign.to_jsonl summary))
+    (project jsonl)
 
 (* the pool path must emit the same bytes as the recorded jobs=1 run *)
 let check_golden_pooled () =
   let golden = read_file (Filename.concat "golden" (golden_file 2)) in
-  let summary = Harness.run_campaign ~workers:2 ~chunk:1 (plan 2) in
+  let _, jsonl = run_traced ~workers:2 ~chunk:1 (plan 2) in
   Alcotest.(check string) "pooled run reproduces the golden bytes" golden
-    (project (Campaign.to_jsonl summary))
+    (project jsonl)
 
 (* ---- fault injection ----------------------------------------------------- *)
 
@@ -96,11 +106,11 @@ let check_golden_zero_rate_faults ~approach () =
     { Smc.Faults.decay = 0.0; power_loss = 0.0; jitter_prob = 0.0;
       jitter_max = 16 }
   in
-  let summary =
-    Harness.run_campaign ~workers:1 { (plan approach) with Harness.faults = zero }
+  let _, jsonl =
+    run_traced ~workers:1 { (plan approach) with Harness.faults = zero }
   in
   Alcotest.(check string) "zero-rate faults reproduce the golden bytes" golden
-    (project (Campaign.to_jsonl summary))
+    (project jsonl)
 
 (* a faulty run is replayable: the same (seed, fault config) produces
    byte-identical traces whatever the worker count or backend — each
@@ -112,11 +122,11 @@ let check_faulty_run_determinism () =
       jitter_max = 20 }
   in
   let run backend workers chunk =
-    let summary =
-      Harness.run_campaign ~workers ?chunk
+    let _, jsonl =
+      run_traced ~workers ?chunk
         { (plan 2) with Harness.faults = faults; backend }
     in
-    project (Campaign.to_jsonl summary)
+    project jsonl
   in
   let reference = run Minic.Exec.Interp 1 None in
   Alcotest.(check bool) "faulty trace is non-trivial" true
@@ -138,7 +148,7 @@ let check_faulty_run_determinism () =
 let generate dir =
   List.iter
     (fun approach ->
-      let summary = Harness.run_campaign ~workers:1 (plan approach) in
+      let summary, jsonl = run_traced ~workers:1 (plan approach) in
       (match Campaign.errors summary with
       | [] -> ()
       | errors ->
@@ -149,7 +159,7 @@ let generate dir =
         exit 1);
       let path = Filename.concat dir (golden_file approach) in
       let oc = open_out_bin path in
-      output_string oc (project (Campaign.to_jsonl summary));
+      output_string oc (project jsonl);
       close_out oc;
       Printf.printf "wrote %s\n" path)
     [ 1; 2 ]

@@ -271,11 +271,18 @@ let campaign_jobs () =
           Verif.Session.run session;
           Verif.Session.result session))
 
+(* a campaign with its merged trace rendered by the JSONL buffer sink *)
+let traced_campaign ?metrics ?chunk ~workers () =
+  let buffer = Buffer.create 4096 in
+  ignore
+    (Verif.Campaign.run_stream ?metrics ?chunk ~workers
+       ~sinks:[ Verif.Campaign.jsonl_buffer_sink buffer ]
+       (campaign_jobs ()));
+  Buffer.contents buffer
+
 let test_campaign_metrics () =
   let reg = Registry.create () in
-  let summary =
-    Verif.Campaign.run ~metrics:reg ~workers:4 ~chunk:1 (campaign_jobs ())
-  in
+  let metered = traced_campaign ~metrics:reg ~workers:4 ~chunk:1 () in
   check_int "jobs counted" 6 (Registry.total reg "campaign_jobs_total");
   check_int "no job errors" 0 (Registry.total reg "campaign_job_errors_total");
   check "chunk claims" true
@@ -290,10 +297,7 @@ let test_campaign_metrics () =
          | _ -> false)
        (Registry.snapshot reg));
   (* metering must not perturb the deterministic merge *)
-  let plain = Verif.Campaign.run ~workers:1 (campaign_jobs ()) in
-  check_string "identical merged trace"
-    (Verif.Campaign.to_jsonl plain)
-    (Verif.Campaign.to_jsonl ~metrics:reg summary);
+  check_string "identical merged trace" (traced_campaign ~workers:1 ()) metered;
   check "merge stage timed" true
     (Registry.sum_seconds reg (Registry.stage_name Registry.Merge) >= 0.0)
 

@@ -351,11 +351,9 @@ let test_runner_fixed_exact () =
   Alcotest.(check bool) "not early stopped" false report.Runner.early_stopped;
   Alcotest.(check (list (pair string string))) "no errors" []
     report.Runner.errors;
-  match report.Runner.stream with
-  | None -> Alcotest.fail "stream stats missing"
-  | Some stats ->
-    Alcotest.(check int) "nothing cancelled" 0 stats.Campaign.cancelled_jobs;
-    Alcotest.(check int) "every sample emitted" 52 stats.Campaign.emitted
+  let stats = report.Runner.stream in
+  Alcotest.(check int) "nothing cancelled" 0 stats.Campaign.cancelled_jobs;
+  Alcotest.(check int) "every sample emitted" 52 stats.Campaign.emitted
 
 (* workers=1 makes the sequential runner fully deterministic: the inline
    pool checks cancellation before each job, so exactly [samples] jobs
@@ -375,12 +373,10 @@ let test_runner_sequential_h0_cancels_rest () =
   Alcotest.(check int) "chernoff_n" 185 report.Runner.chernoff_n;
   Alcotest.(check bool) "early stopped" true report.Runner.early_stopped;
   Alcotest.(check bool) "not forced" false report.Runner.forced;
-  match report.Runner.stream with
-  | None -> Alcotest.fail "stream stats missing"
-  | Some stats ->
-    Alcotest.(check int) "8 executed, 177 cancelled" 177
-      stats.Campaign.cancelled_jobs;
-    Alcotest.(check int) "emitted = executed" 8 stats.Campaign.emitted
+  let stats = report.Runner.stream in
+  Alcotest.(check int) "8 executed, 177 cancelled" 177
+    stats.Campaign.cancelled_jobs;
+  Alcotest.(check int) "emitted = executed" 8 stats.Campaign.emitted
 
 let test_runner_sequential_h1 () =
   let report =

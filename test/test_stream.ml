@@ -1,17 +1,18 @@
-(* The streaming-engine safety net. Verif.Campaign.run_stream must be
-   observationally identical to the seed engine (Campaign.run, kept as
-   the differential oracle): same verdict vectors, same per-job errors,
-   same merged counters, and a JSONL sink must receive exactly the bytes
-   of the oracle's end-of-run merge — for any worker count, chunk size
-   and reassembly window, including windows far smaller than the job
-   count. On top of identity, the streaming engine's own contracts are
-   pinned here: strictly ordered emission with campaign-global seq,
-   crash and sink-failure containment, a backpressure window that
-   actually bounds parked outcomes (asserted against a stalled job),
-   sharded output whose in-order concatenation reproduces the merged
-   stream byte for byte against the checked-in goldens, and a soak run
-   (TCHECK_SOAK=1) showing live memory stays bounded where the oracle's
-   accumulation grows with the campaign. *)
+(* The campaign-engine safety net. Verif.Campaign.run_stream must be
+   observationally identical to a sequential reference — every job run
+   in order on the calling domain by a plain List.map, each on a private
+   in-memory trace bus, its events renumbered campaign-wide and rendered
+   with Trace.event_to_json: same verdict vectors, same per-job errors,
+   same merged counters, and a JSONL sink must receive exactly the
+   reference bytes — for any worker count, chunk size and reassembly
+   window, including windows far smaller than the job count. On top of
+   identity, the engine's own contracts are pinned here: strictly
+   ordered emission with campaign-global seq, crash and sink-failure
+   containment, a backpressure window that actually bounds parked
+   outcomes (asserted against a stalled job), sharded output whose
+   in-order concatenation reproduces the merged stream byte for byte
+   against the checked-in goldens, and a soak run (TCHECK_SOAK=1)
+   showing live memory stays bounded as the campaign grows. *)
 
 module Campaign = Verif.Campaign
 module Session = Verif.Session
@@ -103,16 +104,77 @@ let verdict_strings summary =
 
 let crashes variants = List.length (List.filter (fun v -> v mod variant_count = 4) variants)
 
-(* run the oracle and the streaming engine on the same job list and
-   check every observable matches; returns the stream summary for
-   engine-specific assertions on top *)
+(* ---- the sequential reference ------------------------------------------- *)
+
+type reference = {
+  ref_verdicts : (string * string * string) list;
+  ref_errors : (string * string) list;
+  ref_counters : int list;
+  ref_jsonl : string;
+}
+
+let reference jobs =
+  let runs =
+    List.map
+      (fun (job : Campaign.job) ->
+        let bus = Trace.create () in
+        let sink, buffered = Trace.memory_sink () in
+        Trace.attach bus sink;
+        let result =
+          match job.run bus with
+          | result -> Ok result
+          | exception exn -> Error (Printexc.to_string exn)
+        in
+        Trace.close bus;
+        (job.label, result, buffered ()))
+      jobs
+  in
+  let results = List.filter_map (fun (_, r, _) -> Result.to_option r) runs in
+  let sum field = List.fold_left (fun acc r -> acc + field r) 0 results in
+  let jsonl = Buffer.create 4096 in
+  List.concat_map (fun (_, _, events) -> events) runs
+  |> List.iteri (fun seq event ->
+         Buffer.add_string jsonl (Trace.event_to_json { event with Trace.seq });
+         Buffer.add_char jsonl '\n');
+  {
+    ref_verdicts =
+      List.concat_map
+        (fun (label, result, _) ->
+          match result with
+          | Error _ -> []
+          | Ok r ->
+            List.map
+              (fun p ->
+                ( label,
+                  p.Verif.Result.property,
+                  Verdict.to_string p.Verif.Result.verdict ))
+              r.Verif.Result.properties)
+        runs;
+    ref_errors =
+      List.filter_map
+        (fun (label, result, _) ->
+          match result with Error e -> Some (label, e) | Ok _ -> None)
+        runs;
+    ref_counters =
+      [
+        sum (fun r -> r.Verif.Result.triggers);
+        sum (fun r -> r.Verif.Result.time_units);
+        sum Verif.Result.completed_cases;
+        sum (fun r -> r.Verif.Result.timeouts);
+      ];
+    ref_jsonl = Buffer.contents jsonl;
+  }
+
+(* run the reference and the engine on the same job list and check every
+   observable matches; returns the engine's summary for engine-specific
+   assertions on top *)
 let check_identical ?(label = "") ~workers ?chunk ?window variants =
   let tag suffix =
     Printf.sprintf "%sworkers=%d window=%s: %s" label workers
       (match window with Some w -> string_of_int w | None -> "default")
       suffix
   in
-  let oracle = Campaign.run ~workers:1 (make_jobs variants) in
+  let expected = reference (make_jobs variants) in
   let metrics = Registry.create () in
   let buffer = Buffer.create 4096 in
   let stream =
@@ -123,27 +185,26 @@ let check_identical ?(label = "") ~workers ?chunk ?window variants =
   let n = List.length variants in
   Alcotest.(check (list (triple string string string)))
     (tag "identical verdict vectors")
-    (verdict_strings oracle) (verdict_strings stream);
+    expected.ref_verdicts (verdict_strings stream);
   Alcotest.(check (list (pair string string)))
     (tag "identical job errors")
-    (Campaign.errors oracle) (Campaign.errors stream);
+    expected.ref_errors (Campaign.errors stream);
   Alcotest.(check (list int))
     (tag "identical merged counters")
-    (counters oracle) (counters stream);
+    expected.ref_counters (counters stream);
   Alcotest.(check string)
-    (tag "sink bytes == oracle to_jsonl")
-    (Campaign.to_jsonl oracle) (Buffer.contents buffer);
-  Alcotest.(check int)
+    (tag "sink bytes == reference JSONL")
+    expected.ref_jsonl (Buffer.contents buffer);
+  Alcotest.(check bool)
     (tag "summary retains no events")
-    0
-    (List.length (Campaign.events stream));
-  (match stream.Campaign.stream with
-  | None -> Alcotest.fail (tag "stream stats missing")
-  | Some stats ->
-    Alcotest.(check int) (tag "every outcome emitted") n
-      stats.Campaign.emitted;
-    Alcotest.(check bool) (tag "peak within the window") true
-      (stats.Campaign.peak_window <= stats.Campaign.window));
+    true
+    (List.for_all
+       (fun (o : Campaign.outcome) -> o.events = [])
+       stream.Campaign.outcomes);
+  let stats = stream.Campaign.stream in
+  Alcotest.(check int) (tag "every outcome emitted") n stats.Campaign.emitted;
+  Alcotest.(check bool) (tag "peak within the window") true
+    (stats.Campaign.peak_window <= stats.Campaign.window);
   Alcotest.(check int)
     (tag "campaign_jobs_total")
     n
@@ -160,7 +221,7 @@ let check_identical ?(label = "") ~workers ?chunk ?window variants =
 
 (* ---- fixed differential across the acceptance worker counts ------------ *)
 
-let test_stream_matches_seed () =
+let test_stream_matches_reference () =
   List.iter
     (fun workers -> ignore (check_identical ~workers fixed_mix))
     [ 1; 2; 4; 7 ]
@@ -176,7 +237,7 @@ let test_tiny_window_identity () =
 
 let qcheck_differential =
   QCheck.Test.make ~count:25
-    ~name:"random job mix: stream == seed (verdicts, errors, bytes, obs)"
+    ~name:"random job mix: stream == reference"
     QCheck.(
       triple
         (list_of_size Gen.(int_range 1 10) (int_bound (variant_count - 1)))
@@ -198,11 +259,9 @@ let test_ordered_emission_and_seq () =
   let indices = ref [] in
   let seqs = ref [] in
   let recorder =
-    Campaign.sink (fun outcome ->
-        indices := outcome.Campaign.index :: !indices;
-        List.iter
-          (fun event -> seqs := event.Trace.seq :: !seqs)
-          outcome.Campaign.events)
+    Campaign.sink (fun (outcome : Campaign.outcome) ->
+        indices := outcome.index :: !indices;
+        List.iter (fun event -> seqs := event.Trace.seq :: !seqs) outcome.events)
   in
   let summary =
     Campaign.run_stream ~workers:4 ~chunk:1 ~window:2 ~sinks:[ recorder ]
@@ -307,17 +366,15 @@ let test_backpressure_caps_window () =
   let summary =
     Campaign.run_stream ~metrics ~workers:2 ~chunk:1 ~window jobs
   in
-  (match summary.Campaign.stream with
-  | None -> Alcotest.fail "stream stats missing"
-  | Some stats ->
-    Alcotest.(check int) "window recorded" window stats.Campaign.window;
-    Alcotest.(check int) "stalled job caps the buffer at the window" window
-      stats.Campaign.peak_window;
-    Alcotest.(check bool) "deposits blocked on the full window" true
-      (stats.Campaign.backpressure_waits >= 1);
-    Alcotest.(check bool) "wait time is non-negative" true
-      (stats.Campaign.backpressure_seconds >= 0.);
-    Alcotest.(check int) "all outcomes emitted" 8 stats.Campaign.emitted);
+  let stats = summary.Campaign.stream in
+  Alcotest.(check int) "window recorded" window stats.Campaign.window;
+  Alcotest.(check int) "stalled job caps the buffer at the window" window
+    stats.Campaign.peak_window;
+  Alcotest.(check bool) "deposits blocked on the full window" true
+    (stats.Campaign.backpressure_waits >= 1);
+  Alcotest.(check bool) "wait time is non-negative" true
+    (stats.Campaign.backpressure_seconds >= 0.);
+  Alcotest.(check int) "all outcomes emitted" 8 stats.Campaign.emitted;
   Alcotest.(check bool) "metric agrees with the summary" true (waits () >= 1);
   Alcotest.(check (float 0.))
     "stream-window gauge drains back to zero" 0.
@@ -374,13 +431,11 @@ let test_cancel_stops_workers_and_keeps_prefix () =
     (List.length summary.Campaign.outcomes);
   Alcotest.(check int) "every executed job crashed as scripted" executed
     (List.length (Campaign.errors summary));
-  (match summary.Campaign.stream with
-  | None -> Alcotest.fail "stream stats missing"
-  | Some stats ->
-    Alcotest.(check int) "emitted matches the sink" executed
-      stats.Campaign.emitted;
-    Alcotest.(check int) "cancelled_jobs accounts for the rest"
-      (total - executed) stats.Campaign.cancelled_jobs);
+  let stats = summary.Campaign.stream in
+  Alcotest.(check int) "emitted matches the sink" executed
+    stats.Campaign.emitted;
+  Alcotest.(check int) "cancelled_jobs accounts for the rest"
+    (total - executed) stats.Campaign.cancelled_jobs;
   Alcotest.(check (float 0.))
     "stream-window gauge drains back to zero" 0.
     (Registry.Gauge.value (Registry.gauge metrics "campaign_stream_window"));
@@ -394,12 +449,10 @@ let test_unused_cancel_token_is_inert () =
   let summary =
     Campaign.run_stream ~workers:2 ~cancel (make_jobs fixed_mix)
   in
-  match summary.Campaign.stream with
-  | None -> Alcotest.fail "stream stats missing"
-  | Some stats ->
-    Alcotest.(check int) "nothing cancelled" 0 stats.Campaign.cancelled_jobs;
-    Alcotest.(check int) "every outcome emitted" (List.length fixed_mix)
-      stats.Campaign.emitted
+  let stats = summary.Campaign.stream in
+  Alcotest.(check int) "nothing cancelled" 0 stats.Campaign.cancelled_jobs;
+  Alcotest.(check int) "every outcome emitted" (List.length fixed_mix)
+    stats.Campaign.emitted
 
 (* the regression this PR fixes: a campaign that is cancelled after a
    sink already failed must still resurface the sink's Failure — the
@@ -466,7 +519,7 @@ let remove_shards path shards =
 
 (* a multi-job EEE campaign over 3 shards: every shard file exists, the
    flush counters ran, and concatenation in shard order reproduces the
-   oracle's merged JSONL byte for byte *)
+   reference's merged JSONL byte for byte *)
 let test_sharded_concat_identity () =
   let plan =
     {
@@ -480,16 +533,16 @@ let test_sharded_concat_identity () =
       seed = 23;
     }
   in
-  let oracle = Harness.run_campaign ~workers:1 plan in
+  let expected = reference (Harness.campaign_jobs plan) in
   Alcotest.(check (list (pair string string))) "no job errors" []
-    (Campaign.errors oracle);
+    expected.ref_errors;
   let shards = 3 in
   let jobs = List.length (Harness.campaign_jobs plan) in
   Alcotest.(check int) "four jobs in the plan" 4 jobs;
   let path = Filename.temp_file "stream_shards" ".jsonl" in
   let metrics = Registry.create () in
   let summary =
-    Harness.run_campaign_stream ~workers:2 ~chunk:1
+    Harness.run_campaign ~workers:2 ~chunk:1
       ~sinks:[ Campaign.sharded_jsonl_sink ~metrics ~shards ~jobs path ]
       { plan with Harness.metrics }
   in
@@ -502,8 +555,8 @@ let test_sharded_concat_identity () =
         true
         (Sys.file_exists (Campaign.shard_path path ~shard)))
     (List.init shards Fun.id);
-  Alcotest.(check string) "shard concatenation == oracle merge"
-    (Campaign.to_jsonl oracle)
+  Alcotest.(check string) "shard concatenation == reference merge"
+    expected.ref_jsonl
     (concat_shards path shards);
   Alcotest.(check bool) "per-shard flushes recorded" true
     (Registry.total metrics "campaign_shard_flushes_total" > 0);
@@ -549,7 +602,7 @@ let test_streamed_shards_match_golden () =
   let jobs = List.length (Harness.campaign_jobs golden_plan) in
   let path = Filename.temp_file "stream_golden" ".jsonl" in
   let summary =
-    Harness.run_campaign_stream ~workers:2
+    Harness.run_campaign ~workers:2
       ~sinks:[ Campaign.sharded_jsonl_sink ~shards ~jobs path ]
       golden_plan
   in
@@ -568,10 +621,10 @@ let live_words () =
   (Gc.stat ()).Gc.live_words
 
 (* approach 1 triggers on every clock cycle, so even a small campaign
-   accumulates a megabyte-scale trace in the oracle — exactly the
-   contrast the streaming engine exists to remove. The smoke always
-   runs at scale 1; TCHECK_SOAK=1 raises the scale (TCHECK_SOAK_SCALE,
-   default 8) for the overnight-style soak. *)
+   produces a megabyte-scale trace — which the engine must stream to the
+   sink instead of retaining. The smoke always runs at scale 1;
+   TCHECK_SOAK=1 raises the scale (TCHECK_SOAK_SCALE, default 8) for the
+   overnight-style soak. *)
 let soak_check ~scale () =
   let plan =
     {
@@ -584,14 +637,11 @@ let soak_check ~scale () =
     }
   in
   let tag suffix = Printf.sprintf "scale %d: %s" scale suffix in
-  let base = live_words () in
-  let oracle = Harness.run_campaign ~workers:2 plan in
-  let oracle_jsonl = Campaign.to_jsonl oracle in
-  let oracle_live = live_words () - base in
+  let expected = reference (Harness.campaign_jobs plan) in
   let path = Filename.temp_file "stream_soak" ".jsonl" in
   let base = live_words () in
   let summary =
-    Harness.run_campaign_stream ~workers:2
+    Harness.run_campaign ~workers:2
       ~sinks:[ Campaign.jsonl_file_sink path ]
       plan
   in
@@ -600,36 +650,23 @@ let soak_check ~scale () =
     (Campaign.errors summary);
   Alcotest.(check (list (triple string string string)))
     (tag "identical verdicts")
-    (List.map
-       (fun (j, p, v) -> (j, p, Verdict.to_string v))
-       (Campaign.verdicts oracle))
-    (List.map
-       (fun (j, p, v) -> (j, p, Verdict.to_string v))
-       (Campaign.verdicts summary));
+    expected.ref_verdicts (verdict_strings summary);
   let streamed = read_file path in
   Sys.remove path;
-  Alcotest.(check bool) (tag "streamed file == oracle merge") true
-    (String.equal oracle_jsonl streamed);
-  (match summary.Campaign.stream with
-  | None -> Alcotest.fail (tag "stream stats missing")
-  | Some stats ->
-    Alcotest.(check int)
-      (tag "every job emitted")
-      (List.length (Harness.campaign_jobs plan))
-      stats.Campaign.emitted;
-    Alcotest.(check bool)
-      (tag "peak within the window")
-      true
-      (stats.Campaign.peak_window <= stats.Campaign.window));
-  (* the point of the exercise: the oracle's retention grows with the
-     campaign; the stream's does not. The absolute cap is generous —
-     the stream retains a window of stripped outcomes, not traces. *)
+  Alcotest.(check bool) (tag "streamed file == reference merge") true
+    (String.equal expected.ref_jsonl streamed);
+  let stats = summary.Campaign.stream in
+  Alcotest.(check int)
+    (tag "every job emitted")
+    (List.length (Harness.campaign_jobs plan))
+    stats.Campaign.emitted;
   Alcotest.(check bool)
-    (Printf.sprintf "%s (stream %d words, oracle %d words)"
-       (tag "stream retains less than the oracle")
-       stream_live oracle_live)
+    (tag "peak within the window")
     true
-    (stream_live < oracle_live);
+    (stats.Campaign.peak_window <= stats.Campaign.window);
+  (* the point of the exercise: retention must not grow with the
+     campaign. The cap is generous — the engine retains a window of
+     stripped outcomes, not traces. *)
   Alcotest.(check bool)
     (Printf.sprintf "%s (%d words)" (tag "stream retention under 2M words")
        stream_live)
@@ -661,8 +698,8 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "stream == seed for workers 1/2/4/7" `Quick
-            test_stream_matches_seed;
+          Alcotest.test_case "stream == reference, workers 1/2/4/7" `Quick
+            test_stream_matches_reference;
           Alcotest.test_case "window=1 changes scheduling only" `Quick
             test_tiny_window_identity;
           QCheck_alcotest.to_alcotest qcheck_differential;
