@@ -580,12 +580,10 @@ let run_checker_bench () =
   let _, legacy_step = build_legacy () in
   let _, plan_step = build_checker Checker.Otf in
   let _, explicit_step = build_checker Checker.Explicit in
-  let _, il_step = build_checker Checker.Il in
   let _, auto_step = build_checker Checker.Auto in
   ignore (time_triggers legacy_step warmup);
   ignore (time_triggers plan_step warmup);
   ignore (time_triggers explicit_step warmup);
-  ignore (time_triggers il_step warmup);
   ignore (time_triggers auto_step warmup);
   let cache_before = Transition_cache.stats () in
   ignore (time_triggers plan_step triggers);
@@ -594,20 +592,18 @@ let run_checker_bench () =
     best_of_rounds
       (Array.map
          (fun step () -> time_triggers step triggers)
-         [| legacy_step; plan_step; explicit_step; il_step; auto_step |])
+         [| legacy_step; plan_step; explicit_step; auto_step |])
   in
   let legacy_seconds = seconds.(0)
   and plan_seconds = seconds.(1)
   and explicit_seconds = seconds.(2)
-  and il_seconds = seconds.(3)
-  and auto_seconds = seconds.(4) in
+  and auto_seconds = seconds.(3) in
   let tps seconds =
     if seconds > 0.0 then float_of_int triggers /. seconds else 0.0
   in
   let legacy_tps = tps legacy_seconds
   and plan_tps = tps plan_seconds
   and explicit_tps = tps explicit_seconds
-  and il_tps = tps il_seconds
   and auto_tps = tps auto_seconds in
   let speedup = if legacy_tps > 0.0 then plan_tps /. legacy_tps else 0.0 in
   (* the tentpole claim: one default engine at least as fast as both
@@ -666,8 +662,6 @@ let run_checker_bench () =
     "compiled plan (on-the-fly)" plan_tps plan_seconds speedup;
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
     "compiled plan (explicit)" explicit_tps explicit_seconds;
-  Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)\n"
-    "compiled plan (il tables)" il_tps il_seconds;
   Printf.printf "  %-28s %12.0f triggers/s  (%.3fs)  dominates: %b\n"
     "compiled plan (auto)" auto_tps auto_seconds auto_dominates;
   Printf.printf
@@ -693,7 +687,6 @@ let run_checker_bench () =
          ("legacy_tps", Json.float legacy_tps);
          ("plan_tps", Json.float plan_tps);
          ("explicit_tps", Json.float explicit_tps);
-         ("il_tps", Json.float il_tps);
          ("auto_tps", Json.float auto_tps);
          ("auto_dominates", Json.bool auto_dominates);
          ("over_cap_otf_tps", Json.float over_cap_otf_tps);
@@ -1026,7 +1019,7 @@ let run_ablation () =
           let states =
             match engine with
             | Checker.Otf | Checker.Auto -> "-"
-            | Checker.Explicit | Checker.Il ->
+            | Checker.Explicit ->
               string_of_int
                 (Ar_automaton.num_states
                    (Ar_automaton.synthesize
@@ -1091,15 +1084,13 @@ let micro_tests () =
     let automaton =
       Ar_automaton.synthesize (Sctc.Prop.parse_exn ~syntax:`Fltl "G (a -> F[100] b)")
     in
-    let flip = ref false in
-    let monitor =
-      Monitor.of_automaton ~name:"m" automaton ~binding:(fun name () ->
-          if String.equal name "a" then !flip else false)
-    in
+    (* support [a; b]: slot 0 toggles, b stays false *)
+    let samples = [| false; false |] and map = [| 0; 1 |] in
+    let monitor = Monitor.of_automaton ~name:"m" automaton in
     Test.make ~name:"automata: explicit monitor step"
       (Staged.stage (fun () ->
-           flip := not !flip;
-           ignore (Monitor.step monitor)))
+           samples.(0) <- not samples.(0);
+           ignore (Monitor.step_indexed monitor ~samples ~map)))
   in
   let cpu_bench =
     let bus = Cpu.Bus.create () in

@@ -61,24 +61,37 @@ let cmd_parse =
 let cmd_run =
   let action path fuel backend =
     let info = load path in
-    let exec = Minic.Exec.create ~backend info in
-    match Minic.Exec.run ~fuel exec ~entry:"main" with
-    | Minic.Exec.Finished v ->
-      Printf.printf "finished: %s (%d statements, %s backend)\n"
-        (match v with Some v -> string_of_int v | None -> "void")
-        (Minic.Exec.statements_executed exec)
-        (Minic.Exec.kind_name exec);
-      0
-    | Minic.Exec.Halted ->
-      print_endline "halted";
-      0
-    | Minic.Exec.Fuel_exhausted ->
-      print_endline "fuel exhausted";
-      1
-    | exception Minic.Exec.Assertion_failed pos ->
-      Printf.printf "assertion failed at %d:%d\n" pos.Minic.Ast.line
-        pos.Minic.Ast.column;
-      1
+    match Minic.Exec.create ~backend info with
+    | exception Minic.Compile.Unsupported msg ->
+      Printf.eprintf "%s: not supported by the %s backend: %s\n" path
+        (Minic.Exec.to_string backend) msg;
+      2
+    | exec -> (
+      match Minic.Exec.run ~fuel exec ~entry:"main" with
+      | Minic.Exec.Finished v ->
+        Printf.printf "finished: %s (%d statements, %s backend)\n"
+          (match v with Some v -> string_of_int v | None -> "void")
+          (Minic.Exec.statements_executed exec)
+          (Minic.Exec.kind_name exec);
+        0
+      | Minic.Exec.Halted ->
+        print_endline "halted";
+        0
+      | Minic.Exec.Fuel_exhausted ->
+        print_endline "fuel exhausted";
+        1
+      | exception Minic.Exec.Assertion_failed pos ->
+        Printf.printf "assertion failed at %d:%d\n" pos.Minic.Ast.line
+          pos.Minic.Ast.column;
+        1
+      | exception Minic.Exec.Assumption_failed pos ->
+        Printf.printf "assumption failed at %d:%d\n" pos.Minic.Ast.line
+          pos.Minic.Ast.column;
+        1
+      | exception Minic.Exec.Runtime_error (msg, pos) ->
+        Printf.printf "runtime error at %d:%d: %s\n" pos.Minic.Ast.line
+          pos.Minic.Ast.column msg;
+        1)
   in
   let fuel =
     Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc:"Statement budget")
@@ -147,11 +160,18 @@ let cmd_automaton =
     | Error error ->
       Printf.eprintf "property %s\n" (Sctc.Prop.error_to_string error);
       2
-    | Ok formula ->
-      let automaton = Ar_automaton.synthesize formula in
-      Printf.printf "%s\n" (Ar_automaton.stats automaton);
-      print_string (Il.to_string (Il.of_automaton ~name:"property" automaton));
-      0
+    | Ok formula -> (
+      match Ar_automaton.synthesize formula with
+      | exception Ar_automaton.Too_large states ->
+        Printf.eprintf
+          "property too large: synthesis stopped at %d AR-automaton states\n"
+          states;
+        2
+      | automaton ->
+        Printf.printf "%s\n" (Ar_automaton.stats automaton);
+        print_string
+          (Il.to_string (Il.of_automaton ~name:"property" automaton));
+        0)
   in
   let property =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"PROPERTY")

@@ -45,10 +45,10 @@ let engine_conv =
 let engine_arg =
   let doc =
     "Monitor synthesis engine: $(b,otf) (on-the-fly progression), \
-     $(b,explicit) (pre-synthesized AR-automaton), $(b,il) (automaton \
-     through the IL form, compiled guard tables), or $(b,auto) \
-     (explicit when synthesis stays under the state cap, on-the-fly \
-     otherwise; the default). Verdicts are identical across engines"
+     $(b,explicit) (pre-synthesized AR-automaton, the one $(b,tcheck \
+     automaton) prints as IL), or $(b,auto) (explicit when synthesis \
+     stays under the state cap, on-the-fly otherwise; the default). \
+     Verdicts are identical across engines"
   in
   Arg.(
     value

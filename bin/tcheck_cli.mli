@@ -17,7 +17,7 @@ val backend_conv : Minic.Exec.kind Cmdliner.Arg.conv
 (** [interp]/[vm]/[auto] ({!Minic.Exec.of_string}). *)
 
 val engine_conv : Sctc.Engine.t Cmdliner.Arg.conv
-(** [otf]/[explicit]/[il]/[auto] ({!Sctc.Engine.of_string}). *)
+(** [otf]/[explicit]/[auto] ({!Sctc.Engine.of_string}). *)
 
 val engine_arg : Sctc.Engine.t Cmdliner.Term.t
 (** The [--engine] option over {!engine_conv}, defaulting to

@@ -3,9 +3,8 @@
 
    - otf: on-the-fly formula progression (no synthesis cost, rewriting per
      step through the transition cache)
-   - explicit: AR-automaton (synthesis cost up front, table lookups per step)
-   - il: explicit automaton round-tripped through the textual IL and
-     compiled to mask-indexed guard tables
+   - explicit: AR-automaton (synthesis cost up front, table lookups per step);
+     the IL printed at the end is this automaton's text form
    - auto: explicit under the state budget, on-the-fly beyond (the
      default); at bound 20000 it matches otf, since the failed synthesis
      stops at the 10000-state cap

@@ -78,116 +78,6 @@ let next il state mask =
     in
     search s.outgoing
 
-(* Compiled successor tables: the [next] list scan above evaluates every
-   cube against the mask until one matches — fine as a differential
-   oracle, too slow for the per-trigger hot path. [Table] pre-indexes the
-   same function by mask, reusing [Transition_cache]'s width thresholds:
-   a dense array per state up to [max_dense_props], a lazily filled hash
-   up to [max_cached_props], and direct computation beyond. *)
-(* alias: inside [Table] the name [next] refers to the table lookup *)
-let scan_next = next
-
-module Table = struct
-  type succ =
-    | Absorbing  (** accept/reject states are their own successor *)
-    | Dense of int array  (** [2^width] targets; [-1] marks a missing guard *)
-    | Sparse of { cache : (int, int) Hashtbl.t; compute : int -> int }
-    | Wide of (int -> int)
-
-  type table = {
-    t_name : string;
-    t_props : string array;
-    t_initial : int;
-    succs : succ array;
-  }
-
-  type t = table
-
-  let name table = table.t_name
-  let props table = table.t_props
-  let initial table = table.t_initial
-  let num_states table = Array.length table.succs
-
-  let dense_states table =
-    Array.fold_left
-      (fun acc succ -> match succ with Dense _ -> acc + 1 | _ -> acc)
-      0 table.succs
-
-  let next table state mask =
-    match table.succs.(state) with
-    | Absorbing -> state
-    | Dense targets ->
-      let target = targets.(mask) in
-      if target >= 0 then target
-      else missing_guard ~name:table.t_name ~props:table.t_props state mask
-    | Sparse { cache; compute } -> (
-      match Hashtbl.find_opt cache mask with
-      | Some target -> target
-      | None ->
-        let target = compute mask in
-        Hashtbl.replace cache mask target;
-        target)
-    | Wide compute -> compute mask
-
-  let of_il il =
-    let width = Array.length il.props in
-    let succ_of_state id =
-      let s = il.states.(id) in
-      match s.kind with
-      | Accept | Reject -> Absorbing
-      | Pend ->
-        if width <= Transition_cache.max_dense_props then begin
-          let targets = Array.make (1 lsl width) (-1) in
-          List.iter
-            (fun t ->
-              List.iter
-                (fun cube ->
-                  List.iter
-                    (fun mask -> targets.(mask) <- t.target)
-                    (Cube.minterms cube))
-                t.guard)
-            s.outgoing;
-          Dense targets
-        end
-        else if width <= Transition_cache.max_cached_props then
-          Sparse
-            {
-              cache = Hashtbl.create 64;
-              compute = (fun mask -> scan_next il id mask);
-            }
-        else Wide (fun mask -> scan_next il id mask)
-    in
-    {
-      t_name = il.name;
-      t_props = Array.copy il.props;
-      t_initial = il.initial;
-      succs = Array.init (Array.length il.states) succ_of_state;
-    }
-
-  let of_automaton ~name automaton =
-    let width = Ar_automaton.num_props automaton in
-    let succ_of_state id =
-      match Ar_automaton.kind automaton id with
-      | Ar_automaton.Accept | Ar_automaton.Reject -> Absorbing
-      | Ar_automaton.Pend ->
-        if width <= Transition_cache.max_dense_props then
-          Dense (Array.init (1 lsl width) (Ar_automaton.next automaton id))
-        else
-          (* [Ar_automaton.next] is itself a dense 2D lookup; no point
-             hashing in front of an array access *)
-          Wide (fun mask -> Ar_automaton.next automaton id mask)
-    in
-    {
-      t_name = name;
-      t_props = Ar_automaton.props automaton;
-      t_initial = Ar_automaton.initial automaton;
-      succs =
-        Array.init (Ar_automaton.num_states automaton) succ_of_state;
-    }
-end
-
-let compile = Table.of_il
-
 let kind_to_string = function
   | Accept -> "accept"
   | Reject -> "reject"

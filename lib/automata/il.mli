@@ -5,8 +5,13 @@
     transition guards are sums of cubes over the proposition vector — the
     representation a SystemC code generator would consume. This module
     converts explicit automata to IL, pretty-prints, and parses the textual
-    form back (round-trip stable), so IL files can be stored next to a
-    design and re-loaded without re-synthesis. *)
+    form back (round-trip stable).
+
+    Monitors step the {!Ar_automaton} itself ({!Monitor.of_automaton}),
+    whose transition array is already indexed by the assignment mask; the
+    IL is the printed artifact ([tcheck automaton]), and the guard scan
+    {!next} over the parsed text is the oracle tests check that automaton
+    against. *)
 
 type kind = Accept | Reject | Pend
 
@@ -31,42 +36,12 @@ val of_automaton : name:string -> Ar_automaton.t -> t
 val next : t -> int -> int -> int
 (** [next il state mask] follows the transition whose guard covers [mask]
     by scanning the guard cubes in order; absorbing states return
-    themselves. This is the reference semantics — monitors step through
-    the compiled {!Table} instead, and the two are differentially tested
-    against each other.
+    themselves. This is the IL's reference semantics: over
+    [parse (to_string (of_automaton ~name a))] it agrees with
+    [Ar_automaton.next a] on every state and mask.
     @raise Invalid_argument if no guard matches (malformed IL); the
     message names the automaton and spells the valuation out as a
     proposition assignment ([p=0 q=1 …]), not just the raw mask. *)
-
-(** Mask-indexed successor tables compiled from guard lists — the hot-path
-    form of {!next}. Width thresholds are shared with [Transition_cache]:
-    states over ≤[max_dense_props] propositions get an eagerly filled
-    dense array (one array read per step), widths up to
-    [max_cached_props] a lazily filled hash over the guard scan, and
-    anything wider falls back to computing per step. *)
-module Table : sig
-  type t
-
-  val of_automaton : name:string -> Ar_automaton.t -> t
-  (** Compile directly from an explicit automaton, skipping cube covers
-      entirely (the automaton's delta is already mask-indexed). *)
-
-  val next : t -> int -> int -> int
-  (** Same contract (and same missing-guard diagnostics) as {!Il.next}. *)
-
-  val name : t -> string
-  val props : t -> string array
-  val initial : t -> int
-
-  val num_states : t -> int
-
-  val dense_states : t -> int
-  (** How many states compiled to the dense fast path (introspection for
-      tests and bench tables). *)
-end
-
-val compile : t -> Table.t
-(** Compile this IL description's guard lists into a {!Table}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

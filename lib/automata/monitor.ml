@@ -10,31 +10,14 @@ type formula_state = {
 type engine =
   | Formula_engine of formula_state
   | Automaton_engine of { automaton : Ar_automaton.t; mutable state : int }
-  | Il_engine of { il : Il.t; table : Il.Table.t; mutable state : int }
 
 type t = {
   m_name : string;
   engine : engine;
   support : string array; (* proposition names, bitmask order for explicit *)
-  samplers : (unit -> bool) array;
-  samples : bool array; (* scratch for the self-sampling [step] path *)
   mutable step_count : int;
   mutable last_verdict : Verdict.t;
 }
-
-let resolve_support ~binding support =
-  Array.map (fun name -> binding name) support
-
-let make name engine support binding =
-  {
-    m_name = name;
-    engine;
-    support;
-    samplers = resolve_support ~binding support;
-    samples = Array.make (Array.length support) false;
-    step_count = 0;
-    last_verdict = Verdict.Pending;
-  }
 
 let automaton_verdict automaton state =
   match Ar_automaton.kind automaton state with
@@ -45,11 +28,15 @@ let automaton_verdict automaton state =
 let engine_verdict = function
   | Formula_engine e -> Progression.verdict (Transition_cache.formula e.node)
   | Automaton_engine e -> automaton_verdict e.automaton e.state
-  | Il_engine e -> (
-    match e.il.Il.states.(e.state).Il.kind with
-    | Il.Accept -> Verdict.True
-    | Il.Reject -> Verdict.False
-    | Il.Pend -> Verdict.Pending)
+
+let make name engine support =
+  {
+    m_name = name;
+    engine;
+    support;
+    step_count = 0;
+    last_verdict = engine_verdict engine;
+  }
 
 (* a residual obligation's support is a subset of the initial formula's,
    so every node proposition resolves to a monitor support slot *)
@@ -73,39 +60,27 @@ let view_of support views formula =
     Hashtbl.replace views (Formula.hash formula) (node, sel);
     (node, sel)
 
-let of_formula ~name formula ~binding =
+let of_formula ~name formula =
   let support = Array.of_list (Formula.props formula) in
   let views = Hashtbl.create 16 in
   let node, sel = view_of support views formula in
-  let engine = Formula_engine { initial = formula; node; sel; views } in
-  let monitor = make name engine support binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
+  make name (Formula_engine { initial = formula; node; sel; views }) support
 
-let of_automaton ~name automaton ~binding =
-  let engine =
-    Automaton_engine { automaton; state = Ar_automaton.initial automaton }
-  in
-  let monitor = make name engine (Ar_automaton.props automaton) binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
-
-let of_il ~name il ~binding =
-  let engine = Il_engine { il; table = Il.compile il; state = il.Il.initial } in
-  let monitor = make name engine il.Il.props binding in
-  monitor.last_verdict <- engine_verdict engine;
-  monitor
+let of_automaton ~name automaton =
+  make name
+    (Automaton_engine { automaton; state = Ar_automaton.initial automaton })
+    (Ar_automaton.props automaton)
 
 let name monitor = monitor.m_name
 let verdict monitor = monitor.last_verdict
 let steps monitor = monitor.step_count
 let support monitor = Array.copy monitor.support
 
-(* All engines advance from a mask-indexed view of the current samples:
+(* Both engines advance from a mask-indexed view of the current samples:
    [read slot] is the sampled value of [support.(slot)]. The on-the-fly
    engine masks only the residual's own support (canonical across
    monitors, so cache nodes are shared) and memoizes the progression;
-   explicit engines build the automaton's full support mask. *)
+   the explicit engine builds the automaton's full support mask. *)
 let advance_formula support e read =
   let sel = e.sel in
   let mask = ref 0 in
@@ -126,30 +101,11 @@ let advance monitor read =
       if read slot then mask := !mask lor (1 lsl slot)
     done;
     e.state <- Ar_automaton.next e.automaton e.state !mask
-  | Il_engine e ->
-    let mask = ref 0 in
-    for slot = 0 to Array.length monitor.support - 1 do
-      if read slot then mask := !mask lor (1 lsl slot)
-    done;
-    e.state <- Il.Table.next e.table e.state !mask
 
 let finish_step monitor =
   monitor.step_count <- monitor.step_count + 1;
   monitor.last_verdict <- engine_verdict monitor.engine;
   monitor.last_verdict
-
-let step monitor =
-  if Verdict.is_final monitor.last_verdict then begin
-    monitor.step_count <- monitor.step_count + 1;
-    monitor.last_verdict
-  end
-  else begin
-    (* sample every supporting proposition exactly once for this step *)
-    let samples = monitor.samples in
-    Array.iteri (fun i sampler -> samples.(i) <- sampler ()) monitor.samplers;
-    advance monitor (fun slot -> samples.(slot));
-    finish_step monitor
-  end
 
 let step_indexed monitor ~samples ~map =
   if Verdict.is_final monitor.last_verdict then begin
@@ -168,7 +124,6 @@ let finalize ?(strong = false) monitor =
   | Automaton_engine e ->
     Progression.finalize ~strong
       (Ar_automaton.state_formula e.automaton e.state)
-  | Il_engine _ -> monitor.last_verdict
 
 let reset monitor =
   (match monitor.engine with
@@ -176,7 +131,6 @@ let reset monitor =
     let node, sel = view_of monitor.support e.views e.initial in
     e.node <- node;
     e.sel <- sel
-  | Automaton_engine e -> e.state <- Ar_automaton.initial e.automaton
-  | Il_engine e -> e.state <- e.il.Il.initial);
+  | Automaton_engine e -> e.state <- Ar_automaton.initial e.automaton);
   monitor.step_count <- 0;
   monitor.last_verdict <- engine_verdict monitor.engine

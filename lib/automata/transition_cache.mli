@@ -34,15 +34,12 @@ val props : node -> string array
 val step : node -> int -> Formula.t
 (** [step node mask] is the successor obligation under the valuation
     encoded by [mask]; memoized after the first computation. Nodes with
-    more than {!max_dense_props} propositions fall back from the dense
-    successor array to a per-node hash table, and nodes beyond
-    {!max_cached_props} recompute every step (counted as misses). *)
+    more than 12 propositions fall back from the dense successor array
+    to a per-node hash table, and nodes over 16 recompute every step
+    (counted as misses). *)
 
 val step_node : node -> int -> node
 (** [step node mask], interned — the common monitor transition. *)
-
-val max_dense_props : int
-val max_cached_props : int
 
 (** {2 Statistics}
 

@@ -1,6 +1,6 @@
 module Registry = Obs.Registry
 
-type engine = Engine.t = Otf | Explicit | Il | Auto
+type engine = Engine.t = Otf | Explicit | Auto
 type syntax = Fltl | Psl | Auto
 
 type property = {
@@ -204,7 +204,6 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
       checker.properties
   then invalid_arg (Printf.sprintf "Checker.add_property: duplicate %S" name);
   check_support checker formula;
-  let binding = Proposition.Table.binding checker.table in
   (* explicit synthesis goes through the per-domain automaton cache;
      build time is charged to this checker only when the automaton was
      actually derived here, so a cache hit costs (and reports) nothing *)
@@ -218,16 +217,11 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
     end;
     automaton
   in
-  let otf () = Monitor.of_formula ~name formula ~binding in
+  let otf () = Monitor.of_formula ~name formula in
   let monitor =
     match (engine : Engine.t) with
     | Otf -> otf ()
-    | Explicit -> Monitor.of_automaton ~name (synthesized ?max_states ()) ~binding
-    | Il ->
-      let il = Il.of_automaton ~name (synthesized ?max_states ()) in
-      (* round-trip through the textual IL, as the SCTC flow does *)
-      let il = Il.parse (Il.to_string il) in
-      Monitor.of_il ~name il ~binding
+    | Explicit -> Monitor.of_automaton ~name (synthesized ?max_states ())
     | Auto -> (
       (* explicit while synthesis stays under the state budget — the
          fastest steady state — and on-the-fly when it cannot; the memo
@@ -236,7 +230,7 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
       if List.length (Formula.props formula) > 16 then otf ()
       else
         match synthesized ~max_states () with
-        | automaton -> Monitor.of_automaton ~name automaton ~binding
+        | automaton -> Monitor.of_automaton ~name automaton
         | exception Ar_automaton.Too_large _ -> otf ())
   in
   checker.properties <-

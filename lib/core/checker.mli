@@ -20,15 +20,14 @@
 
     Properties can be given as {!Formula.t} values or as PSL / FLTL text;
     the synthesis engine ({!Engine.t}) is selectable per property:
-    on-the-fly progression, an explicit pre-synthesized AR-automaton, the
-    automaton passed through the IL representation and compiled to
-    mask-indexed guard tables (property → AR-automaton → IL → monitor,
-    the full paper pipeline), or [Auto], which picks explicit when
-    synthesis is cheap and on-the-fly otherwise. *)
+    on-the-fly progression, an explicit pre-synthesized AR-automaton (the
+    paper's compiled monitor, whose IL text [Il] prints), or [Auto],
+    which picks explicit when synthesis is cheap and on-the-fly
+    otherwise. *)
 
 type t
 
-type engine = Engine.t = Otf | Explicit | Il | Auto
+type engine = Engine.t = Otf | Explicit | Auto
 (** Re-export of {!Engine.t} — the one engine enum shared by every front
     end; see {!Engine} for the semantics of each constructor and the
     string/CLI conversions. *)
@@ -82,8 +81,10 @@ val add_property :
     cached by {!Ar_automaton.synthesize_memo}, so a campaign re-registering
     the property pays it once per domain.
     @raise Invalid_argument if a proposition in the formula's support is not
-    registered, if the property name is already used, or if [Explicit]/[Il]
-    synthesis exceeds [max_states] (see {!Ar_automaton.Too_large}). *)
+    registered, if the property name is already used, or if [Explicit]
+    is asked to synthesize over more than 16 propositions.
+    @raise Ar_automaton.Too_large if [Explicit] synthesis exceeds
+    [max_states] (default 200000, {!Ar_automaton.synthesize}). *)
 
 val add_property_text :
   ?engine:engine ->

@@ -1,18 +1,16 @@
-type t = Otf | Explicit | Il | Auto
+type t = Otf | Explicit | Auto
 
-let all = [ Otf; Explicit; Il; Auto ]
+let all = [ Otf; Explicit; Auto ]
 
 let to_string = function
   | Otf -> "otf"
   | Explicit -> "explicit"
-  | Il -> "il"
   | Auto -> "auto"
 
 let of_string text =
   match String.lowercase_ascii (String.trim text) with
   | "otf" | "on-the-fly" | "onthefly" -> Some Otf
   | "explicit" -> Some Explicit
-  | "il" -> Some Il
   | "auto" -> Some Auto
   | _ -> None
 
@@ -30,7 +28,6 @@ let pp fmt engine = Format.pp_print_string fmt (to_string engine)
 let describe = function
   | Otf -> "on-the-fly progression with the lazy transition cache"
   | Explicit -> "pre-synthesized explicit AR-automaton"
-  | Il -> "AR-automaton via the IL text form, compiled guard tables"
   | Auto -> "explicit when synthesis is cheap, on-the-fly otherwise (the default)"
 
 let default = Auto

@@ -17,21 +17,22 @@
     - {!Explicit} — the full AR-automaton synthesized up front
       ([Ar_automaton.synthesize]); fastest steady-state stepping (one
       dense-array lookup per trigger) but synthesis can blow up on large
-      bounds ([Ar_automaton.Too_large]).
-    - {!Il} — the paper's full pipeline: automaton serialized to the IL
-      text form, re-parsed, and compiled to mask-indexed guard tables
-      ([Il.Table]). Steady-state cost matches {!Explicit}.
+      bounds ([Ar_automaton.Too_large]). This is the paper's compiled
+      monitor: the automaton that [tcheck automaton] prints as IL text
+      ([Il]) is the one the monitor steps.
     - {!Auto} — the default: {!Explicit} when synthesis stays under
       {!auto_max_states} states, {!Otf} otherwise. Explicit speed where
       synthesis is cheap; where it is not, the aborted attempt is paid
       once per domain ([Ar_automaton.synthesize_memo] caches the
-      failure) and the monitor runs on-the-fly from the start. Verdicts
-      are identical across all engines, per step. *)
+      failure) and the monitor runs on-the-fly from the start.
 
-type t = Otf | Explicit | Il | Auto
+    Verdicts are identical across all engines, per step and at
+    [Checker.finalize], weak or strong. *)
+
+type t = Otf | Explicit | Auto
 
 val all : t list
-(** In {!to_string} order: [otf], [explicit], [il], [auto]. *)
+(** In {!to_string} order: [otf], [explicit], [auto]. *)
 
 val to_string : t -> string
 

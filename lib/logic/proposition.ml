@@ -73,8 +73,4 @@ module Table = struct
     |> List.sort String.compare
 
   let size table = Hashtbl.length table
-
-  let binding table name =
-    let prop = find_exn table name in
-    fun () -> is_true prop
 end

@@ -58,7 +58,4 @@ module Table : sig
   val find_exn : table -> string -> t
   val names : table -> string list
   val size : table -> int
-
-  (** [binding table] is the name-resolution function monitors use. *)
-  val binding : table -> string -> unit -> bool
 end

@@ -1,7 +1,8 @@
 (* Tests for the AR-automata layer. The centerpiece is an independent
    finite-trace FLTL semantics (strong closure) used as an oracle: formula
-   progression plus strong finalization, the explicit AR-automaton, and the
-   IL-driven monitor must all agree with it on random formulas and traces. *)
+   progression plus strong finalization and the explicit AR-automaton must
+   agree with it on random formulas and traces, and the IL guard scan over
+   the round-tripped text must agree with the on-the-fly monitor. *)
 
 module F = Formula
 
@@ -251,16 +252,30 @@ let qcheck_il_monitor_matches_formula_monitor =
       match Ar_automaton.synthesize ~max_states:2_000 formula with
       | exception Ar_automaton.Too_large _ -> true
       | automaton ->
-        let current = ref (false, false, false) in
-        let binding name () = valuation_of_triple !current name in
-        let on_the_fly = Monitor.of_formula ~name:"otf" formula ~binding in
+        let on_the_fly = Monitor.of_formula ~name:"otf" formula in
+        let support = Monitor.support on_the_fly in
+        let map = Array.init (Array.length support) Fun.id in
+        (* the IL side steps the guard scan over the round-tripped text *)
         let il = Il.parse (Il.to_string (Il.of_automaton ~name:"m" automaton)) in
-        let explicit = Monitor.of_il ~name:"il" il ~binding in
+        let state = ref il.Il.initial in
         List.for_all
           (fun triple ->
-            current := triple;
-            let v1 = Monitor.step on_the_fly in
-            let v2 = Monitor.step explicit in
+            let valuation = valuation_of_triple triple in
+            let v1 =
+              Monitor.step_indexed on_the_fly
+                ~samples:(Array.map valuation support) ~map
+            in
+            let mask = ref 0 in
+            Array.iteri
+              (fun i prop -> if valuation prop then mask := !mask lor (1 lsl i))
+              il.Il.props;
+            state := Il.next il !state !mask;
+            let v2 =
+              match il.Il.states.(!state).Il.kind with
+              | Il.Accept -> Verdict.True
+              | Il.Reject -> Verdict.False
+              | Il.Pend -> Verdict.Pending
+            in
             Verdict.equal v1 v2)
           triples)
 
@@ -384,14 +399,13 @@ let test_il_roundtrip () =
   Alcotest.(check bool) "transitions counted" true (Il.num_transitions il > 0)
 
 let test_monitor_absorbing_and_reset () =
-  let value = ref false in
-  let binding _name () = !value in
-  let monitor = Monitor.of_formula ~name:"m" (parse "F a") ~binding in
-  check_verdict "pending" Verdict.Pending (Monitor.step monitor);
-  value := true;
-  check_verdict "validated" Verdict.True (Monitor.step monitor);
-  value := false;
-  check_verdict "stays validated" Verdict.True (Monitor.step monitor);
+  let monitor = Monitor.of_formula ~name:"m" (parse "F a") in
+  let step value =
+    Monitor.step_indexed monitor ~samples:[| value |] ~map:[| 0 |]
+  in
+  check_verdict "pending" Verdict.Pending (step false);
+  check_verdict "validated" Verdict.True (step true);
+  check_verdict "stays validated" Verdict.True (step false);
   Alcotest.(check int) "steps counted" 3 (Monitor.steps monitor);
   Monitor.reset monitor;
   Alcotest.(check int) "steps reset" 0 (Monitor.steps monitor);

@@ -1,15 +1,12 @@
-(* The compiled IL guard tables and the engine selection.
+(* The IL text form and the engine selection.
 
-   - differential qcheck: [Il.Table] lookups (dense/sparse compiled form)
-     agree with the list-scan [Il.next] oracle on every (state, mask) of
-     automata synthesized from random formulas, through the textual IL
-     round-trip, and [Il.Table.of_automaton] agrees with the raw
-     [Ar_automaton.next] delta
+   - differential qcheck: the list-scan [Il.next] over the textual IL
+     round-trip agrees with the [Ar_automaton.next] delta monitors step,
+     on every (state, mask) of automata synthesized from random formulas
    - the missing-guard diagnostic names the automaton and spells the
-     valuation as a proposition assignment, on both the oracle and the
-     compiled path
-   - [Engine] string round-trips (the retired "hybrid" name is unknown)
-     and the checker's [Auto] fallback to on-the-fly
+     valuation as a proposition assignment
+   - [Engine] string round-trips (the retired "hybrid" and "il" names are
+     unknown) and the checker's [Auto] fallback to on-the-fly
    - [Auto] above the state cap: fresh checkers pay the failed synthesis
      once, and verdicts match [Otf] and [Explicit] (at a larger cap) per
      step *)
@@ -52,7 +49,7 @@ let gen_formula =
                map3 F.release bound sub sub;
              ])
 
-(* --- IL table vs list-scan oracle -------------------------------------- *)
+(* --- IL text vs the automaton ------------------------------------------ *)
 
 (* keep the synthesized automata small: the oracle comparison is per
    (state, mask), and [Il.of_automaton] pays a cube-minimization per
@@ -65,42 +62,21 @@ let automaton_of formula =
 let arbitrary_formula =
   QCheck.make ~print:F.to_string gen_formula
 
-let qcheck_table_vs_scan =
-  QCheck.Test.make ~name:"Il.Table.next == Il.next over the IL round-trip"
-    ~count:100 arbitrary_formula (fun formula ->
+let qcheck_il_text_next =
+  QCheck.Test.make ~name:"IL text Il.next == Ar_automaton.next" ~count:100
+    arbitrary_formula (fun formula ->
       let automaton = automaton_of formula in
-      let il = Il.of_automaton ~name:"t" automaton in
-      (* through the textual form, as the Via-IL engine loads it *)
-      let il = Il.parse (Il.to_string il) in
-      let table = Il.compile il in
-      let width = Array.length il.Il.props in
-      let states = Array.length il.Il.states in
-      Alcotest.(check int) "state count" states (Il.Table.num_states table);
-      for state = 0 to states - 1 do
-        for mask = 0 to (1 lsl width) - 1 do
-          (* twice: the second lookup exercises any lazily-filled cache *)
-          if
-            Il.Table.next table state mask <> Il.next il state mask
-            || Il.Table.next table state mask <> Il.next il state mask
-          then
-            Alcotest.failf "divergence at state %d mask %d of %s" state mask
-              (F.to_string formula)
-        done
-      done;
-      true)
-
-let qcheck_table_of_automaton =
-  QCheck.Test.make ~name:"Il.Table.of_automaton == Ar_automaton.next"
-    ~count:100 arbitrary_formula (fun formula ->
-      let automaton = automaton_of formula in
-      let table = Il.Table.of_automaton ~name:"t" automaton in
+      let il = Il.parse (Il.to_string (Il.of_automaton ~name:"t" automaton)) in
       let width = Ar_automaton.num_props automaton in
+      Alcotest.(check int) "state count"
+        (Ar_automaton.num_states automaton)
+        (Array.length il.Il.states);
       for state = 0 to Ar_automaton.num_states automaton - 1 do
         for mask = 0 to (1 lsl width) - 1 do
           Alcotest.(check int)
             (Printf.sprintf "state %d mask %d" state mask)
             (Ar_automaton.next automaton state mask)
-            (Il.Table.next table state mask)
+            (Il.next il state mask)
         done
       done;
       true)
@@ -153,8 +129,7 @@ let test_missing_guard_message () =
       mentions "mask 2"
   in
   (* mask 2 = a false, b true; only cubes with a=1 are covered *)
-  expect_message (fun () -> Il.next missing_guard_il 0 2);
-  expect_message (fun () -> Il.Table.next (Il.compile missing_guard_il) 0 2)
+  expect_message (fun () -> Il.next missing_guard_il 0 2)
 
 (* --- the engine enum and the checker's Auto fallback -------------------- *)
 
@@ -181,7 +156,7 @@ let test_engine_strings () =
         Alcotest.(check bool)
           (Printf.sprintf "%S lists %s" msg known)
           true (contains msg known))
-    [ "warp"; "hybrid" ]
+    [ "warp"; "hybrid"; "il" ]
 
 let test_checker_auto_falls_back () =
   let value = ref 0 in
@@ -304,11 +279,7 @@ let () =
           Alcotest.test_case "missing-guard diagnostic" `Quick
             test_missing_guard_message;
         ]
-        @ qcheck
-            [
-              qcheck_table_vs_scan; qcheck_table_of_automaton;
-              qcheck_il_roundtrip;
-            ] );
+        @ qcheck [ qcheck_il_text_next; qcheck_il_roundtrip ] );
       ( "engine-api",
         [
           Alcotest.test_case "string round-trips" `Quick test_engine_strings;

@@ -260,8 +260,8 @@ let test_proposition_table () =
   Proposition.Table.register table (Proposition.const "y" false);
   Alcotest.(check (list string)) "names" [ "x"; "y" ]
     (Proposition.Table.names table);
-  Alcotest.(check bool) "binding works" true
-    (Proposition.Table.binding table "x" ());
+  Alcotest.(check bool) "find_exn works" true
+    (Proposition.is_true (Proposition.Table.find_exn table "x"));
   (match Proposition.Table.find table "z" with
   | None -> ()
   | Some _ -> Alcotest.fail "z should be absent");

@@ -9,7 +9,8 @@ module Trigger = Sctc.Trigger
 module Kernel = Sim.Kernel
 module Clock = Sim.Clock
 
-let check_verdict = Alcotest.check (Alcotest.testable Verdict.pp Verdict.equal)
+let verdict_t = Alcotest.testable Verdict.pp Verdict.equal
+let check_verdict = Alcotest.check verdict_t
 
 (* --- checker basics ------------------------------------------------------ *)
 
@@ -57,26 +58,40 @@ let test_checker_violation_callback () =
 let test_checker_engines_agree () =
   let run engine =
     let checker, a, b = scripted_checker ~engine () in
+    (* unbounded response: the request at step 4 is never answered, so
+       the script ends with this liveness obligation pending *)
+    Checker.add_property_text ~engine checker ~name:"live" "G (a -> F b)";
     let script =
       [ (false, false); (true, false); (false, false); (false, true);
         (true, false); (false, false); (false, false); (false, false) ]
     in
-    List.map
-      (fun (va, vb) ->
-        a := va;
-        b := vb;
-        Checker.step checker;
-        Checker.verdict checker "resp")
-      script
+    let per_step =
+      List.map
+        (fun (va, vb) ->
+          a := va;
+          b := vb;
+          Checker.step checker;
+          Checker.verdicts checker)
+        script
+    in
+    (per_step, Checker.finalize checker, Checker.finalize ~strong:true checker)
   in
-  let otf = run Checker.Otf in
+  let verdicts = Alcotest.(list (pair string verdict_t)) in
+  let otf_steps, otf_weak, otf_strong = run Checker.Otf in
+  check_verdict "live pending at the end" Verdict.Pending
+    (List.assoc "live" otf_weak);
+  check_verdict "strong close fails live" Verdict.False
+    (List.assoc "live" otf_strong);
   List.iter
     (fun engine ->
       let label = Sctc.Engine.to_string engine in
+      let steps, weak, strong = run engine in
       List.iteri
         (fun i (v1, v2) ->
-          check_verdict (Printf.sprintf "%s step %d" label i) v1 v2)
-        (List.combine otf (run engine)))
+          Alcotest.check verdicts (Printf.sprintf "%s step %d" label i) v1 v2)
+        (List.combine otf_steps steps);
+      Alcotest.check verdicts (label ^ " finalize") otf_weak weak;
+      Alcotest.check verdicts (label ^ " finalize ~strong") otf_strong strong)
     (List.filter (fun e -> e <> Sctc.Engine.Otf) Sctc.Engine.all)
 
 let test_checker_unknown_prop_rejected () =
