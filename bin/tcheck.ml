@@ -40,6 +40,16 @@ let load path =
       exit 2
     | Ok info -> info)
 
+(* [load] for the subcommands that execute or compile the program: every
+   backend enters at [main] *)
+let load_runnable path =
+  let info = load path in
+  match Minic.Ast.find_func (Minic.Typecheck.program info) "main" with
+  | Some _ -> info
+  | None ->
+    Printf.eprintf "%s: program has no main function\n" path;
+    exit 2
+
 (* a plain string: [load] reports unreadable files itself with exit 2 *)
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.c")
@@ -60,7 +70,7 @@ let cmd_parse =
 
 let cmd_run =
   let action path fuel backend =
-    let info = load path in
+    let info = load_runnable path in
     match Minic.Exec.create ~backend info with
     | exception Minic.Compile.Unsupported msg ->
       Printf.eprintf "%s: not supported by the %s backend: %s\n" path
@@ -106,7 +116,7 @@ let cmd_run =
 
 let cmd_compile =
   let action path show_asm =
-    let info = load path in
+    let info = load_runnable path in
     let compiled = Mcc.Codegen.compile info in
     Printf.printf "; %d instructions, data segment %d words\n"
       (List.length compiled.Mcc.Codegen.instructions)
@@ -126,7 +136,7 @@ let cmd_compile =
 
 let cmd_sim =
   let action path max_cycles =
-    let info = load path in
+    let info = load_runnable path in
     let soc = Platform.Soc.create () in
     Platform.Soc.load soc (Mcc.Codegen.compile info);
     Platform.Soc.run ~max_cycles soc;
@@ -161,17 +171,27 @@ let cmd_automaton =
       Printf.eprintf "property %s\n" (Sctc.Prop.error_to_string error);
       2
     | Ok formula -> (
-      match Ar_automaton.synthesize formula with
-      | exception Ar_automaton.Too_large states ->
+      let props = List.length (Formula.props formula) in
+      if props > Ar_automaton.max_props then begin
         Printf.eprintf
-          "property too large: synthesis stopped at %d AR-automaton states\n"
-          states;
+          "property too large: %d propositions (AR-automaton synthesis \
+           takes at most %d)\n"
+          props Ar_automaton.max_props;
         2
-      | automaton ->
-        Printf.printf "%s\n" (Ar_automaton.stats automaton);
-        print_string
-          (Il.to_string (Il.of_automaton ~name:"property" automaton));
-        0)
+      end
+      else
+        match Ar_automaton.synthesize formula with
+        | exception Ar_automaton.Too_large states ->
+          Printf.eprintf
+            "property too large: synthesis stopped at %d AR-automaton \
+             states\n"
+            states;
+          2
+        | automaton ->
+          Printf.printf "%s\n" (Ar_automaton.stats automaton);
+          print_string
+            (Il.to_string (Il.of_automaton ~name:"property" automaton));
+          0)
   in
   let property =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"PROPERTY")
@@ -189,7 +209,7 @@ let cmd_automaton =
 
 let cmd_verify =
   let action path approach engine properties props budget flag common =
-    let info = load path in
+    let info = load_runnable path in
     let metrics = Tcheck_cli.registry common in
     let backend =
       match approach with

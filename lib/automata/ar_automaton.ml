@@ -18,12 +18,16 @@ let kind_of_formula f =
   | Verdict.False -> Reject
   | Verdict.Pending -> Pend
 
+let max_props = 16
+
 let synthesize ?(max_states = 200_000) formula =
   let started = Unix.gettimeofday () in
   let props = Array.of_list (Formula.props formula) in
   let num_props = Array.length props in
-  if num_props > 16 then
-    invalid_arg "Ar_automaton.synthesize: more than 16 propositions";
+  if num_props > max_props then
+    invalid_arg
+      (Printf.sprintf "Ar_automaton.synthesize: more than %d propositions"
+         max_props);
   let num_assignments = 1 lsl num_props in
   let valuation_of_mask mask name =
     let rec find i =

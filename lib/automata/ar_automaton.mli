@@ -19,8 +19,14 @@ type t
 exception Too_large of int
 (** Raised by {!synthesize} when the state count exceeds [max_states]. *)
 
+val max_props : int
+(** The most propositions a formula may have for synthesis (16): each
+    state has a successor for every one of the [2^n] assignments. *)
+
 (** [synthesize ?max_states formula] builds the explicit automaton
-    (default [max_states] 200000). *)
+    (default [max_states] 200000).
+    @raise Invalid_argument when the formula has more than {!max_props}
+    propositions. *)
 val synthesize : ?max_states:int -> Formula.t -> t
 
 (** [synthesize_memo ?max_states formula] is {!synthesize} through a

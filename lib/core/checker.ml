@@ -23,6 +23,9 @@ type property = {
      (which therefore advance exactly once per trigger, however many
      properties share them).
    - [samples] is the shared per-trigger sample vector the slots fill.
+   - [sampled_false]/[sampled_true] hold each slot's two possible
+     [Trace.Sample] kinds, built here once, so a traced probe allocates
+     only its event record.
    - [active] lists the property indices [step] must visit, in insertion
      order: pending monitors, plus final ones whose verdict still has to
      be published on the trace bus / transition counter. Monitors whose
@@ -31,11 +34,20 @@ type plan = {
   slot_names : string array;
   slot_props : Proposition.t array;
   samples : bool array;
+  sampled_false : Trace.kind array;
+  sampled_true : Trace.kind array;
   active : int array;
 }
 
 let empty_plan =
-  { slot_names = [||]; slot_props = [||]; samples = [||]; active = [||] }
+  {
+    slot_names = [||];
+    slot_props = [||];
+    samples = [||];
+    sampled_false = [||];
+    sampled_true = [||];
+    active = [||];
+  }
 
 (* metric handles, resolved once at creation; all are shared no-ops on
    [Registry.null], so the hot path pays one boolean test *)
@@ -190,6 +202,10 @@ let compile_plan checker =
           (fun name -> Proposition.Table.find_exn checker.table name)
           slot_names;
       samples = Array.make (Array.length slot_names) false;
+      sampled_false =
+        Array.map (fun prop -> Trace.Sample { prop; value = false }) slot_names;
+      sampled_true =
+        Array.map (fun prop -> Trace.Sample { prop; value = true }) slot_names;
       active = Array.of_list !visit;
     };
   checker.plan_stale <- false
@@ -227,7 +243,8 @@ let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
          fastest steady state — and on-the-fly when it cannot; the memo
          caches a failed attempt, so it is paid once per domain *)
       let max_states = Option.value max_states ~default:Engine.auto_max_states in
-      if List.length (Formula.props formula) > 16 then otf ()
+      if List.length (Formula.props formula) > Ar_automaton.max_props then
+        otf ()
       else
         match synthesized ~max_states () with
         | automaton -> Monitor.of_automaton ~name automaton
@@ -275,7 +292,7 @@ let step_monitors checker =
       let value = Proposition.is_true plan.slot_props.(i) in
       plan.samples.(i) <- value;
       Trace.emit checker.trace
-        (Trace.Sample { prop = plan.slot_names.(i); value })
+        (if value then plan.sampled_true.(i) else plan.sampled_false.(i))
     done
   else
     for i = 0 to slots - 1 do

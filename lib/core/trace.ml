@@ -54,6 +54,14 @@ let attach bus sink =
 
 let set_time_source bus source = bus.time_source <- source
 
+(* top level, not [List.iter] with a closure over [event]: without
+   flambda that closure would be allocated for every emitted event *)
+let rec deliver event = function
+  | [] -> ()
+  | sink :: rest ->
+    sink.on_event event;
+    deliver event rest
+
 let emit bus kind =
   if bus.active then begin
     (match kind with
@@ -62,7 +70,7 @@ let emit bus kind =
     | _ -> ());
     let event = { seq = bus.seq; time_unit = bus.time_source (); kind } in
     bus.seq <- bus.seq + 1;
-    List.iter (fun sink -> sink.on_event event) bus.sinks
+    deliver event bus.sinks
   end
 
 let close bus = List.iter (fun sink -> sink.on_close ()) bus.sinks
@@ -81,21 +89,38 @@ let triggers_per_sec bus =
 (* JSON helpers                                                        *)
 
 module Json = struct
+  (* does no byte of [s] from [i] on need escaping? *)
+  let rec clean s i =
+    i >= String.length s
+    ||
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> false
+    | _ -> clean s (i + 1)
+
+  (* append [s] escaped: one scan, then the string itself when no byte
+     needs escaping (the common case: names, ops, verdicts) *)
+  let add_escaped buffer s =
+    if clean s 0 then Buffer.add_string buffer s
+    else
+      String.iter
+        (fun c ->
+          match c with
+          | '"' -> Buffer.add_string buffer "\\\""
+          | '\\' -> Buffer.add_string buffer "\\\\"
+          | '\n' -> Buffer.add_string buffer "\\n"
+          | '\r' -> Buffer.add_string buffer "\\r"
+          | '\t' -> Buffer.add_string buffer "\\t"
+          | c when Char.code c < 0x20 ->
+            Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char buffer c)
+        s
+
   let escape s =
-    let buffer = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buffer "\\\""
-        | '\\' -> Buffer.add_string buffer "\\\\"
-        | '\n' -> Buffer.add_string buffer "\\n"
-        | '\r' -> Buffer.add_string buffer "\\r"
-        | '\t' -> Buffer.add_string buffer "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buffer c)
-      s;
-    Buffer.contents buffer
+    if clean s 0 then s
+    else
+      let buffer = Buffer.create (String.length s + 8) in
+      add_escaped buffer s;
+      Buffer.contents buffer
 
   let string s = "\"" ^ escape s ^ "\""
 
@@ -145,54 +170,75 @@ let pp_event fmt (event : event) =
   | Watchdog_fired { index; op } -> Format.fprintf fmt " #%d op=%s" index op
   | Software_crashed { reason } -> Format.fprintf fmt " reason=%s" reason
 
+(* Decimal digits straight into the buffer: no [string_of_int] string per
+   field. Negative numbers never occur in practice (seq, time units and
+   test-case indices count up from 0) and take the plain path. *)
+let rec add_digits buffer n =
+  if n >= 10 then add_digits buffer (n / 10);
+  Buffer.add_char buffer (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buffer n =
+  if n >= 0 then add_digits buffer n
+  else Buffer.add_string buffer (string_of_int n)
+
+(* the last member's string value, then its closing quote and the brace *)
+let add_last_string buffer s =
+  Json.add_escaped buffer s;
+  Buffer.add_string buffer "\"}"
+
 (* The streaming campaign engine renders every event of every job through
-   this path, so it appends directly into the caller's buffer: no member
-   list, no intermediate strings, no [Json.obj] concatenation. The bytes
-   are exactly those of [Json.obj] over the same members — [event_to_json]
-   is defined in terms of this function, and the goldens pin the format. *)
+   this path, so it appends directly into the caller's buffer and, for
+   the events campaigns emit, allocates nothing: one constant prefix per
+   event kind (up to the first string value's opening quote), ints as
+   digits, strings as they are unless a byte needs escaping. The bytes
+   are exactly those of [Json.obj] over the members [seq], [tu], [event]
+   and the kind's fields, in that order — [event_to_json] is defined in
+   terms of this function, and the goldens pin the format. *)
 let event_to_json_into buffer (event : event) =
-  let str key value =
-    Buffer.add_string buffer ",\"";
-    Buffer.add_string buffer key;
-    Buffer.add_string buffer "\":\"";
-    Buffer.add_string buffer (Json.escape value);
-    Buffer.add_char buffer '"'
-  and num key value =
-    Buffer.add_string buffer ",\"";
-    Buffer.add_string buffer key;
-    Buffer.add_string buffer "\":";
-    Buffer.add_string buffer (string_of_int value)
-  in
   Buffer.add_string buffer "{\"seq\":";
-  Buffer.add_string buffer (string_of_int event.seq);
+  add_int buffer event.seq;
   Buffer.add_string buffer ",\"tu\":";
-  Buffer.add_string buffer (string_of_int event.time_unit);
-  Buffer.add_string buffer ",\"event\":\"";
-  Buffer.add_string buffer (kind_label event.kind);
-  Buffer.add_char buffer '"';
-  (match event.kind with
-  | Trigger -> ()
+  add_int buffer event.time_unit;
+  match event.kind with
+  | Trigger -> Buffer.add_string buffer ",\"event\":\"trigger\"}"
   | Sample { prop; value } ->
-    str "prop" prop;
+    Buffer.add_string buffer ",\"event\":\"sample\",\"prop\":\"";
+    Json.add_escaped buffer prop;
     Buffer.add_string buffer
-      (if value then ",\"value\":true" else ",\"value\":false")
+      (if value then "\",\"value\":true}" else "\",\"value\":false}")
   | Verdict_change { property; verdict } ->
-    str "property" property;
-    str "verdict" (Verdict.to_string verdict)
-  | Handshake_armed { source } -> str "source" source
+    Buffer.add_string buffer
+      ",\"event\":\"verdict_change\",\"property\":\"";
+    Json.add_escaped buffer property;
+    Buffer.add_string buffer "\",\"verdict\":\"";
+    add_last_string buffer (Verdict.to_string verdict)
+  | Handshake_armed { source } ->
+    Buffer.add_string buffer
+      ",\"event\":\"handshake_armed\",\"source\":\"";
+    add_last_string buffer source
   | Test_case_begin { index; op } ->
-    num "index" index;
-    str "op" op
+    Buffer.add_string buffer
+      ",\"event\":\"test_case_begin\",\"index\":";
+    add_int buffer index;
+    Buffer.add_string buffer ",\"op\":\"";
+    add_last_string buffer op
   | Test_case_end { index; result } -> (
-    num "index" index;
+    Buffer.add_string buffer ",\"event\":\"test_case_end\",\"index\":";
+    add_int buffer index;
     match result with
-    | Some result -> str "result" result
-    | None -> Buffer.add_string buffer ",\"result\":null")
+    | Some result ->
+      Buffer.add_string buffer ",\"result\":\"";
+      add_last_string buffer result
+    | None -> Buffer.add_string buffer ",\"result\":null}")
   | Watchdog_fired { index; op } ->
-    num "index" index;
-    str "op" op
-  | Software_crashed { reason } -> str "reason" reason);
-  Buffer.add_char buffer '}'
+    Buffer.add_string buffer ",\"event\":\"watchdog_fired\",\"index\":";
+    add_int buffer index;
+    Buffer.add_string buffer ",\"op\":\"";
+    add_last_string buffer op
+  | Software_crashed { reason } ->
+    Buffer.add_string buffer
+      ",\"event\":\"software_crashed\",\"reason\":\"";
+    add_last_string buffer reason
 
 let event_to_json (event : event) =
   let buffer = Buffer.create 64 in

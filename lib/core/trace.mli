@@ -95,9 +95,16 @@ val event_to_json : event -> string
 (** One-line JSON object (no trailing newline). *)
 
 val event_to_json_into : Buffer.t -> event -> unit
-(** Append exactly the bytes of {!event_to_json} to [buffer] without
-    intermediate allocations — the hot path of streaming campaign
-    emission, where every event of every job is rendered once. *)
+(** Append exactly the bytes of {!event_to_json} to [buffer] — the hot
+    path of streaming campaign emission, where every event of every job
+    is rendered once. It appends one constant prefix per event kind,
+    writes ints as digits (a negative int goes through [string_of_int])
+    and appends each string value as it is unless a byte needs escaping,
+    in which case it escapes it byte by byte into [buffer]; for
+    non-negative ints and strings without such bytes it allocates
+    nothing beyond the buffer's own growth. The bytes equal {!Json.obj}
+    over the members [seq], [tu], [event] and the kind's fields, in that
+    order. *)
 
 val event_of_json : string -> (event, string) result
 (** Inverse of {!event_to_json} (accepts any key order). *)
@@ -106,7 +113,12 @@ val event_of_json : string -> (event, string) result
 
 module Json : sig
   val escape : string -> string
-  (** Escape for inclusion inside a JSON string literal (no quotes). *)
+  (** Escape for inclusion inside a JSON string literal (no quotes): the
+      double quote, backslash, newline, carriage return and tab get their
+      two-byte escapes, other bytes below 0x20 become a six-byte
+      [\u00xx] escape, and every other byte, including those from 0x80
+      up, passes through unchanged. Returns [s] itself, uncopied, when no
+      byte needs escaping. *)
 
   val string : string -> string
   (** Quoted JSON string. *)

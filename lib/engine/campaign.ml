@@ -95,18 +95,24 @@ let make_meters metrics =
   }
 
 (* One job, on whatever domain runs it: a private bus buffering events in
-   memory, the job's exceptions confined to its outcome. *)
+   memory, the job's exceptions confined to its outcome. The events stay
+   newest first (no reversal here); [renumber] restores their order when
+   the outcome reaches the frontier. *)
 let execute index job =
   let bus = Trace.create () in
-  let sink, buffered = Trace.memory_sink () in
-  Trace.attach bus sink;
+  let buffered = ref [] in
+  Trace.attach bus
+    {
+      Trace.on_event = (fun event -> buffered := event :: !buffered);
+      on_close = ignore;
+    };
   let result =
     match job.run bus with
     | result -> Ok result
     | exception exn -> Error (Printexc.to_string exn)
   in
   Trace.close bus;
-  { index; label = job.label; result; events = buffered () }
+  { index; label = job.label; result; events = !buffered }
 
 let metered_execute meters index job =
   if meters.metered then begin
@@ -227,13 +233,20 @@ type reassembly = {
   r_slots : outcome option array; (* emitted outcomes, events dropped *)
 }
 
+(* [events] come from [execute], newest first and numbered from 0 on the
+   job's private bus; one fold rebuilds them oldest first with
+   campaign-global seq and advances [r_seq] past them *)
 let renumber reassembly events =
-  List.map
-    (fun (event : Trace.event) ->
-      let seq = reassembly.r_seq in
-      reassembly.r_seq <- seq + 1;
-      { event with Trace.seq })
-    events
+  let base = reassembly.r_seq in
+  let rec fold ordered count = function
+    | [] ->
+      reassembly.r_seq <- base + count;
+      ordered
+    | (event : Trace.event) :: older ->
+      fold ({ event with seq = base + event.seq } :: ordered) (count + 1)
+        older
+  in
+  fold [] 0 events
 
 (* Emission runs under the reassembly lock: sinks are called serially,
    in ascending job order, with events renumbered to the campaign-global

@@ -126,6 +126,129 @@ let test_trace_events_and_roundtrip () =
       | Error msg -> Alcotest.failf "round trip failed: %s" msg)
     events
 
+(* ---- the renderer against the member-list definition ------------------ *)
+
+(* Every byte a JSON string may carry, weighted toward the ones the
+   renderer must escape: quote, backslash, the named controls, the other
+   control bytes, and the bytes >= 0x80 it must pass through. *)
+let byte_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t' ]);
+        (2, map Char.chr (int_range 0 0x1f));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (3, map Char.chr (int_range 0 0xff));
+        (2, map Char.chr (int_range 0x20 0x7e));
+      ])
+
+let string_gen = QCheck.Gen.(string_size ~gen:byte_gen (int_bound 12))
+
+let int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl [ 0; -1; 9; 10; -10; min_int; max_int ]);
+        (3, nat);
+        (2, map (fun n -> -n) nat);
+        (3, int);
+      ])
+
+let kind_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Trace.Trigger;
+        map2 (fun prop value -> Trace.Sample { prop; value }) string_gen bool;
+        map2
+          (fun property verdict -> Trace.Verdict_change { property; verdict })
+          string_gen
+          (oneofl Verdict.[ True; False; Pending ]);
+        map (fun source -> Trace.Handshake_armed { source }) string_gen;
+        map2 (fun index op -> Trace.Test_case_begin { index; op }) int_gen
+          string_gen;
+        map2
+          (fun index result -> Trace.Test_case_end { index; result })
+          int_gen (opt string_gen);
+        map2 (fun index op -> Trace.Watchdog_fired { index; op }) int_gen
+          string_gen;
+        map (fun reason -> Trace.Software_crashed { reason }) string_gen;
+      ])
+
+let event_gen =
+  QCheck.Gen.map3
+    (fun seq time_unit kind -> { Trace.seq; time_unit; kind })
+    int_gen int_gen kind_gen
+
+(* escape one byte at a time, as JSON asks for *)
+let reference_escape s =
+  String.concat ""
+    (List.map
+       (fun c ->
+         match c with
+         | '"' -> "\\\""
+         | '\\' -> "\\\\"
+         | '\n' -> "\\n"
+         | '\r' -> "\\r"
+         | '\t' -> "\\t"
+         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+         | c -> String.make 1 c)
+       (List.of_seq (String.to_seq s)))
+
+(* the renderer's definition: [Json.obj] over the event's member list *)
+let reference_json (event : Trace.event) =
+  let str value = "\"" ^ reference_escape value ^ "\"" in
+  let fields =
+    match event.kind with
+    | Trace.Trigger -> []
+    | Trace.Sample { prop; value } ->
+      [ ("prop", str prop); ("value", Trace.Json.bool value) ]
+    | Trace.Verdict_change { property; verdict } ->
+      [
+        ("property", str property);
+        ("verdict", str (Verdict.to_string verdict));
+      ]
+    | Trace.Handshake_armed { source } -> [ ("source", str source) ]
+    | Trace.Test_case_begin { index; op } | Trace.Watchdog_fired { index; op }
+      ->
+      [ ("index", string_of_int index); ("op", str op) ]
+    | Trace.Test_case_end { index; result } ->
+      [
+        ("index", string_of_int index);
+        ("result", match result with Some r -> str r | None -> "null");
+      ]
+    | Trace.Software_crashed { reason } -> [ ("reason", str reason) ]
+  in
+  Trace.Json.obj
+    ([
+       ("seq", string_of_int event.seq);
+       ("tu", string_of_int event.time_unit);
+       ("event", str (Trace.kind_label event.kind));
+     ]
+    @ fields)
+
+let qcheck_render_oracle =
+  QCheck.Test.make ~count:2000 ~name:"JSONL render == Json.obj reference"
+    (QCheck.make ~print:(fun e -> String.escaped (reference_json e)) event_gen)
+    (fun event ->
+      let rendered = Trace.event_to_json event in
+      let expected = reference_json event in
+      if rendered <> expected then
+        QCheck.Test.fail_reportf "rendered %S" rendered;
+      (match Trace.event_of_json rendered with
+      | Ok parsed when parsed = event -> ()
+      | Ok _ -> QCheck.Test.fail_report "parsed back to another event"
+      | Error msg -> QCheck.Test.fail_reportf "parse error: %s" msg);
+      true)
+
+let qcheck_escape_oracle =
+  QCheck.Test.make ~count:2000 ~name:"Json.escape == per-byte escape"
+    (QCheck.make ~print:String.escaped string_gen)
+    (fun s ->
+      let escaped = Trace.Json.escape s in
+      escaped = reference_escape s
+      && (escaped <> s || escaped == s (* nothing to escape: no copy *)))
+
 let test_jsonl_file_sink () =
   let path = Filename.temp_file "verif_trace" ".jsonl" in
   let bus = Trace.create () in
@@ -184,6 +307,8 @@ let suite =
       test_reference_backend_agrees;
     Alcotest.test_case "trace events and JSONL round trip" `Quick
       test_trace_events_and_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_render_oracle;
+    QCheck_alcotest.to_alcotest qcheck_escape_oracle;
     Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
     Alcotest.test_case "campaign trace events" `Quick
       test_campaign_trace_events;

@@ -62,9 +62,12 @@ let session_job ~label ~backend ~properties =
       Session.result session)
 
 (* job variants the generator draws from; Soc is the expensive one, so
-   completion order under a pool differs from job order, and the crasher
-   exercises error outcomes flowing through the reassembly buffer *)
-let variant_count = 5
+   completion order under a pool differs from job order, the crashers
+   exercise error outcomes flowing through the reassembly buffer (one
+   before emitting anything, one after a whole traced session, whose
+   events are kept and renumbered), and the untraced job hands over a
+   result with no events at all *)
+let variant_count = 7
 
 let job_of_variant index variant =
   let label kind = Printf.sprintf "%s-%d" kind index in
@@ -82,12 +85,27 @@ let job_of_variant index variant =
   | 3 ->
     session_job ~label:(label "bounded") ~backend:Session.Derived_model
       ~properties:[ ("done_quickly", "F[500] p_done") ]
-  | _ ->
+  | 4 ->
     Campaign.job ~label:(label "crash") (fun _trace -> failwith "boom")
+  | 5 ->
+    let traced =
+      session_job ~label:(label "partial") ~backend:Session.Derived_model
+        ~properties:[ ("eventually_done", "F p_done") ]
+    in
+    Campaign.job ~label:(label "partial") (fun trace ->
+        ignore (traced.Campaign.run trace);
+        failwith "crashed after tracing")
+  | _ ->
+    let untraced =
+      session_job ~label:(label "quiet") ~backend:Session.Derived_model
+        ~properties:[ ("eventually_done", "F p_done") ]
+    in
+    Campaign.job ~label:(label "quiet") (fun _trace ->
+        untraced.Campaign.run Trace.null)
 
 let make_jobs variants = List.mapi job_of_variant variants
 
-let fixed_mix = [ 0; 1; 2; 3; 4; 0 ]
+let fixed_mix = [ 0; 1; 2; 3; 4; 5; 6; 0 ]
 
 let counters summary =
   [
@@ -102,7 +120,9 @@ let verdict_strings summary =
     (fun (job, prop, v) -> (job, prop, Verdict.to_string v))
     (Campaign.verdicts summary)
 
-let crashes variants = List.length (List.filter (fun v -> v mod variant_count = 4) variants)
+let crashes variants =
+  List.length
+    (List.filter (fun v -> List.mem (v mod variant_count) [ 4; 5 ]) variants)
 
 (* ---- the sequential reference ------------------------------------------- *)
 
