@@ -181,11 +181,8 @@ let cmd_automaton =
       end
       else
         match Ar_automaton.synthesize formula with
-        | exception Ar_automaton.Too_large states ->
-          Printf.eprintf
-            "property too large: synthesis stopped at %d AR-automaton \
-             states\n"
-            states;
+        | exception (Ar_automaton.Too_large _ as too_large) ->
+          prerr_endline (Printexc.to_string too_large);
           2
         | automaton ->
           Printf.printf "%s\n" (Ar_automaton.stats automaton);

@@ -44,11 +44,11 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Monitor synthesis engine: $(b,otf) (on-the-fly progression), \
-     $(b,explicit) (pre-synthesized AR-automaton, the one $(b,tcheck \
-     automaton) prints as IL), or $(b,auto) (explicit when synthesis \
-     stays under the state cap, on-the-fly otherwise; the default). \
-     Verdicts are identical across engines"
+    "Monitor engine. Both step the property's AR-automaton: $(b,otf) \
+     (the default) fills it on demand, one transition the first time a \
+     run takes it; $(b,explicit) explores all of it at registration (the \
+     automaton $(b,tcheck automaton) prints as IL) and counts that \
+     generation time in V.T. Verdicts are identical across engines"
   in
   Arg.(
     value

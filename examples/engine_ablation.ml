@@ -1,13 +1,14 @@
 (* Ablation of SCTC's property-checking engines (Sctc.Engine.all) on one
-   property:
+   property. Both step the same AR-automaton table:
 
-   - otf: on-the-fly formula progression (no synthesis cost, rewriting per
-     step through the transition cache)
-   - explicit: AR-automaton (synthesis cost up front, table lookups per step);
-     the IL printed at the end is this automaton's text form
-   - auto: explicit under the state budget, on-the-fly beyond (the
-     default); at bound 20000 it matches otf, since the failed synthesis
-     stops at the 10000-state cap
+   - otf: filled on demand, one transition the first time the run takes
+     it (no cost at registration)
+   - explicit: explored to its fixpoint at registration (synthesis cost
+     up front); the IL printed at the end is this automaton's text form
+
+   Each row registers the property on a fresh checker, but the table is
+   kept per domain: explicit, running after otf, explores only the part
+   of the automaton otf's run did not visit.
 
    The paper's TB-100000 column shows verification time dominated by
    AR-automaton generation for large time bounds; this example reproduces

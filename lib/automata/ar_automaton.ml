@@ -1,16 +1,44 @@
 type state_kind = Accept | Reject | Pend
 
+exception Too_large of int
+
+let () =
+  Printexc.register_printer (function
+    | Too_large states ->
+      Some
+        (Printf.sprintf
+           "property too large: synthesis stopped at %d AR-automaton states"
+           states)
+    | _ -> None)
+
+let max_props = 16
+let max_dense_props = 12
+let unfilled = -1
+
+(* One state's successors, indexed by the assignment mask over the root's
+   support: a dense array up to [max_dense_props] propositions, a hash
+   table above. A dense entry holds [unfilled] until first computed. *)
+type row = Dense of int array | Hashed of (int, int) Hashtbl.t
+
 type t = {
   formula : Formula.t;
-  props : string array;
-  states : Formula.t array;
-  kinds : state_kind array;
-  delta : int array array; (* delta.(state).(assignment mask) *)
-  initial : int;
-  build_seconds : float;
+  props : string array; (* the root's sorted support: bit i = props.(i) *)
+  owner : int; (* the domain that may fill entries *)
+  index : (int, int) Hashtbl.t; (* state formula's hash-cons id -> state *)
+  mutable states : Formula.t array; (* capacity-doubling; [count] used *)
+  mutable kinds : state_kind array;
+  mutable rows : row array;
+  mutable count : int;
+  mutable complete : bool; (* every reachable entry is filled *)
+  mutable build_seconds : float;
 }
 
-exception Too_large of int
+(* Per-domain state: the tables of the roots registered on this domain,
+   and the number of entries this domain has filled. *)
+type domain_state = { tables : (int, t) Hashtbl.t; mutable fills : int }
+
+let domain_key =
+  Domain.DLS.new_key (fun () -> { tables = Hashtbl.create 16; fills = 0 })
 
 let kind_of_formula f =
   match Progression.verdict f with
@@ -18,135 +46,152 @@ let kind_of_formula f =
   | Verdict.False -> Reject
   | Verdict.Pending -> Pend
 
-let max_props = 16
+let grow t =
+  let capacity = max 16 (2 * t.count) in
+  let extend array filler =
+    let wider = Array.make capacity filler in
+    Array.blit array 0 wider 0 t.count;
+    wider
+  in
+  t.states <- extend t.states t.formula;
+  t.kinds <- extend t.kinds Pend;
+  t.rows <- extend t.rows (Dense [||])
 
-let synthesize ?(max_states = 200_000) formula =
-  let started = Unix.gettimeofday () in
+(* state ids are assigned on first visit *)
+let intern t f =
+  let key = Formula.hash f in
+  match Hashtbl.find_opt t.index key with
+  | Some id -> id
+  | None ->
+    let id = t.count in
+    if id = Array.length t.states then grow t;
+    let width = Array.length t.props in
+    t.states.(id) <- f;
+    t.kinds.(id) <- kind_of_formula f;
+    t.rows.(id) <-
+      (if width <= max_dense_props then Dense (Array.make (1 lsl width) unfilled)
+       else Hashed (Hashtbl.create 16));
+    t.count <- id + 1;
+    Hashtbl.replace t.index key id;
+    id
+
+let create formula =
   let props = Array.of_list (Formula.props formula) in
-  let num_props = Array.length props in
-  if num_props > max_props then
+  if Array.length props > Sys.int_size then
     invalid_arg
-      (Printf.sprintf "Ar_automaton.synthesize: more than %d propositions"
-         max_props);
-  let num_assignments = 1 lsl num_props in
-  let valuation_of_mask mask name =
-    let rec find i =
-      if i >= num_props then
-        invalid_arg ("Ar_automaton: unknown proposition " ^ name)
-      else if String.equal props.(i) name then mask land (1 lsl i) <> 0
-      else find (i + 1)
-    in
-    find 0
+      (Printf.sprintf
+         "Ar_automaton: %d propositions in the support, more than the %d a \
+          transition mask holds"
+         (Array.length props) Sys.int_size);
+  let t =
+    {
+      formula;
+      props;
+      owner = (Domain.self () :> int);
+      index = Hashtbl.create 64;
+      states = [||];
+      kinds = [||];
+      rows = [||];
+      count = 0;
+      complete = false;
+      build_seconds = 0.0;
+    }
   in
-  let index_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let states = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern f =
-    match Hashtbl.find_opt index_of (Formula.hash f) with
-    | Some id -> id
-    | None ->
-      let id = !count in
-      incr count;
-      if !count > max_states then raise (Too_large !count);
-      Hashtbl.replace index_of (Formula.hash f) id;
-      states := f :: !states;
-      Queue.add (f, id) queue;
-      id
+  ignore (intern t formula);
+  t
+
+let shared formula =
+  let domain = Domain.DLS.get domain_key in
+  match Hashtbl.find_opt domain.tables (Formula.hash formula) with
+  | Some t -> t
+  | None ->
+    let t = create formula in
+    Hashtbl.replace domain.tables (Formula.hash formula) t;
+    t
+
+let valuation_of_mask props mask name =
+  let rec find i =
+    if i >= Array.length props then
+      invalid_arg ("Ar_automaton: unknown proposition " ^ name)
+    else if String.equal props.(i) name then mask land (1 lsl i) <> 0
+    else find (i + 1)
   in
-  let initial = intern formula in
-  let rows = Hashtbl.create 256 in
-  while not (Queue.is_empty queue) do
-    let f, id = Queue.pop queue in
-    let row =
-      match kind_of_formula f with
-      | Accept | Reject ->
-        (* absorbing *)
-        Array.make num_assignments id
-      | Pend ->
-        Array.init num_assignments (fun mask ->
-            intern (Progression.step f (valuation_of_mask mask)))
-    in
-    Hashtbl.replace rows id row
-  done;
-  let states = Array.of_list (List.rev !states) in
-  let delta =
-    Array.init (Array.length states) (fun id -> Hashtbl.find rows id)
+  find 0
+
+(* the only path that writes an entry, so the only one that checks the
+   domain: a lookup of a filled entry pays nothing for it *)
+let fill t state mask =
+  let domain = (Domain.self () :> int) in
+  if domain <> t.owner then
+    invalid_arg
+      (Printf.sprintf
+         "Ar_automaton: the table of %s belongs to domain %d; domain %d \
+          cannot fill it (step a monitor on the domain that created it)"
+         (Formula.to_string t.formula) t.owner domain);
+  let target =
+    match t.kinds.(state) with
+    | Accept | Reject -> state (* absorbing *)
+    | Pend ->
+      intern t
+        (Progression.step t.states.(state) (valuation_of_mask t.props mask))
   in
-  let kinds = Array.map kind_of_formula states in
-  {
-    formula;
-    props;
-    states;
-    kinds;
-    delta;
-    initial;
-    build_seconds = Unix.gettimeofday () -. started;
-  }
+  (match t.rows.(state) with
+  | Dense row -> row.(mask) <- target
+  | Hashed row -> Hashtbl.replace row mask target);
+  let stats = Domain.DLS.get domain_key in
+  stats.fills <- stats.fills + 1;
+  target
 
-(* Per-domain memo cache: campaign jobs over the same property re-derive
-   the same automaton once per worker domain, not once per job. The cache
-   key is the formula's hash-cons id (process-globally unique) plus the
-   synthesis bound, since [max_states] decides whether synthesis raises
-   [Too_large]; a failure is cached under the same key, so an over-cap
-   property pays its aborted exploration once per domain too. A
-   synthesized automaton is immutable after construction, so handing the
-   same value to many monitors on the same domain is safe; keeping the
-   cache domain-local means no lock on the lookup path. Only the two-word
-   stats cell outlives a worker domain in the registry. *)
+let next t state mask =
+  match t.rows.(state) with
+  | Dense row ->
+    let target = row.(mask) in
+    if target <> unfilled then target else fill t state mask
+  | Hashed row -> (
+    match Hashtbl.find row mask with
+    | target -> target
+    | exception Not_found -> fill t state mask)
 
-type cache_cell = { mutable hits : int; mutable misses : int }
+(* fill every entry of every state, in state-id order; on a fresh table
+   that is a breadth-first exploration from the root *)
+let explore ?(max_states = 200_000) t =
+  if not t.complete then begin
+    let width = Array.length t.props in
+    if width > max_props then
+      invalid_arg
+        (Printf.sprintf "Ar_automaton.explore: more than %d propositions"
+           max_props);
+    let started = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        t.build_seconds <-
+          t.build_seconds +. (Unix.gettimeofday () -. started))
+      (fun () ->
+        let check () = if t.count > max_states then raise (Too_large t.count) in
+        check ();
+        let state = ref 0 in
+        while !state < t.count do
+          for mask = 0 to (1 lsl width) - 1 do
+            ignore (next t !state mask);
+            check ()
+          done;
+          incr state
+        done;
+        t.complete <- true)
+  end
 
-let cache_registry : cache_cell list ref = ref []
-let cache_registry_lock = Mutex.create ()
+let synthesize ?max_states formula =
+  let t = create formula in
+  explore ?max_states t;
+  t
 
-let cache_key =
-  Domain.DLS.new_key (fun () ->
-      let cell = { hits = 0; misses = 0 } in
-      Mutex.lock cache_registry_lock;
-      cache_registry := cell :: !cache_registry;
-      Mutex.unlock cache_registry_lock;
-      ((Hashtbl.create 32 : (int * int, (t, int) result) Hashtbl.t), cell))
-
-let synthesize_memo ?(max_states = 200_000) formula =
-  let table, cell = Domain.DLS.get cache_key in
-  let key = (Formula.hash formula, max_states) in
-  match Hashtbl.find_opt table key with
-  | Some outcome -> (
-    cell.hits <- cell.hits + 1;
-    match outcome with
-    | Ok automaton -> (automaton, false)
-    | Error count -> raise (Too_large count))
-  | None -> (
-    cell.misses <- cell.misses + 1;
-    match synthesize ~max_states formula with
-    | automaton ->
-      Hashtbl.replace table key (Ok automaton);
-      (automaton, true)
-    | exception Too_large count ->
-      Hashtbl.replace table key (Error count);
-      raise (Too_large count))
-
-type cache_stats = { cache_hits : int; cache_misses : int }
-
-let cache_stats () =
-  let hits = ref 0 and misses = ref 0 in
-  Mutex.lock cache_registry_lock;
-  List.iter
-    (fun cell ->
-      hits := !hits + cell.hits;
-      misses := !misses + cell.misses)
-    !cache_registry;
-  Mutex.unlock cache_registry_lock;
-  { cache_hits = !hits; cache_misses = !misses }
-
+let fills () = (Domain.DLS.get domain_key).fills
 let formula a = a.formula
 let props a = a.props
-let num_states a = Array.length a.states
+let num_states a = a.count
 let num_props a = Array.length a.props
-let initial a = a.initial
+let initial _ = 0
 let kind a state = a.kinds.(state)
-let next a state mask = a.delta.(state).(mask)
 let state_formula a state = a.states.(state)
 let build_seconds a = a.build_seconds
 

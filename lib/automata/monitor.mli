@@ -6,23 +6,22 @@
     proposition exactly once per trigger (so stateful propositions
     advance uniformly) and shares that vector across its monitors.
 
-    Two engines are provided: the explicit pre-synthesized AR-automaton
-    ([of_automaton]) and on-the-fly formula progression ([of_formula]);
-    they compute identical verdicts, per step and at {!finalize}. Both
-    step from a mask-indexed view of the sampled support: the explicit
-    engine indexes the automaton's dense transition array directly, and
-    the on-the-fly engine memoizes progression through
-    {!Transition_cache}, lazily determinizing the formula into its
-    AR-automaton. A monitor must be stepped on the domain that created
-    it (the transition cache is domain-local). *)
+    A monitor is a current state in an {!Ar_automaton} table plus a step
+    count. A step builds the assignment mask over the root's support and
+    follows the table's entry for it, which is an array lookup once the
+    entry is filled. Several monitors may share one table; each keeps its
+    own state. A step that needs an unfilled entry fills it, which only
+    the domain that created the table may do ({!Ar_automaton.next}), so
+    a monitor over a table that is not fully explored must be stepped on
+    that domain. *)
 
 type t
 
-val of_formula : name:string -> Formula.t -> t
-(** On-the-fly engine. *)
-
 val of_automaton : name:string -> Ar_automaton.t -> t
-(** Explicit engine. *)
+
+val of_formula : name:string -> Formula.t -> t
+(** [of_automaton] over the calling domain's table for the formula
+    ({!Ar_automaton.shared}). *)
 
 val name : t -> string
 

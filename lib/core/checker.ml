@@ -1,11 +1,10 @@
 module Registry = Obs.Registry
 
-type engine = Engine.t = Otf | Explicit | Auto
+type engine = Engine.t = Otf | Explicit
 type syntax = Fltl | Psl | Auto
 
 type property = {
   prop_name : string;
-  formula : Formula.t;
   monitor : Monitor.t;
   mutable p_map : int array; (* monitor support slot -> plan sample slot *)
   mutable violated_at : int option;
@@ -58,8 +57,7 @@ type meters = {
   m_step_latency : Registry.Timer.t; (* per-trigger checker latency *)
   m_synthesize : Registry.Timer.t;
   m_parse : Registry.Timer.t;
-  m_prog_hits : Registry.Counter.t; (* progression transition cache *)
-  m_prog_misses : Registry.Counter.t;
+  m_fills : Registry.Counter.t; (* AR-automaton table entries filled *)
 }
 
 type t = {
@@ -88,12 +86,9 @@ let make_meters metrics =
     m_step_latency = Registry.stage_timer metrics Registry.Check;
     m_synthesize = Registry.stage_timer metrics Registry.Synthesize;
     m_parse = Registry.stage_timer metrics Registry.Parse;
-    m_prog_hits =
-      Registry.counter metrics "sctc_progression_cache_hits_total"
-        ~help:"on-the-fly transitions served by the progression cache";
-    m_prog_misses =
-      Registry.counter metrics "sctc_progression_cache_misses_total"
-        ~help:"on-the-fly transitions that computed a fresh progression";
+    m_fills =
+      Registry.counter metrics "sctc_automaton_fills_total"
+        ~help:"AR-automaton table entries computed by progression";
   }
 
 let create ?(trace = Trace.null) ?(metrics = Registry.null) ~name () =
@@ -213,49 +208,38 @@ let compile_plan checker =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
-let add_property ?(engine = Engine.Otf) ?max_states checker ~name formula =
+(* explicit registration explores the domain's table to its fixpoint and
+   charges the exploration this call did, an aborted one included; a table
+   another registration completed costs (and reports) nothing *)
+let explore checker ?max_states automaton =
+  let before = Ar_automaton.build_seconds automaton in
+  let charge () =
+    let spent = Ar_automaton.build_seconds automaton -. before in
+    if spent > 0.0 then begin
+      checker.synthesis_seconds <- checker.synthesis_seconds +. spent;
+      Registry.Timer.observe checker.meters.m_synthesize spent
+    end
+  in
+  Fun.protect ~finally:charge (fun () ->
+      Ar_automaton.explore ?max_states automaton)
+
+let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
   if
     Array.exists
       (fun p -> String.equal p.prop_name name)
       checker.properties
   then invalid_arg (Printf.sprintf "Checker.add_property: duplicate %S" name);
   check_support checker formula;
-  (* explicit synthesis goes through the per-domain automaton cache;
-     build time is charged to this checker only when the automaton was
-     actually derived here, so a cache hit costs (and reports) nothing *)
-  let synthesized ?max_states () =
-    let automaton, fresh = Ar_automaton.synthesize_memo ?max_states formula in
-    if fresh then begin
-      checker.synthesis_seconds <-
-        checker.synthesis_seconds +. Ar_automaton.build_seconds automaton;
-      Registry.Timer.observe checker.meters.m_synthesize
-        (Ar_automaton.build_seconds automaton)
-    end;
-    automaton
-  in
-  let otf () = Monitor.of_formula ~name formula in
-  let monitor =
-    match (engine : Engine.t) with
-    | Otf -> otf ()
-    | Explicit -> Monitor.of_automaton ~name (synthesized ?max_states ())
-    | Auto -> (
-      (* explicit while synthesis stays under the state budget — the
-         fastest steady state — and on-the-fly when it cannot; the memo
-         caches a failed attempt, so it is paid once per domain *)
-      let max_states = Option.value max_states ~default:Engine.auto_max_states in
-      if List.length (Formula.props formula) > Ar_automaton.max_props then
-        otf ()
-      else
-        match synthesized ~max_states () with
-        | automaton -> Monitor.of_automaton ~name automaton
-        | exception Ar_automaton.Too_large _ -> otf ())
-  in
+  let automaton = Ar_automaton.shared formula in
+  (match (engine : Engine.t) with
+  | Otf -> ()
+  | Explicit -> explore checker ?max_states automaton);
+  let monitor = Monitor.of_automaton ~name automaton in
   checker.properties <-
     Array.append checker.properties
       [|
         {
           prop_name = name;
-          formula;
           monitor;
           p_map = [||];
           violated_at = None;
@@ -342,18 +326,16 @@ let step_monitors checker =
   done
 
 (* one trigger; when metered, stamp the per-trigger latency histogram
-   and the progression-cache counters (per-domain, lock-free deltas) *)
+   and the table entries the trigger filled (a per-domain count) *)
 let step checker =
   checker.step_count <- checker.step_count + 1;
   if checker.meters.metered then begin
-    let hits0, misses0 = Transition_cache.local_stats () in
+    let fills = Ar_automaton.fills () in
     let started = Unix.gettimeofday () in
     step_monitors checker;
     Registry.Timer.observe checker.meters.m_step_latency
       (Unix.gettimeofday () -. started);
-    let hits1, misses1 = Transition_cache.local_stats () in
-    Registry.Counter.add checker.meters.m_prog_hits (hits1 - hits0);
-    Registry.Counter.add checker.meters.m_prog_misses (misses1 - misses0);
+    Registry.Counter.add checker.meters.m_fills (Ar_automaton.fills () - fills);
     Registry.Counter.incr checker.meters.m_triggers
   end
   else step_monitors checker

@@ -13,21 +13,22 @@
     vector (in sorted name order, each probe published as one
     [Trace.Sample] event), monitors read that vector through precomputed
     integer slot maps ({!Monitor.step_indexed}), and monitors whose
-    verdict is final — and published — are skipped entirely. On-the-fly
-    monitors additionally memoize progression through
-    [Transition_cache], so steady-state triggers cost one table lookup
-    per property.
+    verdict is final — and published — are skipped entirely. Every
+    monitor steps the calling domain's AR-automaton table for its
+    property ([Ar_automaton.shared]), so once the entries a run needs are
+    filled a trigger costs one table lookup per pending property, and a
+    property registered again by a later checker on the same domain
+    starts from what the earlier ones filled.
 
     Properties can be given as {!Formula.t} values or as PSL / FLTL text;
-    the synthesis engine ({!Engine.t}) is selectable per property:
-    on-the-fly progression, an explicit pre-synthesized AR-automaton (the
-    paper's compiled monitor, whose IL text [Il] prints), or [Auto],
-    which picks explicit when synthesis is cheap and on-the-fly
-    otherwise. *)
+    the engine ({!Engine.t}) is selectable per property: [Otf] fills the
+    table on demand, [Explicit] explores it to its fixpoint at
+    registration (the paper's compiled monitor, whose IL text [Il]
+    prints). *)
 
 type t
 
-type engine = Engine.t = Otf | Explicit | Auto
+type engine = Engine.t = Otf | Explicit
 (** Re-export of {!Engine.t} — the one engine enum shared by every front
     end; see {!Engine} for the semantics of each constructor and the
     string/CLI conversions. *)
@@ -40,10 +41,9 @@ val create :
     defaults to {!Obs.Registry.null} (no-op handles, one boolean test on
     the hot path). With a live registry the checker records
     [sctc_triggers_total], [sctc_verdict_transitions_total],
-    [sctc_progression_cache_hits_total] /
-    [sctc_progression_cache_misses_total] (the on-the-fly transition
-    cache), per-trigger latency under the [check] stage timer, and
-    charges property parsing and explicit synthesis to the [parse] /
+    [sctc_automaton_fills_total] (AR-automaton table entries the triggers
+    computed), per-trigger latency under the [check] stage timer, and
+    charges property parsing and explicit exploration to the [parse] /
     [synthesize] stage timers. *)
 
 val name : t -> string
@@ -72,19 +72,18 @@ val proposition_names : t -> string list
 
 val add_property :
   ?engine:engine -> ?max_states:int -> t -> name:string -> Formula.t -> unit
-(** [engine] defaults to {!Engine.Otf} at this layer — registration stays
-    free of synthesis cost unless asked otherwise; the session/harness/CLI
-    front ends default to {!Engine.Auto} instead. Under [Auto],
-    [max_states] (default {!Engine.auto_max_states}) caps the explicit
-    attempt, and a blowout (or more than 16 propositions) falls back to
-    an {!Engine.Otf} monitor rather than raising. The failed attempt is
-    cached by {!Ar_automaton.synthesize_memo}, so a campaign re-registering
-    the property pays it once per domain.
-    @raise Invalid_argument if a proposition in the formula's support is not
-    registered, if the property name is already used, or if [Explicit]
-    is asked to synthesize over more than 16 propositions.
-    @raise Ar_automaton.Too_large if [Explicit] synthesis exceeds
-    [max_states] (default 200000, {!Ar_automaton.synthesize}). *)
+(** [engine] defaults to {!Engine.default} ([Otf]). Under [Explicit] the
+    table is explored at registration, capped at [max_states] states
+    (default 200000, {!Ar_automaton.explore}); the time that exploration
+    took is added to {!synthesis_seconds}, also when it stops with
+    [Too_large], and nothing is added when an earlier registration on
+    this domain already completed the table. [Otf] ignores [max_states].
+    @raise Invalid_argument if a proposition in the formula's support is
+    not registered, if the property name is already used, if the support
+    has more than [Sys.int_size] propositions, or if [Explicit] is asked
+    to explore over more than 16 propositions.
+    @raise Ar_automaton.Too_large if [Explicit] exploration exceeds
+    [max_states]. *)
 
 val add_property_text :
   ?engine:engine ->
@@ -151,7 +150,7 @@ val reset : t -> unit
 (** Reset all monitors and stateful propositions to their initial states. *)
 
 val synthesis_seconds : t -> float
-(** Total explicit AR-automaton generation time accumulated by
+(** Total explicit AR-automaton exploration time accumulated by
     [add_property] — the paper's "AR-automaton generation time" component
     of verification time. *)
 

@@ -1,17 +1,13 @@
-type t = Otf | Explicit | Auto
+type t = Otf | Explicit
 
-let all = [ Otf; Explicit; Auto ]
+let all = [ Otf; Explicit ]
 
-let to_string = function
-  | Otf -> "otf"
-  | Explicit -> "explicit"
-  | Auto -> "auto"
+let to_string = function Otf -> "otf" | Explicit -> "explicit"
 
 let of_string text =
   match String.lowercase_ascii (String.trim text) with
   | "otf" | "on-the-fly" | "onthefly" -> Some Otf
   | "explicit" -> Some Explicit
-  | "auto" -> Some Auto
   | _ -> None
 
 let of_string_exn text =
@@ -26,9 +22,8 @@ let of_string_exn text =
 let pp fmt engine = Format.pp_print_string fmt (to_string engine)
 
 let describe = function
-  | Otf -> "on-the-fly progression with the lazy transition cache"
-  | Explicit -> "pre-synthesized explicit AR-automaton"
-  | Auto -> "explicit when synthesis is cheap, on-the-fly otherwise (the default)"
+  | Otf -> "AR-automaton filled on demand (the default)"
+  | Explicit -> "AR-automaton explored at registration"
 
-let default = Auto
+let default = Otf
 let auto_max_states = 10_000

@@ -18,13 +18,13 @@ let default_config =
     test_cases = 200;
     watchdog_chunks = 200;
     bound = None;
-    engine = Checker.Auto;
+    engine = Sctc.Engine.default;
     seed = 7;
   }
 
 let max_id = 16 (* must match MAX_ID in the software *)
 
-let install_spec ?(bound = None) ?(engine : Checker.engine = Checker.Auto)
+let install_spec ?(bound = None) ?(engine = Sctc.Engine.default)
     session ops =
   let checker = Session.checker session in
   let mbox = Session.mailbox session in

@@ -97,7 +97,7 @@ let default_plan =
     approaches = [ 2 ];
     cases_per_op = 50;
     bound = None;
-    engine = Sctc.Checker.Auto;
+    engine = Sctc.Engine.default;
     fault_rate = 0.02;
     faults = Smc.Faults.none;
     watchdog_chunks = 200;

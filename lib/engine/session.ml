@@ -28,7 +28,7 @@ type config = {
 let default_config =
   {
     session_name = "session";
-    engine = Checker.Auto;
+    engine = Sctc.Engine.default;
     properties = [];
     propositions = [];
     bound = None;

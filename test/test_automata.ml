@@ -302,32 +302,61 @@ let test_too_large () =
   | exception Ar_automaton.Too_large n ->
     Alcotest.(check bool) "count reported" true (n > 10)
 
-(* a failed synthesis is memoized like a success: the second over-cap
-   call re-raises the same count as a hit, without exploring again *)
-let test_memo_caches_too_large () =
+(* Tables are kept per (root property, domain): a second registration of
+   the same property on this domain finds the first one's entries. An
+   aborted exploration is charged and keeps what it filled, so asking
+   again under the same cap stops at once with the same count; once the
+   table is complete, a registration under either engine fills nothing
+   and charges no synthesis time. *)
+let test_second_registration_fills_nothing () =
   let formula = parse "F[150] p" in
-  let attempt () =
-    match Ar_automaton.synthesize_memo ~max_states:10 formula with
-    | _ -> Alcotest.fail "expected Too_large"
-    | exception Ar_automaton.Too_large n -> n
+  (* the outcome ([Error count] for [Too_large]), the entries filled and
+     the synthesis seconds charged to the checker *)
+  let register ?max_states engine =
+    let checker = Sctc.Checker.create ~name:"t" () in
+    Sctc.Checker.register_sampler checker "p" (fun () -> false);
+    let before = Ar_automaton.fills () in
+    let outcome =
+      match
+        Sctc.Checker.add_property ~engine ?max_states checker ~name:"p" formula
+      with
+      | () -> Ok ()
+      | exception Ar_automaton.Too_large n -> Error n
+    in
+    (outcome, Ar_automaton.fills () - before,
+     Sctc.Checker.synthesis_seconds checker)
   in
-  let before = Ar_automaton.cache_stats () in
-  let first = attempt () in
-  let middle = Ar_automaton.cache_stats () in
-  let second = attempt () in
-  let after = Ar_automaton.cache_stats () in
-  Alcotest.(check int) "first call misses" 1
-    (middle.Ar_automaton.cache_misses - before.Ar_automaton.cache_misses);
-  Alcotest.(check int) "same count re-raised" first second;
-  Alcotest.(check int) "second call leaves misses unchanged"
-    middle.Ar_automaton.cache_misses after.Ar_automaton.cache_misses;
-  Alcotest.(check int) "second call is a hit" 1
-    (after.Ar_automaton.cache_hits - middle.Ar_automaton.cache_hits);
-  (* the cap is part of the key: a larger one synthesizes afresh *)
-  let automaton, fresh = Ar_automaton.synthesize_memo ~max_states:1000 formula in
-  Alcotest.(check bool) "larger cap synthesizes" true fresh;
-  Alcotest.(check bool) "larger cap holds the countdown" true
-    (Ar_automaton.num_states automaton > 150)
+  let explicit = Sctc.Engine.Explicit in
+  let first =
+    match register ~max_states:100 explicit with
+    | Error count, fills, seconds ->
+      Alcotest.(check bool) "the aborted exploration filled entries" true
+        (fills > 0);
+      Alcotest.(check bool) "and is charged" true (seconds > 0.0);
+      count
+    | Ok (), _, _ -> Alcotest.fail "expected Too_large"
+  in
+  (match register ~max_states:100 explicit with
+  | Error second, fills, _ ->
+    Alcotest.(check int) "same count re-raised" first second;
+    Alcotest.(check int) "re-raised without filling" 0 fills
+  | Ok (), _, _ -> Alcotest.fail "expected Too_large");
+  (match register ~max_states:1000 explicit with
+  | Ok (), fills, seconds ->
+    Alcotest.(check bool) "a larger cap explores the rest" true (fills > 0);
+    Alcotest.(check bool) "and is charged" true (seconds > 0.0)
+  | Error _, _, _ -> Alcotest.fail "the larger cap holds the countdown");
+  List.iter
+    (fun engine ->
+      let label = Sctc.Engine.to_string engine in
+      match register engine with
+      | Ok (), fills, seconds ->
+        Alcotest.(check int) (label ^ " fills nothing") 0 fills;
+        Alcotest.(check (float 0.0)) (label ^ " charges nothing") 0.0 seconds
+      | Error _, _, _ -> Alcotest.fail "the complete table is under the cap")
+    Sctc.Engine.all;
+  Alcotest.(check bool) "the shared table holds the countdown" true
+    (Ar_automaton.num_states (Ar_automaton.shared formula) > 150)
 
 let test_absorbing_states () =
   let automaton = Ar_automaton.synthesize (parse "F p") in
@@ -411,6 +440,160 @@ let test_monitor_absorbing_and_reset () =
   Alcotest.(check int) "steps reset" 0 (Monitor.steps monitor);
   check_verdict "pending again" Verdict.Pending (Monitor.verdict monitor)
 
+(* --- the lazy table (qcheck) --------------------------------------------- *)
+
+(* A random formula over a/b/c, joined to a clause over [width] more
+   propositions w00.. so that all of them are in the support: width 0
+   keeps the support within synthesis range, 13-17 makes it 13-20, where
+   rows are hashed. A step sets each w-proposition with probability
+   1/(width+1), so their disjunction is neither always nor never true. *)
+type lazy_case = {
+  formula : F.t;
+  width : int;
+  trace : ((bool * bool * bool) * bool array) list;
+}
+
+let gen_lazy_case =
+  let open QCheck.Gen in
+  oneof [ return 0; int_range 13 17 ] >>= fun width ->
+  gen_formula >>= fun base ->
+  let wide = List.init width (fun i -> F.prop (Printf.sprintf "w%02d" i)) in
+  let any = List.fold_left F.or_ F.fls wide in
+  (if width = 0 then return base
+   else
+     oneofl
+       [
+         F.and_ base (F.globally None any);
+         F.until None any base;
+         F.or_ base (F.finally (Some 2) (F.and_ any (F.next (F.not_ any))));
+       ])
+  >>= fun formula ->
+  let step =
+    pair (triple bool bool bool)
+      (array_repeat width (map (fun n -> n = 0) (int_bound width)))
+  in
+  map (fun trace -> { formula; width; trace }) (list_size (int_range 1 8) step)
+
+let print_lazy_case case =
+  Printf.sprintf "%s (width %d) on %s" (F.to_string case.formula) case.width
+    (String.concat ";"
+       (List.map
+          (fun ((a, b, c), wide) ->
+            Printf.sprintf "(%b,%b,%b|%s)" a b c
+              (String.concat ""
+                 (Array.to_list
+                    (Array.map (fun v -> if v then "1" else "0") wide))))
+          case.trace))
+
+let valuation_of_step (triple, wide) name =
+  if String.length name = 3 && name.[0] = 'w' then
+    wide.(int_of_string (String.sub name 1 2))
+  else valuation_of_triple triple name
+
+(* Two monitors over one root share the calling domain's table: one reads
+   the trace forwards, the other backwards, stepped alternately. Each
+   must match plain progression per step, weakly and strongly finalized;
+   the forward one also matches a synthesized automaton (when the
+   support is small enough to synthesize), and replays identically
+   after [reset]. *)
+let qcheck_lazy_table_matches_oracles =
+  QCheck.Test.make ~name:"lazy monitor == synthesized == progression"
+    ~count:300 (QCheck.make ~print:print_lazy_case gen_lazy_case)
+    (fun case ->
+      let forward = List.map valuation_of_step case.trace in
+      let backward = List.rev forward in
+      let one = Monitor.of_formula ~name:"one" case.formula in
+      let two = Monitor.of_formula ~name:"two" case.formula in
+      let support = Monitor.support one in
+      let map = Array.init (Array.length support) Fun.id in
+      let step monitor valuation =
+        Monitor.step_indexed monitor ~samples:(Array.map valuation support) ~map
+      in
+      (* a small cap keeps the oracle cheap: exploring nested until and
+         release obligations costs about ten times more per doubling of
+         the states explored *)
+      let automaton =
+        if case.width > 0 then None
+        else
+          match Ar_automaton.synthesize ~max_states:64 case.formula with
+          | automaton -> Some automaton
+          | exception Ar_automaton.Too_large _ -> None
+      in
+      let state =
+        ref (Option.fold ~none:0 ~some:Ar_automaton.initial automaton)
+      in
+      let matches_obligation monitor verdict obligation =
+        Verdict.equal verdict (Progression.verdict obligation)
+        && Verdict.equal (Monitor.finalize monitor)
+             (Progression.finalize obligation)
+        && Verdict.equal
+             (Monitor.finalize ~strong:true monitor)
+             (Progression.finalize ~strong:true obligation)
+      in
+      let matches_automaton valuation verdict =
+        match automaton with
+        | None -> true
+        | Some automaton ->
+          state :=
+            Ar_automaton.next automaton !state
+              (Ar_automaton.mask_of_valuation automaton valuation);
+          let expected =
+            match Ar_automaton.kind automaton !state with
+            | Ar_automaton.Accept -> Verdict.True
+            | Ar_automaton.Reject -> Verdict.False
+            | Ar_automaton.Pend -> Verdict.Pending
+          in
+          Verdict.equal verdict expected
+      in
+      let obligation_one = ref case.formula
+      and obligation_two = ref case.formula in
+      let first_run =
+        List.map2
+          (fun v1 v2 ->
+            let verdict_one = step one v1 in
+            obligation_one := Progression.step !obligation_one v1;
+            let verdict_two = step two v2 in
+            obligation_two := Progression.step !obligation_two v2;
+            let ok =
+              matches_obligation one verdict_one !obligation_one
+              && matches_obligation two verdict_two !obligation_two
+              && matches_automaton v1 verdict_one
+            in
+            (ok, verdict_one))
+          forward backward
+      in
+      Monitor.reset one;
+      let replay = List.map (step one) forward in
+      List.for_all fst first_run
+      && List.equal Verdict.equal (List.map snd first_run) replay
+      && Monitor.steps one = List.length forward)
+
+(* A table is filled only on the domain that created it; a filled entry
+   reads from any domain. *)
+let test_fill_from_another_domain () =
+  let monitor = Monitor.of_formula ~name:"m" (parse "G (a -> F[3] b)") in
+  let step () =
+    Monitor.step_indexed monitor ~samples:[| true; false |] ~map:[| 0; 1 |]
+  in
+  (match Domain.join (Domain.spawn step) with
+  | (_ : Verdict.t) -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    let mentions needle =
+      let n = String.length needle in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+      in
+      at 0
+    in
+    Alcotest.(check bool) (Printf.sprintf "%S names the domain" msg) true
+      (mentions "domain"));
+  Alcotest.(check int) "the failed step is not counted" 0
+    (Monitor.steps monitor);
+  let verdict = step () in
+  Monitor.reset monitor;
+  check_verdict "the filled entry reads from another domain" verdict
+    (Domain.join (Domain.spawn step))
+
 let suite_progression =
   [
     Alcotest.test_case "globally violation" `Quick test_globally_violation;
@@ -432,8 +615,8 @@ let suite_automaton =
     Alcotest.test_case "growth with bound" `Quick
       test_automaton_growth_with_bound;
     Alcotest.test_case "too large" `Quick test_too_large;
-    Alcotest.test_case "memo caches Too_large" `Quick
-      test_memo_caches_too_large;
+    Alcotest.test_case "second registration fills nothing" `Quick
+      test_second_registration_fills_nothing;
     Alcotest.test_case "absorbing states" `Quick test_absorbing_states;
     QCheck_alcotest.to_alcotest qcheck_explicit_matches_progression;
   ]
@@ -455,4 +638,10 @@ let () =
       ("progression", suite_progression);
       ("ar-automaton", suite_automaton);
       ("il-and-monitor", suite_il);
+      ( "lazy-table",
+        [
+          QCheck_alcotest.to_alcotest qcheck_lazy_table_matches_oracles;
+          Alcotest.test_case "fill from another domain" `Quick
+            test_fill_from_another_domain;
+        ] );
     ]

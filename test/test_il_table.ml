@@ -5,11 +5,11 @@
      on every (state, mask) of automata synthesized from random formulas
    - the missing-guard diagnostic names the automaton and spells the
      valuation as a proposition assignment
-   - [Engine] string round-trips (the retired "hybrid" and "il" names are
-     unknown) and the checker's [Auto] fallback to on-the-fly
-   - [Auto] above the state cap: fresh checkers pay the failed synthesis
-     once, and verdicts match [Otf] and [Explicit] (at a larger cap) per
-     step *)
+   - [Engine] string round-trips (the retired "hybrid", "il" and "auto"
+     names are unknown)
+   - a property with 20000 count-down states: fresh checkers fill its
+     table once per domain, and [Otf] filling on demand matches
+     [Explicit] exploring up front, per step *)
 
 module Checker = Sctc.Checker
 module Engine = Sctc.Engine
@@ -131,7 +131,7 @@ let test_missing_guard_message () =
   (* mask 2 = a false, b true; only cubes with a=1 are covered *)
   expect_message (fun () -> Il.next missing_guard_il 0 2)
 
-(* --- the engine enum and the checker's Auto fallback -------------------- *)
+(* --- the engine enum -------------------------------------------------- *)
 
 let test_engine_strings () =
   List.iter
@@ -144,7 +144,7 @@ let test_engine_strings () =
   Alcotest.(check bool) "on-the-fly alias" true
     (Engine.of_string "on-the-fly" = Some Engine.Otf);
   Alcotest.(check bool) "case-insensitive" true
-    (Engine.of_string "AUTO" = Some Engine.Auto);
+    (Engine.of_string "EXPLICIT" = Some Engine.Explicit);
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " rejected") true
@@ -156,30 +156,7 @@ let test_engine_strings () =
         Alcotest.(check bool)
           (Printf.sprintf "%S lists %s" msg known)
           true (contains msg known))
-    [ "warp"; "hybrid"; "il" ]
-
-let test_checker_auto_falls_back () =
-  let value = ref 0 in
-  let checker = Checker.create ~name:"auto" () in
-  Checker.register_sampler checker "req" (fun () -> !value mod 17 = 1);
-  Checker.register_sampler checker "ack" (fun () -> !value mod 17 = 5);
-  (* a state budget far below the bound: Auto must fall back to
-     on-the-fly instead of raising Too_large, and still verify correctly *)
-  Checker.add_property_text ~engine:Checker.Auto ~max_states:4 checker
-    ~name:"p" "G (req -> F[500] ack)";
-  let reference = Checker.create ~name:"otf" () in
-  Checker.register_sampler reference "req" (fun () -> !value mod 17 = 1);
-  Checker.register_sampler reference "ack" (fun () -> !value mod 17 = 5);
-  Checker.add_property_text ~engine:Checker.Otf reference ~name:"p"
-    "G (req -> F[500] ack)";
-  for _ = 1 to 300 do
-    incr value;
-    Checker.step checker;
-    Checker.step reference;
-    check_verdict "auto == otf"
-      (Checker.verdict reference "p")
-      (Checker.verdict checker "p")
-  done
+    [ "warp"; "hybrid"; "il"; "auto" ]
 
 let test_checker_opt_accessors () =
   let checker = Checker.create ~name:"opt" () in
@@ -202,72 +179,63 @@ let test_checker_opt_accessors () =
   | (_ : int option) -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* --- Auto above the state cap ------------------------------------------- *)
+(* --- a large bound ------------------------------------------------------ *)
 
-(* twice the auto cap: every registration under [Auto] fails synthesis *)
-let over_cap = Sctc.Prop.parse_exn ~syntax:`Fltl "G (a -> F[20000] b)"
+(* 20000 count-down states: a run takes a handful, exploring fills all *)
+let large_bound = Sctc.Prop.parse_exn ~syntax:`Fltl "G (a -> F[20000] b)"
 
 (* a request every 17 triggers, answered 4 triggers later while
    [tick < answered_until]; returns a stepper yielding the verdict *)
-let over_cap_stepper ?max_states ?(answered_until = max_int) engine =
+let large_bound_stepper ?(answered_until = max_int) engine =
   let tick = ref 0 in
   let checker = Checker.create ~name:(Engine.to_string engine) () in
   Checker.register_sampler checker "a" (fun () -> !tick mod 17 = 1);
   Checker.register_sampler checker "b" (fun () ->
       !tick mod 17 = 5 && !tick < answered_until);
-  Checker.add_property ~engine ?max_states checker ~name:"p" over_cap;
+  Checker.add_property ~engine checker ~name:"p" large_bound;
   fun () ->
     incr tick;
     Checker.step checker;
     Checker.verdict checker "p"
 
-(* Fresh checkers re-register the over-cap property, as campaign jobs do.
-   The failed synthesis is paid by the first one only: the later ones hit
-   the cached failure and step cached on-the-fly transitions, so together
-   they build fewer formulas than one capped exploration would. *)
-let test_auto_over_cap_pays_once () =
-  let constructions () =
-    let stats = Formula.cons_stats () in
-    stats.Formula.dls_hits + stats.Formula.dls_misses
-  in
+(* Fresh checkers re-register the property, as campaign jobs do. The
+   first one on this domain fills the table entries its run takes; the
+   later ones, driven by the same stimulus, find all of them filled. *)
+let test_synthesis_paid_once () =
   let session () =
-    let step = over_cap_stepper Engine.Auto in
+    let step = large_bound_stepper Engine.Otf in
+    let before = Ar_automaton.fills () in
     for _ = 1 to 300 do
       ignore (step ())
-    done
+    done;
+    Ar_automaton.fills () - before
   in
-  let misses () = (Ar_automaton.cache_stats ()).Ar_automaton.cache_misses in
-  let misses_before = misses () in
-  session ();
-  let built_before = constructions () in
-  for _ = 2 to 50 do
-    session ()
-  done;
-  Alcotest.(check bool) "at most one synthesis miss" true
-    (misses () - misses_before <= 1);
-  let built = constructions () - built_before in
-  Alcotest.(check bool)
-    (Printf.sprintf "49 later sessions built %d formulas" built)
-    true
-    (built < Engine.auto_max_states)
+  Alcotest.(check bool) "the first checker fills" true (session () > 0);
+  for i = 2 to 50 do
+    Alcotest.(check int) (Printf.sprintf "checker %d fills nothing" i) 0
+      (session ())
+  done
 
-let test_auto_over_cap_verdicts () =
-  (* requests go unanswered from trigger 307 on, so the property fails
-     20000 triggers later: the comparison covers the verdict change *)
-  let answered_until = 300 in
-  let auto = over_cap_stepper ~answered_until Engine.Auto in
-  let otf = over_cap_stepper ~answered_until Engine.Otf in
-  let explicit =
-    over_cap_stepper ~answered_until ~max_states:50_000 Engine.Explicit
+(* [Otf] fills its table on demand in a domain of its own; [Explicit]
+   explores this domain's table to the fixpoint at registration, with no
+   cap below the default. Requests go unanswered from trigger 307 on, so
+   the property fails 20000 triggers later: the comparison covers the
+   verdict change. *)
+let test_otf_matches_explicit () =
+  let answered_until = 300 and triggers = 20_500 in
+  let otf =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let step = large_bound_stepper ~answered_until Engine.Otf in
+           Array.init triggers (fun _ -> step ())))
   in
-  let last = ref Verdict.Pending in
-  for i = 1 to 20_500 do
-    let verdict = auto () in
-    if not (Verdict.equal verdict (otf ()) && Verdict.equal verdict (explicit ()))
-    then Alcotest.failf "engines disagree at trigger %d" i;
-    last := verdict
-  done;
-  check_verdict "violation reached" Verdict.False !last
+  let explicit = large_bound_stepper ~answered_until Engine.Explicit in
+  Array.iteri
+    (fun i verdict ->
+      if not (Verdict.equal verdict (explicit ())) then
+        Alcotest.failf "engines disagree at trigger %d" (i + 1))
+    otf;
+  check_verdict "violation reached" Verdict.False otf.(triggers - 1)
 
 let qcheck cases = List.map (QCheck_alcotest.to_alcotest ~verbose:false) cases
 
@@ -283,16 +251,14 @@ let () =
       ( "engine-api",
         [
           Alcotest.test_case "string round-trips" `Quick test_engine_strings;
-          Alcotest.test_case "checker Auto falls back" `Quick
-            test_checker_auto_falls_back;
           Alcotest.test_case "_opt accessors" `Quick
             test_checker_opt_accessors;
         ] );
       ( "over-cap",
         [
           Alcotest.test_case "synthesis paid once" `Quick
-            test_auto_over_cap_pays_once;
-          Alcotest.test_case "auto == otf == explicit, per step" `Quick
-            test_auto_over_cap_verdicts;
+            test_synthesis_paid_once;
+          Alcotest.test_case "otf == explicit, per step" `Quick
+            test_otf_matches_explicit;
         ] );
     ]

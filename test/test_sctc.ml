@@ -158,19 +158,54 @@ let test_synthesis_time_accounted () =
   Checker.register_sampler checker "a" (fun () -> true);
   Alcotest.(check (float 0.0)) "zero before" 0.0
     (Checker.synthesis_seconds checker);
-  (* a bound no other test synthesizes, so this add is a cache miss *)
+  (* a bound no other test uses, so this add explores a fresh table *)
   Checker.add_property_text ~engine:Checker.Explicit checker ~name:"p"
     "F[2017] a";
   Alcotest.(check bool) "positive after explicit synthesis" true
     (Checker.synthesis_seconds checker > 0.0);
-  (* the same property on a fresh checker is served by the per-domain
-     automaton cache: no new synthesis time is charged *)
+  (* the same property on a fresh checker finds the table this domain
+     already explored: no new synthesis time is charged *)
   let cached = Checker.create ~name:"t2" () in
   Checker.register_sampler cached "a" (fun () -> true);
   Checker.add_property_text ~engine:Checker.Explicit cached ~name:"p"
     "F[2017] a";
   Alcotest.(check (float 0.0)) "cache hit charges no synthesis time" 0.0
     (Checker.synthesis_seconds cached)
+
+(* A transition mask is one OCaml int: a support wider than its
+   [Sys.int_size] bits is rejected at registration, with the count in
+   the message, and the widest accepted support still reads its top
+   proposition. *)
+let test_checker_wide_support () =
+  let checker_over width =
+    let names = List.init width (Printf.sprintf "p%02d") in
+    let top = List.nth names (width - 1) in
+    let checker = Checker.create ~name:"wide" () in
+    List.iter
+      (fun name ->
+        Checker.register_sampler checker name (fun () -> String.equal name top))
+      names;
+    let any = List.fold_left Formula.or_ Formula.fls (List.map Formula.prop names) in
+    (checker, Formula.globally None any)
+  in
+  let checker, formula = checker_over Sys.int_size in
+  Checker.add_property checker ~name:"any" formula;
+  for _ = 1 to 3 do
+    Checker.step checker
+  done;
+  check_verdict "only the top proposition holds" Verdict.Pending
+    (Checker.verdict checker "any");
+  let checker, formula = checker_over (Sys.int_size + 1) in
+  match Checker.add_property checker ~name:"any" formula with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    let count = string_of_int (Sys.int_size + 1) in
+    let n = String.length count in
+    let rec mentions i =
+      i + n <= String.length msg && (String.sub msg i n = count || mentions (i + 1))
+    in
+    Alcotest.(check bool) (Printf.sprintf "%S gives the count" msg) true
+      (mentions 0)
 
 (* --- coverage ------------------------------------------------------------- *)
 
@@ -356,6 +391,7 @@ let suite_checker =
     Alcotest.test_case "reset" `Quick test_checker_reset;
     Alcotest.test_case "synthesis time accounted" `Quick
       test_synthesis_time_accounted;
+    Alcotest.test_case "wide support" `Quick test_checker_wide_support;
   ]
 
 let suite_coverage =

@@ -1,9 +1,9 @@
 (* Tests for the compiled trigger plan: the shared per-trigger sample
    vector (each proposition probed exactly once per trigger, however
    many properties share it), active-set stepping (settled monitors are
-   skipped), and the progression transition cache behind the on-the-fly
-   engine — differentially against plain [Progression.step], and under
-   4 concurrent domains against a single-domain oracle. *)
+   skipped), and the per-domain AR-automaton tables monitors step —
+   differentially against plain [Progression.step], and under 4
+   concurrent domains against a single-domain oracle. *)
 
 module Checker = Sctc.Checker
 module Trace = Sctc.Trace
@@ -95,7 +95,7 @@ let qcheck_plan_matches_progression =
       List.for_all2 Verdict.equal reference fast)
 
 (* several properties on one checker must not disturb each other even
-   though they share the sample vector and the transition cache *)
+   though they share the sample vector and the AR-automaton tables *)
 let qcheck_plan_multi_property =
   QCheck.Test.make
     ~name:"three shared-support properties == three independent references"
@@ -286,12 +286,12 @@ let test_reset_replays_identically () =
   Alcotest.(check int) "same length" (List.length first) (List.length second);
   List.iter2 (fun a b -> check_verdict "replay verdict" a b) first second
 
-(* --- 4-domain transition-cache stress ------------------------------------ *)
+(* --- 4-domain table stress ----------------------------------------------- *)
 
 (* Every domain steps the same property set over the same scripted
-   stimulus; each populates its own domain-local transition cache while
-   hash-consing formulas through the shared sharded table. The oracle is
-   the uncached single-domain reference stepper. *)
+   stimulus; each fills its own AR-automaton tables while hash-consing
+   formulas through the shared sharded table. The oracle is the plain
+   single-domain reference stepper. *)
 
 let stress_formulas () =
   List.map Sctc.Prop.parse_exn
@@ -314,14 +314,19 @@ let stress_script rounds =
       let bits = !state lsr 13 in
       (bits land 1 = 1, bits land 2 = 2, bits land 4 = 4))
 
+(* the verdicts, and the table entries the domain filled for them *)
 let run_stress_checker formulas script =
+  let fills = Ar_automaton.fills () in
   let checker, current = plan_checker_of formulas in
-  List.concat_map
-    (fun triple ->
-      current := triple;
-      Checker.step checker;
-      List.map snd (Checker.verdicts checker))
-    script
+  let verdicts =
+    List.concat_map
+      (fun triple ->
+        current := triple;
+        Checker.step checker;
+        List.map snd (Checker.verdicts checker))
+      script
+  in
+  (verdicts, Ar_automaton.fills () - fills)
 
 let test_four_domain_cache_stress () =
   let formulas = stress_formulas () in
@@ -340,7 +345,7 @@ let test_four_domain_cache_stress () =
   in
   let results = List.map Domain.join domains in
   List.iteri
-    (fun d result ->
+    (fun d (result, _) ->
       Alcotest.(check int)
         (Printf.sprintf "domain %d verdict count" d)
         (List.length oracle) (List.length result);
@@ -349,10 +354,19 @@ let test_four_domain_cache_stress () =
           check_verdict (Printf.sprintf "domain %d verdict" d) expected got)
         oracle result)
     results;
-  let stats = Transition_cache.stats () in
+  (* the same stimulus takes the same entries on every domain, each
+     filled once: fewer fills than monitor steps *)
+  let fills = List.map snd results in
+  let first = List.hd fills in
+  List.iteri
+    (fun d count ->
+      Alcotest.(check int) (Printf.sprintf "domain %d fills" d) first count)
+    fills;
   Alcotest.(check bool)
-    "the cache actually served transitions" true
-    (stats.Transition_cache.hits > 0)
+    (Printf.sprintf "%d fills, fewer than the %d monitor steps" first
+       (List.length oracle))
+    true
+    (first > 0 && first < List.length oracle)
 
 let () =
   Alcotest.run "trigger-plan"
