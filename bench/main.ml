@@ -613,14 +613,18 @@ let run_checker_bench () =
    (fully deterministic, identical on both backends) until [target]
    statements have been executed; the best of three rounds is reported,
    so a loaded runner degrades both backends instead of flaking the
-   ratio. Returns the resolved backend name so the row records what
-   actually ran. *)
+   ratio. Also returns the minor words of one such run, which are exact
+   for a given input and binary. *)
 let exec_throughput ~target backend =
   let info = (Eee.Eee_program.derive ()).Esw.C2sc.model_info in
   let exec = Minic.Exec.create ~backend info in
   let hooks = Minic.Exec.default_hooks () in
   (* warm-up: touch the code path (and the VM's frames) before timing *)
   ignore (Minic.Exec.run ~fuel:20_000 ~hooks exec ~entry:"main");
+  Minic.Exec.reset exec;
+  let before = Gc.minor_words () in
+  ignore (Minic.Exec.run ~fuel:target ~hooks exec ~entry:"main");
+  let words = int_of_float (Gc.minor_words () -. before) in
   let round () =
     let statements = ref 0 and seconds = ref 0.0 in
     while !statements < target do
@@ -637,16 +641,32 @@ let exec_throughput ~target backend =
       (fun acc () ->
         let statements, seconds = round () in
         match acc with
-        | Some (_, s, st) when float_of_int st /. s
-                               >= float_of_int statements /. seconds ->
+        | Some (st, s) when float_of_int st /. s
+                            >= float_of_int statements /. seconds ->
           acc
-        | _ -> Some (Minic.Exec.kind_name exec, seconds, statements))
+        | _ -> Some (statements, seconds))
       None
       [ (); (); () ]
   in
-  match best with
-  | Some (kind, seconds, statements) -> (kind, statements, seconds)
-  | None -> assert false
+  let statements, seconds = Option.get best in
+  (statements, seconds, words)
+
+(* The last committed simulate row measured under this OCaml version:
+   the cost counts are exact for a given compiler, so they gate against
+   it with no tolerance. Read before this run appends its own row. *)
+let simulate_baseline () =
+  match Verif.Bench_log.load "BENCH_campaign.json" with
+  | exception Sys_error _ -> None
+  | Error msg -> failwith ("BENCH_campaign.json: " ^ msg)
+  | Ok rows ->
+    List.fold_left
+      (fun last (row : Verif.Bench_log.row) ->
+        if row.table = "simulate"
+           && Verif.Bench_log.str_field row "ocaml_version"
+              = Some Sys.ocaml_version
+        then Some row
+        else last)
+      None rows
 
 (* One full (small) EEE campaign per backend: same plan, same seed, only
    [plan.backend] differs. The determinism contract across backends is
@@ -678,10 +698,11 @@ let run_simulate_bench () =
     !scale;
   print_endline "=========================================================";
   let target = 2_000_000 * !scale in
-  let interp_kind, interp_statements, interp_seconds =
+  let baseline = simulate_baseline () in
+  let interp_statements, interp_seconds, interp_words =
     exec_throughput ~target Minic.Exec.Interp
   in
-  let vm_kind, vm_statements, vm_seconds =
+  let vm_statements, vm_seconds, vm_words =
     exec_throughput ~target Minic.Exec.Vm
   in
   let sps statements seconds =
@@ -691,12 +712,32 @@ let run_simulate_bench () =
   and vm_sps = sps vm_statements vm_seconds in
   let speedup = if interp_sps > 0.0 then vm_sps /. interp_sps else 0.0 in
   Printf.printf "  %-28s %12.0f statements/s  (%d statements, %.3fs)\n"
-    ("interpreter (" ^ interp_kind ^ ")")
-    interp_sps interp_statements interp_seconds;
+    "interpreter" interp_sps interp_statements interp_seconds;
   Printf.printf
     "  %-28s %12.0f statements/s  (%d statements, %.3fs)  speedup %.2fx\n"
-    ("bytecode VM (" ^ vm_kind ^ ")")
-    vm_sps vm_statements vm_seconds speedup;
+    "bytecode VM" vm_sps vm_statements vm_seconds speedup;
+  (* deterministic cost counts: the VM's allocation over one fixed-fuel
+     run and the size of the compiled EEE model *)
+  let bytecode_length =
+    Array.length
+      (Minic.Compile.compile (Eee.Eee_program.derive ()).Esw.C2sc.model_info)
+        .Minic.Bytecode.code
+  in
+  let gate field count =
+    let limit =
+      Option.bind baseline (fun row -> Verif.Bench_log.int_field row field)
+    in
+    Printf.printf "  %-28s %12d  (gate: %s)\n" field count
+      (match limit with
+      | Some limit ->
+        Printf.sprintf "<= %d, last OCaml %s row" limit Sys.ocaml_version
+      | None -> "none, this row is the baseline");
+    match limit with Some limit -> count <= limit | None -> true
+  in
+  Printf.printf "  minor words over one %d-statement run: interpreter %d\n"
+    target interp_words;
+  let words_ok = gate "vm_minor_words" vm_words in
+  let length_ok = gate "bytecode_length" bytecode_length in
   (* determinism contract: one small campaign per backend, only
      [plan.backend] differing — verdicts and golden JSONL must match *)
   let interp_summary, interp_jsonl, interp_metrics =
@@ -723,9 +764,7 @@ let run_simulate_bench () =
          ("scale", Json.int !scale);
          ("jobs", Json.int 1);
          ("cores", Json.int cores);
-         (* VM-vs-interpreter is single-threaded: the expectation holds
-            on any core count, unlike the campaign table's pool rows *)
-         ("speedup_expected", Json.bool true);
+         ("ocaml_version", Json.string Sys.ocaml_version);
          ("target_statements", Json.int target);
          ("interp_statements", Json.int interp_statements);
          ("interp_seconds", Json.float interp_seconds);
@@ -734,16 +773,19 @@ let run_simulate_bench () =
          ("vm_seconds", Json.float vm_seconds);
          ("vm_sps", Json.float vm_sps);
          ("speedup", Json.float speedup);
+         ("vm_minor_words", Json.int vm_words);
+         ("interp_minor_words", Json.int interp_words);
+         ("bytecode_length", Json.int bytecode_length);
          ("verdicts_identical", Json.bool verdicts_identical);
          ("jsonl_identical", Json.bool jsonl_identical);
          ("sim_interp_statements_total", Json.int interp_sim_statements);
          ("sim_vm_statements_total", Json.int vm_sim_statements);
        ];
   Printf.printf "recorded in BENCH_campaign.json\n\n";
-  (* the CI gate: cross-backend identity must always hold; the
-     throughput bar is set below the documented steady-state speedup so
-     a loaded runner cannot flake it *)
-  verdicts_identical && jsonl_identical && speedup >= 2.0
+  (* the CI gate: cross-backend identity must always hold, and neither
+     exact cost count may rise above the last row of this OCaml version;
+     the speedup is wall-clock and only reported *)
+  verdicts_identical && jsonl_identical && words_ok && length_ok
 
 (* ------------------------------------------------------------------ *)
 (* SMC: Wald's sequential test vs the fixed-size Chernoff bound        *)

@@ -2,7 +2,7 @@
 
    Subcommands:
      parse      parse + typecheck a MiniC file
-     run        execute on the reference interpreter
+     run        execute on the bytecode VM
      compile    compile to the RISC ISA (prints assembly)
      sim        execute on the cycle-level SoC
      automaton  synthesize a property into an AR-automaton (IL text)
@@ -69,50 +69,41 @@ let cmd_parse =
     Term.(const action $ file_arg)
 
 let cmd_run =
-  let action path fuel backend =
+  let action path fuel =
     let info = load_runnable path in
-    match Minic.Exec.create ~backend info with
-    | exception Minic.Compile.Unsupported msg ->
-      Printf.eprintf "%s: not supported by the %s backend: %s\n" path
-        (Minic.Exec.to_string backend) msg;
-      2
-    | exec -> (
-      match Minic.Exec.run ~fuel exec ~entry:"main" with
-      | Minic.Exec.Finished v ->
-        Printf.printf "finished: %s (%d statements, %s backend)\n"
-          (match v with Some v -> string_of_int v | None -> "void")
-          (Minic.Exec.statements_executed exec)
-          (Minic.Exec.kind_name exec);
-        0
-      | Minic.Exec.Halted ->
-        print_endline "halted";
-        0
-      | Minic.Exec.Fuel_exhausted ->
-        print_endline "fuel exhausted";
-        1
-      | exception Minic.Exec.Assertion_failed pos ->
-        Printf.printf "assertion failed at %d:%d\n" pos.Minic.Ast.line
-          pos.Minic.Ast.column;
-        1
-      | exception Minic.Exec.Assumption_failed pos ->
-        Printf.printf "assumption failed at %d:%d\n" pos.Minic.Ast.line
-          pos.Minic.Ast.column;
-        1
-      | exception Minic.Exec.Runtime_error (msg, pos) ->
-        Printf.printf "runtime error at %d:%d: %s\n" pos.Minic.Ast.line
-          pos.Minic.Ast.column msg;
-        1)
+    let exec = Minic.Exec.create info in
+    match Minic.Exec.run ~fuel exec ~entry:"main" with
+    | Minic.Exec.Finished v ->
+      Printf.printf "finished: %s (%d statements)\n"
+        (match v with Some v -> string_of_int v | None -> "void")
+        (Minic.Exec.statements_executed exec);
+      0
+    | Minic.Exec.Halted ->
+      print_endline "halted";
+      0
+    | Minic.Exec.Fuel_exhausted ->
+      print_endline "fuel exhausted";
+      1
+    | exception Minic.Exec.Assertion_failed pos ->
+      Printf.printf "assertion failed at %d:%d\n" pos.Minic.Ast.line
+        pos.Minic.Ast.column;
+      1
+    | exception Minic.Exec.Assumption_failed pos ->
+      Printf.printf "assumption failed at %d:%d\n" pos.Minic.Ast.line
+        pos.Minic.Ast.column;
+      1
+    | exception Minic.Exec.Runtime_error (msg, pos) ->
+      Printf.printf "runtime error at %d:%d: %s\n" pos.Minic.Ast.line
+        pos.Minic.Ast.column msg;
+      1
   in
   let fuel =
     Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc:"Statement budget")
   in
-  let backend =
-    Arg.(value & opt Tcheck_cli.backend_conv Minic.Exec.Auto
-           & info [ "backend" ] ~docv:"BACKEND"
-               ~doc:"Execution backend: $(b,interp), $(b,vm) or $(b,auto)")
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Execute on the reference MiniC backend")
-    Term.(const action $ file_arg $ fuel $ backend)
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Execute on the bytecode VM, the MiniC backend of approach 2")
+    Term.(const action $ file_arg $ fuel)
 
 let cmd_compile =
   let action path show_asm =
@@ -139,6 +130,14 @@ let cmd_sim =
     let info = load_runnable path in
     let soc = Platform.Soc.create () in
     Platform.Soc.load soc (Mcc.Codegen.compile info);
+    (* the clock outlives the CPU: end the run at the cycle it stops *)
+    let kernel = Platform.Soc.kernel soc in
+    ignore
+      (Sim.Kernel.spawn kernel ~name:"halt" (fun () ->
+           while not (Platform.Soc.cpu_stopped soc) do
+             Sim.Clock.wait_posedge (Platform.Soc.clock soc)
+           done;
+           Sim.Kernel.stop kernel));
     Platform.Soc.run ~max_cycles soc;
     let cpu = Platform.Soc.cpu soc in
     (match Cpu.Cpu_core.stop_reason cpu with
@@ -259,7 +258,6 @@ let cmd_verify =
               bound = Some budget;
               seed = common.Tcheck_cli.seed;
               flag;
-              exec_backend = common.Tcheck_cli.backend;
               trace;
               metrics;
             }
@@ -418,7 +416,6 @@ let cmd_eee =
         bound;
         fault_rate;
         seed = common.Tcheck_cli.seed;
-        backend = common.Tcheck_cli.backend;
         metrics;
       }
     in
@@ -529,7 +526,6 @@ let cmd_smc =
           (if quick then Some (Eee.Harness.flash_quick_config ~fault_rate)
            else None);
         seed = common.Tcheck_cli.seed;
-        backend = common.Tcheck_cli.backend;
         metrics;
       }
     in

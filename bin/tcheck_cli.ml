@@ -10,21 +10,11 @@ type common = {
   jobs : int;
   chunk : int option;
   seed : int;
-  backend : Minic.Exec.kind;
   trace_file : string option;
   metrics_file : string option;
   out_shards : int option;
   window : int option;
 }
-
-let backend_conv =
-  let parse s =
-    match Minic.Exec.of_string s with
-    | Some kind -> Ok kind
-    | None -> Error (`Msg "expected 'interp', 'vm' or 'auto'")
-  in
-  Cmdliner.Arg.conv
-    (parse, fun fmt kind -> Format.pp_print_string fmt (Minic.Exec.to_string kind))
 
 let engine_conv =
   let parse s =
@@ -93,15 +83,6 @@ let term ~default_seed =
                  (lib/obs) during the run and write the snapshot as JSONL \
                  to this file; validate it with $(b,tcheck metrics)")
   in
-  let backend =
-    Arg.(value & opt backend_conv Minic.Exec.Auto & info [ "backend" ]
-           ~docv:"BACKEND"
-           ~doc:"MiniC execution backend for the reference and \
-                 derived-model runtimes: $(b,interp) (tree-walking \
-                 reference interpreter), $(b,vm) (bytecode VM) or \
-                 $(b,auto) (VM with interpreter fallback; the default). \
-                 Verdicts and traces are identical across backends")
-  in
   let out_shards =
     Arg.(value & opt (some int) None & info [ "out-shards" ] ~docv:"S"
            ~doc:"Split the streamed --trace output over S files \
@@ -115,13 +96,11 @@ let term ~default_seed =
                  slow job can park before depositing workers block; \
                  default 2x the pool size, at least 4)")
   in
-  let combine jobs chunk seed backend trace_file metrics_file out_shards
-      window =
-    { jobs; chunk; seed; backend; trace_file; metrics_file; out_shards;
-      window }
+  let combine jobs chunk seed trace_file metrics_file out_shards window =
+    { jobs; chunk; seed; trace_file; metrics_file; out_shards; window }
   in
-  Term.(const combine $ jobs $ chunk $ seed $ backend $ trace_file
-        $ metrics_file $ out_shards $ window)
+  Term.(const combine $ jobs $ chunk $ seed $ trace_file $ metrics_file
+        $ out_shards $ window)
 
 (* a live registry only when a snapshot was requested, so un-instrumented
    runs keep the null registry's no-op handles *)

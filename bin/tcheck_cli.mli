@@ -6,15 +6,11 @@ type common = {
   jobs : int;  (** worker domains (default 1) *)
   chunk : int option;  (** jobs claimed per queue acquisition *)
   seed : int;  (** campaign master seed *)
-  backend : Minic.Exec.kind;  (** [--backend interp|vm|auto] *)
   trace_file : string option;  (** [--trace FILE.jsonl] *)
   metrics_file : string option;  (** [--metrics FILE.jsonl] *)
   out_shards : int option;  (** [--out-shards S]: shard the trace *)
   window : int option;  (** [--window W]: reassembly-window bound *)
 }
-
-val backend_conv : Minic.Exec.kind Cmdliner.Arg.conv
-(** [interp]/[vm]/[auto] ({!Minic.Exec.of_string}). *)
 
 val engine_conv : Sctc.Engine.t Cmdliner.Arg.conv
 (** [otf]/[explicit]/[auto] ({!Sctc.Engine.of_string}). *)

@@ -46,7 +46,7 @@ let approach1 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
   session
 
 let approach2 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
-    ?(seed = 42) ?(chunk_statements = 60) ?(backend = Minic.Exec.Auto)
+    ?(seed = 42) ?(chunk_statements = 60) ?(backend = Minic.Exec.Vm)
     ?(trace = Verif.Trace.null) ?(metrics = Registry.null) () =
   let flash =
     match flash with
@@ -103,7 +103,7 @@ let default_plan =
     watchdog_chunks = 200;
     seed = 7;
     flash = None;
-    backend = Minic.Exec.Auto;
+    backend = Minic.Exec.Vm;
     metrics = Registry.null;
   }
 

@@ -45,8 +45,7 @@ val approach2 :
     flash window and mailbox into the virtual memory model, attach the
     checker to the program-counter event, and start the model thread.
     [chunk_statements] defaults to 60; [backend] selects how the model
-    executes MiniC (default [Auto]: bytecode VM with interpreter
-    fallback). *)
+    executes MiniC (default [Vm]; [Interp] is the test oracle). *)
 
 (** {2 Parallel campaigns}
 
@@ -75,7 +74,8 @@ type plan = {
           {!flash_campaign_config} at [fault_rate] *)
   backend : Minic.Exec.kind;
       (** MiniC execution backend for approach-2 sessions (default
-          [Auto]); approach 1 executes compiled code and ignores it *)
+          [Vm]; [Interp] is the test oracle); approach 1 executes
+          compiled code and ignores it *)
   metrics : Obs.Registry.t;
       (** threaded into every job's session, the pool, and the per-job
           [eee_*] counters/histograms labeled [{approach, op}];

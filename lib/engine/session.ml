@@ -40,7 +40,7 @@ let default_config =
     jitter_prob = 0.0;
     jitter_max = 0;
     flag = None;
-    exec_backend = Minic.Exec.Auto;
+    exec_backend = Minic.Exec.Vm;
     trace = Trace.null;
     metrics = Registry.null;
   }
@@ -163,12 +163,11 @@ let time_units session =
   | Soc s -> Platform.Soc.cycles s.soc
   | Model m -> Esw.Esw_model.statements m.model
 
-(* the resolved Minic execution backend, for the statement-driven
-   runtimes (the SoC backend executes compiled code, not MiniC) *)
+(* the Minic execution backend of the statement-driven runtimes (the SoC
+   backend executes compiled code, not MiniC) *)
 let exec_backend session =
   match session.runtime with
-  | Ref r -> Some (Minic.Exec.kind r.env)
-  | Model m -> Some (Minic.Exec.kind (Esw.Esw_model.exec m.model))
+  | Ref _ | Model _ -> Some session.config.exec_backend
   | Soc _ -> None
 
 let alive session =

@@ -56,8 +56,8 @@ type config = {
           initialization-flag variable instead of a bare clock trigger *)
   exec_backend : Minic.Exec.kind;
       (** how the reference and derived-model backends execute MiniC:
-          interpreter, bytecode VM, or [Auto] (VM with interpreter
-          fallback). Ignored by the SoC backend. *)
+          the bytecode VM ([Vm], the default) or the interpreter oracle
+          ([Interp]). Ignored by the SoC backend. *)
   trace : Trace.t;  (** event bus; {!Trace.null} disables tracing *)
   metrics : Obs.Registry.t;
       (** metrics registry threaded into the checker and the session's
@@ -68,7 +68,7 @@ type config = {
 val default_config : config
 (** ["session"], on-the-fly engine, no properties, no bound, fuel 50e6,
     chunk 60, seed 42, default flash, no injected faults or jitter, no
-    flag, auto exec backend, null trace, null metrics registry. *)
+    flag, VM exec backend, null trace, null metrics registry. *)
 
 type t
 
@@ -110,11 +110,6 @@ val mailbox : t -> Platform.Mailbox.t
 
 val mailbox_opt : t -> Platform.Mailbox.t option
 (** As {!mailbox}, [None] where unsupported (reference backend). *)
-
-val exec_backend : t -> Minic.Exec.kind option
-(** The resolved MiniC execution backend ([Interp] or [Vm]) for the
-    reference and derived-model runtimes; [None] for the SoC backend,
-    which executes compiled code. *)
 
 val time_units : t -> int
 (** Cycles (SoC) / statements (reference, derived model) consumed. *)

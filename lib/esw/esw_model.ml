@@ -15,7 +15,7 @@ type t = {
 }
 
 let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
-    ?(backend = Minic.Exec.Auto) derived ~vmem =
+    ?(backend = Minic.Exec.Vm) derived ~vmem =
   let pc_ev = Sim.Kernel.event kernel "esw_pc_event" in
   let exec = Minic.Exec.create ~backend derived.C2sc.model_info in
   let prng = Stimuli.Prng.create ~seed in

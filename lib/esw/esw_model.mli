@@ -11,9 +11,9 @@
     The model's memory operations are bound to a {!Vmem}; [nondet] draws
     from a deterministic stimulus stream; flash-style devices that need a
     time base are advanced once per statement through [on_tick]. Execution
-    goes through {!Minic.Exec}, so the model runs on either the reference
-    interpreter or the bytecode VM ([backend], default [Auto]) with
-    identical event sequences. *)
+    goes through {!Minic.Exec}: the model runs on the bytecode VM
+    ([backend], default [Vm]) or, as a test oracle, on the reference
+    interpreter, with identical event sequences. *)
 
 type outcome_state =
   | Not_started

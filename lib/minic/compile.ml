@@ -8,28 +8,11 @@
    statement counter and [on_statement] boundary — so the VM's timing
    reference is the interpreter's, statement for statement.
 
-   Global initializers are pure (the typechecker rejects calls, nondet
-   and memory access there), so they are evaluated here, in declaration
-   order, into the program's initial scalar-store image.
-
-   Two constructs get [Unsupported] instead of code, because the
-   interpreter gives them *dynamic* declaration semantics that fixed
-   slot assignment cannot reproduce:
-
-   - a local declared directly in one switch case and referenced from a
-     different case: whether the later case sees that local or an outer
-     binding depends on which case control entered at;
-   - a declaration that executes conditionally into its enclosing scope
-     (a bare [Decl] as the body of an [If]/[While]/[For], or in a [For]
-     step): the name only resolves on executions where the declaration
-     actually ran.
-
-   [Exec]'s auto backend selection falls back to the interpreter for
-   such programs. *)
-
-exception Unsupported of string
-
-let unsupported fmt = Printf.ksprintf (fun m -> raise (Unsupported m)) fmt
+   The typechecker makes every name resolve lexically (a declaration is
+   always an element of a statement sequence, and no case names a local
+   declared directly in a sibling case), so fixed slots are faithful to
+   the interpreter on every checked program. It also evaluates the global
+   initializers, which become the initial scalar-store image here. *)
 
 (* growable instruction buffer *)
 type buf = { mutable code : Bytecode.instr array; mutable len : int }
@@ -45,18 +28,13 @@ type pools = {
   mutable stmt_count : int;
 }
 
-(* per-function compilation state; [case] on a binding is the unique id
-   of the switch case it was declared directly under, -1 elsewhere *)
-type binding = { slot : int; case : int }
-
+(* per-function compilation state *)
 type fstate = {
-  mutable scopes : (string, binding) Hashtbl.t list;
+  mutable scopes : (string, int) Hashtbl.t list;  (* name -> frame slot *)
   mutable next_slot : int;
   mutable max_frame : int;
   mutable depth : int;  (* tracked operand-stack depth (upper bound) *)
   mutable max_depth : int;
-  mutable current_case : int;
-  mutable case_counter : int;  (* unique case ids across nested switches *)
   mutable continue_sites : int list list;  (* per enclosing loop *)
   mutable break_sites : int list list;  (* per enclosing loop/switch *)
 }
@@ -69,7 +47,6 @@ type state = {
   func_nparams : int array;
   global_of_name : (string, int) Hashtbl.t;
   array_of_name : (string, int) Hashtbl.t;
-  array_len : (string, int) Hashtbl.t;
   const_value : (string, int) Hashtbl.t;
 }
 
@@ -155,26 +132,12 @@ let declare_local fstate name =
   if fstate.next_slot > fstate.max_frame then
     fstate.max_frame <- fstate.next_slot;
   (match fstate.scopes with
-  | scope :: _ ->
-    Hashtbl.replace scope name { slot; case = fstate.current_case }
-  | [] -> unsupported "declaration outside any scope: %s" name);
+  | scope :: _ -> Hashtbl.replace scope name slot
+  | [] -> invalid_arg "Compile: declaration outside any scope");
   slot
 
 let lookup_local fstate name =
-  let rec find = function
-    | [] -> None
-    | scope :: rest -> (
-      match Hashtbl.find_opt scope name with
-      | Some binding ->
-        if binding.case >= 0 && binding.case <> fstate.current_case then
-          unsupported
-            "local %s declared in one switch case and referenced from \
-             another (dynamic scope)"
-            name
-        else Some binding.slot
-      | None -> find rest)
-  in
-  find fstate.scopes
+  List.find_map (fun scope -> Hashtbl.find_opt scope name) fstate.scopes
 
 let push_loop fstate =
   fstate.break_sites <- [] :: fstate.break_sites;
@@ -193,64 +156,6 @@ let pop_continues fstate =
     fstate.continue_sites <- rest;
     sites
   | [] -> assert false
-
-(* statically evaluate a global initializer (pure by typechecking) *)
-let rec eval_static state values (e : Ast.expr) =
-  match e.Ast.edesc with
-  | Ast.Int_lit v -> v
-  | Ast.Bool_lit b -> Value.of_bool b
-  | Ast.Var name -> (
-    match Hashtbl.find_opt state.const_value name with
-    | Some v -> v
-    | None -> (
-      match Hashtbl.find_opt state.global_of_name name with
-      | Some slot -> values.(slot)
-      | None -> unsupported "global initializer references %s" name))
-  | Ast.Index (name, index_expr) ->
-    (* earlier arrays are still all-zero at initialization time *)
-    let index = eval_static state values index_expr in
-    (match Hashtbl.find_opt state.array_len name with
-    | Some len when index >= 0 && index < len -> 0
-    | _ -> unsupported "global initializer indexes %s" name)
-  | Ast.Unop (op, inner_expr) -> (
-    let inner = eval_static state values inner_expr in
-    match op with
-    | Ast.Neg -> Value.neg inner
-    | Ast.Bitnot -> Value.lognot inner
-    | Ast.Lognot -> Value.of_bool (not (Value.to_bool inner)))
-  | Ast.Binop (Ast.Land, a, b) ->
-    if Value.to_bool (eval_static state values a) then
-      Value.of_bool (Value.to_bool (eval_static state values b))
-    else 0
-  | Ast.Binop (Ast.Lor, a, b) ->
-    if Value.to_bool (eval_static state values a) then 1
-    else Value.of_bool (Value.to_bool (eval_static state values b))
-  | Ast.Binop (op, a_expr, b_expr) -> (
-    let a = eval_static state values a_expr in
-    let b = eval_static state values b_expr in
-    try
-      match op with
-      | Ast.Add -> Value.add a b
-      | Ast.Sub -> Value.sub a b
-      | Ast.Mul -> Value.mul a b
-      | Ast.Div -> Value.div a b
-      | Ast.Mod -> Value.rem a b
-      | Ast.Band -> Value.logand a b
-      | Ast.Bor -> Value.logor a b
-      | Ast.Bxor -> Value.logxor a b
-      | Ast.Shl -> Value.shift_left a b
-      | Ast.Shr -> Value.shift_right a b
-      | Ast.Lt -> Value.of_bool (a < b)
-      | Ast.Le -> Value.of_bool (a <= b)
-      | Ast.Gt -> Value.of_bool (a > b)
-      | Ast.Ge -> Value.of_bool (a >= b)
-      | Ast.Eq -> Value.of_bool (a = b)
-      | Ast.Ne -> Value.of_bool (a <> b)
-      | Ast.Land | Ast.Lor -> assert false
-    with Value.Division_by_zero ->
-      unsupported "division by zero in global initializer")
-  | Ast.Call _ | Ast.Nondet _ | Ast.Mem_read _ ->
-    unsupported "impure global initializer"
 
 (* expression compilation; leaves exactly one value on the stack *)
 let rec compile_expr state fstate (e : Ast.expr) =
@@ -273,8 +178,7 @@ let rec compile_expr state fstate (e : Ast.expr) =
       | None -> (
         match Hashtbl.find_opt state.global_of_name name with
         | Some slot -> ignore (emit state fstate (Bytecode.Load_global slot))
-        | None -> unsupported "array or unknown name used as scalar: %s" name)
-      ))
+        | None -> invalid_arg ("Compile: not a scalar: " ^ name))))
   | Ast.Index (name, index_expr) -> (
     compile_expr state fstate index_expr;
     match Hashtbl.find_opt state.array_of_name name with
@@ -282,7 +186,7 @@ let rec compile_expr state fstate (e : Ast.expr) =
       ignore
         (emit state fstate
            (Bytecode.Load_elem (slot, position_index state e.Ast.epos)))
-    | None -> unsupported "%s is not an array" name)
+    | None -> invalid_arg ("Compile: not an array: " ^ name))
   | Ast.Unop (op, inner) ->
     compile_expr state fstate inner;
     ignore (emit state fstate (Bytecode.Unop op))
@@ -322,7 +226,7 @@ let rec compile_expr state fstate (e : Ast.expr) =
     List.iter (compile_expr state fstate) args;
     match Hashtbl.find_opt state.func_of_name name with
     | Some index -> ignore (emit state fstate (Bytecode.Call index))
-    | None -> unsupported "unknown function %s" name)
+    | None -> invalid_arg ("Compile: unknown function " ^ name))
   | Ast.Nondet (lo, hi) ->
     compile_expr state fstate lo;
     compile_expr state fstate hi;
@@ -342,37 +246,27 @@ let compile_store state fstate pos lhs =
     | None -> (
       match Hashtbl.find_opt state.global_of_name name with
       | Some slot -> ignore (emit state fstate (Bytecode.Store_global slot))
-      | None -> unsupported "cannot assign %s" name))
+      | None -> invalid_arg ("Compile: cannot assign " ^ name)))
   | Ast.Lindex (name, index_expr) -> (
     compile_expr state fstate index_expr;
     match Hashtbl.find_opt state.array_of_name name with
     | Some slot ->
       ignore
         (emit state fstate (Bytecode.Store_elem (slot, position_index state pos)))
-    | None -> unsupported "%s is not an array" name)
+    | None -> invalid_arg ("Compile: not an array: " ^ name))
   | Ast.Lmem addr ->
     compile_expr state fstate addr;
     ignore (emit state fstate Bytecode.Obs_mem_write)
 
-(* [seq] is true when this statement is an element of a statement
-   sequence (function body, block, case body, for-init): a [Decl] there
-   executes exactly when its scope instance does, so a frame slot is
-   faithful. A [Decl] anywhere else (body of if/while/for, for-step)
-   has dynamic-declaration semantics — see the header comment. *)
-let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
+let rec compile_stmt state fstate (s : Ast.stmt) =
   ignore (emit state fstate (Bytecode.Tick (stmt_index state s)));
   match s.Ast.sdesc with
   | Ast.Block body ->
     let saved = fstate.next_slot in
     push_scope fstate;
-    List.iter (compile_stmt state fstate ~seq:true) body;
+    List.iter (compile_stmt state fstate) body;
     pop_scope fstate saved
   | Ast.Decl (name, _typ, init) ->
-    if not seq then
-      unsupported
-        "declaration of %s executes conditionally into its enclosing scope \
-         (dynamic scope)"
-        name;
     (match init with
     | Some e -> compile_expr state fstate e
     | None -> ignore (emit state fstate (Bytecode.Push 0)));
@@ -388,20 +282,20 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
   | Ast.If (cond, then_s, else_s) -> (
     compile_expr state fstate cond;
     let to_else = emit state fstate (Bytecode.Jump_if_false (-1)) in
-    compile_stmt state fstate ~seq:false then_s;
+    compile_stmt state fstate then_s;
     match else_s with
     | None -> patch state to_else (here state)
     | Some else_s ->
       let to_end = emit state fstate (Bytecode.Jump (-1)) in
       patch state to_else (here state);
-      compile_stmt state fstate ~seq:false else_s;
+      compile_stmt state fstate else_s;
       patch state to_end (here state))
   | Ast.While (cond, body) ->
     let top = here state in
     compile_expr state fstate cond;
     let to_end = emit state fstate (Bytecode.Jump_if_false (-1)) in
     push_loop fstate;
-    compile_stmt state fstate ~seq:false body;
+    compile_stmt state fstate body;
     List.iter (fun site -> patch state site top) (pop_continues fstate);
     ignore (emit state fstate (Bytecode.Jump top));
     patch state to_end (here state);
@@ -409,7 +303,7 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
   | Ast.Do_while (body, cond) ->
     let top = here state in
     push_loop fstate;
-    compile_stmt state fstate ~seq:false body;
+    compile_stmt state fstate body;
     let cond_at = here state in
     List.iter (fun site -> patch state site cond_at) (pop_continues fstate);
     compile_expr state fstate cond;
@@ -418,7 +312,7 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
   | Ast.For (init, cond, step, body) ->
     let saved = fstate.next_slot in
     push_scope fstate;
-    Option.iter (compile_stmt state fstate ~seq:true) init;
+    Option.iter (compile_stmt state fstate) init;
     let top = here state in
     let to_end =
       match cond with
@@ -428,10 +322,10 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
         Some (emit state fstate (Bytecode.Jump_if_false (-1)))
     in
     push_loop fstate;
-    compile_stmt state fstate ~seq:false body;
+    compile_stmt state fstate body;
     let step_at = here state in
     List.iter (fun site -> patch state site step_at) (pop_continues fstate);
-    Option.iter (compile_stmt state fstate ~seq:false) step;
+    Option.iter (compile_stmt state fstate) step;
     ignore (emit state fstate (Bytecode.Jump top));
     Option.iter (fun site -> patch state site (here state)) to_end;
     List.iter (fun site -> patch state site (here state)) (pop_breaks fstate);
@@ -462,7 +356,6 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
     in
     let default_site = emit state fstate (Bytecode.Jump (-1)) in
     fstate.break_sites <- [] :: fstate.break_sites;
-    let saved_case = fstate.current_case in
     let default_target = ref None in
     List.iteri
       (fun index case ->
@@ -472,11 +365,8 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
           (List.nth case_sites index);
         if !default_target = None && List.mem Ast.Default case.Ast.labels then
           default_target := Some entry;
-        fstate.case_counter <- fstate.case_counter + 1;
-        fstate.current_case <- fstate.case_counter;
-        List.iter (compile_stmt state fstate ~seq:true) case.Ast.body)
+        List.iter (compile_stmt state fstate) case.Ast.body)
       cases;
-    fstate.current_case <- saved_case;
     let switch_end = here state in
     patch state default_site
       (match !default_target with Some t -> t | None -> switch_end);
@@ -487,13 +377,13 @@ let rec compile_stmt state fstate ~seq (s : Ast.stmt) =
     | sites :: rest ->
       let site = emit state fstate (Bytecode.Jump (-1)) in
       fstate.break_sites <- (site :: sites) :: rest
-    | [] -> unsupported "break outside loop or switch")
+    | [] -> invalid_arg "Compile: break outside loop or switch")
   | Ast.Continue -> (
     match fstate.continue_sites with
     | sites :: rest ->
       let site = emit state fstate (Bytecode.Jump (-1)) in
       fstate.continue_sites <- (site :: sites) :: rest
-    | [] -> unsupported "continue outside loop")
+    | [] -> invalid_arg "Compile: continue outside loop")
   | Ast.Return value_expr ->
     (match value_expr with
     | Some e -> compile_expr state fstate e
@@ -540,42 +430,29 @@ let compile info =
       func_nparams;
       global_of_name = Hashtbl.create 32;
       array_of_name = Hashtbl.create 8;
-      array_len = Hashtbl.create 8;
       const_value = Hashtbl.create 8;
     }
   in
-  (* globals: slots in declaration order, initializers evaluated in
-     order (an initializer may read previously initialized globals) *)
+  (* globals: slots in declaration order, initial values as the
+     typechecker evaluated them *)
   let scalar_names = ref [] and scalar_inits = ref [] in
   let array_infos = ref [] in
-  let values = ref [||] in
   List.iter
     (fun (g : Ast.global) ->
-      let init_value =
-        match g.Ast.g_init with
-        | None -> 0
-        | Some e -> eval_static state !values e
-      in
+      let name = g.Ast.g_name in
       if g.Ast.g_const then
-        Hashtbl.replace state.const_value g.Ast.g_name init_value
+        Hashtbl.replace state.const_value name (Typecheck.init_value info name)
       else
         match g.Ast.g_type with
         | Ast.Tarray size ->
-          let index = List.length !array_infos in
-          Hashtbl.replace state.array_of_name g.Ast.g_name index;
-          Hashtbl.replace state.array_len g.Ast.g_name size;
+          Hashtbl.replace state.array_of_name name (List.length !array_infos);
           array_infos :=
-            { Bytecode.arr_name = g.Ast.g_name; arr_len = size }
-            :: !array_infos
+            { Bytecode.arr_name = name; arr_len = size } :: !array_infos
         | Ast.Tint | Ast.Tbool | Ast.Tvoid ->
-          let slot = List.length !scalar_names in
-          Hashtbl.replace state.global_of_name g.Ast.g_name slot;
-          scalar_names := g.Ast.g_name :: !scalar_names;
-          scalar_inits := init_value :: !scalar_inits;
-          let grown = Array.make (slot + 1) 0 in
-          Array.blit !values 0 grown 0 slot;
-          grown.(slot) <- init_value;
-          values := grown)
+          Hashtbl.replace state.global_of_name name
+            (List.length !scalar_names);
+          scalar_names := name :: !scalar_names;
+          scalar_inits := Typecheck.init_value info name :: !scalar_inits)
     prog.Ast.globals;
   (* functions *)
   let funcs =
@@ -589,8 +466,6 @@ let compile info =
                max_frame = 0;
                depth = 0;
                max_depth = 0;
-               current_case = -1;
-               case_counter = 0;
                continue_sites = [];
                break_sites = [];
              }
@@ -603,7 +478,7 @@ let compile info =
            List.iter
              (fun (param, _typ) -> ignore (declare_local fstate param))
              f.Ast.f_params;
-           List.iter (compile_stmt state fstate ~seq:true) f.Ast.f_body;
+           List.iter (compile_stmt state fstate) f.Ast.f_body;
            (* fell off the end: return 0 (void callers ignore it) *)
            ignore (emit state fstate (Bytecode.Push 0));
            ignore (emit state fstate Bytecode.Ret);

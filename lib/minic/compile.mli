@@ -7,16 +7,10 @@
     opcode, so the compiled program replays the interpreter's event
     sequence (and its PC-event timing reference) exactly.
 
-    Global initializers are evaluated here, in declaration order, into
-    the program's initial scalar store; the typechecker guarantees they
-    are pure. *)
-
-exception Unsupported of string
-(** Raised for the rare constructs whose interpreter semantics are
-    dynamically scoped and cannot be compiled to fixed slots: a local
-    declared directly in one switch case and referenced from another,
-    and a declaration that executes conditionally into its enclosing
-    scope (a bare [Decl] as an [if]/[while]/[for] body or [for] step).
-    {!Exec}'s [Auto] backend falls back to the interpreter on this. *)
+    {!Typecheck} makes every name resolve lexically, so every checked
+    program compiles; the initial scalar store holds the global
+    initializer values it evaluated. *)
 
 val compile : Typecheck.info -> Bytecode.t
+(** @raise Invalid_argument on a program {!Typecheck.check} did not
+    accept. *)

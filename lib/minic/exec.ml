@@ -3,14 +3,11 @@
    Everything outside [lib/minic] runs programs through this module:
    the verification session's reference backend, the derived
    SystemC-like model and the EEE harness all create an [Exec.t] and
-   use the same reset/run/read/hook surface, so the tree-walking
-   interpreter and the bytecode VM are interchangeable per run. [Auto]
-   prefers the VM and falls back to the interpreter for the rare
-   programs whose dynamic-scoping corners the compiler refuses
-   ([Compile.Unsupported]); both backends produce identical observable
-   behavior, which the differential tests enforce. *)
+   use the same reset/run/read/hook surface. The bytecode VM runs every
+   typechecked program; the tree-walking interpreter stays reachable as
+   the oracle the differential tests compare it against. *)
 
-type kind = Interp | Vm | Auto
+type kind = Interp | Vm
 
 type outcome = Interp.outcome =
   | Finished of int option
@@ -34,43 +31,18 @@ let default_hooks = Interp.default_hooks
 
 type impl = I of Interp.env | V of Vm.t
 
-type t = {
-  info : Typecheck.info;
-  requested : kind;
-  mutable impl : impl;
-  mutable hooks : hooks;
-}
+type t = { info : Typecheck.info; mutable impl : impl; mutable hooks : hooks }
 
-let to_string = function Interp -> "interp" | Vm -> "vm" | Auto -> "auto"
+let to_string = function Interp -> "interp" | Vm -> "vm"
 
-let of_string = function
-  | "interp" -> Some Interp
-  | "vm" -> Some Vm
-  | "auto" -> Some Auto
-  | _ -> None
+let create ?(backend = Vm) info =
+  let impl =
+    match backend with
+    | Interp -> I (Interp.create info)
+    | Vm -> V (Vm.create (Compile.compile info))
+  in
+  { info; impl; hooks = Interp.default_hooks () }
 
-let make_impl backend info =
-  match backend with
-  | Interp -> I (Interp.create info)
-  | Vm -> V (Vm.create (Compile.compile info))
-  | Auto -> (
-    match Compile.compile info with
-    | prog -> V (Vm.create prog)
-    | exception Compile.Unsupported _ -> I (Interp.create info))
-
-let create ?(backend = Auto) info =
-  {
-    info;
-    requested = backend;
-    impl = make_impl backend info;
-    hooks = Interp.default_hooks ();
-  }
-
-let kind t = match t.impl with I _ -> Interp | V _ -> Vm
-let kind_name t = to_string (kind t)
-let requested t = t.requested
-let info t = t.info
-let bytecode t = match t.impl with I _ -> None | V vm -> Some (Vm.program vm)
 let set_hooks t hooks = t.hooks <- hooks
 let hooks t = t.hooks
 

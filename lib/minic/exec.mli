@@ -3,21 +3,18 @@
     The single entry point the rest of the system uses to run embedded
     software: the verification session's reference backend, the derived
     SystemC-like model and the EEE harness all go through this
-    interface, so the tree-walking {!Interp} and the bytecode {!Vm} are
-    interchangeable per run ([--backend interp|vm|auto] on the CLI).
+    interface. The bytecode {!Vm} runs every program {!Typecheck}
+    accepts and is the default; the tree-walking {!Interp} is reachable
+    through [?backend] as the differential-testing oracle.
 
     The outcome, hook and exception types are equalities with the
     interpreter's, so existing pattern matches compile unchanged, and
     both backends produce identical observable behavior — same hook
-    order, statement counts, verdicts, error messages — with the
-    interpreter retained as the differential-testing oracle. *)
+    order, statement counts, verdicts, error messages. *)
 
 type kind =
-  | Interp  (** tree-walking reference interpreter *)
-  | Vm  (** bytecode compiler + dispatch-loop VM *)
-  | Auto
-      (** prefer the VM; fall back to the interpreter when the compiler
-          rejects a program ({!Compile.Unsupported}) *)
+  | Interp  (** tree-walking reference interpreter (the test oracle) *)
+  | Vm  (** bytecode compiler + dispatch-loop VM (the default) *)
 
 type outcome = Interp.outcome =
   | Finished of int option
@@ -40,30 +37,13 @@ exception Out_of_fuel
 val default_hooks : unit -> hooks
 
 val to_string : kind -> string
-(** ["interp"], ["vm"], ["auto"] — the CLI names. *)
-
-val of_string : string -> kind option
+(** ["interp"] or ["vm"], as in the [sim_<kind>_*] metric names. *)
 
 type t
 
 val create : ?backend:kind -> Typecheck.info -> t
-(** Instantiate a program on the chosen backend (default [Auto]).
-    Globals are initialized in declaration order either way.
-    @raise Compile.Unsupported when [backend] is [Vm] and the program
-    uses a construct the compiler rejects. *)
-
-val kind : t -> kind
-(** The resolved backend: [Interp] or [Vm], never [Auto]. *)
-
-val kind_name : t -> string
-
-val requested : t -> kind
-(** What {!create} was asked for (may be [Auto]). *)
-
-val info : t -> Typecheck.info
-
-val bytecode : t -> Bytecode.t option
-(** The compiled program when the VM backend is active. *)
+(** Instantiate a program on the chosen backend (default [Vm]).
+    Globals are initialized in declaration order either way. *)
 
 val set_hooks : t -> hooks -> unit
 (** Register the hooks used by {!run}/{!call} when none are passed. *)

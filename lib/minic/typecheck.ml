@@ -10,6 +10,7 @@ type info = {
   tc_func_ids : (string * int) list;
   tc_globals : (string * Ast.typ) list; (* non-const, declaration order *)
   tc_consts : (string * int) list;
+  tc_inits : (string, int) Hashtbl.t; (* scalar and const globals *)
 }
 
 let program info = info.tc_program
@@ -25,6 +26,7 @@ let global_type info name = List.assoc_opt name info.tc_globals
 let globals info = info.tc_globals
 let constants info = info.tc_consts
 let const_value info name = List.assoc_opt name info.tc_consts
+let init_value info name = Hashtbl.find info.tc_inits name
 
 (* ------------------------------------------------------------------ *)
 
@@ -38,16 +40,27 @@ let scalar_of_typ pos = function
   | Ast.Tvoid -> fail pos "void is not a value type"
   | Ast.Tarray _ -> fail pos "array used as a scalar"
 
+(* [case] is the id of the switch case whose body declares the local
+   directly, -1 for every other local *)
+type binding = { vtype : value_type; case : int }
+
+(* a switch's scope is shared by its cases; [scope_case] is the case
+   being checked while it is the innermost scope *)
+type scope = { vars : (string, binding) Hashtbl.t; mutable scope_case : int }
+
 type env = {
   info_globals : (string, Ast.global) Hashtbl.t;
   funcs : (string, Ast.func) Hashtbl.t;
-  mutable scopes : (string, value_type) Hashtbl.t list; (* innermost first *)
+  mutable scopes : scope list; (* innermost first *)
   current : Ast.func;
   mutable loop_depth : int;
   mutable switch_depth : int;
+  mutable cases : int list; (* enclosing switch cases, innermost first *)
+  mutable case_count : int;
 }
 
-let push_scope env = env.scopes <- Hashtbl.create 8 :: env.scopes
+let push_scope env =
+  env.scopes <- { vars = Hashtbl.create 8; scope_case = -1 } :: env.scopes
 
 let pop_scope env =
   match env.scopes with
@@ -57,13 +70,19 @@ let pop_scope env =
 let declare_local env pos name vtype =
   match env.scopes with
   | scope :: _ ->
-    if Hashtbl.mem scope name then
+    if Hashtbl.mem scope.vars name then
       fail pos "redeclaration of %s in the same scope" name;
-    Hashtbl.replace scope name vtype
+    Hashtbl.replace scope.vars name { vtype; case = scope.scope_case }
   | [] -> assert false
 
-let lookup_local env name =
-  List.find_map (fun scope -> Hashtbl.find_opt scope name) env.scopes
+(* C scopes a local declared in one case over the rest of the switch, but
+   entering at a later case skips its declaration: only code inside the
+   declaring case (nested switches included) may name it *)
+let lookup_local env pos name =
+  match List.find_map (fun s -> Hashtbl.find_opt s.vars name) env.scopes with
+  | Some { case; _ } when case >= 0 && not (List.mem case env.cases) ->
+    fail pos "%s is declared in another case of this switch" name
+  | found -> Option.map (fun b -> b.vtype) found
 
 (* ------------------------------------------------------------------ *)
 
@@ -73,7 +92,7 @@ let rec check_expr env (e : Ast.expr) : value_type =
   | Ast.Int_lit _ -> Vint
   | Ast.Bool_lit _ -> Vbool
   | Ast.Var name -> (
-    match lookup_local env name with
+    match lookup_local env pos name with
     | Some vtype -> vtype
     | None -> (
       match Hashtbl.find_opt env.info_globals name with
@@ -83,7 +102,7 @@ let rec check_expr env (e : Ast.expr) : value_type =
       | None -> fail pos "unknown variable %s" name))
   | Ast.Index (name, index) -> (
     ignore (expect_int env index);
-    match lookup_local env name with
+    match lookup_local env pos name with
     | Some _ -> fail pos "%s is a scalar, not an array" name
     | None -> (
       match Hashtbl.find_opt env.info_globals name with
@@ -137,7 +156,7 @@ and expect_int env (e : Ast.expr) =
 
 let check_lvalue env pos = function
   | Ast.Lvar name -> (
-    match lookup_local env name with
+    match lookup_local env pos name with
     | Some vtype -> vtype
     | None -> (
       match Hashtbl.find_opt env.info_globals name with
@@ -186,25 +205,25 @@ let rec check_stmt env (s : Ast.stmt) =
     ignore (check_expr env e)
   | Ast.If (cond, then_s, else_s) ->
     ignore (check_expr env cond);
-    check_stmt env then_s;
-    Option.iter (check_stmt env) else_s
+    check_body env "the body of an if" then_s;
+    Option.iter (check_body env "the body of an else") else_s
   | Ast.While (cond, body) ->
     ignore (check_expr env cond);
     env.loop_depth <- env.loop_depth + 1;
-    check_stmt env body;
+    check_body env "the body of a while" body;
     env.loop_depth <- env.loop_depth - 1
   | Ast.Do_while (body, cond) ->
     env.loop_depth <- env.loop_depth + 1;
-    check_stmt env body;
+    check_body env "the body of a do" body;
     env.loop_depth <- env.loop_depth - 1;
     ignore (check_expr env cond)
   | Ast.For (init, cond, step, body) ->
     push_scope env;
     Option.iter (check_stmt env) init;
     Option.iter (fun e -> ignore (check_expr env e)) cond;
-    Option.iter (check_stmt env) step;
+    Option.iter (check_body env "a for step") step;
     env.loop_depth <- env.loop_depth + 1;
-    check_stmt env body;
+    check_body env "the body of a for" body;
     env.loop_depth <- env.loop_depth - 1;
     pop_scope env
   | Ast.Switch (scrutinee, cases) ->
@@ -226,9 +245,16 @@ let rec check_stmt env (s : Ast.stmt) =
       cases;
     env.switch_depth <- env.switch_depth + 1;
     push_scope env;
+    let scope = List.hd env.scopes in
+    let enclosing = env.cases in
     List.iter
-      (fun case -> List.iter (check_stmt env) case.Ast.body)
+      (fun case ->
+        env.case_count <- env.case_count + 1;
+        scope.scope_case <- env.case_count;
+        env.cases <- env.case_count :: enclosing;
+        List.iter (check_stmt env) case.Ast.body)
       cases;
+    env.cases <- enclosing;
     pop_scope env;
     env.switch_depth <- env.switch_depth - 1
   | Ast.Break ->
@@ -244,31 +270,90 @@ let rec check_stmt env (s : Ast.stmt) =
   | Ast.Assert e | Ast.Assume e -> ignore (check_expr env e)
   | Ast.Halt -> ()
 
-(* global initializers must be state-free *)
-let rec check_init_expr globals (e : Ast.expr) =
+(* a declaration is only ever an element of a statement sequence, so its
+   scope is a block (or function, case or for header) it always runs in *)
+and check_body env what (s : Ast.stmt) =
+  (match s.sdesc with
+  | Ast.Decl (name, _, _) ->
+    fail s.spos "declaration of %s cannot be %s" name what
+  | _ -> ());
+  check_stmt env s
+
+(* A global initializer is a constant expression over earlier globals,
+   evaluated once, here, in declaration order, with the interpreter's
+   short-circuit and 32-bit arithmetic. [globals] holds the earlier
+   globals and [inits] the values of the scalars among them. Operands
+   that short-circuiting skips ([live = false]) are checked but their
+   zero divisors are not errors. *)
+let rec eval_init globals inits ~live (e : Ast.expr) =
+  let pos = e.epos in
   match e.edesc with
-  | Ast.Int_lit _ | Ast.Bool_lit _ -> ()
-  | Ast.Var name ->
-    if not (Hashtbl.mem globals name) then
-      fail e.epos "unknown variable %s in initializer" name
-  | Ast.Unop (_, inner) -> check_init_expr globals inner
-  | Ast.Binop (_, a, b) ->
-    check_init_expr globals a;
-    check_init_expr globals b
+  | Ast.Int_lit v -> v
+  | Ast.Bool_lit b -> Value.of_bool b
+  | Ast.Var name -> (
+    match Hashtbl.find_opt inits name with
+    | Some v -> v
+    | None when Hashtbl.mem globals name ->
+      fail pos "array %s used without an index" name
+    | None -> fail pos "unknown variable %s in initializer" name)
+  | Ast.Unop (op, inner) -> (
+    let v = eval_init globals inits ~live inner in
+    match op with
+    | Ast.Neg -> Value.neg v
+    | Ast.Bitnot -> Value.lognot v
+    | Ast.Lognot -> Value.of_bool (not (Value.to_bool v)))
+  | Ast.Binop (Ast.Land, a, b) ->
+    let a = Value.to_bool (eval_init globals inits ~live a) in
+    let b = Value.to_bool (eval_init globals inits ~live:(live && a) b) in
+    Value.of_bool (a && b)
+  | Ast.Binop (Ast.Lor, a, b) ->
+    let a = Value.to_bool (eval_init globals inits ~live a) in
+    let b = Value.to_bool (eval_init globals inits ~live:(live && not a) b) in
+    Value.of_bool (a || b)
+  | Ast.Binop (op, a, b) -> (
+    let a = eval_init globals inits ~live a in
+    let b = eval_init globals inits ~live b in
+    try
+      match op with
+      | Ast.Add -> Value.add a b
+      | Ast.Sub -> Value.sub a b
+      | Ast.Mul -> Value.mul a b
+      | Ast.Div -> Value.div a b
+      | Ast.Mod -> Value.rem a b
+      | Ast.Band -> Value.logand a b
+      | Ast.Bor -> Value.logor a b
+      | Ast.Bxor -> Value.logxor a b
+      | Ast.Shl -> Value.shift_left a b
+      | Ast.Shr -> Value.shift_right a b
+      | Ast.Lt -> Value.of_bool (a < b)
+      | Ast.Le -> Value.of_bool (a <= b)
+      | Ast.Gt -> Value.of_bool (a > b)
+      | Ast.Ge -> Value.of_bool (a >= b)
+      | Ast.Eq -> Value.of_bool (a = b)
+      | Ast.Ne -> Value.of_bool (a <> b)
+      | Ast.Land | Ast.Lor -> assert false
+    with Value.Division_by_zero ->
+      if live then fail pos "division by zero in global initializer" else 0)
   | Ast.Call _ | Ast.Nondet _ | Ast.Mem_read _ | Ast.Index _ ->
-    fail e.epos "global initializer must be a constant expression"
+    fail pos "global initializer must be a constant expression"
 
 let check (prog : Ast.program) =
   let info_globals : (string, Ast.global) Hashtbl.t = Hashtbl.create 64 in
   let funcs : (string, Ast.func) Hashtbl.t = Hashtbl.create 64 in
+  let tc_inits = Hashtbl.create 64 in
   List.iter
     (fun (g : Ast.global) ->
       if Hashtbl.mem info_globals g.g_name then
         fail g.g_pos "duplicate global %s" g.g_name;
-      check_init_expr info_globals
-        (match g.g_init with
-        | Some e -> e
-        | None -> Ast.int_lit 0);
+      let value =
+        match g.g_init with
+        | Some e -> eval_init info_globals tc_inits ~live:true e
+        | None -> 0
+      in
+      (match g.g_type with
+      | Ast.Tarray _ -> ()
+      | Ast.Tint | Ast.Tbool | Ast.Tvoid ->
+        Hashtbl.replace tc_inits g.g_name value);
       Hashtbl.replace info_globals g.g_name g)
     prog.globals;
   List.iter
@@ -289,6 +374,8 @@ let check (prog : Ast.program) =
           current = f;
           loop_depth = 0;
           switch_depth = 0;
+          cases = [];
+          case_count = 0;
         }
       in
       push_scope env;
@@ -312,16 +399,12 @@ let check (prog : Ast.program) =
   let tc_consts =
     List.filter_map
       (fun (g : Ast.global) ->
-        if not g.g_const then None
-        else
-          match g.g_init with
-          | Some { edesc = Ast.Int_lit v; _ } -> Some (g.g_name, v)
-          | Some { edesc = Ast.Bool_lit b; _ } ->
-            Some (g.g_name, Value.of_bool b)
-          | _ -> None)
+        match Hashtbl.find_opt tc_inits g.g_name with
+        | Some v when g.g_const -> Some (g.g_name, v)
+        | _ -> None)
       prog.globals
   in
-  { tc_program = prog; tc_func_ids; tc_globals; tc_consts }
+  { tc_program = prog; tc_func_ids; tc_globals; tc_consts; tc_inits }
 
 let check_result prog =
   match check prog with

@@ -36,8 +36,6 @@ let reset vm =
   Array.iter (fun data -> Array.fill data 0 (Array.length data) 0) vm.arrays;
   vm.stmt_count <- 0
 
-let program vm = vm.prog
-
 let fail prog pos_index fmt =
   Printf.ksprintf
     (fun m ->

@@ -16,13 +16,12 @@ exception Halt
     halt signal escapes [Interp.call]). *)
 
 val create : Bytecode.t -> t
-(** Globals take their statically evaluated initial values, arrays are
-    zeroed (equivalent to [Interp.create] running the initializers). *)
+(** Globals take the initializer values {!Typecheck} evaluated, arrays
+    are zeroed (equivalent to [Interp.create] running the
+    initializers). *)
 
 val reset : t -> unit
 (** Back to the freshly created state (including the statement count). *)
-
-val program : t -> Bytecode.t
 
 val run : ?fuel:int -> t -> Interp.hooks -> entry:string -> Interp.outcome
 (** Call the entry function (default fuel: 10 million statements).

@@ -49,8 +49,9 @@ val console_output : t -> int list
 (** Values written to the console port, oldest first. *)
 
 val run : ?max_cycles:int -> t -> unit
-(** Advance the simulation (resumable). Stops early when the CPU halts or
-    traps. *)
+(** Advance the simulation (resumable). The clock, the flash and the
+    checker triggers keep running after the CPU halts or traps; the run
+    ends at the cycle budget or at a {!Sim.Kernel.stop}. *)
 
 val cycles : t -> int
 

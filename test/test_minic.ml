@@ -228,6 +228,89 @@ let test_typecheck_errors () =
   expect_error "void f(void) {} void f(void) {}";
   expect_error "int x = nondet(0, 1);"
 
+(* [source] is rejected with the message starting "LINE:COL: ..." *)
+let expect_rejected ~at source =
+  match Typecheck.check_result (parse_ok source) with
+  | Ok _ -> Alcotest.failf "expected a type error at %s for %S" at source
+  | Error msg ->
+    let prefix = at ^ ": " in
+    if not (String.starts_with ~prefix msg) then
+      Alcotest.failf "expected a type error at %s for %S, got %s" at source msg
+
+(* rule 1: a declaration is only an element of a statement sequence *)
+let test_typecheck_declaration_positions () =
+  expect_rejected ~at:"1:33" "int g; void main(void) { if (g) int x = 1; }";
+  expect_rejected ~at:"1:41" "int g; void main(void) { if (g) {} else int x; }";
+  expect_rejected ~at:"1:36" "int g; void main(void) { while (g) int x = 2; }";
+  expect_rejected ~at:"1:29" "int g; void main(void) { do int x; while (g); }";
+  expect_rejected ~at:"1:36" "int g; void main(void) { for (;g;) int x = 3; }";
+  ignore
+    (check_ok
+       "int g; void main(void) { if (g) { int x = 1; g = x; } else { int x; } \
+        for (int i = 0; i < 2; i = i + 1) { int y = i; g = y; } }");
+  (* a for step can only be a declaration in a programmatic AST *)
+  let step =
+    Ast.stmt ~pos:{ Ast.line = 3; column = 4 } (Ast.Decl ("x", Ast.Tint, None))
+  in
+  let body = Ast.stmt (Ast.For (None, None, Some step, Ast.stmt (Ast.Block []))) in
+  let main =
+    { Ast.f_name = "main"; f_ret = Ast.Tvoid; f_params = []; f_body = [ body ];
+      f_pos = Ast.dummy_pos }
+  in
+  match Typecheck.check_result { Ast.globals = []; funcs = [ main ] } with
+  | Error msg ->
+    Alcotest.(check string)
+      "for step" "3:4: declaration of x cannot be a for step" msg
+  | Ok _ -> Alcotest.fail "expected a for-step declaration to be rejected"
+
+(* rule 2: no name resolves to a local declared directly in a sibling
+   case; code nested inside the declaring case may use it *)
+let test_typecheck_sibling_cases () =
+  expect_rejected ~at:"1:77"
+    "int g; void main(void) { switch (g) { case 0: int x = 1; break; case 1: g = x; } }";
+  expect_rejected ~at:"1:68"
+    "int g; void main(void) { switch (g) { case 0: int x = 1; case 1: { x = 2; } } }";
+  expect_rejected ~at:"1:67"
+    "int g; void main(void) { switch (g) { case 0: int x; default: if (x) g = 1; } }";
+  check_returns "nested switch sees the declaring case's local" 4
+    {|
+      int g;
+      int main(void) {
+        int a = 0;
+        int b = 0;
+        switch (a) {
+          case 0:
+            int x = 4;
+            switch (b) { case 0: g = x; break; }
+            break;
+        }
+        return g;
+      }
+    |};
+  check_returns "a block in the declaring case" 6
+    "int main(void) { int r = 0; switch (r) { case 0: int x = 6; { r = x; } } return r; }"
+
+(* rule 3: a global initializer is a constant expression, evaluated once *)
+let test_typecheck_global_initializers () =
+  expect_rejected ~at:"1:11" "int g = 1 / 0;";
+  expect_rejected ~at:"1:22" "int h = 3; int g = h % (h - h);";
+  expect_rejected ~at:"1:24" "int a[2]; int g = 0 && a;";
+  expect_rejected ~at:"1:19" "int a[2]; int g = a;";
+  expect_rejected ~at:"1:9" "int g = h; int h = 1;";
+  expect_rejected ~at:"1:9" "int g = nondet(0, 1);";
+  let info =
+    check_ok
+      "int g = 0 && 1 / 0; int h = 1 || 1 % 0; int a = 5; \
+       const int K = 3; int b = a * K - 2147483647 * 2; bool c = a > b; \
+       int d;"
+  in
+  Alcotest.(check (list (pair string int)))
+    "initial values"
+    [ ("g", 0); ("h", 1); ("a", 5); ("K", 3); ("b", 17); ("c", 0); ("d", 0) ]
+    (List.map
+       (fun name -> (name, Typecheck.init_value info name))
+       [ "g"; "h"; "a"; "K"; "b"; "c"; "d" ])
+
 let test_typecheck_func_ids () =
   let info = check_ok "void a(void) {} void b(void) {} void main(void) {}" in
   Alcotest.(check int) "a" 1 (Typecheck.func_id info "a");
@@ -530,6 +613,12 @@ let suite_typecheck =
   [
     Alcotest.test_case "rejections" `Quick test_typecheck_errors;
     Alcotest.test_case "function ids" `Quick test_typecheck_func_ids;
+    Alcotest.test_case "declaration positions" `Quick
+      test_typecheck_declaration_positions;
+    Alcotest.test_case "sibling-case references" `Quick
+      test_typecheck_sibling_cases;
+    Alcotest.test_case "global initializers" `Quick
+      test_typecheck_global_initializers;
   ]
 
 let suite_pretty =

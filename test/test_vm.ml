@@ -75,29 +75,26 @@ let outcome_repr = function
   | Exec.Fuel_exhausted -> "fuel exhausted"
 
 let run_backend ?(fuel = 20_000) backend info =
-  match Exec.create ~backend info with
-  | exception Minic.Compile.Unsupported msg -> Error msg
-  | exec ->
-    let buf = Buffer.create 256 in
-    let hooks = recording_hooks buf in
-    let outcome =
-      match Exec.run ~fuel ~hooks exec ~entry:"main" with
-      | outcome -> outcome_repr outcome
-      | exception Exec.Assertion_failed p ->
-        Printf.sprintf "assert@%d:%d" p.Ast.line p.Ast.column
-      | exception Exec.Assumption_failed p ->
-        Printf.sprintf "assume@%d:%d" p.Ast.line p.Ast.column
-      | exception Exec.Runtime_error (msg, p) ->
-        Printf.sprintf "error %s@%d:%d" msg p.Ast.line p.Ast.column
-    in
-    Ok
-      (Printf.sprintf "%s | stmts=%d | %s | %s" outcome
-         (Exec.statements_executed exec)
-         (String.concat ","
-            (List.map
-               (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-               (Exec.globals_snapshot exec)))
-         (Buffer.contents buf))
+  let exec = Exec.create ~backend info in
+  let buf = Buffer.create 256 in
+  let hooks = recording_hooks buf in
+  let outcome =
+    match Exec.run ~fuel ~hooks exec ~entry:"main" with
+    | outcome -> outcome_repr outcome
+    | exception Exec.Assertion_failed p ->
+      Printf.sprintf "assert@%d:%d" p.Ast.line p.Ast.column
+    | exception Exec.Assumption_failed p ->
+      Printf.sprintf "assume@%d:%d" p.Ast.line p.Ast.column
+    | exception Exec.Runtime_error (msg, p) ->
+      Printf.sprintf "error %s@%d:%d" msg p.Ast.line p.Ast.column
+  in
+  Printf.sprintf "%s | stmts=%d | %s | %s" outcome
+    (Exec.statements_executed exec)
+    (String.concat ","
+       (List.map
+          (fun (n, v) -> Printf.sprintf "%s=%d" n v)
+          (Exec.globals_snapshot exec)))
+    (Buffer.contents buf)
 
 (* ---- generator --------------------------------------------------------- *)
 
@@ -385,26 +382,92 @@ let gen_stmts =
   in
   fun vars depth n -> stmts vars depth n
 
+(* constant global initializers over the earlier scalar globals
+   [earlier]: divisors are forced nonzero, except under a literal guard
+   that short-circuiting skips *)
+let gen_init earlier =
+  let open QCheck.Gen in
+  let literal = map Ast.int_lit (int_range (-100) 100) in
+  let leaf =
+    if earlier = [] then literal
+    else oneof [ literal; map Ast.var (oneofl earlier) ]
+  in
+  let zero_div op a = Ast.expr (Ast.Binop (op, a, Ast.int_lit 0)) in
+  sized_size (int_bound 4) @@ fix (fun self n ->
+      if n = 0 then leaf
+      else
+        let sub = self (n / 2) in
+        let bin op =
+          map2 (fun a b -> Ast.expr (Ast.Binop (op, a, b))) sub sub
+        in
+        frequency
+          [
+            (2, leaf);
+            (2, bin Ast.Add); (1, bin Ast.Sub); (1, bin Ast.Mul);
+            (1, bin Ast.Shl); (1, bin Ast.Shr); (1, bin Ast.Bxor);
+            (1, bin Ast.Lt); (1, bin Ast.Eq);
+            (1, bin Ast.Land); (1, bin Ast.Lor);
+            ( 1,
+              map2
+                (fun a b -> Ast.expr (Ast.Binop (Ast.Div, a, nonzero b)))
+                sub sub );
+            ( 1,
+              map2
+                (fun a b -> Ast.expr (Ast.Binop (Ast.Mod, a, nonzero b)))
+                sub sub );
+            (1, map (fun a -> Ast.expr (Ast.Unop (Ast.Neg, a))) sub);
+            (1, map (fun a -> Ast.expr (Ast.Unop (Ast.Lognot, a))) sub);
+            ( 1,
+              map
+                (fun a ->
+                  Ast.expr
+                    (Ast.Binop (Ast.Land, Ast.int_lit 0, zero_div Ast.Div a)))
+                sub );
+            ( 1,
+              map
+                (fun a ->
+                  Ast.expr
+                    (Ast.Binop (Ast.Lor, Ast.int_lit 1, zero_div Ast.Mod a)))
+                sub );
+          ])
+
+(* the global layout: an array, two scalars, a const, a third scalar;
+   each scalar initializer reads only earlier scalars *)
+let gen_globals =
+  let open QCheck.Gen in
+  let global ?(typ = Ast.Tint) ?(const = false) ?init name =
+    { Ast.g_name = name; g_type = typ; g_const = const; g_init = init;
+      g_pos = Ast.dummy_pos }
+  in
+  let init earlier = opt (gen_init earlier) in
+  init [] >>= fun i0 ->
+  init [ "g0" ] >>= fun i1 ->
+  gen_init [ "g0"; "g1" ] >>= fun ik ->
+  init [ "g0"; "g1"; "k" ] >>= fun i2 ->
+  return
+    [
+      global ~typ:(Ast.Tarray array_len) "arr";
+      global ?init:i0 "g0";
+      global ?init:i1 "g1";
+      global ~const:true ~init:ik "k";
+      global ?init:i2 "g2";
+    ]
+
 let gen_program =
   let open QCheck.Gen in
+  gen_globals >>= fun globals_decl ->
   gen_stmts [ "p" ] 1 3 >>= fun helper_body ->
   gen_expr [ "p"; "g0"; "g1" ] >>= fun helper_ret ->
   gen_stmts [ "q" ] 1 2 >>= fun vfn_body ->
-  gen_stmts globals 2 5 >>= fun main_body ->
+  gen_stmts ("k" :: globals) 2 5 >>= fun main_body ->
   gen_expr globals >>= fun main_ret ->
   let func name ret params body =
     { Ast.f_name = name; f_ret = ret; f_params = params; f_body = body;
       f_pos = Ast.dummy_pos }
   in
-  let global ?(typ = Ast.Tint) ?init name =
-    { Ast.g_name = name; g_type = typ; g_const = false; g_init = init;
-      g_pos = Ast.dummy_pos }
-  in
   return
     {
-      Ast.globals =
-        List.map (fun name -> global name) globals
-        @ [ global ~typ:(Ast.Tarray array_len) "arr" ];
+      Ast.globals = globals_decl;
       funcs =
         [
           func "vfn" Ast.Tvoid [ ("q", Ast.Tint) ]
@@ -419,30 +482,209 @@ let gen_program =
 let arbitrary_program =
   QCheck.make ~print:Minic.Pretty.program_to_string gen_program
 
+let vm_matches_interp info =
+  let a = run_backend Exec.Interp info and b = run_backend Exec.Vm info in
+  String.equal a b || QCheck.Test.fail_reportf "interp: %s\nvm:     %s" a b
+
 let qcheck_vm_equals_interp =
   QCheck.Test.make ~name:"vm == interp (random programs)" ~count:1000
     arbitrary_program (fun program ->
       match Minic.Typecheck.check_result program with
       | Error msg -> QCheck.Test.fail_reportf "generator bug: %s" msg
-      | Ok info -> (
-        match run_backend Exec.Interp info, run_backend Exec.Vm info with
-        | Ok a, Ok b ->
-          String.equal a b
-          || QCheck.Test.fail_reportf "interp: %s\nvm:     %s" a b
-        | Error msg, _ ->
-          QCheck.Test.fail_reportf "interpreter cannot be unsupported: %s" msg
-        | _, Error msg ->
-          (* the generator never emits conditionally-executed
-             declarations, the one shape the compiler refuses *)
-          QCheck.Test.fail_reportf "vm unsupported: %s" msg))
+      | Ok info -> vm_matches_interp info)
 
-(* the generator output must compile to bytecode (no silent fallback) *)
-let qcheck_generator_compiles =
-  QCheck.Test.make ~name:"generated programs reach the VM under auto"
-    ~count:200 arbitrary_program (fun program ->
-      match Minic.Typecheck.check_result program with
-      | Error msg -> QCheck.Test.fail_reportf "generator bug: %s" msg
-      | Ok info -> Exec.kind (Exec.create ~backend:Exec.Auto info) = Exec.Vm)
+(* ---- typecheck / compile oracle ---------------------------------------- *)
+
+(* The one node a planted shape makes illegal carries this position;
+   every other node of a generated program sits at [Ast.dummy_pos]. *)
+let planted_pos = { Ast.line = 9999; column = 7 }
+
+(* Plant one shape into a generated program. The rejected ones are the
+   three scoping and initializer rules of [Typecheck]: a declaration as
+   an un-braced branch or loop body or as a for step, a reference from
+   one switch case to a local declared directly in a sibling case, and an
+   array name or live zero divisor in a global initializer. The accepted
+   ones sit next to them: braced declaration bodies, references from the
+   declaring case (inside nested blocks and an inner switch), and
+   nothing at all. Returns the program and the position [Typecheck] must
+   report, [None] when it must accept. *)
+let gen_planted =
+  let open QCheck.Gen in
+  let fresh = ref 0 in
+  let name prefix =
+    incr fresh;
+    Printf.sprintf "%s%d" prefix !fresh
+  in
+  let e = gen_expr globals in
+  let decl ?pos name init = Ast.stmt ?pos (Ast.Decl (name, Ast.Tint, init)) in
+  let block body = Ast.stmt (Ast.Block body) in
+  let assign target value = Ast.stmt (Ast.Assign (Ast.Lvar target, value)) in
+  let plus a b = Ast.expr (Ast.Binop (Ast.Add, a, b)) in
+  let switch scrutinee cases =
+    Ast.stmt
+      (Ast.Switch
+         ( mask scrutinee,
+           List.map (fun (labels, body) -> { Ast.labels; body }) cases ))
+  in
+  (* rejected: a declaration that is not an element of a sequence *)
+  let unbraced =
+    e >>= fun init ->
+    e >>= fun cond ->
+    let decl = decl ~pos:planted_pos (name "z") (Some init) in
+    oneofl
+      [
+        Ast.If (cond, decl, None);
+        Ast.If (cond, block [], Some decl);
+        Ast.While (cond, decl);
+        Ast.Do_while (decl, cond);
+        Ast.For (None, Some cond, None, decl);
+        Ast.For (None, Some cond, Some decl, block []);
+      ]
+    >|= fun s -> ([ Ast.stmt s ], Some planted_pos)
+  in
+  (* rejected: case 1 names the local case 0 declares, read or written,
+     perhaps from inside a nested block *)
+  let sibling =
+    let local = name "s" in
+    e >>= fun scrutinee ->
+    e >>= fun value ->
+    gen_stmts globals 0 1 >>= fun body ->
+    oneofl
+      [
+        assign "g0" (plus (Ast.expr ~pos:planted_pos (Ast.Var local)) value);
+        Ast.stmt ~pos:planted_pos (Ast.Assign (Ast.Lvar local, value));
+      ]
+    >>= fun reference ->
+    oneofl
+      [
+        [ reference ];
+        [ block [ reference ] ];
+        [ Ast.stmt (Ast.If (value, block [ reference ], None)) ];
+      ]
+    >|= fun later ->
+    ( [
+        switch scrutinee
+          [
+            ( [ Ast.Case 0 ],
+              (decl local (Some value) :: body) @ [ Ast.stmt Ast.Break ] );
+            ([ Ast.Case 1; Ast.Default ], later);
+          ];
+      ],
+      Some planted_pos )
+  in
+  (* accepted: the declaring case uses the local, in a nested block and
+     from an inner switch; a sibling case declares its own *)
+  let same_case =
+    let local = name "s" in
+    e >>= fun scrutinee ->
+    e >>= fun init ->
+    e >|= fun inner ->
+    let use = Ast.var local in
+    ( [
+        switch scrutinee
+          [
+            ( [ Ast.Case 0 ],
+              [
+                decl local (Some init);
+                block [ assign "g1" use ];
+                switch inner
+                  [
+                    ([ Ast.Case 0 ], [ assign "g0" use; Ast.stmt Ast.Break ]);
+                    ( [ Ast.Default ],
+                      [ assign local (plus use (Ast.int_lit 1)) ] );
+                  ];
+                assign "g2" use;
+                Ast.stmt Ast.Break;
+              ] );
+            ([ Ast.Case 1 ], [ decl (name "s") None ]);
+          ];
+      ],
+      None )
+  in
+  (* accepted: declarations braced into branch and loop bodies *)
+  let braced =
+    let local = name "z" in
+    e >>= fun cond ->
+    e >>= fun init ->
+    let body = block [ decl local (Some init); assign "g0" (Ast.var local) ] in
+    oneofl
+      [
+        Ast.If (cond, body, Some body);
+        Ast.For (None, Some (Ast.expr (Ast.Bool_lit false)), None, body);
+        Ast.Do_while (body, Ast.expr (Ast.Bool_lit false));
+      ]
+    >|= fun s -> ([ Ast.stmt s ], None)
+  in
+  (* rejected: an array name (even where short-circuiting skips it) or a
+     zero divisor evaluation reaches, in the initializer of g1 *)
+  let bad_init =
+    gen_init [ "g0" ] >>= fun a ->
+    let arr = Ast.expr ~pos:planted_pos (Ast.Var "arr") in
+    let zero = Ast.expr (Ast.Binop (Ast.Sub, Ast.var "g0", Ast.var "g0")) in
+    oneofl
+      [
+        plus a arr;
+        Ast.expr (Ast.Binop (Ast.Land, Ast.int_lit 0, arr));
+        Ast.expr ~pos:planted_pos (Ast.Binop (Ast.Div, a, Ast.int_lit 0));
+        Ast.expr
+          (Ast.Binop
+             ( Ast.Land,
+               Ast.int_lit 1,
+               Ast.expr ~pos:planted_pos (Ast.Binop (Ast.Mod, a, zero)) ));
+      ]
+  in
+  let in_main shape =
+    shape >|= fun (stmts, planted) -> (stmts, None, planted)
+  in
+  gen_program >>= fun program ->
+  frequency
+    [
+      (3, return ([], None, None));
+      (2, in_main unbraced); (2, in_main sibling); (2, in_main same_case);
+      (2, in_main braced);
+      (2, bad_init >|= fun init -> ([], Some init, Some planted_pos));
+    ]
+  >>= fun (stmts, g1_init, planted) ->
+  let main = List.find (fun f -> f.Ast.f_name = "main") program.Ast.funcs in
+  int_bound (List.length main.Ast.f_body - 1) >|= fun index ->
+  let body = main.Ast.f_body in
+  let f_body =
+    List.filteri (fun i _ -> i < index) body
+    @ stmts
+    @ List.filteri (fun i _ -> i >= index) body
+  in
+  ( {
+      Ast.globals =
+        List.map
+          (fun g ->
+            if g.Ast.g_name = "g1" && g1_init <> None then
+              { g with Ast.g_init = g1_init }
+            else g)
+          program.Ast.globals;
+      funcs =
+        List.map
+          (fun f -> if f.Ast.f_name = "main" then { f with Ast.f_body } else f)
+          program.Ast.funcs;
+    },
+    planted )
+
+let qcheck_typecheck_compile =
+  QCheck.Test.make ~name:"typecheck rejects planted shapes, vm == interp"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (program, planted) ->
+         Printf.sprintf "planted: %s\n%s"
+           (match planted with Some _ -> "rejected" | None -> "accepted")
+           (Minic.Pretty.program_to_string program))
+       gen_planted)
+    (fun (program, planted) ->
+      match Minic.Typecheck.check program, planted with
+      | exception Minic.Typecheck.Type_error { message; pos } ->
+        planted = Some pos
+        || QCheck.Test.fail_reportf "rejected at %d:%d: %s" pos.Ast.line
+             pos.Ast.column message
+      | _, Some _ -> QCheck.Test.fail_reportf "planted shape accepted"
+      | info, None -> vm_matches_interp info)
 
 (* ---- EEE operation-mix differential ------------------------------------ *)
 
@@ -506,16 +748,8 @@ let contains s fragment =
 
 let check_run name ?fuel source ~expect_contains =
   let info = parse_info source in
-  let interp =
-    match run_backend ?fuel Exec.Interp info with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "interp unsupported: %s" msg
-  in
-  let vm =
-    match run_backend ?fuel Exec.Vm info with
-    | Ok r -> r
-    | Error msg -> Alcotest.failf "vm unsupported: %s" msg
-  in
+  let interp = run_backend ?fuel Exec.Interp info in
+  let vm = run_backend ?fuel Exec.Vm info in
   Alcotest.(check string) (name ^ ": vm == interp") interp vm;
   List.iter
     (fun fragment ->
@@ -643,49 +877,6 @@ let test_lowering_corners () =
      int main(void) { return helper(); }\n"
     ~expect_contains:[ "finished 0" ]
 
-(* Auto: a conditionally-executed declaration (the interpreter's dynamic
-   scoping corner) is refused by the compiler and falls back to the
-   interpreter; everything else resolves to the VM *)
-let test_auto_fallback () =
-  let conditional_decl =
-    {
-      Ast.globals = [];
-      funcs =
-        [
-          {
-            Ast.f_name = "main";
-            f_ret = Ast.Tint;
-            f_params = [];
-            f_body =
-              [
-                Ast.stmt
-                  (Ast.If
-                     ( Ast.expr (Ast.Bool_lit true),
-                       Ast.stmt (Ast.Decl ("x", Ast.Tint, Some (Ast.int_lit 1))),
-                       None ));
-                Ast.stmt (Ast.Return (Some (Ast.int_lit 0)));
-              ];
-            f_pos = Ast.dummy_pos;
-          };
-        ];
-    }
-  in
-  let info = Minic.Typecheck.check conditional_decl in
-  (match Minic.Compile.compile info with
-  | _ -> Alcotest.fail "conditional decl must be unsupported"
-  | exception Minic.Compile.Unsupported _ -> ());
-  let auto = Exec.create ~backend:Exec.Auto info in
-  Alcotest.(check bool) "auto falls back to interp" true
-    (Exec.kind auto = Exec.Interp);
-  (match Exec.run ~fuel:100 auto ~entry:"main" with
-  | Exec.Finished (Some 0) -> ()
-  | _ -> Alcotest.fail "fallback run failed");
-  let plain = parse_info "int main(void) { return 0; }" in
-  Alcotest.(check bool) "plain program resolves to vm" true
-    (Exec.kind (Exec.create ~backend:Exec.Auto plain) = Exec.Vm);
-  Alcotest.(check bool) "requested backend is remembered" true
-    (Exec.requested auto = Exec.Auto)
-
 (* reset restores globals, arrays and the statement counter *)
 let test_reset () =
   let info =
@@ -702,10 +893,10 @@ let test_reset () =
       (match Exec.run ~fuel:100 exec ~entry:"main" with
       | Exec.Finished (Some 1) -> ()
       | outcome ->
-        Alcotest.failf "%s after reset: %s" (Exec.kind_name exec)
+        Alcotest.failf "%s after reset: %s" (Exec.to_string backend)
           (outcome_repr outcome));
       Alcotest.(check int)
-        (Exec.kind_name exec ^ " element after reset")
+        (Exec.to_string backend ^ " element after reset")
         5
         (Exec.read_element exec "arr" 2))
     [ Exec.Interp; Exec.Vm ]
@@ -716,7 +907,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest qcheck_vm_equals_interp;
-          QCheck_alcotest.to_alcotest qcheck_generator_compiles;
+          QCheck_alcotest.to_alcotest qcheck_typecheck_compile;
           QCheck_alcotest.to_alcotest qcheck_eee_mix;
         ] );
       ( "opcodes",
@@ -730,7 +921,6 @@ let () =
         ] );
       ( "exec",
         [
-          Alcotest.test_case "auto fallback" `Quick test_auto_fallback;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
     ]
