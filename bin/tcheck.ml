@@ -209,11 +209,10 @@ let cmd_verify =
     let metrics = Tcheck_cli.registry common in
     let backend =
       match approach with
-      | 0 -> Verif.Session.Reference
       | 1 -> Verif.Session.Soc_model
       | 2 -> Verif.Session.Derived_model
       | n ->
-        Printf.eprintf "unknown approach %d (use 0, 1 or 2)\n" n;
+        Printf.eprintf "unknown approach %d (use 1 or 2)\n" n;
         exit 2
     in
     (* each property is one campaign job: an independent session over the
@@ -292,7 +291,7 @@ let cmd_verify =
   in
   let approach =
     Arg.(value & opt int 2 & info [ "approach" ]
-           ~doc:"0 = reference interpreter, 1 = microprocessor model, 2 = derived SystemC model")
+           ~doc:"1 = microprocessor model, 2 = derived SystemC model")
   in
   let property =
     Arg.(value & opt_all string [] & info [ "property" ] ~docv:"PROPERTY"

@@ -34,8 +34,8 @@ let parse ?(syntax = `Auto) text =
             input = text }
   in
   match
-    (* the one sanctioned use of the deprecated per-syntax entry points:
-       this module IS their replacement *)
+    (* the one sanctioned caller of the two grammars: their deprecation
+       alert keeps every other caller out *)
     match chosen with
     | `Fltl -> (Fltl_parser.parse [@alert "-deprecated"]) text
     | `Psl -> (Psl.parse [@alert "-deprecated"]) text

@@ -1,12 +1,13 @@
 (** The single property-parsing entry point.
 
     SCTC accepts properties in FLTL or the PSL foundation-language
-    subset; historically each syntax had its own [parse]/[parse_result]
-    pair with string-rendered errors ({!Fltl_parser}, {!Psl}). This
-    module unifies them behind one entry with a structured error, and
-    is what {!Checker.add_property_text}, [Verif.Session], the [tcheck]
-    CLI and the examples parse through. The old per-syntax entries
-    remain as thin deprecated wrappers for external callers.
+    subset, each with its own grammar ({!Fltl_parser.parse},
+    {!Psl.parse}) raising its own exceptions. This module puts both
+    behind one entry with a structured error, and is what
+    {!Checker.add_property_text}, [Verif.Session], the [tcheck] CLI and
+    the examples parse through. The two grammars carry a deprecation
+    alert that only this module silences, so the [dep-strict] build
+    profile rejects any other caller.
 
     Syntax selection:
     - [`Fltl] / [`Psl]: exactly {!Fltl_parser.parse} / {!Psl.parse}.

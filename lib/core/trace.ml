@@ -85,61 +85,7 @@ let triggers_per_sec bus =
     let elapsed = Unix.gettimeofday () -. bus.started_at in
     if elapsed <= 0.0 then 0.0 else float_of_int bus.triggers /. elapsed
 
-(* ------------------------------------------------------------------ *)
-(* JSON helpers                                                        *)
-
-module Json = struct
-  (* does no byte of [s] from [i] on need escaping? *)
-  let rec clean s i =
-    i >= String.length s
-    ||
-    match String.unsafe_get s i with
-    | '"' | '\\' | '\000' .. '\031' -> false
-    | _ -> clean s (i + 1)
-
-  (* append [s] escaped: one scan, then the string itself when no byte
-     needs escaping (the common case: names, ops, verdicts) *)
-  let add_escaped buffer s =
-    if clean s 0 then Buffer.add_string buffer s
-    else
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buffer "\\\""
-          | '\\' -> Buffer.add_string buffer "\\\\"
-          | '\n' -> Buffer.add_string buffer "\\n"
-          | '\r' -> Buffer.add_string buffer "\\r"
-          | '\t' -> Buffer.add_string buffer "\\t"
-          | c when Char.code c < 0x20 ->
-            Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buffer c)
-        s
-
-  let escape s =
-    if clean s 0 then s
-    else
-      let buffer = Buffer.create (String.length s + 8) in
-      add_escaped buffer s;
-      Buffer.contents buffer
-
-  let string s = "\"" ^ escape s ^ "\""
-
-  let obj members =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (key, value) -> string key ^ ":" ^ value) members)
-    ^ "}"
-
-  let int = string_of_int
-  let bool b = if b then "true" else "false"
-
-  let float v =
-    (* JSON numbers must not be "nan"/"inf" *)
-    if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
-
-  let null = "null"
-  let option render = function None -> null | Some v -> render v
-end
+module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -246,107 +192,12 @@ let event_to_json (event : event) =
   Buffer.contents buffer
 
 (* ------------------------------------------------------------------ *)
-(* Parsing (flat objects only — exactly what event_to_json produces)   *)
-
-type json_value = Jstring of string | Jint of int | Jbool of bool | Jnull
-
-let parse_members line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error msg = failwith msg in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then
-      error (Printf.sprintf "expected '%c' at %d" c !pos);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buffer = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then error "dangling escape";
-          (match line.[!pos] with
-          | '"' -> Buffer.add_char buffer '"'
-          | '\\' -> Buffer.add_char buffer '\\'
-          | '/' -> Buffer.add_char buffer '/'
-          | 'n' -> Buffer.add_char buffer '\n'
-          | 'r' -> Buffer.add_char buffer '\r'
-          | 't' -> Buffer.add_char buffer '\t'
-          | 'u' ->
-            if !pos + 4 >= n then error "short \\u escape";
-            let code = int_of_string ("0x" ^ String.sub line (!pos + 1) 4) in
-            if code < 256 then Buffer.add_char buffer (Char.chr code)
-            else Buffer.add_char buffer '?';
-            pos := !pos + 4
-          | c -> error (Printf.sprintf "unknown escape \\%c" c));
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char buffer c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buffer
-  in
-  let parse_value () =
-    skip_ws ();
-    if !pos >= n then error "missing value"
-    else
-      match line.[!pos] with
-      | '"' -> Jstring (parse_string ())
-      | 't' when !pos + 4 <= n && String.sub line !pos 4 = "true" ->
-        pos := !pos + 4;
-        Jbool true
-      | 'f' when !pos + 5 <= n && String.sub line !pos 5 = "false" ->
-        pos := !pos + 5;
-        Jbool false
-      | 'n' when !pos + 4 <= n && String.sub line !pos 4 = "null" ->
-        pos := !pos + 4;
-        Jnull
-      | '-' | '0' .. '9' ->
-        let start = !pos in
-        if line.[!pos] = '-' then incr pos;
-        while
-          !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false)
-        do incr pos done;
-        Jint (int_of_string (String.sub line start (!pos - start)))
-      | c -> error (Printf.sprintf "unexpected '%c'" c)
-  in
-  expect '{';
-  skip_ws ();
-  let members = ref [] in
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let rec member () =
-      let key = (skip_ws (); parse_string ()) in
-      expect ':';
-      let value = parse_value () in
-      members := (key, value) :: !members;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then begin
-        incr pos;
-        member ()
-      end
-      else expect '}'
-    in
-    member ()
-  end;
-  List.rev !members
+(* Parsing                                                             *)
 
 let event_of_json line =
-  try
-    let members = parse_members line in
+  match Json.parse line with
+  | Error _ as error -> error
+  | Ok (Json.Obj members) -> (
     let find key =
       match List.assoc_opt key members with
       | Some v -> v
@@ -354,23 +205,23 @@ let event_of_json line =
     in
     let str key =
       match find key with
-      | Jstring s -> s
+      | Json.Str s -> s
       | _ -> failwith (Printf.sprintf "%S: expected string" key)
     in
     let num key =
       match find key with
-      | Jint v -> v
+      | Json.Int v -> v
       | _ -> failwith (Printf.sprintf "%S: expected int" key)
     in
     let boolean key =
       match find key with
-      | Jbool b -> b
+      | Json.Bool b -> b
       | _ -> failwith (Printf.sprintf "%S: expected bool" key)
     in
     let str_opt key =
       match find key with
-      | Jnull -> None
-      | Jstring s -> Some s
+      | Json.Null -> None
+      | Json.Str s -> Some s
       | _ -> failwith (Printf.sprintf "%S: expected string or null" key)
     in
     let verdict key =
@@ -380,23 +231,27 @@ let event_of_json line =
       | "pending" -> Verdict.Pending
       | other -> failwith (Printf.sprintf "unknown verdict %S" other)
     in
-    let kind =
-      match str "event" with
-      | "trigger" -> Trigger
-      | "sample" -> Sample { prop = str "prop"; value = boolean "value" }
-      | "verdict_change" ->
-        Verdict_change { property = str "property"; verdict = verdict "verdict" }
-      | "handshake_armed" -> Handshake_armed { source = str "source" }
-      | "test_case_begin" ->
-        Test_case_begin { index = num "index"; op = str "op" }
-      | "test_case_end" ->
-        Test_case_end { index = num "index"; result = str_opt "result" }
-      | "watchdog_fired" -> Watchdog_fired { index = num "index"; op = str "op" }
-      | "software_crashed" -> Software_crashed { reason = str "reason" }
-      | other -> failwith (Printf.sprintf "unknown event %S" other)
-    in
-    Ok { seq = num "seq"; time_unit = num "tu"; kind }
-  with Failure msg -> Error msg
+    try
+      let kind =
+        match str "event" with
+        | "trigger" -> Trigger
+        | "sample" -> Sample { prop = str "prop"; value = boolean "value" }
+        | "verdict_change" ->
+          Verdict_change
+            { property = str "property"; verdict = verdict "verdict" }
+        | "handshake_armed" -> Handshake_armed { source = str "source" }
+        | "test_case_begin" ->
+          Test_case_begin { index = num "index"; op = str "op" }
+        | "test_case_end" ->
+          Test_case_end { index = num "index"; result = str_opt "result" }
+        | "watchdog_fired" ->
+          Watchdog_fired { index = num "index"; op = str "op" }
+        | "software_crashed" -> Software_crashed { reason = str "reason" }
+        | other -> failwith (Printf.sprintf "unknown event %S" other)
+      in
+      Ok { seq = num "seq"; time_unit = num "tu"; kind }
+    with Failure msg -> Error msg)
+  | Ok _ -> Error "event is not a JSON object"
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)

@@ -107,28 +107,14 @@ val event_to_json_into : Buffer.t -> event -> unit
     order. *)
 
 val event_of_json : string -> (event, string) result
-(** Inverse of {!event_to_json} (accepts any key order). *)
+(** Inverse of {!event_to_json}: reads one line with {!Json.parse} and
+    accepts any key order. The line must be exactly one JSON object;
+    [seq], [tu] and [index] must be integer numerals. A syntax error
+    names its byte offset; a well-formed line of the wrong shape names
+    the offending member. Never raises. *)
 
-(** {2 JSON helpers} (shared with {!Report}) *)
+(** {2 JSON} *)
 
-module Json : sig
-  val escape : string -> string
-  (** Escape for inclusion inside a JSON string literal (no quotes): the
-      double quote, backslash, newline, carriage return and tab get their
-      two-byte escapes, other bytes below 0x20 become a six-byte
-      [\u00xx] escape, and every other byte, including those from 0x80
-      up, passes through unchanged. Returns [s] itself, uncopied, when no
-      byte needs escaping. *)
-
-  val string : string -> string
-  (** Quoted JSON string. *)
-
-  val obj : (string * string) list -> string
-  (** Object from pre-rendered member values. *)
-
-  val int : int -> string
-  val bool : bool -> string
-  val float : float -> string
-  val null : string
-  val option : ('a -> string) -> 'a option -> string
-end
+module Json = Obs.Json
+(** The writer {!event_to_json} renders with, shared with {!Report}, and
+    the reader {!event_of_json} reads with. *)

@@ -48,7 +48,7 @@ let install_spec ?(bound = None) ?(engine = Sctc.Engine.default)
           in
           Checker.register_proposition checker (Proposition.make name sample))
         (Eee_spec.expected_returns op);
-      Checker.add_property_text ~engine checker
+      Checker.add_property_text ~engine ~syntax:`Fltl checker
         ~name:(Eee_spec.property_name op)
         (Eee_spec.property_text ?bound op))
     ops

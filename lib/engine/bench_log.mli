@@ -2,9 +2,9 @@
 
     The bench harness appends one flat JSON object per round, tagged
     with its ["table"]; the file spans the repository's whole history.
-    Numbers may use the [%.6g] scientific notation the rows are written
-    with ([1.33827e+06]); the core trace parser is integer-only, hence
-    this dedicated flat parser. *)
+    Lines are read with {!Obs.Json.parse}, so numbers follow JSON's
+    grammar, the [%.6g] scientific notation the rows are written with
+    ([1.33827e+06]) included. *)
 
 type value = Number of float | Bool of bool | String of string | Null
 
@@ -14,9 +14,10 @@ type row = {
 }
 
 val parse_line : string -> (row, string) result
-(** Parse one trajectory line (a flat JSON object — nested containers
-    are not part of the row format and are rejected). A row without a
-    string ["table"] member is an [Error]. *)
+(** Parse one trajectory line: one JSON object whose members are all
+    scalars (nested containers are not part of the row format and are
+    rejected) and which has a string ["table"] member. A syntax error
+    names its byte offset. Never raises. *)
 
 val load : string -> (row list, string) result
 (** Every row of a trajectory file, blank lines skipped; the first
@@ -34,6 +35,6 @@ val str_field : row -> string -> string option
 (** {2 Writing} *)
 
 val render : table:string -> (string * string) list -> string
-(** One trajectory line from pre-rendered {!Sctc.Trace.Json} member
+(** One trajectory line from pre-rendered {!Obs.Json} member
     values, with the uniform [("table", table)] tag placed first.
     @raise Invalid_argument when [members] already contains ["table"]. *)

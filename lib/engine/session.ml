@@ -4,7 +4,7 @@ module Flash = Dataflash.Flash
 module Flash_ctrl = Dataflash.Flash_ctrl
 module Map = Cpu.Memory_map
 
-type backend = Reference | Soc_model | Derived_model
+type backend = Soc_model | Derived_model
 
 type config = {
   session_name : string;
@@ -45,14 +45,7 @@ let default_config =
     metrics = Registry.null;
   }
 
-type ref_state = {
-  env : Minic.Exec.t;
-  mutable executed : bool;
-  mutable crash : string option;
-}
-
 type runtime =
-  | Ref of ref_state
   | Soc of { soc : Platform.Soc.t; monitor : Platform.Esw_monitor.t option }
   | Model of {
       kernel : Sim.Kernel.t;
@@ -110,15 +103,8 @@ let rec eval_pure lookup (e : Minic.Ast.expr) =
   | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ ->
     failwith "propositions must be pure expressions over globals"
 
-let backend_kind session =
-  match session.runtime with
-  | Ref _ -> Reference
-  | Soc _ -> Soc_model
-  | Model _ -> Derived_model
-
 let backend_name session =
   match session.runtime with
-  | Ref _ -> "reference interpreter"
   | Soc _ -> "approach-1 (microprocessor model)"
   | Model _ -> "approach-2 (derived SystemC model)"
 
@@ -127,52 +113,33 @@ let trace session = session.config.trace
 
 let read_var session name =
   match session.runtime with
-  | Ref r -> Minic.Exec.read_global r.env name
   | Soc s -> Platform.Soc.read_var s.soc name
   | Model m -> Esw.Esw_model.read_member m.model name
 
-let unsupported_on_reference fn =
-  invalid_arg
-    (Printf.sprintf "Verif.Session.%s: unsupported on the reference backend" fn)
-
-let in_function_opt session func =
-  match session.runtime with
-  | Ref _ -> None
-  | Soc s -> Some (Platform.Mem_prop.in_function s.soc func)
-  | Model m -> Some (Esw.Esw_prop.in_function m.model func)
-
 let in_function session func =
-  match in_function_opt session func with
-  | Some prop -> prop
-  | None -> unsupported_on_reference "in_function"
-
-let mailbox_opt session =
   match session.runtime with
-  | Ref _ -> None
-  | Soc s -> Some (Platform.Soc.mailbox s.soc)
-  | Model m -> Some m.mbox
+  | Soc s -> Platform.Mem_prop.in_function s.soc func
+  | Model m -> Esw.Esw_prop.in_function m.model func
 
 let mailbox session =
-  match mailbox_opt session with
-  | Some mbox -> mbox
-  | None -> unsupported_on_reference "mailbox"
+  match session.runtime with
+  | Soc s -> Platform.Soc.mailbox s.soc
+  | Model m -> m.mbox
 
 let time_units session =
   match session.runtime with
-  | Ref r -> Minic.Exec.statements_executed r.env
   | Soc s -> Platform.Soc.cycles s.soc
   | Model m -> Esw.Esw_model.statements m.model
 
-(* the Minic execution backend of the statement-driven runtimes (the SoC
-   backend executes compiled code, not MiniC) *)
+(* the Minic execution backend of the derived model (the SoC backend
+   executes compiled code, not MiniC) *)
 let exec_backend session =
   match session.runtime with
-  | Ref _ | Model _ -> Some session.config.exec_backend
+  | Model _ -> Some session.config.exec_backend
   | Soc _ -> None
 
 let alive session =
   match session.runtime with
-  | Ref r -> not r.executed
   | Soc s -> not (Platform.Soc.cpu_stopped s.soc)
   | Model m -> (
     match Esw.Esw_model.outcome m.model with
@@ -181,7 +148,6 @@ let alive session =
 
 let crashed session =
   match session.runtime with
-  | Ref r -> r.crash
   | Soc s -> (
     match Cpu.Cpu_core.stop_reason (Platform.Soc.cpu s.soc) with
     | Cpu.Cpu_core.Trapped code -> Some (Printf.sprintf "trap %d" code)
@@ -200,38 +166,9 @@ let check_crash session =
         Trace.emit session.config.trace (Trace.Software_crashed { reason })
     | None -> ()
 
-(* the reference backend has no resumable process: the first advance/run
-   executes the whole program, stepping the checker per statement *)
-let run_reference session r =
-  if not r.executed then begin
-    r.executed <- true;
-    let trace = session.config.trace in
-    if Trace.enabled trace then
-      Trace.emit trace (Trace.Handshake_armed { source = "interpreter" });
-    let step () = Checker.trigger session.chk in
-    let hooks =
-      {
-        (Minic.Exec.default_hooks ()) with
-        Minic.Exec.on_statement = (fun _ -> step ());
-      }
-    in
-    match Minic.Exec.run ~fuel:session.config.fuel ~hooks r.env ~entry:"main" with
-    | Minic.Exec.Finished _ | Minic.Exec.Halted | Minic.Exec.Fuel_exhausted ->
-      (* on_statement fires before each statement executes, so sample once
-         more to observe the terminal state, as the other backends do *)
-      step ()
-    | exception Minic.Exec.Assertion_failed pos ->
-      r.crash <-
-        Some
-          (Printf.sprintf "assertion failed at %d:%d" pos.Minic.Ast.line
-             pos.Minic.Ast.column)
-    | exception Minic.Exec.Runtime_error (msg, _) -> r.crash <- Some msg
-  end
-
 let advance session =
   Registry.Timer.time session.sim_timer (fun () ->
       match session.runtime with
-      | Ref r -> run_reference session r
       | Soc s -> Platform.Soc.run ~max_cycles:session.config.chunk s.soc
       | Model m ->
         Sim.Kernel.run
@@ -250,7 +187,6 @@ let run ?bound session =
   in
   Registry.Timer.time session.sim_timer (fun () ->
       match session.runtime with
-      | Ref r -> run_reference session r
       | Soc s ->
         (* the SoC clock keeps ticking (and triggering the checker) after
            the CPU halts, so consume the budget in chunks and stop on halt *)
@@ -271,7 +207,6 @@ let run ?bound session =
 
 let boot ?(attempts = 50) session =
   match session.runtime with
-  | Ref _ -> ()
   | Soc s -> (
     match s.monitor with
     | None -> ()
@@ -397,7 +332,6 @@ let build_model config derived =
   (kernel, model, mbox)
 
 let backend_label = function
-  | Reference -> "reference"
   | Soc_model -> "approach1"
   | Derived_model -> "approach2"
 
@@ -406,35 +340,21 @@ let create ?compiled ?derived ?info config backend =
     Checker.create ~trace:config.trace ~metrics:config.metrics
       ~name:config.session_name ()
   in
-  let require_info what =
+  let require_info what form =
     match info with
     | Some info -> info
     | None ->
       invalid_arg
-        (Printf.sprintf "Verif.Session.create: the %s backend needs %s" what
-           (if String.equal what "reference" then "~info"
-            else "~" ^ (if String.equal what "Soc_model" then "compiled"
-                        else "derived") ^ " or ~info"))
+        (Printf.sprintf
+           "Verif.Session.create: the %s backend needs ~%s or ~info" what form)
   in
   let runtime =
     match backend with
-    | Reference ->
-      let info =
-        match info with
-        | Some info -> info
-        | None -> require_info "reference"
-      in
-      Ref
-        {
-          env = Minic.Exec.create ~backend:config.exec_backend info;
-          executed = false;
-          crash = None;
-        }
     | Soc_model ->
       let compiled =
         match compiled with
         | Some compiled -> compiled
-        | None -> Mcc.Codegen.compile (require_info "Soc_model")
+        | None -> Mcc.Codegen.compile (require_info "Soc_model" "compiled")
       in
       let soc = build_soc config compiled in
       let monitor =
@@ -451,7 +371,7 @@ let create ?compiled ?derived ?info config backend =
       let derived =
         match derived with
         | Some derived -> derived
-        | None -> Esw.C2sc.derive (require_info "Derived_model")
+        | None -> Esw.C2sc.derive (require_info "Derived_model" "derived")
       in
       let kernel, model, mbox = build_model config derived in
       ignore (Sctc.Trigger.on_event kernel (Esw.Esw_model.pc_event model) chk);
@@ -494,7 +414,6 @@ let create ?compiled ?derived ?info config backend =
     config.propositions;
   List.iter
     (fun (name, text) ->
-      Checker.add_property_text ~engine:config.engine ~syntax:Checker.Auto chk
-        ~name text)
+      Checker.add_property_text ~engine:config.engine chk ~name text)
     config.properties;
   session

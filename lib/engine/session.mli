@@ -2,11 +2,8 @@
     to the backend's timing reference, and a trace bus — the single place
     where a verification backend is assembled.
 
-    The three backends mirror the paper plus the repro's reference
-    semantics:
+    The two backends are the paper's two approaches:
 
-    - {!Reference}: the MiniC reference interpreter, the checker stepped
-      per executed statement. No mailbox, no devices.
     - {!Soc_model} (approach 1): the software compiled and loaded into the
       cycle-level SoC; the checker is clock-triggered, optionally through
       the ESW monitor's initialization-flag handshake ([config.flag]).
@@ -21,7 +18,7 @@
     trace bus's time source, so first-final-verdict stamps and trace
     events carry backend time. *)
 
-type backend = Reference | Soc_model | Derived_model
+type backend = Soc_model | Derived_model
 
 type config = {
   session_name : string;  (** checker name, used in error messages *)
@@ -32,7 +29,7 @@ type config = {
   propositions : (string * string) list;
       (** name, pure boolean MiniC expression over the software's globals *)
   bound : int option;  (** default time-unit budget of {!run} *)
-  fuel : int;  (** statement budget (reference / derived model) *)
+  fuel : int;  (** statement budget of the derived model *)
   chunk : int;  (** time units per {!advance} *)
   seed : int;  (** stimulus master seed *)
   flash : Dataflash.Flash.config option;  (** [None]: platform default *)
@@ -55,9 +52,9 @@ type config = {
       (** approach-1 only: attach the ESW monitor with this
           initialization-flag variable instead of a bare clock trigger *)
   exec_backend : Minic.Exec.kind;
-      (** how the reference and derived-model backends execute MiniC:
-          the bytecode VM ([Vm], the default) or the interpreter oracle
-          ([Interp]). Ignored by the SoC backend. *)
+      (** how the derived model executes MiniC: the bytecode VM ([Vm],
+          the default) or the interpreter oracle ([Interp]). Ignored by
+          the SoC backend. *)
   trace : Trace.t;  (** event bus; {!Trace.null} disables tracing *)
   metrics : Obs.Registry.t;
       (** metrics registry threaded into the checker and the session's
@@ -81,15 +78,14 @@ val create :
   t
 (** Assemble the backend, attach the checker to its trigger, and register
     [config.propositions] / [config.properties]. Each backend needs its
-    program in one of the accepted forms — [Reference]: [~info];
-    [Soc_model]: [~compiled] (or [~info], compiled here); [Derived_model]:
-    [~derived] (or [~info], derived here). Passing a memoized
+    program in one of the accepted forms — [Soc_model]: [~compiled] (or
+    [~info], compiled here); [Derived_model]: [~derived] (or [~info],
+    derived here). Passing a memoized
     [~compiled]/[~derived] avoids recompiling per session.
     @raise Invalid_argument when the needed form is missing. *)
 
 (** {2 Introspection} *)
 
-val backend_kind : t -> backend
 val backend_name : t -> string
 val checker : t -> Sctc.Checker.t
 val trace : t -> Trace.t
@@ -98,21 +94,13 @@ val read_var : t -> string -> int
 (** Observe a software global through the backend's memory interface. *)
 
 val in_function : t -> string -> Proposition.t
-(** Proposition "execution is inside this function" ([fname]-based).
-    @raise Invalid_argument on the reference backend. *)
-
-val in_function_opt : t -> string -> Proposition.t option
-(** As {!in_function}, [None] where unsupported (reference backend). *)
+(** Proposition "execution is inside this function" ([fname]-based). *)
 
 val mailbox : t -> Platform.Mailbox.t
-(** The testbench request/response mailbox.
-    @raise Invalid_argument on the reference backend. *)
-
-val mailbox_opt : t -> Platform.Mailbox.t option
-(** As {!mailbox}, [None] where unsupported (reference backend). *)
+(** The testbench request/response mailbox. *)
 
 val time_units : t -> int
-(** Cycles (SoC) / statements (reference, derived model) consumed. *)
+(** Cycles (SoC) / statements (derived model) consumed. *)
 
 val alive : t -> bool
 (** The software is still executing (or has not started yet). *)
@@ -126,11 +114,10 @@ val boot : ?attempts:int -> t -> unit
 (** Bring the backend up: with an ESW monitor, run until the handshake
     completes (at most [attempts] * 200 cycles, default 50 attempts,
     [failwith] on failure); derived model: run one initialization chunk;
-    reference: no-op. *)
+    SoC without a monitor: no-op. *)
 
 val advance : t -> unit
-(** Progress the simulation by [config.chunk] time units (reference
-    backend: execute the whole program on first call). *)
+(** Progress the simulation by [config.chunk] time units. *)
 
 val run : ?bound:int -> t -> unit
 (** Advance by [bound] time units from now (default [config.bound], then

@@ -140,11 +140,3 @@ let parse text =
     raise
       (Parse_error ("trailing input: " ^ Fltl_lexer.token_to_string got, pos)));
   formula
-
-let parse_result text =
-  match parse text with
-  | formula -> Ok formula
-  | exception Parse_error (msg, pos) ->
-    Error (Printf.sprintf "%d:%d: %s" pos.Fltl_lexer.line pos.Fltl_lexer.column msg)
-  | exception Fltl_lexer.Lex_error (msg, pos) ->
-    Error (Printf.sprintf "%d:%d: %s" pos.Fltl_lexer.line pos.Fltl_lexer.column msg)

@@ -24,13 +24,10 @@ val parse : string -> Formula.t
 [@@alert
   deprecated
     "Parse through Sctc.Prop.parse / parse_exn (~syntax:`Fltl) instead; \
-     this legacy entry point will be removed."]
+     this grammar entry is reserved for Sctc.Prop."]
 (** @raise Parse_error and {!Fltl_lexer.Lex_error} on malformed input.
-    @deprecated New code should parse through [Sctc.Prop.parse] (or
-    [parse_exn] / [~syntax:`Fltl]), which unifies both syntaxes behind a
-    structured error. This entry remains as a thin wrapper; [Sctc.Prop]
-    is its only in-tree caller, and the [dep-strict] build profile turns
-    any other use into a compile error. *)
-
-val parse_result : string -> (Formula.t, string) result
-(** Like {!parse}, with errors rendered as a message. *)
+    @deprecated Parse through [Sctc.Prop.parse] (or [parse_exn] /
+    [~syntax:`Fltl]), which puts both syntaxes behind one structured
+    error. This is the FLTL grammar [Sctc.Prop] dispatches to, its only
+    in-tree caller; the alert stays so that the [dep-strict] build
+    profile turns any other use into a compile error. *)

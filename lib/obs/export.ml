@@ -8,22 +8,6 @@ let render_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 (* --- Prometheus text format ---------------------------------------------- *)
 
 let prom_labels labels =
@@ -33,7 +17,8 @@ let prom_labels labels =
     "{"
     ^ String.concat ","
         (List.map
-           (fun (key, value) -> Printf.sprintf "%s=\"%s\"" key (escape value))
+           (fun (key, value) ->
+             Printf.sprintf "%s=\"%s\"" key (Json.escape value))
            labels)
     ^ "}"
 
@@ -89,21 +74,19 @@ let prometheus registry =
 
 (* --- JSONL snapshot ------------------------------------------------------ *)
 
-let json_string s = "\"" ^ escape s ^ "\""
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (key, value) -> json_string key ^ ":" ^ json_string value)
+         (fun (key, value) -> Json.string key ^ ":" ^ Json.string value)
          labels)
   ^ "}"
 
 let metric_to_json (metric : Registry.metric) =
   let base =
     Printf.sprintf "\"metric\":%s,\"type\":%s,\"labels\":%s"
-      (json_string metric.name)
-      (json_string (prom_type metric.value))
+      (Json.string metric.name)
+      (Json.string (prom_type metric.value))
       (json_labels metric.labels)
   in
   match metric.value with
@@ -117,7 +100,7 @@ let metric_to_json (metric : Registry.metric) =
            (fun (le, cumulative) ->
              Printf.sprintf "{\"le\":%s,\"count\":%d}"
                (if Float.is_finite le then render_float le
-                else json_string "+Inf")
+                else Json.string "+Inf")
                cumulative)
            buckets)
     in
@@ -137,164 +120,6 @@ let write_jsonl path registry =
   let oc = open_out_bin path in
   output_string oc (to_jsonl registry);
   close_out oc
-
-(* --- JSON reader --------------------------------------------------------- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let error msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match line.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let literal word value =
-      let len = String.length word in
-      if !pos + len <= n && String.sub line !pos len = word then begin
-        pos := !pos + len;
-        value
-      end
-      else error "bad literal"
-    in
-    let parse_string () =
-      if !pos >= n || line.[!pos] <> '"' then error "expected '\"'";
-      incr pos;
-      let buffer = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then error "unterminated string"
-        else
-          match line.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            incr pos;
-            if !pos >= n then error "dangling escape";
-            (match line.[!pos] with
-            | '"' -> Buffer.add_char buffer '"'
-            | '\\' -> Buffer.add_char buffer '\\'
-            | '/' -> Buffer.add_char buffer '/'
-            | 'n' -> Buffer.add_char buffer '\n'
-            | 'r' -> Buffer.add_char buffer '\r'
-            | 't' -> Buffer.add_char buffer '\t'
-            | 'b' -> Buffer.add_char buffer '\b'
-            | 'u' ->
-              if !pos + 4 >= n then error "short \\u escape";
-              let code =
-                try int_of_string ("0x" ^ String.sub line (!pos + 1) 4)
-                with _ -> error "bad \\u escape"
-              in
-              if code < 256 then Buffer.add_char buffer (Char.chr code)
-              else Buffer.add_char buffer '?';
-              pos := !pos + 4
-            | c -> error (Printf.sprintf "unknown escape \\%c" c));
-            incr pos;
-            go ()
-          | c ->
-            Buffer.add_char buffer c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buffer
-    in
-    let parse_number () =
-      let start = !pos in
-      let numeral c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && numeral line.[!pos] do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some v -> v
-      | None -> error "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      if !pos >= n then error "missing value"
-      else
-        match line.[!pos] with
-        | '"' -> Str (parse_string ())
-        | 't' -> literal "true" (Bool true)
-        | 'f' -> literal "false" (Bool false)
-        | 'n' -> literal "null" Null
-        | '{' ->
-          incr pos;
-          skip_ws ();
-          if !pos < n && line.[!pos] = '}' then begin
-            incr pos;
-            Obj []
-          end
-          else begin
-            let members = ref [] in
-            let rec member () =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              if !pos >= n || line.[!pos] <> ':' then error "expected ':'";
-              incr pos;
-              members := (key, parse_value ()) :: !members;
-              skip_ws ();
-              if !pos < n && line.[!pos] = ',' then begin
-                incr pos;
-                member ()
-              end
-              else if !pos < n && line.[!pos] = '}' then incr pos
-              else error "expected ',' or '}'"
-            in
-            member ();
-            Obj (List.rev !members)
-          end
-        | '[' ->
-          incr pos;
-          skip_ws ();
-          if !pos < n && line.[!pos] = ']' then begin
-            incr pos;
-            Arr []
-          end
-          else begin
-            let items = ref [] in
-            let rec item () =
-              items := parse_value () :: !items;
-              skip_ws ();
-              if !pos < n && line.[!pos] = ',' then begin
-                incr pos;
-                item ()
-              end
-              else if !pos < n && line.[!pos] = ']' then incr pos
-              else error "expected ',' or ']'"
-            in
-            item ();
-            Arr (List.rev !items)
-          end
-        | '-' | '0' .. '9' -> Num (parse_number ())
-        | c -> error (Printf.sprintf "unexpected '%c'" c)
-    in
-    match
-      let value = parse_value () in
-      skip_ws ();
-      if !pos <> n then error "trailing input";
-      value
-    with
-    | value -> Ok value
-    | exception Bad msg -> Error msg
-end
 
 (* --- schema validation --------------------------------------------------- *)
 
@@ -319,9 +144,9 @@ let validate_snapshot_line line =
   in
   let num key =
     let* v = field key in
-    match v with
-    | Json.Num v -> Ok v
-    | _ -> Error (Printf.sprintf "%S must be a number" key)
+    match Json.number v with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%S must be a number" key)
   in
   let int key =
     let* v = num key in
@@ -360,12 +185,15 @@ let validate_snapshot_line line =
     in
     let parse_bucket = function
       | Json.Obj members -> (
-        match (List.assoc_opt "le" members, List.assoc_opt "count" members) with
-        | Some le, Some (Json.Num c) when Float.is_integer c && c >= 0.0 -> (
-          match le with
-          | Json.Num bound -> Ok (bound, int_of_float c)
-          | Json.Str "+Inf" -> Ok (infinity, int_of_float c)
-          | _ -> Error "bucket \"le\" must be a number or \"+Inf\"")
+        match
+          ( List.assoc_opt "le" members,
+            Option.bind (List.assoc_opt "count" members) Json.number )
+        with
+        | Some le, Some c when Float.is_integer c && c >= 0.0 -> (
+          match (Json.number le, le) with
+          | Some bound, _ -> Ok (bound, int_of_float c)
+          | None, Json.Str "+Inf" -> Ok (infinity, int_of_float c)
+          | None, _ -> Error "bucket \"le\" must be a number or \"+Inf\"")
         | _ -> Error "bucket needs \"le\" and an integer \"count\"")
       | _ -> Error "bucket is not an object"
     in
@@ -392,20 +220,22 @@ let validate_snapshot_line line =
   | other -> Error (Printf.sprintf "unknown metric type %S" other)
 
 let validate_snapshot_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let rec go line_no ok =
-      match input_line ic with
-      | exception End_of_file ->
-        close_in ic;
-        if ok = 0 then Error "empty snapshot (no metric lines)" else Ok ok
-      | "" -> go (line_no + 1) ok
-      | line -> (
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    (* [msg] usually reads "PATH: reason"; the caller names the file *)
+    let prefix = path ^ ": " in
+    Error
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix)
+       else msg)
+  | text ->
+    let rec go line_no ok = function
+      | [] -> if ok = 0 then Error "empty snapshot (no metric lines)" else Ok ok
+      | "" :: rest -> go (line_no + 1) ok rest
+      | line :: rest -> (
         match validate_snapshot_line line with
-        | Ok () -> go (line_no + 1) (ok + 1)
-        | Error msg ->
-          close_in ic;
-          Error (Printf.sprintf "line %d: %s" line_no msg))
+        | Ok () -> go (line_no + 1) (ok + 1) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" line_no msg))
     in
-    go 1 0
+    go 1 0 (String.split_on_char '\n' text)

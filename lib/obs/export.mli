@@ -27,25 +27,14 @@ val write_jsonl : string -> Registry.t -> unit
 
 (** {2 Snapshot validation} *)
 
-module Json : sig
-  (** A minimal JSON reader, enough to parse what {!to_jsonl} emits. *)
-
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-end
-
 val validate_snapshot_line : string -> (unit, string) result
 (** Check one line against the JSONL snapshot schema above, including
-    the cumulative-bucket and terminal [+Inf] invariants. *)
+    the cumulative-bucket and terminal [+Inf] invariants. The line is
+    read with {!Json.parse}, so a malformed line's message names its
+    byte offset. Never raises. *)
 
 val validate_snapshot_file : string -> (int, string) result
 (** Validate every non-empty line of a snapshot file; [Ok n] is the
     number of metrics seen. [Error] carries the first offending line
-    number and reason (also for an unreadable or empty file). *)
+    number and reason, or the reason an empty or unreadable file is
+    rejected; it does not repeat [path], which the caller names. *)

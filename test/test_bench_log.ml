@@ -7,7 +7,7 @@
    and spans the repo's whole life — and must reject an untagged row. *)
 
 module Bench_log = Verif.Bench_log
-module Json = Sctc.Trace.Json
+module Json = Obs.Json
 
 (* ---- verbatim historical fixture lines --------------------------------- *)
 
@@ -118,6 +118,25 @@ let test_null_and_escapes () =
     (Bench_log.str_field row "note");
   Alcotest.(check bool) "null decodes" true
     (Bench_log.field row "gap" = Some Bench_log.Null)
+
+(* numerals outside JSON's grammar were read as floats before *)
+let test_json_numerals_only () =
+  List.iter
+    (fun (numeral, expected) ->
+      match Bench_log.parse_line ({|{"table":"t","a":|} ^ numeral ^ "}") with
+      | Ok _ -> Alcotest.failf "%s accepted" numeral
+      | Error msg -> Alcotest.(check string) numeral expected msg)
+    [
+      ("+1", "unexpected '+' at byte 17");
+      (".5", "unexpected '.' at byte 17");
+      ("1.", "bad number at byte 19");
+    ]
+
+let test_unicode_escapes () =
+  let row = parse_ok {|{"table":"t","name":"caf\u00e9"}|} in
+  Alcotest.(check (option string)) "\\u00e9 decodes to UTF-8"
+    (Some "caf\xc3\xa9")
+    (Bench_log.str_field row "name")
 
 (* ---- load: files, blank lines, error position --------------------------- *)
 
@@ -238,6 +257,9 @@ let () =
             test_malformed_lines_rejected;
           Alcotest.test_case "null and string escapes" `Quick
             test_null_and_escapes;
+          Alcotest.test_case "JSON numerals only" `Quick
+            test_json_numerals_only;
+          Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
         ] );
       ( "load",
         [

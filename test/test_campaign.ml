@@ -56,7 +56,7 @@ let session_job ~label ~backend ~properties =
    the job order — exactly what the deterministic merge must hide) *)
 let make_jobs () =
   [
-    session_job ~label:"ref/eventually" ~backend:Session.Reference
+    session_job ~label:"esw/done" ~backend:Session.Derived_model
       ~properties:[ ("eventually_done", "F p_done") ];
     session_job ~label:"soc/safety" ~backend:Session.Soc_model
       ~properties:
@@ -65,7 +65,7 @@ let make_jobs () =
       ~properties:[ ("eventually_done", "F p_done") ];
     session_job ~label:"esw/safety" ~backend:Session.Derived_model
       ~properties:[ ("not_yet_done", "G !p_done") ];
-    session_job ~label:"ref/safety" ~backend:Session.Reference
+    session_job ~label:"esw/overflow" ~backend:Session.Derived_model
       ~properties:[ ("never_overflow", "G !p_overflow") ];
     session_job ~label:"esw/bounded" ~backend:Session.Derived_model
       ~properties:[ ("done_quickly", "F[500] p_done") ];
@@ -140,8 +140,8 @@ let test_merge_order_and_seq () =
   let labels = List.map (fun o -> o.Campaign.label) summary.Campaign.outcomes in
   Alcotest.(check (list string)) "outcomes in job order, not completion order"
     [
-      "ref/eventually"; "soc/safety"; "esw/eventually"; "esw/safety";
-      "ref/safety"; "esw/bounded";
+      "esw/done"; "soc/safety"; "esw/eventually"; "esw/safety";
+      "esw/overflow"; "esw/bounded";
     ]
     labels;
   List.iteri
@@ -207,15 +207,15 @@ let test_chunked_queue_identity () =
 let test_chunk_crash_is_contained () =
   let jobs =
     [
-      session_job ~label:"ok-0" ~backend:Session.Reference
+      session_job ~label:"ok-0" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
       Campaign.job ~label:"crash-mid-chunk" (fun _trace -> failwith "chunked boom");
-      session_job ~label:"ok-2" ~backend:Session.Reference
+      session_job ~label:"ok-2" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
-      session_job ~label:"ok-3" ~backend:Session.Reference
+      session_job ~label:"ok-3" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
       Campaign.job ~label:"crash-chunk-end" (fun _trace -> failwith "boom 2");
-      session_job ~label:"ok-5" ~backend:Session.Reference
+      session_job ~label:"ok-5" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
     ]
   in
@@ -236,7 +236,7 @@ let test_chunk_crash_is_contained () =
 let test_worker_crash_is_contained () =
   let jobs =
     [
-      session_job ~label:"ok-before" ~backend:Session.Reference
+      session_job ~label:"ok-before" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
       Campaign.job ~label:"crasher" (fun _trace -> failwith "boom");
       session_job ~label:"ok-after" ~backend:Session.Derived_model

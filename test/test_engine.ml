@@ -1,7 +1,8 @@
 (* Tests for the verification-session layer: both approaches must yield
    identical per-property verdicts on the same software, trace events must
-   round-trip through JSONL, and campaign test-case boundaries must be
-   published on the bus. *)
+   round-trip through JSONL, campaign test-case boundaries must be
+   published on the bus, and the trace reader must reject what is not one
+   JSON object, naming the byte. *)
 
 module Session = Verif.Session
 module Result = Verif.Result
@@ -86,15 +87,6 @@ let test_approaches_agree () =
     && Result.first_final_at r2 "eventually_done" <> None);
   Alcotest.(check (option int)) "non-final property has no stamp" None
     (Result.first_final_at r2 "never_overflow")
-
-let test_reference_backend_agrees () =
-  let r0 = run_session ~name:"ref" ~flag:None Session.Reference in
-  Alcotest.(check string) "backend name" "reference interpreter"
-    r0.Result.backend;
-  check_verdict "completion observed" Verdict.True
-    (Result.verdict r0 "eventually_done");
-  check_verdict "safety violated once done" Verdict.False
-    (Result.verdict r0 "not_yet_done")
 
 let kind_is_handshake e =
   match e.Trace.kind with Trace.Handshake_armed _ -> true | _ -> false
@@ -300,11 +292,45 @@ let test_campaign_trace_events () =
     (count (fun e ->
          match e.Trace.kind with Trace.Watchdog_fired _ -> true | _ -> false))
 
+(* ---- the trace reader ----------------------------------------------------- *)
+
+let trigger = {|{"seq":0,"tu":0,"event":"trigger"}|}
+
+let check_rejected label expected line =
+  match Trace.event_of_json line with
+  | Ok _ -> Alcotest.failf "%s: %S accepted" label line
+  | Error msg -> Alcotest.(check string) label expected msg
+
+let test_reader_rejects_trailing_bytes () =
+  check_rejected "garbage after the object" "trailing input at byte 34"
+    (trigger ^ "garbage");
+  check_rejected "two objects on one line" "trailing input at byte 34"
+    (trigger ^ trigger)
+
+let sample_prop line =
+  match Trace.event_of_json line with
+  | Ok { Trace.kind = Trace.Sample { prop; _ }; _ } -> prop
+  | Ok _ -> Alcotest.failf "%S is not a sample" line
+  | Error msg -> Alcotest.failf "%S rejected: %s" line msg
+
+let test_reader_decodes_escapes () =
+  let sample prop =
+    {|{"seq":0,"tu":0,"event":"sample","prop":"|} ^ prop ^ {|","value":true}|}
+  in
+  Alcotest.(check string) "backspace" "a\bc" (sample_prop (sample {|a\bc|}));
+  Alcotest.(check string) "all eight" "\" \\ / \b \012 \n \r \t"
+    (sample_prop (sample {|\" \\ \/ \b \f \n \r \t|}));
+  Alcotest.(check string) "UTF-8" "\xc3\xa9" (sample_prop (sample {|\u00e9|}))
+
+let test_reader_errors_are_positioned () =
+  check_rejected "a minus without digits" "bad number at byte 8"
+    {|{"seq":-,"tu":0,"event":"trigger"}|};
+  check_rejected "a fraction where an int belongs" "\"seq\": expected int"
+    {|{"seq":0.5,"tu":0,"event":"trigger"}|}
+
 let suite =
   [
     Alcotest.test_case "approaches agree" `Quick test_approaches_agree;
-    Alcotest.test_case "reference backend agrees" `Quick
-      test_reference_backend_agrees;
     Alcotest.test_case "trace events and JSONL round trip" `Quick
       test_trace_events_and_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_render_oracle;
@@ -314,4 +340,14 @@ let suite =
       test_campaign_trace_events;
   ]
 
-let () = Alcotest.run "engine" [ ("session", suite) ]
+let reader =
+  [
+    Alcotest.test_case "trailing bytes rejected" `Quick
+      test_reader_rejects_trailing_bytes;
+    Alcotest.test_case "every escape decoded" `Quick
+      test_reader_decodes_escapes;
+    Alcotest.test_case "errors name the byte" `Quick
+      test_reader_errors_are_positioned;
+  ]
+
+let () = Alcotest.run "engine" [ ("session", suite); ("reader", reader) ]

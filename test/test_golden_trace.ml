@@ -95,6 +95,27 @@ let check_golden_pooled () =
   Alcotest.(check string) "pooled run reproduces the golden bytes" golden
     (project jsonl)
 
+(* every committed line reads back with the trace reader and renders to
+   the same bytes *)
+let check_golden_lines_round_trip () =
+  let lines =
+    List.concat_map
+      (fun approach ->
+        read_file (Filename.concat "golden" (golden_file approach))
+        |> String.split_on_char '\n'
+        |> List.filter (fun line -> line <> ""))
+      [ 1; 2 ]
+  in
+  Alcotest.(check bool) "goldens hold lines" true (lines <> []);
+  List.iter
+    (fun line ->
+      match Verif.Trace.event_of_json line with
+      | Ok event ->
+        Alcotest.(check string) "re-rendered bytes" line
+          (Verif.Trace.event_to_json event)
+      | Error msg -> Alcotest.failf "%S rejected: %s" line msg)
+    lines
+
 (* ---- fault injection ----------------------------------------------------- *)
 
 (* enabling the fault-injection hooks with every probability at zero
@@ -178,6 +199,8 @@ let () =
               (check_golden ~approach:2);
             Alcotest.test_case "approach 2, Read, pooled" `Quick
               check_golden_pooled;
+            Alcotest.test_case "golden lines round-trip" `Quick
+              check_golden_lines_round_trip;
           ] );
         ( "faults",
           [

@@ -147,16 +147,17 @@ let test_parse_comments () =
     (parse_fltl "G (/* block */ a -> // line\n F b)")
 
 let test_parse_errors () =
-  (match Fltl_parser.parse_result "G (a -> " with
+  let parse text = Sctc.Prop.parse ~syntax:`Fltl text in
+  (match parse "G (a -> " with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
-  (match Fltl_parser.parse_result "a @ b" with
+  (match parse "a @ b" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected lex error");
-  match Fltl_parser.parse_result "a b" with
-  | Error msg ->
+  match parse "a b" with
+  | Error error ->
     Alcotest.(check bool) "mentions trailing" true
-      (String.length msg > 0)
+      (String.starts_with ~prefix:"trailing input" error.Sctc.Prop.message)
   | Ok _ -> Alcotest.fail "expected trailing-input error"
 
 (* round trip: printing then parsing is the identity (modulo hash-consing) *)

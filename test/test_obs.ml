@@ -1,8 +1,10 @@
 (* lib/obs contract tests: histogram bucketing and quantiles, exact
    counter totals under 4 concurrent domains, byte-golden exporter
    output, the null registry's no-op guarantee, the JSONL snapshot
-   validator, and the engine integration (session + campaign metrics,
-   including that metering never perturbs the merged campaign trace). *)
+   validator, the JSON reader's grammar and positioned errors, a fuzz of
+   every JSONL reader over the committed corpora, and the engine
+   integration (session + campaign metrics, including that metering
+   never perturbs the merged campaign trace). *)
 
 module Registry = Obs.Registry
 module Export = Obs.Export
@@ -193,6 +195,181 @@ let test_validator_rejects () =
     (rejected
        {|{"metric":"m","type":"histogram","labels":{},"count":3,"sum":1,"buckets":[{"le":1,"count":1},{"le":"+Inf","count":2}]}|})
 
+(* ---- the one JSON reader --------------------------------------------------- *)
+
+module Json = Obs.Json
+
+let parse_ok text =
+  match Json.parse text with
+  | Ok value -> value
+  | Error msg -> Alcotest.failf "%S rejected: %s" text msg
+
+let check_error label expected text =
+  match Json.parse text with
+  | Ok _ -> Alcotest.failf "%s: %S accepted" label text
+  | Error msg -> check_string label expected msg
+
+let test_json_numbers () =
+  check "integer numerals are exact" true
+    (parse_ok (string_of_int max_int) = Json.Int max_int
+    && parse_ok (string_of_int min_int) = Json.Int min_int);
+  check "fractions and exponents" true
+    (parse_ok "[-0.5,1e3,1.33827e+06,2E-2]"
+    = Json.Arr
+        [ Json.Float (-0.5); Json.Float 1e3; Json.Float 1.33827e+06;
+          Json.Float 2e-2 ]);
+  check "an integer past the int range is a float" true
+    (parse_ok "46116860184273879040" = Json.Float 46116860184273879040.);
+  check_error "leading plus" "unexpected '+' at byte 0" "+1";
+  check_error "bare fraction" "unexpected '.' at byte 0" ".5";
+  check_error "empty fraction" "bad number at byte 2" "1.";
+  check_error "empty exponent" "bad number at byte 2" "1e";
+  check_error "lone minus" "bad number at byte 1" "-";
+  check_error "leading zero" "trailing input at byte 1" "01"
+
+let test_json_strings () =
+  check "the eight one-letter escapes" true
+    (parse_ok {|"\" \\ \/ \b \f \n \r \t"|}
+    = Json.Str "\" \\ / \b \012 \n \r \t");
+  check "\\u escapes decode to UTF-8" true
+    (parse_ok {|"A\u00e9\u20AC"|} = Json.Str "A\xc3\xa9\xe2\x82\xac");
+  check "bytes from 0x80 up pass through" true
+    (parse_ok "\"\xff\xc3\xa9\"" = Json.Str "\xff\xc3\xa9");
+  check_error "surrogate" "surrogate \\u escape at byte 2" {|"\ud83d\ude00"|};
+  check_error "short \\u" "short \\u escape at byte 2" {|"\u12"|};
+  check_error "bad hex digit" "bad \\u escape at byte 2" {|"\u00g1"|};
+  check_error "unknown escape" "unknown escape \\x at byte 2" {|"\x"|};
+  check_error "dangling escape" "dangling escape at byte 2" {|"\|};
+  check_error "raw control byte" "control byte in string at byte 2" "\"a\tb\"";
+  check_error "unterminated" "unterminated string at byte 3" {|"ab|}
+
+let test_json_structure () =
+  check "whitespace around values" true
+    (parse_ok " \t{ \"a\" : [ 1 , true , null ] }\r\n"
+    = Json.Obj [ ("a", Json.Arr [ Json.Int 1; Json.Bool true; Json.Null ]) ]);
+  check "members keep input order and duplicates" true
+    (parse_ok {|{"b":1,"a":2,"b":3}|}
+    = Json.Obj [ ("b", Json.Int 1); ("a", Json.Int 2); ("b", Json.Int 3) ]);
+  check "512 levels of nesting" true
+    (match Json.parse (String.make 512 '[' ^ String.make 512 ']') with
+    | Ok _ -> true
+    | Error _ -> false);
+  check_error "nesting cap" "nesting too deep at byte 512"
+    (String.make 600 '[');
+  check_error "trailing bytes" "trailing input at byte 2" "{}x";
+  check_error "two values" "trailing input at byte 2" "{}{}";
+  check_error "empty input" "missing value at byte 0" "";
+  check_error "trailing comma" "expected '\"' at byte 7" {|{"a":1,}|};
+  check_error "bad literal" "bad literal at byte 0" "tru"
+
+(* every byte, weighted toward the ones the writer escapes *)
+let any_string =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      string_size (int_bound 16)
+        ~gen:
+          (frequency
+             [ (1, oneofl [ '"'; '\\'; '\n'; '\x01'; '\x7f' ]); (3, char) ]))
+
+let qcheck_writer_reads_back =
+  QCheck.Test.make ~count:2000 ~name:"Json.parse (Json.string s) = Str s"
+    any_string (fun s -> Json.parse (Json.string s) = Ok (Json.Str s))
+
+(* ---- fuzzing the JSONL readers -------------------------------------------- *)
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> line <> "")
+
+(* the committed JSONL corpora: the golden traces, the bench trajectory
+   and the metrics snapshot of the goldens above (the test runs in
+   _build/default/test) *)
+let corpus =
+  lazy
+    (let golden =
+       Sys.readdir "golden" |> Array.to_list |> List.sort compare
+       |> List.filter (fun file -> Filename.check_suffix file ".jsonl")
+       |> List.concat_map (fun file ->
+              read_lines (Filename.concat "golden" file))
+     in
+     let metrics =
+       String.split_on_char '\n' (Export.to_jsonl (golden_registry ()))
+       |> List.filter (fun line -> line <> "")
+     in
+     Array.of_list (golden @ read_lines "../BENCH_campaign.json" @ metrics))
+
+(* a corpus line after one to three byte flips, truncations or splices
+   with another corpus line *)
+let mutant =
+  let open QCheck.Gen in
+  let pick st =
+    let lines = Lazy.force corpus in
+    lines.(Random.State.int st (Array.length lines))
+  in
+  let byte =
+    frequency
+      [
+        (1, oneofl (List.of_seq (String.to_seq "\"\\{}[]:,.-eu0 ")));
+        (1, char);
+      ]
+  in
+  let flip s =
+    if s = "" then return s
+    else
+      map2
+        (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+        (int_bound (String.length s - 1))
+        byte
+  in
+  let truncate s =
+    map (fun i -> String.sub s 0 i) (int_bound (String.length s))
+  in
+  let splice s =
+    pick >>= fun t ->
+    map2
+      (fun i j -> String.sub s 0 i ^ String.sub t j (String.length t - j))
+      (int_bound (String.length s))
+      (int_bound (String.length t))
+  in
+  let rec mutate k s =
+    if k = 0 then return s
+    else
+      frequency [ (3, flip s); (1, truncate s); (1, splice s) ]
+      >>= mutate (k - 1)
+  in
+  pick >>= fun s -> int_range 1 3 >>= fun k -> mutate k s
+
+let positioned msg =
+  match String.rindex_opt msg ' ' with
+  | Some i ->
+    String.ends_with ~suffix:" at byte" (String.sub msg 0 i)
+    && int_of_string_opt (String.sub msg (i + 1) (String.length msg - i - 1))
+       <> None
+  | None -> false
+
+let qcheck_readers_never_raise =
+  QCheck.Test.make ~count:3000 ~name:"JSONL readers total on mutated corpora"
+    (QCheck.make ~print:String.escaped mutant)
+    (fun line ->
+      let total name read =
+        match read line with
+        | _ -> ()
+        | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+      in
+      total "Trace.event_of_json" Verif.Trace.event_of_json;
+      total "Bench_log.parse_line" Verif.Bench_log.parse_line;
+      total "Export.validate_snapshot_line" Export.validate_snapshot_line;
+      match Json.parse line with
+      | Ok _ -> true
+      | Error msg ->
+        positioned msg
+        || QCheck.Test.fail_reportf "Obs.Json.parse: unpositioned error %S" msg
+      | exception e ->
+        QCheck.Test.fail_reportf "Obs.Json.parse raised %s"
+          (Printexc.to_string e))
+
 (* ---- engine integration -------------------------------------------------- *)
 
 let source =
@@ -224,7 +401,7 @@ let session_result metrics =
   in
   let session =
     Verif.Session.create ~info:(Lazy.force program_info) config
-      Verif.Session.Reference
+      Verif.Session.Derived_model
   in
   Verif.Session.run session;
   Verif.Session.result session
@@ -266,7 +443,7 @@ let campaign_jobs () =
           in
           let session =
             Verif.Session.create ~info:(Lazy.force program_info) config
-              Verif.Session.Reference
+              Verif.Session.Derived_model
           in
           Verif.Session.run session;
           Verif.Session.result session))
@@ -325,6 +502,14 @@ let () =
           Alcotest.test_case "accepts own output" `Quick
             test_validator_accepts_own_output;
           Alcotest.test_case "rejects bad lines" `Quick test_validator_rejects;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "strings" `Quick test_json_strings;
+          Alcotest.test_case "structure" `Quick test_json_structure;
+          QCheck_alcotest.to_alcotest qcheck_writer_reads_back;
+          QCheck_alcotest.to_alcotest qcheck_readers_never_raise;
         ] );
       ( "engine",
         [

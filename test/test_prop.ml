@@ -107,9 +107,9 @@ let test_checker_auto_text () =
   let checker = Sctc.Checker.create ~name:"prop-test" () in
   Sctc.Checker.register_sampler checker "p" (fun () -> true);
   Sctc.Checker.register_sampler checker "q" (fun () -> true);
-  Sctc.Checker.add_property_text ~syntax:Sctc.Checker.Auto checker ~name:"fltl"
+  Sctc.Checker.add_property_text ~syntax:`Auto checker ~name:"fltl"
     "G (p -> F q)";
-  Sctc.Checker.add_property_text ~syntax:Sctc.Checker.Auto checker ~name:"psl"
+  Sctc.Checker.add_property_text ~syntax:`Auto checker ~name:"psl"
     "always (p -> eventually! q)";
   Sctc.Checker.step checker;
   check "both properties monitored" true

@@ -73,7 +73,7 @@ let job_of_variant index variant =
   let label kind = Printf.sprintf "%s-%d" kind index in
   match variant mod variant_count with
   | 0 ->
-    session_job ~label:(label "ref") ~backend:Session.Reference
+    session_job ~label:(label "done") ~backend:Session.Derived_model
       ~properties:[ ("eventually_done", "F p_done") ]
   | 1 ->
     session_job ~label:(label "soc") ~backend:Session.Soc_model
