@@ -217,12 +217,11 @@ let synth_seconds_sum summary =
 
 (* One pooled run of [plan] against the recorded sequential baseline
    [(summary, jsonl)]: wall clock, per-stage times from a fresh lib/obs
-   registry (simulate / check / synthesize / parse / merge /
-   queue-wait), identity checks on verdicts and on the JSONL rendered
-   by the buffer sink, and the contention counters of this run
-   (job-queue acquisitions from the summary; cons-table counters as
-   deltas of the process-wide totals). Returns whether the round passes
-   the CI gate. *)
+   registry (simulate / check / synthesize / parse / merge), identity
+   checks on verdicts and on the JSONL rendered by the buffer sink, and
+   the cons-table contention counters of this run (deltas of the
+   process-wide totals). Returns whether the round passes the CI
+   gate. *)
 let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
     jobs_n =
   let cons_before = Formula.cons_stats () in
@@ -237,14 +236,12 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
   let jsonl_identical = String.equal sequential_jsonl pooled_jsonl in
   let stream_stats = pooled.Verif.Campaign.stream in
   let stage name = Registry.sum_seconds metrics (Registry.stage_name name) in
-  let queue_wait = Registry.sum_seconds metrics "campaign_queue_wait_seconds" in
   let speedup =
     if pooled.Verif.Campaign.wall_seconds > 0.0 then
       sequential.Verif.Campaign.wall_seconds
       /. pooled.Verif.Campaign.wall_seconds
     else 0.0
   in
-  let queue = pooled.Verif.Campaign.queue in
   Printf.printf
     "jobs=%d: %.2fs wall (seq %.2fs, speedup %.2fx)  synth %.3fs  vt %.2fs\n"
     pooled.Verif.Campaign.workers pooled.Verif.Campaign.wall_seconds
@@ -252,20 +249,16 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
     (synth_seconds_sum pooled)
     (Verif.Campaign.vt_seconds_sum pooled);
   Printf.printf
-    "        queue: chunk %d, %d acquisitions (%d contended)  cons: %d DLS \
-     hits, %d shard acquisitions (%d contended)\n"
-    queue.Verif.Campaign.chunk queue.Verif.Campaign.acquisitions
-    queue.Verif.Campaign.contention
+    "        cons: %d DLS hits, %d shard acquisitions (%d contended)\n"
     (cons_after.Formula.dls_hits - cons_before.Formula.dls_hits)
     (cons_after.Formula.shard_acquisitions
     - cons_before.Formula.shard_acquisitions)
     (cons_after.Formula.shard_contention - cons_before.Formula.shard_contention);
   Printf.printf
     "        stages (lib/obs): simulate %.2fs, check %.2fs, synth %.3fs, \
-     parse %.3fs, merge %.3fs, queue-wait %.3fs\n"
+     parse %.3fs, merge %.3fs\n"
     (stage Registry.Simulate) (stage Registry.Check)
-    (stage Registry.Synthesize) (stage Registry.Parse) (stage Registry.Merge)
-    queue_wait;
+    (stage Registry.Synthesize) (stage Registry.Parse) (stage Registry.Merge);
   Printf.printf
     "        window %d (peak %d, %d waits)  verdicts identical: %b, merged \
      JSONL identical: %b\n"
@@ -305,9 +298,6 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
          ("vt_seconds", Json.float (Verif.Campaign.vt_seconds_sum pooled));
          ("verdicts_identical", Json.bool verdicts_identical);
          ("jsonl_identical", Json.bool jsonl_identical);
-         ("queue_chunk", Json.int queue.Verif.Campaign.chunk);
-         ("queue_acquisitions", Json.int queue.Verif.Campaign.acquisitions);
-         ("queue_contention", Json.int queue.Verif.Campaign.contention);
          ( "cons_dls_hits",
            Json.int (cons_after.Formula.dls_hits - cons_before.Formula.dls_hits)
          );
@@ -326,7 +316,6 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
          ("stage_synthesize_seconds", Json.float (stage Registry.Synthesize));
          ("stage_parse_seconds", Json.float (stage Registry.Parse));
          ("stage_merge_seconds", Json.float (stage Registry.Merge));
-         ("queue_wait_seconds", Json.float queue_wait);
          ( "check_triggers",
            Json.int (Registry.total metrics "sctc_triggers_total") );
          ("stream_window", Json.int stream_stats.Verif.Campaign.window);

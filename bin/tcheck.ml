@@ -376,7 +376,7 @@ let cmd_absref =
     Term.(const action $ file_arg $ timeout)
 
 let cmd_eee =
-  let action approach engine op_names cases scale bound fault_rate common =
+  let action approach engine op_names cases bound fault_rate common =
     let find_op name =
       match
         List.find_opt
@@ -400,10 +400,6 @@ let cmd_eee =
       Printf.eprintf "unknown approach %d\n" approach;
       exit 2
     end;
-    if scale < 1 then begin
-      Printf.eprintf "--scale must be >= 1\n";
-      exit 2
-    end;
     let metrics = Tcheck_cli.registry common in
     let plan =
       {
@@ -411,7 +407,7 @@ let cmd_eee =
         Eee.Harness.ops;
         approaches = [ approach ];
         engine;
-        cases_per_op = cases * scale;
+        cases_per_op = cases;
         bound;
         fault_rate;
         seed = common.Tcheck_cli.seed;
@@ -455,11 +451,6 @@ let cmd_eee =
   let cases =
     Arg.(value & opt int 100 & info [ "cases" ] ~doc:"Test cases per operation")
   in
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K"
-           ~doc:"Multiply --cases by K — the overnight-campaign knob; \
-                 memory stays bounded while the trace streams out")
-  in
   let bound =
     Arg.(value & opt (some int) None & info [ "bound" ]
            ~doc:"Time bound of the response property")
@@ -471,7 +462,7 @@ let cmd_eee =
   Cmd.v
     (Cmd.info "eee" ~doc:"Run a case-study verification campaign")
     Term.(const action $ approach $ Tcheck_cli.engine_arg $ op $ cases
-          $ scale $ bound $ fault_rate $ Tcheck_cli.term ~default_seed:7)
+          $ bound $ fault_rate $ Tcheck_cli.term ~default_seed:7)
 
 let cmd_smc =
   let action approach op_name cases quick theta eps delta alpha beta
@@ -545,7 +536,7 @@ let cmd_smc =
     let report =
       try
         Smc.Runner.run ~metrics ~workers:common.Tcheck_cli.jobs
-          ?chunk:common.Tcheck_cli.chunk ?window:common.Tcheck_cli.window
+          ?window:common.Tcheck_cli.window
           ~sinks ~label
           ~job:(fun ~index ->
             Eee.Harness.smc_sample_job plan ~approach ~op ~index)

@@ -1,14 +1,11 @@
-(* Tcheck_cli — the option surface shared by the campaign subcommands.
-
-   [tcheck verify] and [tcheck eee] historically declared private copies
-   of --jobs/--chunk/--seed/--trace; this module is their single
-   definition, plus the --metrics surface added with lib/obs. *)
+(* Tcheck_cli — the option surface shared by the campaign subcommands:
+   [tcheck verify], [tcheck eee] and [tcheck smc] declare --jobs, --seed,
+   --trace, --metrics, --out-shards and --window here, once. *)
 
 open Cmdliner
 
 type common = {
   jobs : int;
-  chunk : int option;
   seed : int;
   trace_file : string option;
   metrics_file : string option;
@@ -60,11 +57,6 @@ let term ~default_seed =
            ~doc:"Fan the campaign jobs out over N domains (default 1); \
                  verdicts and trace output are identical for any N")
   in
-  let chunk =
-    Arg.(value & opt (some int) None & info [ "chunk" ] ~docv:"C"
-           ~doc:"Jobs a worker claims per queue acquisition (scheduling \
-                 only; default ~4 claims per worker)")
-  in
   let seed =
     Arg.(value & opt int default_seed & info [ "seed" ]
            ~doc:"Campaign master seed")
@@ -96,11 +88,11 @@ let term ~default_seed =
                  slow job can park before depositing workers block; \
                  default 2x the pool size, at least 4)")
   in
-  let combine jobs chunk seed trace_file metrics_file out_shards window =
-    { jobs; chunk; seed; trace_file; metrics_file; out_shards; window }
+  let combine jobs seed trace_file metrics_file out_shards window =
+    { jobs; seed; trace_file; metrics_file; out_shards; window }
   in
-  Term.(const combine $ jobs $ chunk $ seed $ trace_file $ metrics_file
-        $ out_shards $ window)
+  Term.(const combine $ jobs $ seed $ trace_file $ metrics_file $ out_shards
+        $ window)
 
 (* a live registry only when a snapshot was requested, so un-instrumented
    runs keep the null registry's no-op handles *)
@@ -132,7 +124,7 @@ let execute common metrics jobs =
         ]
     in
     Verif.Campaign.run_stream ~metrics ~workers:common.jobs
-      ?chunk:common.chunk ?window:common.window ~sinks jobs
+      ?window:common.window ~sinks jobs
   with Sys_error msg | Failure msg ->
     Printf.eprintf "--trace: %s\n" msg;
     exit 2

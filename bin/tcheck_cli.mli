@@ -4,7 +4,6 @@
 
 type common = {
   jobs : int;  (** worker domains (default 1) *)
-  chunk : int option;  (** jobs claimed per queue acquisition *)
   seed : int;  (** campaign master seed *)
   trace_file : string option;  (** [--trace FILE.jsonl] *)
   metrics_file : string option;  (** [--metrics FILE.jsonl] *)
@@ -13,18 +12,19 @@ type common = {
 }
 
 val engine_conv : Sctc.Engine.t Cmdliner.Arg.conv
-(** [otf]/[explicit]/[auto] ({!Sctc.Engine.of_string}). *)
+(** [otf]/[explicit] ({!Sctc.Engine.of_string}). *)
 
 val engine_arg : Sctc.Engine.t Cmdliner.Term.t
 (** The [--engine] option over {!engine_conv}, defaulting to
-    {!Sctc.Engine.default} ([auto]). *)
+    {!Sctc.Engine.default} ([otf]). *)
 
 val prop_conv : (string * string) Cmdliner.Arg.conv
 (** [NAME=EXPR] proposition definitions ([--prop]). *)
 
 val term : default_seed:int -> common Cmdliner.Term.t
-(** The [--jobs]/[--chunk]/[--seed]/[--trace]/[--metrics] terms combined;
-    [default_seed] keeps each subcommand's historical seed default. *)
+(** The [--jobs]/[--seed]/[--trace]/[--metrics]/[--out-shards]/[--window]
+    terms combined; [default_seed] keeps each subcommand's historical
+    seed default. *)
 
 val registry : common -> Obs.Registry.t
 (** A fresh live registry when [--metrics] was given, {!Obs.Registry.null}

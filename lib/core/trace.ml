@@ -19,7 +19,6 @@ type t = {
   mutable time_source : unit -> int;
   mutable triggers : int;
   mutable samples : int;
-  started_at : float;
 }
 
 let zero () = 0
@@ -32,7 +31,6 @@ let null =
     time_source = zero;
     triggers = 0;
     samples = 0;
-    started_at = 0.0;
   }
 
 let create () =
@@ -43,7 +41,6 @@ let create () =
     time_source = zero;
     triggers = 0;
     samples = 0;
-    started_at = Unix.gettimeofday ();
   }
 
 let enabled bus = bus.active
@@ -79,12 +76,6 @@ let events bus = bus.seq
 let triggers bus = bus.triggers
 let samples bus = bus.samples
 
-let triggers_per_sec bus =
-  if not bus.active then 0.0
-  else
-    let elapsed = Unix.gettimeofday () -. bus.started_at in
-    if elapsed <= 0.0 then 0.0 else float_of_int bus.triggers /. elapsed
-
 module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
@@ -99,22 +90,6 @@ let kind_label = function
   | Test_case_end _ -> "test_case_end"
   | Watchdog_fired _ -> "watchdog_fired"
   | Software_crashed _ -> "software_crashed"
-
-let pp_event fmt (event : event) =
-  Format.fprintf fmt "[%6d @%-8d] %s" event.seq event.time_unit
-    (kind_label event.kind);
-  match event.kind with
-  | Trigger -> ()
-  | Sample { prop; value } -> Format.fprintf fmt " %s=%b" prop value
-  | Verdict_change { property; verdict } ->
-    Format.fprintf fmt " %s -> %a" property Verdict.pp verdict
-  | Handshake_armed { source } -> Format.fprintf fmt " source=%s" source
-  | Test_case_begin { index; op } -> Format.fprintf fmt " #%d op=%s" index op
-  | Test_case_end { index; result } ->
-    Format.fprintf fmt " #%d result=%s" index
-      (match result with None -> "<timeout>" | Some r -> r)
-  | Watchdog_fired { index; op } -> Format.fprintf fmt " #%d op=%s" index op
-  | Software_crashed { reason } -> Format.fprintf fmt " reason=%s" reason
 
 (* Decimal digits straight into the buffer: no [string_of_int] string per
    field. Negative numbers never occur in practice (seq, time units and
@@ -255,32 +230,6 @@ let event_of_json line =
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
-
-let log_sink fmt =
-  {
-    on_event = (fun event -> Format.fprintf fmt "%a@." pp_event event);
-    on_close = (fun () -> Format.pp_print_flush fmt ());
-  }
-
-let jsonl_sink channel =
-  {
-    on_event =
-      (fun event ->
-        output_string channel (event_to_json event);
-        output_char channel '\n');
-    on_close = (fun () -> flush channel);
-  }
-
-let jsonl_file path =
-  let channel = open_out path in
-  let inner = jsonl_sink channel in
-  {
-    inner with
-    on_close =
-      (fun () ->
-        inner.on_close ();
-        close_out channel);
-  }
 
 let memory_sink () =
   let buffered = ref [] in

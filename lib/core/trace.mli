@@ -3,13 +3,15 @@
     Everything the checker stack observes — triggers, proposition samples,
     verdict changes, the ESW-monitor handshake, test-case boundaries,
     watchdogs and software crashes — is published as a typed event on a
-    bus. Sinks subscribe to the bus: a human-readable log, a JSONL file, or
-    an in-memory buffer for tests. The {!null} bus is a shared disabled
-    instance; emitting into it costs one branch, so hot paths stay fast
-    when tracing is off (guard allocations with {!enabled}).
+    bus. Sinks subscribe to the bus: a verification campaign attaches
+    one per job that buffers the job's events for its ordered JSONL
+    output ([Verif.Campaign]), and tests attach a {!memory_sink}. The
+    {!null} bus is a shared disabled instance; emitting into it costs
+    one branch, so hot paths stay fast when tracing is off (guard
+    allocations with {!enabled}).
 
-    The bus also keeps cheap aggregate counters (triggers, samples,
-    triggers/second) that are maintained even when no sink is attached. *)
+    The bus also keeps cheap aggregate counters (events, triggers,
+    samples) that are maintained even when no sink is attached. *)
 
 (** What happened. Time-unit stamping is added by the bus. *)
 type kind =
@@ -58,7 +60,7 @@ val set_time_source : t -> (unit -> int) -> unit
 val emit : t -> kind -> unit
 
 val close : t -> unit
-(** Close every attached sink (flushes the JSONL file sink). *)
+(** Call every attached sink's [on_close]. *)
 
 (** {2 Aggregate counters} *)
 
@@ -66,20 +68,7 @@ val events : t -> int
 val triggers : t -> int
 val samples : t -> int
 
-val triggers_per_sec : t -> float
-(** Triggers divided by wall-clock seconds since bus creation. *)
-
 (** {2 Sinks} *)
-
-val log_sink : Format.formatter -> sink
-(** Human-readable, one line per event. *)
-
-val jsonl_sink : out_channel -> sink
-(** One JSON object per line; the channel is not closed by [on_close]
-    (only flushed). *)
-
-val jsonl_file : string -> sink
-(** Like {!jsonl_sink} into a fresh file; [on_close] closes the file. *)
 
 val memory_sink : unit -> sink * (unit -> event list)
 (** Buffering sink for tests; the closure returns events oldest first. *)
@@ -88,8 +77,6 @@ val memory_sink : unit -> sink * (unit -> event list)
 
 val kind_label : kind -> string
 (** The JSON ["event"] tag, e.g. ["verdict_change"]. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val event_to_json : event -> string
 (** One-line JSON object (no trailing newline). *)
@@ -116,5 +103,5 @@ val event_of_json : string -> (event, string) result
 (** {2 JSON} *)
 
 module Json = Obs.Json
-(** The writer {!event_to_json} renders with, shared with {!Report}, and
-    the reader {!event_of_json} reads with. *)
+(** The writer {!event_to_json} renders with and the reader
+    {!event_of_json} reads with. *)

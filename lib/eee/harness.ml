@@ -214,6 +214,6 @@ let smc_succeeded ?prop (outcome : Verif.Campaign.outcome) =
     in
     not (Verdict.equal verdict Verdict.False)
 
-let run_campaign ?workers ?chunk ?window ?sinks plan =
-  Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?chunk ?window
-    ?sinks (campaign_jobs plan)
+let run_campaign ?workers ?window ?sinks plan =
+  Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?window ?sinks
+    (campaign_jobs plan)

@@ -94,16 +94,14 @@ val campaign_jobs : plan -> Verif.Campaign.job list
 
 val run_campaign :
   ?workers:int ->
-  ?chunk:int ->
   ?window:int ->
   ?sinks:Verif.Campaign.sink list ->
   plan ->
   Verif.Campaign.summary
 (** {!Verif.Campaign.run_stream} over {!campaign_jobs}: outcomes flow
     to [sinks] in job order as soon as ordering allows, under a bounded
-    reassembly [window]. [chunk] is the number of consecutive jobs a
-    worker claims per queue-mutex acquisition (scheduling only —
-    results and sink bytes are identical for any value). *)
+    reassembly [window]; results and sink bytes are identical for any
+    [workers]. *)
 
 (** {2 Statistical model checking}
 

@@ -9,8 +9,6 @@ type outcome = {
   events : Trace.event list;
 }
 
-type queue_stats = { chunk : int; acquisitions : int; contention : int }
-
 type stream_stats = {
   window : int;
   peak_window : int;
@@ -24,7 +22,6 @@ type summary = {
   outcomes : outcome list;
   workers : int;
   wall_seconds : float;
-  queue : queue_stats;
   stream : stream_stats;
 }
 
@@ -33,11 +30,11 @@ type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
 let job ~label run = { label; run }
 
 (* Cooperative early stopping (the SMC sequential test's lever): a
-   cancelled campaign stops claiming new work at the next chunk
-   boundary, so the executed set is always a contiguous prefix of the
-   job list — every claimed chunk runs to completion, every executed
-   outcome still reaches the reassembly frontier, and no deposit can
-   wait on an index that was never started. *)
+   cancelled campaign stops claiming new jobs, so the executed set is
+   always a contiguous prefix of the job list — every claimed job runs
+   to completion, every executed outcome still reaches the reassembly
+   frontier, and no deposit can wait on an index that was never
+   started. *)
 type cancellation = bool Atomic.t
 
 let cancellation () = Atomic.make false
@@ -51,9 +48,7 @@ type meters = {
   metered : bool;
   m_jobs : Registry.Counter.t;
   m_errors : Registry.Counter.t;
-  m_claims : Registry.Counter.t;
   m_job_seconds : Registry.Timer.t;
-  m_queue_wait : Registry.Timer.t;
   m_window : Registry.Gauge.t;
   m_emitted : Registry.Counter.t;
   m_bp_waits : Registry.Counter.t;
@@ -70,15 +65,9 @@ let make_meters metrics =
     m_errors =
       Registry.counter metrics "campaign_job_errors_total"
         ~help:"campaign jobs whose run raised";
-    m_claims =
-      Registry.counter metrics "campaign_chunk_claims_total"
-        ~help:"queue-mutex acquisitions that claimed a chunk of jobs";
     m_job_seconds =
       Registry.timer metrics "campaign_job_seconds"
         ~help:"wall-clock runtime of one campaign job";
-    m_queue_wait =
-      Registry.timer metrics "campaign_queue_wait_seconds"
-        ~help:"per-worker wait for the job-queue mutex";
     m_window =
       Registry.gauge metrics "campaign_stream_window"
         ~help:"outcomes currently parked in the streaming reassembly buffer";
@@ -128,84 +117,28 @@ let metered_execute meters index job =
   end
   else execute index job
 
-(* Workers claim contiguous chunks of job indices, not one index per lock
-   acquisition: with J jobs and chunk size C the queue mutex is taken
-   O(J/C) times instead of O(J). The default C aims at ~4 claims per
-   worker — enough slack for load balancing when job costs differ, few
-   enough acquisitions that the queue never becomes the bottleneck. A job
-   raising inside a chunk is confined by [execute]; the rest of the chunk
-   (and the pool) keeps running. *)
-let default_chunk ~count ~pool = max 1 (count / (pool * 4))
-
-(* The pool scaffolding: claim chunks, execute each claimed job, hand
-   the outcome to [deposit] (the ordered reassembly buffer below).
-   [stop] is polled at chunk claims only (and per job on the inline
-   path): a claimed chunk always runs to completion, keeping the
-   executed set a contiguous prefix. Returns the queue stats. *)
-let run_pool ~meters ~pool ~chunk ~count ~stop ~execute ~deposit =
-  if pool = 1 then begin
-    let index = ref 0 in
-    while !index < count && not (stop ()) do
-      deposit (execute !index);
-      incr index
-    done;
-    { chunk; acquisitions = 0; contention = 0 }
-  end
-  else begin
-    let lock = Mutex.create () in
-    let next = ref 0 in
-    let acquisitions = Atomic.make 0 in
-    let contention = Atomic.make 0 in
-    let take_chunk () =
-      if stop () then None
-      else begin
-        let wait_started =
-          if meters.metered then Unix.gettimeofday () else 0.0
-        in
-        if not (Mutex.try_lock lock) then begin
-          Atomic.incr contention;
-          Mutex.lock lock
-        end;
-        if meters.metered then
-          Registry.Timer.observe meters.m_queue_wait
-            (Unix.gettimeofday () -. wait_started);
-        Atomic.incr acquisitions;
-        let lo = !next in
-        let hi = min count (lo + chunk) in
-        next := hi;
-        Mutex.unlock lock;
-        if lo < hi then begin
-          Registry.Counter.incr meters.m_claims;
-          Some (lo, hi)
-        end
-        else None
+(* Every worker, the calling domain included, runs the same loop: claim
+   the next job index with one atomic increment, execute the job, hand
+   the outcome to [deposit] (the ordered reassembly buffer below). A
+   claim takes one job, so no worker ever holds a job that an idle one
+   could run. [stop] is polled before every claim and every claimed
+   index below [count] runs to completion, so the executed set is
+   always a contiguous prefix of the job list. A job raising is
+   confined by [execute]; the worker and the pool keep running. *)
+let run_pool ~pool ~count ~stop ~execute ~deposit =
+  let next = Atomic.make 0 in
+  let rec work () =
+    if not (stop ()) then begin
+      let index = Atomic.fetch_and_add next 1 in
+      if index < count then begin
+        deposit (execute index);
+        work ()
       end
-    in
-    let rec drain () =
-      match take_chunk () with
-      | None -> ()
-      | Some (lo, hi) ->
-        for index = lo to hi - 1 do
-          deposit (execute index)
-        done;
-        drain ()
-    in
-    let spawned = List.init (pool - 1) (fun _ -> Domain.spawn drain) in
-    drain ();
-    List.iter Domain.join spawned;
-    {
-      chunk;
-      acquisitions = Atomic.get acquisitions;
-      contention = Atomic.get contention;
-    }
-  end
-
-let pool_shape ?chunk ~workers count =
-  let pool = max 1 (min workers count) in
-  let chunk =
-    match chunk with Some c -> max 1 c | None -> default_chunk ~count ~pool
+    end
   in
-  (pool, chunk)
+  let spawned = List.init (pool - 1) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join spawned
 
 (* --- ordered reassembly, bounded window ---------------------------------- *)
 
@@ -316,13 +249,13 @@ let deposit reassembly meters sinks outcome =
 
 let default_window ~pool = max 4 (2 * pool)
 
-let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
-    ?cancel ?(sinks = []) jobs =
+let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
+    ?(sinks = []) jobs =
   let meters = make_meters metrics in
   let started = Unix.gettimeofday () in
   let jobs = Array.of_list jobs in
   let count = Array.length jobs in
-  let pool, chunk = pool_shape ?chunk ~workers count in
+  let pool = max 1 (min workers count) in
   let window =
     match window with Some w -> max 1 w | None -> default_window ~pool
   in
@@ -342,15 +275,13 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
       r_slots = Array.make count None;
     }
   in
-  let queue =
-    run_pool ~meters ~pool ~chunk ~count
-      ~stop:
-        (match cancel with
-        | None -> fun () -> false
-        | Some token -> fun () -> cancelled token)
-      ~execute:(fun index -> metered_execute meters index jobs.(index))
-      ~deposit:(fun outcome -> deposit reassembly meters sinks outcome)
-  in
+  run_pool ~pool ~count
+    ~stop:
+      (match cancel with
+      | None -> fun () -> false
+      | Some token -> fun () -> cancelled token)
+    ~execute:(fun index -> metered_execute meters index jobs.(index))
+    ~deposit:(fun outcome -> deposit reassembly meters sinks outcome);
   List.iter
     (fun sink ->
       try sink.on_close ()
@@ -376,7 +307,6 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?chunk ?window
     outcomes;
     workers = pool;
     wall_seconds = Unix.gettimeofday () -. started;
-    queue;
     stream =
       {
         window;

@@ -5,7 +5,8 @@
     merged afterwards. A campaign is a list of {!job}s — each one an
     independent verification run (property x stimulus seed x approach)
     producing a {!Result.t} — fanned out over a fixed pool of
-    [Domain.spawn] workers pulling from a mutex-protected queue.
+    [Domain.spawn] workers, each claiming the next job with one atomic
+    increment.
     {!run_stream} hands finished outcomes to an ordered reassembly
     buffer that emits them to {!sink}s strictly in job order as soon as
     the order allows, with a bounded window and backpressure: live
@@ -41,12 +42,6 @@ type outcome = {
           sinks, not retained) *)
 }
 
-type queue_stats = {
-  chunk : int;  (** chunk size used for claiming job indices *)
-  acquisitions : int;  (** queue-mutex acquisitions across all workers *)
-  contention : int;  (** acquisitions that found the queue locked *)
-}
-
 type stream_stats = {
   window : int;  (** configured reassembly-window bound *)
   peak_window : int;  (** most outcomes ever parked at once *)
@@ -65,7 +60,6 @@ type summary = {
   outcomes : outcome list;  (** ascending job index *)
   workers : int;  (** effective pool size *)
   wall_seconds : float;  (** wall clock of the whole campaign *)
-  queue : queue_stats;  (** zero acquisitions for the inline 1-worker path *)
   stream : stream_stats;
 }
 
@@ -87,11 +81,12 @@ val job : label:string -> (Trace.t -> Result.t) -> job
     Cooperative cancellation for {!run_stream} — the statistical model
     checker's lever ({!Smc.Runner}): a sequential test that reaches a
     decision cancels the rest of the campaign. Cancellation is polled
-    at chunk-claim time only, so every claimed chunk runs to
-    completion and the executed set is always a contiguous prefix of
-    the job list: every executed outcome still reaches the sinks in
-    order, no worker is left blocked on the reassembly window, and the
-    window drains to empty before the pool joins. *)
+    before every job claim and every claimed job runs to completion,
+    so the executed set is always a contiguous prefix of the job list
+    and at most one job per worker runs past the cancel: every executed
+    outcome still reaches the sinks in order, no worker is left blocked
+    on the reassembly window, and the window drains to empty before the
+    pool joins. *)
 
 type cancellation
 
@@ -107,19 +102,17 @@ val cancelled : cancellation -> bool
 val run_stream :
   ?metrics:Obs.Registry.t ->
   ?workers:int ->
-  ?chunk:int ->
   ?window:int ->
   ?cancel:cancellation ->
   ?sinks:sink list ->
   job list ->
   summary
 (** Execute the campaign on [workers] domains (default 1; clamped to the
-    number of jobs). [workers = 1] runs inline on the calling domain; for
-    [workers = N] the calling domain participates alongside [N - 1]
-    spawned domains. Workers claim [chunk] consecutive job indices per
-    queue-mutex acquisition (default: ~4 claims per worker, at least 1);
-    the chunk size affects only scheduling, never the merged output. Job
-    exceptions are caught per job, even mid-chunk.
+    number of jobs): the calling domain works alongside [workers - 1]
+    spawned domains. Every worker runs the same loop, claiming one job
+    index at a time with [Atomic.fetch_and_add] on a shared counter;
+    the worker count affects only scheduling, never the merged output.
+    Job exceptions are caught per job.
 
     Outcomes flow to [sinks] through an ordered reassembly buffer. An
     outcome finishing out of order parks in the buffer until the
@@ -130,26 +123,24 @@ val run_stream :
     [window + workers] outcomes instead of the whole campaign. The
     deposit at the frontier index itself never blocks (everything below
     it has already been emitted), so the campaign cannot deadlock, for
-    any window, chunk and worker count.
+    any window and worker count.
 
     The summary's [outcomes] keep label/result but drop the event
     buffers ([events = []]); [stream] carries the {!stream_stats}.
     Attach a sink (e.g. {!jsonl_buffer_sink}) to observe the trace.
 
     With a [cancel] token, {!cancel} stops the campaign at the next
-    chunk boundary: the summary covers exactly the executed prefix
-    (never dropping an already-emitted outcome),
+    claim of each worker: the summary covers exactly the executed
+    prefix (never dropping an already-emitted outcome),
     [stream.cancelled_jobs] counts the jobs never started, and a sink
     failure recorded before the cancel still resurfaces as the
-    [Failure]. Pass [~chunk:1] when cancellation latency matters more
-    than queue traffic (the sequential-test default).
+    [Failure].
 
     With a live [metrics] registry (default {!Obs.Registry.null}) the
     pool records [campaign_jobs_total], [campaign_job_errors_total],
-    [campaign_chunk_claims_total], the [campaign_job_seconds] runtime
-    histogram, the per-worker [campaign_queue_wait_seconds] wait
-    histogram, the [campaign_stream_window] gauge (outcomes currently
-    parked; sample it concurrently to watch the window),
+    the [campaign_job_seconds] runtime histogram, the
+    [campaign_stream_window] gauge (outcomes currently parked; sample
+    it concurrently to watch the window),
     [campaign_stream_emitted_total], [campaign_backpressure_waits_total]
     and the [campaign_backpressure_wait_seconds] histogram, and charges
     per-outcome sink emission to the [merge] stage timer. Workers

@@ -56,13 +56,6 @@ let coverage_percent result =
 let missing_returns result =
   match result.coverage with Some c -> Coverage.missing c | None -> []
 
-let to_row ?name result =
-  let name = match name with Some n -> n | None -> result.backend in
-  Sctc.Report.row ?test_cases:result.test_cases
-    ?coverage_pct:(Option.map Coverage.percent result.coverage)
-    name result.vt_seconds
-    (Verdict.to_string (overall result))
-
 let pp fmt result =
   Format.fprintf fmt "@[<v>%s: V.T.=%.3fs (synth %.3fs)  triggers=%d  units=%d"
     result.backend result.vt_seconds result.synthesis_seconds result.triggers

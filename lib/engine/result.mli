@@ -55,7 +55,4 @@ val coverage_percent : t -> float
 val missing_returns : t -> string list
 (** Expected return values never observed; [[]] without coverage. *)
 
-val to_row : ?name:string -> t -> Sctc.Report.row
-(** One {!Sctc.Report} row ([name] defaults to the backend name). *)
-
 val pp : Format.formatter -> t -> unit

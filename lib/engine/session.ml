@@ -72,34 +72,14 @@ let rec eval_pure lookup (e : Minic.Ast.expr) =
   | A.Int_lit v -> v
   | A.Bool_lit b -> V.of_bool b
   | A.Var x -> lookup x
-  | A.Unop (A.Neg, a) -> V.neg (eval_pure lookup a)
-  | A.Unop (A.Bitnot, a) -> V.lognot (eval_pure lookup a)
-  | A.Unop (A.Lognot, a) -> V.of_bool (not (V.to_bool (eval_pure lookup a)))
-  | A.Binop (op, a, b) -> (
+  | A.Unop (op, a) -> V.unop op (eval_pure lookup a)
+  | A.Binop (A.Land, a, b) ->
+    V.of_bool (V.to_bool (eval_pure lookup a) && V.to_bool (eval_pure lookup b))
+  | A.Binop (A.Lor, a, b) ->
+    V.of_bool (V.to_bool (eval_pure lookup a) || V.to_bool (eval_pure lookup b))
+  | A.Binop (op, a, b) ->
     let va = eval_pure lookup a in
-    match op with
-    | A.Land -> V.of_bool (V.to_bool va && V.to_bool (eval_pure lookup b))
-    | A.Lor -> V.of_bool (V.to_bool va || V.to_bool (eval_pure lookup b))
-    | _ -> (
-      let vb = eval_pure lookup b in
-      match op with
-      | A.Add -> V.add va vb
-      | A.Sub -> V.sub va vb
-      | A.Mul -> V.mul va vb
-      | A.Div -> V.div va vb
-      | A.Mod -> V.rem va vb
-      | A.Band -> V.logand va vb
-      | A.Bor -> V.logor va vb
-      | A.Bxor -> V.logxor va vb
-      | A.Shl -> V.shift_left va vb
-      | A.Shr -> V.shift_right va vb
-      | A.Lt -> V.of_bool (va < vb)
-      | A.Le -> V.of_bool (va <= vb)
-      | A.Gt -> V.of_bool (va > vb)
-      | A.Ge -> V.of_bool (va >= vb)
-      | A.Eq -> V.of_bool (va = vb)
-      | A.Ne -> V.of_bool (va <> vb)
-      | A.Land | A.Lor -> assert false))
+    V.binop op va (eval_pure lookup b)
   | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ ->
     failwith "propositions must be pure expressions over globals"
 

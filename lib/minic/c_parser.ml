@@ -238,7 +238,9 @@ and parse_args stream =
 (* ------------------------------------------------------------------ *)
 (* Constant expressions (array sizes, case labels, const initializers) *)
 
-let rec const_eval stream e =
+(* Operands that short-circuiting skips ([live = false]) are still
+   checked to be constant, but their zero divisors are not errors. *)
+let rec const_eval ?(live = true) stream e =
   let open Ast in
   match e.edesc with
   | Int_lit n -> n
@@ -247,31 +249,21 @@ let rec const_eval stream e =
     match Hashtbl.find_opt stream.consts name with
     | Some value -> value
     | None -> fail e.epos (name ^ " is not a compile-time constant"))
-  | Unop (Neg, inner) -> Value.neg (const_eval stream inner)
-  | Unop (Bitnot, inner) -> Value.lognot (const_eval stream inner)
-  | Unop (Lognot, inner) ->
-    Value.of_bool (not (Value.to_bool (const_eval stream inner)))
+  | Unop (op, inner) -> Value.unop op (const_eval ~live stream inner)
+  | Binop (Land, a, b) ->
+    let a = Value.to_bool (const_eval ~live stream a) in
+    let b = Value.to_bool (const_eval ~live:(live && a) stream b) in
+    Value.of_bool (a && b)
+  | Binop (Lor, a, b) ->
+    let a = Value.to_bool (const_eval ~live stream a) in
+    let b = Value.to_bool (const_eval ~live:(live && not a) stream b) in
+    Value.of_bool (a || b)
   | Binop (op, a, b) -> (
-    let va = const_eval stream a and vb = const_eval stream b in
-    match op with
-    | Add -> Value.add va vb
-    | Sub -> Value.sub va vb
-    | Mul -> Value.mul va vb
-    | Div -> Value.div va vb
-    | Mod -> Value.rem va vb
-    | Band -> Value.logand va vb
-    | Bor -> Value.logor va vb
-    | Bxor -> Value.logxor va vb
-    | Shl -> Value.shift_left va vb
-    | Shr -> Value.shift_right va vb
-    | Lt -> Value.of_bool (va < vb)
-    | Le -> Value.of_bool (va <= vb)
-    | Gt -> Value.of_bool (va > vb)
-    | Ge -> Value.of_bool (va >= vb)
-    | Eq -> Value.of_bool (va = vb)
-    | Ne -> Value.of_bool (va <> vb)
-    | Land -> Value.of_bool (Value.to_bool va && Value.to_bool vb)
-    | Lor -> Value.of_bool (Value.to_bool va || Value.to_bool vb))
+    let va = const_eval ~live stream a and vb = const_eval ~live stream b in
+    try Value.binop op va vb
+    with Value.Division_by_zero ->
+      if live then fail e.epos "division by zero in constant expression"
+      else 0)
   | Index _ | Call _ | Nondet _ | Mem_read _ ->
     fail e.epos "not a compile-time constant expression"
 

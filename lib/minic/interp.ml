@@ -75,12 +75,7 @@ let rec eval env hooks frame (e : Ast.expr) : int =
           (Array.length data)
       else data.(index)
     | Some (Scalar _) | None -> fail pos "%s is not an array" name)
-  | Ast.Unop (op, inner_expr) -> (
-    let inner = eval env hooks frame inner_expr in
-    match op with
-    | Ast.Neg -> Value.neg inner
-    | Ast.Bitnot -> Value.lognot inner
-    | Ast.Lognot -> Value.of_bool (not (Value.to_bool inner)))
+  | Ast.Unop (op, inner_expr) -> Value.unop op (eval env hooks frame inner_expr)
   | Ast.Binop (Ast.Land, a, b) ->
     (* short circuit *)
     if Value.to_bool (eval env hooks frame a) then
@@ -92,25 +87,7 @@ let rec eval env hooks frame (e : Ast.expr) : int =
   | Ast.Binop (op, a_expr, b_expr) -> (
     let a = eval env hooks frame a_expr in
     let b = eval env hooks frame b_expr in
-    try
-      match op with
-      | Ast.Add -> Value.add a b
-      | Ast.Sub -> Value.sub a b
-      | Ast.Mul -> Value.mul a b
-      | Ast.Div -> Value.div a b
-      | Ast.Mod -> Value.rem a b
-      | Ast.Band -> Value.logand a b
-      | Ast.Bor -> Value.logor a b
-      | Ast.Bxor -> Value.logxor a b
-      | Ast.Shl -> Value.shift_left a b
-      | Ast.Shr -> Value.shift_right a b
-      | Ast.Lt -> Value.of_bool (a < b)
-      | Ast.Le -> Value.of_bool (a <= b)
-      | Ast.Gt -> Value.of_bool (a > b)
-      | Ast.Ge -> Value.of_bool (a >= b)
-      | Ast.Eq -> Value.of_bool (a = b)
-      | Ast.Ne -> Value.of_bool (a <> b)
-      | Ast.Land | Ast.Lor -> assert false
+    try Value.binop op a b
     with Value.Division_by_zero -> fail pos "division by zero")
   | Ast.Call (name, arg_exprs) -> (
     let args = List.map (eval env hooks frame) arg_exprs in

@@ -296,12 +296,7 @@ let rec eval_init globals inits ~live (e : Ast.expr) =
     | None when Hashtbl.mem globals name ->
       fail pos "array %s used without an index" name
     | None -> fail pos "unknown variable %s in initializer" name)
-  | Ast.Unop (op, inner) -> (
-    let v = eval_init globals inits ~live inner in
-    match op with
-    | Ast.Neg -> Value.neg v
-    | Ast.Bitnot -> Value.lognot v
-    | Ast.Lognot -> Value.of_bool (not (Value.to_bool v)))
+  | Ast.Unop (op, inner) -> Value.unop op (eval_init globals inits ~live inner)
   | Ast.Binop (Ast.Land, a, b) ->
     let a = Value.to_bool (eval_init globals inits ~live a) in
     let b = Value.to_bool (eval_init globals inits ~live:(live && a) b) in
@@ -313,25 +308,7 @@ let rec eval_init globals inits ~live (e : Ast.expr) =
   | Ast.Binop (op, a, b) -> (
     let a = eval_init globals inits ~live a in
     let b = eval_init globals inits ~live b in
-    try
-      match op with
-      | Ast.Add -> Value.add a b
-      | Ast.Sub -> Value.sub a b
-      | Ast.Mul -> Value.mul a b
-      | Ast.Div -> Value.div a b
-      | Ast.Mod -> Value.rem a b
-      | Ast.Band -> Value.logand a b
-      | Ast.Bor -> Value.logor a b
-      | Ast.Bxor -> Value.logxor a b
-      | Ast.Shl -> Value.shift_left a b
-      | Ast.Shr -> Value.shift_right a b
-      | Ast.Lt -> Value.of_bool (a < b)
-      | Ast.Le -> Value.of_bool (a <= b)
-      | Ast.Gt -> Value.of_bool (a > b)
-      | Ast.Ge -> Value.of_bool (a >= b)
-      | Ast.Eq -> Value.of_bool (a = b)
-      | Ast.Ne -> Value.of_bool (a <> b)
-      | Ast.Land | Ast.Lor -> assert false
+    try Value.binop op a b
     with Value.Division_by_zero ->
       if live then fail pos "division by zero in global initializer" else 0)
   | Ast.Call _ | Ast.Nondet _ | Ast.Mem_read _ | Ast.Index _ ->

@@ -33,3 +33,29 @@ let shift_right_logical a amount = wrap ((a land mask) lsr (amount land 31))
 
 let of_bool b = if b then 1 else 0
 let to_bool v = v <> 0
+
+let binop (op : Ast.binop) a b =
+  match op with
+  | Add -> add a b
+  | Sub -> sub a b
+  | Mul -> mul a b
+  | Div -> div a b
+  | Mod -> rem a b
+  | Band -> logand a b
+  | Bor -> logor a b
+  | Bxor -> logxor a b
+  | Shl -> shift_left a b
+  | Shr -> shift_right a b
+  | Lt -> of_bool (a < b)
+  | Le -> of_bool (a <= b)
+  | Gt -> of_bool (a > b)
+  | Ge -> of_bool (a >= b)
+  | Eq -> of_bool (a = b)
+  | Ne -> of_bool (a <> b)
+  | Land | Lor -> invalid_arg "Value.binop: && and || short-circuit"
+
+let unop (op : Ast.unop) a =
+  match op with
+  | Neg -> neg a
+  | Bitnot -> lognot a
+  | Lognot -> of_bool (not (to_bool a))

@@ -43,3 +43,16 @@ val shift_right_logical : int -> int -> int
 val of_bool : bool -> int
 val to_bool : int -> bool
 (** C truthiness: non-zero is true. *)
+
+(** {2 Operator tables}
+
+    The C semantics of MiniC's operators on evaluated operands, shared
+    by the evaluators that walk the AST. Each evaluator short-circuits
+    [&&] and [||] itself. *)
+
+val binop : Ast.binop -> int -> int -> int
+(** Every binary operator but [Land] and [Lor].
+    @raise Division_by_zero for [Div] and [Mod] by zero.
+    @raise Invalid_argument for [Land] and [Lor]. *)
+
+val unop : Ast.unop -> int -> int

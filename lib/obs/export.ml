@@ -8,70 +8,6 @@ let render_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-(* --- Prometheus text format ---------------------------------------------- *)
-
-let prom_labels labels =
-  match labels with
-  | [] -> ""
-  | labels ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (key, value) ->
-             Printf.sprintf "%s=\"%s\"" key (Json.escape value))
-           labels)
-    ^ "}"
-
-(* labels with one extra pair appended (the histogram [le]) *)
-let prom_labels_with labels extra = prom_labels (labels @ [ extra ])
-
-let prom_type = function
-  | Registry.Counter_value _ -> "counter"
-  | Registry.Gauge_value _ -> "gauge"
-  | Registry.Histogram_value _ -> "histogram"
-
-let prometheus registry =
-  let buffer = Buffer.create 1024 in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (metric : Registry.metric) ->
-      if not (Hashtbl.mem seen metric.name) then begin
-        Hashtbl.add seen metric.name ();
-        if metric.help <> "" then
-          Buffer.add_string buffer
-            (Printf.sprintf "# HELP %s %s\n" metric.name metric.help);
-        Buffer.add_string buffer
-          (Printf.sprintf "# TYPE %s %s\n" metric.name
-             (prom_type metric.value))
-      end;
-      match metric.value with
-      | Registry.Counter_value n ->
-        Buffer.add_string buffer
-          (Printf.sprintf "%s%s %d\n" metric.name (prom_labels metric.labels) n)
-      | Registry.Gauge_value v ->
-        Buffer.add_string buffer
-          (Printf.sprintf "%s%s %s\n" metric.name (prom_labels metric.labels)
-             (render_float v))
-      | Registry.Histogram_value { count; sum; buckets } ->
-        List.iter
-          (fun (le, cumulative) ->
-            let le =
-              if Float.is_finite le then render_float le else "+Inf"
-            in
-            Buffer.add_string buffer
-              (Printf.sprintf "%s_bucket%s %d\n" metric.name
-                 (prom_labels_with metric.labels ("le", le))
-                 cumulative))
-          buckets;
-        Buffer.add_string buffer
-          (Printf.sprintf "%s_sum%s %s\n" metric.name
-             (prom_labels metric.labels) (render_float sum));
-        Buffer.add_string buffer
-          (Printf.sprintf "%s_count%s %d\n" metric.name
-             (prom_labels metric.labels) count))
-    (Registry.snapshot registry);
-  Buffer.contents buffer
-
 (* --- JSONL snapshot ------------------------------------------------------ *)
 
 let json_labels labels =
@@ -83,16 +19,15 @@ let json_labels labels =
   ^ "}"
 
 let metric_to_json (metric : Registry.metric) =
-  let base =
-    Printf.sprintf "\"metric\":%s,\"type\":%s,\"labels\":%s"
-      (Json.string metric.name)
-      (Json.string (prom_type metric.value))
-      (json_labels metric.labels)
+  let base kind =
+    Printf.sprintf "\"metric\":%s,\"type\":\"%s\",\"labels\":%s"
+      (Json.string metric.name) kind (json_labels metric.labels)
   in
   match metric.value with
-  | Registry.Counter_value n -> Printf.sprintf "{%s,\"value\":%d}" base n
+  | Registry.Counter_value n ->
+    Printf.sprintf "{%s,\"value\":%d}" (base "counter") n
   | Registry.Gauge_value v ->
-    Printf.sprintf "{%s,\"value\":%s}" base (render_float v)
+    Printf.sprintf "{%s,\"value\":%s}" (base "gauge") (render_float v)
   | Registry.Histogram_value { count; sum; buckets } ->
     let buckets =
       String.concat ","
@@ -104,8 +39,8 @@ let metric_to_json (metric : Registry.metric) =
                cumulative)
            buckets)
     in
-    Printf.sprintf "{%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" base count
-      (render_float sum) buckets
+    Printf.sprintf "{%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
+      (base "histogram") count (render_float sum) buckets
 
 let to_jsonl registry =
   let buffer = Buffer.create 1024 in

@@ -1,25 +1,18 @@
-(** Exporters for {!Registry} snapshots.
+(** Exporter for {!Registry} snapshots.
 
-    Two formats:
+    {!to_jsonl} writes one JSON object per metric per line, the
+    snapshot schema consumed by [tcheck metrics] and the CI gate:
+    {v
+      {"metric":NAME,"type":"counter","labels":{...},"value":INT}
+      {"metric":NAME,"type":"gauge","labels":{...},"value":NUM}
+      {"metric":NAME,"type":"histogram","labels":{...},"count":INT,
+       "sum":NUM,"buckets":[{"le":NUM|"+Inf","count":INT},...]}
+    v}
+    Histogram bucket counts are cumulative; the last bucket has
+    [le = "+Inf"] and a count equal to the [count] field.
 
-    - {!prometheus}: the Prometheus text exposition format
-      ([# HELP]/[# TYPE] headers, [name{label="v"} value] samples,
-      histograms as cumulative [_bucket{le="..."}] series plus [_sum]
-      and [_count]).
-    - {!to_jsonl}: one JSON object per metric per line, the snapshot
-      schema consumed by [tcheck metrics] and the CI gate:
-      {v
-        {"metric":NAME,"type":"counter","labels":{...},"value":INT}
-        {"metric":NAME,"type":"gauge","labels":{...},"value":NUM}
-        {"metric":NAME,"type":"histogram","labels":{...},"count":INT,
-         "sum":NUM,"buckets":[{"le":NUM|"+Inf","count":INT},...]}
-      v}
-      Histogram bucket counts are cumulative; the last bucket has
-      [le = "+Inf"] and a count equal to the [count] field.
+    The {!Registry.null} registry renders as the empty string. *)
 
-    Both render the {!Registry.null} registry as the empty string. *)
-
-val prometheus : Registry.t -> string
 val to_jsonl : Registry.t -> string
 
 val write_jsonl : string -> Registry.t -> unit

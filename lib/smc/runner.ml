@@ -52,7 +52,7 @@ let record_report metrics report =
     | Estimate -> 0.0);
   report
 
-let run ?(metrics = Registry.null) ?workers ?chunk ?window ?(sinks = [])
+let run ?(metrics = Registry.null) ?workers ?window ?(sinks = [])
     ~label ~job ~succeeded spec =
   match spec with
   | Fixed { eps; delta } ->
@@ -62,7 +62,7 @@ let run ?(metrics = Registry.null) ?workers ?chunk ?window ?(sinks = [])
       Campaign.sink (fun outcome -> if succeeded outcome then incr successes)
     in
     let summary =
-      Campaign.run_stream ~metrics ?workers ?chunk ?window
+      Campaign.run_stream ~metrics ?workers ?window
         ~sinks:(sinks @ [ counter ])
         (List.init samples (fun index -> job ~index))
     in
@@ -102,9 +102,8 @@ let run ?(metrics = Registry.null) ?workers ?chunk ?window ?(sinks = [])
             | Estimator.Sprt.Decided _ -> Campaign.cancel cancel
             | Estimator.Sprt.Undecided -> ()))
     in
-    let chunk = match chunk with Some c -> c | None -> 1 in
     let summary =
-      Campaign.run_stream ~metrics ?workers ~chunk ?window ~cancel
+      Campaign.run_stream ~metrics ?workers ?window ~cancel
         ~sinks:(sinks @ [ decider ])
         (List.init max_samples (fun index -> job ~index))
     in

@@ -12,7 +12,7 @@
       from {!Verif.Campaign.run_stream} and cancelling the remaining
       jobs the moment a boundary is crossed — early stopping rides on
       the campaign pool's cancellation, so the distance between
-      "hypothesis decided" and "workers idle" is one chunk claim.
+      "hypothesis decided" and "workers idle" is one job per worker.
 
     Sample verdicts are read by a [succeeded] predicate on raw campaign
     outcomes; a crashed job counts however the predicate says (the EEE
@@ -58,7 +58,6 @@ type report = {
 val run :
   ?metrics:Obs.Registry.t ->
   ?workers:int ->
-  ?chunk:int ->
   ?window:int ->
   ?sinks:Verif.Campaign.sink list ->
   label:string ->
@@ -68,9 +67,8 @@ val run :
   report
 (** Execute the campaign for [spec]. [job ~index] builds sample
     [index]'s job; [sinks] (e.g. a trace file sink) observe every
-    emitted outcome ahead of the estimator. [chunk] defaults to the
-    campaign default in {!Fixed} mode and to [1] in {!Sequential} mode
-    (cancellation reacts within one job per worker). With a live
+    emitted outcome ahead of the estimator. In {!Sequential} mode
+    cancellation reacts within one job per worker. With a live
     [metrics] registry the run records [smc_samples_total],
     [smc_successes_total], [smc_early_stop_at] and [smc_decision],
     labelled [{campaign=label}].

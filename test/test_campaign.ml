@@ -80,10 +80,10 @@ let counters summary =
   ]
 
 (* a campaign with its merged trace rendered by the JSONL buffer sink *)
-let traced ~workers ?chunk jobs =
+let traced ~workers jobs =
   let buffer = Buffer.create 4096 in
   let summary =
-    Campaign.run_stream ~workers ?chunk
+    Campaign.run_stream ~workers
       ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
       jobs
   in
@@ -171,61 +171,30 @@ let test_merge_order_and_seq () =
       | Error msg -> Alcotest.failf "unparseable line %S: %s" line msg)
     (List.rev !lines)
 
-(* chunked claiming is pure scheduling: any chunk size — one job per
-   acquisition, a few, or more than the whole queue — must leave verdict
-   vectors, merged counters and JSONL byte-identical to jobs=1 *)
-let test_chunked_queue_identity () =
-  let sequential, sequential_jsonl = traced ~workers:1 (make_jobs ()) in
-  Alcotest.(check int) "sequential path takes no queue lock" 0
-    sequential.Campaign.queue.Campaign.acquisitions;
-  List.iter
-    (fun chunk ->
-      let pooled, pooled_jsonl = traced ~workers:8 ~chunk (make_jobs ()) in
-      let label suffix = Printf.sprintf "chunk=%d: %s" chunk suffix in
-      Alcotest.(check int) (label "chunk size recorded") chunk
-        pooled.Campaign.queue.Campaign.chunk;
-      Alcotest.(check bool) (label "queue lock taken") true
-        (pooled.Campaign.queue.Campaign.acquisitions > 0);
-      Alcotest.(check (list (triple string string string)))
-        (label "identical verdict vectors")
-        (List.map
-           (fun (job, prop, v) -> (job, prop, Verdict.to_string v))
-           (Campaign.verdicts sequential))
-        (List.map
-           (fun (job, prop, v) -> (job, prop, Verdict.to_string v))
-           (Campaign.verdicts pooled));
-      Alcotest.(check (list int))
-        (label "identical merged counters")
-        (counters sequential) (counters pooled);
-      Alcotest.(check string)
-        (label "byte-identical merged JSONL")
-        sequential_jsonl pooled_jsonl)
-    [ 1; 3; 100 (* larger than the queue *) ]
-
-(* a raise in the middle of a claimed chunk must not take down the rest
-   of the chunk, the worker, or the pool *)
-let test_chunk_crash_is_contained () =
+(* a raise between healthy jobs must not take down the worker that ran
+   it, the jobs after it, or the pool *)
+let test_crash_between_jobs_is_contained () =
   let jobs =
     [
       session_job ~label:"ok-0" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
-      Campaign.job ~label:"crash-mid-chunk" (fun _trace -> failwith "chunked boom");
+      Campaign.job ~label:"crash-1" (fun _trace -> failwith "boom 1");
       session_job ~label:"ok-2" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
       session_job ~label:"ok-3" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
-      Campaign.job ~label:"crash-chunk-end" (fun _trace -> failwith "boom 2");
+      Campaign.job ~label:"crash-4" (fun _trace -> failwith "boom 2");
       session_job ~label:"ok-5" ~backend:Session.Derived_model
         ~properties:[ ("eventually_done", "F p_done") ];
     ]
   in
-  let summary = Campaign.run_stream ~workers:2 ~chunk:3 jobs in
+  let summary = Campaign.run_stream ~workers:2 jobs in
   Alcotest.(check int) "all outcomes present" 6
     (List.length summary.Campaign.outcomes);
   Alcotest.(check (list string)) "both crashes surface, in job order"
-    [ "crash-mid-chunk"; "crash-chunk-end" ]
+    [ "crash-1"; "crash-4" ]
     (List.map fst (Campaign.errors summary));
-  Alcotest.(check int) "jobs after an in-chunk crash still completed" 4
+  Alcotest.(check int) "jobs after a crash still completed" 4
     (List.length (Campaign.results summary));
   List.iter
     (fun (_, _, v) ->
@@ -260,6 +229,34 @@ let test_worker_crash_is_contained () =
       Alcotest.(check bool) "healthy verdicts final" true
         (Verdict.equal v Verdict.True))
     (Campaign.verdicts summary)
+
+(* Workers claim one job at a time: while job 0 runs on one worker, the
+   other must be free to claim job 1. Job 0 spins until job 1 has
+   finished, capped at 5 s of wall clock. Had one worker claimed jobs
+   0 and 1 together, job 1 would wait behind job 0 on that worker and
+   job 0 would run into the cap. *)
+let test_per_job_claims () =
+  let job1_finished = Atomic.make false in
+  let capped = ref false in
+  let wait_for_job1 () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get job1_finished)) && not !capped do
+      if Unix.gettimeofday () > deadline then capped := true;
+      Domain.cpu_relax ()
+    done
+  in
+  let jobs =
+    List.init 16 (fun index ->
+        Campaign.job ~label:(Printf.sprintf "claim-%d" index) (fun _trace ->
+            if index = 0 then wait_for_job1 ()
+            else if index = 1 then Atomic.set job1_finished true;
+            failwith "scripted"))
+  in
+  let summary = Campaign.run_stream ~workers:2 jobs in
+  Alcotest.(check int) "two workers" 2 summary.Campaign.workers;
+  Alcotest.(check int) "all outcomes present" 16
+    (List.length summary.Campaign.outcomes);
+  Alcotest.(check bool) "job 1 finished while job 0 waited" false !capped
 
 (* ---- the EEE case study through the pool ------------------------------- *)
 
@@ -337,10 +334,10 @@ let () =
             test_merge_order_and_seq;
           Alcotest.test_case "worker crash is contained" `Quick
             test_worker_crash_is_contained;
-          Alcotest.test_case "chunked queue: jobs 1 == jobs 8 for chunk 1/3/100"
-            `Quick test_chunked_queue_identity;
           Alcotest.test_case "crash inside a chunk is contained" `Quick
-            test_chunk_crash_is_contained;
+            test_crash_between_jobs_is_contained;
+          Alcotest.test_case "one job per claim: job 1 runs while job 0 waits"
+            `Quick test_per_job_claims;
         ] );
       ( "eee",
         [

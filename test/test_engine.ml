@@ -241,30 +241,6 @@ let qcheck_escape_oracle =
       escaped = reference_escape s
       && (escaped <> s || escaped == s (* nothing to escape: no copy *)))
 
-let test_jsonl_file_sink () =
-  let path = Filename.temp_file "verif_trace" ".jsonl" in
-  let bus = Trace.create () in
-  Trace.attach bus (Trace.jsonl_file path);
-  let _result =
-    run_session ~trace:bus ~name:"to-file" ~flag:None Session.Derived_model
-  in
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Sys.remove path;
-  Alcotest.(check bool) "file has events" true (List.length lines > 0);
-  List.iter
-    (fun line ->
-      match Trace.event_of_json line with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "unparseable line %S: %s" line msg)
-    lines
-
 let test_campaign_trace_events () =
   let bus = Trace.create () in
   let sink, events = Trace.memory_sink () in
@@ -335,7 +311,6 @@ let suite =
       test_trace_events_and_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_render_oracle;
     QCheck_alcotest.to_alcotest qcheck_escape_oracle;
-    Alcotest.test_case "jsonl file sink" `Quick test_jsonl_file_sink;
     Alcotest.test_case "campaign trace events" `Quick
       test_campaign_trace_events;
   ]

@@ -37,10 +37,10 @@ let plan approach =
 let golden_file approach = Printf.sprintf "eee_a%d_read.jsonl" approach
 
 (* one campaign with its merged trace rendered by the JSONL buffer sink *)
-let run_traced ~workers ?chunk plan =
+let run_traced ~workers plan =
   let buffer = Buffer.create 4096 in
   let summary =
-    Harness.run_campaign ~workers ?chunk
+    Harness.run_campaign ~workers
       ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
       plan
   in
@@ -91,7 +91,7 @@ let check_golden ~approach () =
 (* the pool path must emit the same bytes as the recorded jobs=1 run *)
 let check_golden_pooled () =
   let golden = read_file (Filename.concat "golden" (golden_file 2)) in
-  let _, jsonl = run_traced ~workers:2 ~chunk:1 (plan 2) in
+  let _, jsonl = run_traced ~workers:2 (plan 2) in
   Alcotest.(check string) "pooled run reproduces the golden bytes" golden
     (project jsonl)
 
@@ -142,26 +142,26 @@ let check_faulty_run_determinism () =
     { Smc.Faults.decay = 0.001; power_loss = 0.3; jitter_prob = 0.02;
       jitter_max = 20 }
   in
-  let run backend workers chunk =
+  let run backend workers =
     let _, jsonl =
-      run_traced ~workers ?chunk
+      run_traced ~workers
         { (plan 2) with Harness.faults = faults; backend }
     in
     project jsonl
   in
-  let reference = run Minic.Exec.Interp 1 None in
+  let reference = run Minic.Exec.Interp 1 in
   Alcotest.(check bool) "faulty trace is non-trivial" true
     (String.length reference > 0);
   List.iter
-    (fun (name, backend, workers, chunk) ->
+    (fun (name, backend, workers) ->
       Alcotest.(check string)
         (Printf.sprintf "%s reproduces the jobs=1 interpreter bytes" name)
         reference
-        (run backend workers chunk))
+        (run backend workers))
     [
-      ("vm, jobs=1", Minic.Exec.Vm, 1, None);
-      ("interp, pooled", Minic.Exec.Interp, 2, Some 1);
-      ("vm, pooled", Minic.Exec.Vm, 2, Some 1);
+      ("vm, jobs=1", Minic.Exec.Vm, 1);
+      ("interp, pooled", Minic.Exec.Interp, 2);
+      ("vm, pooled", Minic.Exec.Vm, 2);
     ]
 
 (* ---- regeneration -------------------------------------------------------- *)

@@ -104,23 +104,6 @@ let golden_registry () =
   List.iter (Registry.Histogram.observe h) [ 0.05; 0.5; 2.0 ];
   reg
 
-let test_prometheus_golden () =
-  check_string "prometheus text"
-    "# HELP requests_total total requests\n\
-     # TYPE requests_total counter\n\
-     requests_total{op=\"read\"} 3\n\
-     # HELP level water level\n\
-     # TYPE level gauge\n\
-     level 1.5\n\
-     # HELP latency_seconds latency\n\
-     # TYPE latency_seconds histogram\n\
-     latency_seconds_bucket{le=\"0.1\"} 1\n\
-     latency_seconds_bucket{le=\"1\"} 2\n\
-     latency_seconds_bucket{le=\"+Inf\"} 3\n\
-     latency_seconds_sum 2.55\n\
-     latency_seconds_count 3\n"
-    (Export.prometheus (golden_registry ()))
-
 let test_jsonl_golden () =
   check_string "jsonl snapshot"
     "{\"metric\":\"requests_total\",\"type\":\"counter\",\"labels\":{\"op\":\"read\"},\"value\":3}\n\
@@ -147,7 +130,6 @@ let test_null_registry () =
   check "thunk ran" true !ran;
   check "no time recorded" true (Registry.Timer.seconds t = 0.0);
   check_int "empty snapshot" 0 (List.length (Registry.snapshot reg));
-  check_string "empty prometheus" "" (Export.prometheus reg);
   check_string "empty jsonl" "" (Export.to_jsonl reg)
 
 (* ---- snapshot validation ------------------------------------------------- *)
@@ -449,30 +431,19 @@ let campaign_jobs () =
           Verif.Session.result session))
 
 (* a campaign with its merged trace rendered by the JSONL buffer sink *)
-let traced_campaign ?metrics ?chunk ~workers () =
+let traced_campaign ?metrics ~workers () =
   let buffer = Buffer.create 4096 in
   ignore
-    (Verif.Campaign.run_stream ?metrics ?chunk ~workers
+    (Verif.Campaign.run_stream ?metrics ~workers
        ~sinks:[ Verif.Campaign.jsonl_buffer_sink buffer ]
        (campaign_jobs ()));
   Buffer.contents buffer
 
 let test_campaign_metrics () =
   let reg = Registry.create () in
-  let metered = traced_campaign ~metrics:reg ~workers:4 ~chunk:1 () in
+  let metered = traced_campaign ~metrics:reg ~workers:4 () in
   check_int "jobs counted" 6 (Registry.total reg "campaign_jobs_total");
   check_int "no job errors" 0 (Registry.total reg "campaign_job_errors_total");
-  check "chunk claims" true
-    (Registry.total reg "campaign_chunk_claims_total" >= 6);
-  check "queue waits recorded" true
-    (List.exists
-       (fun m ->
-         m.Registry.name = "campaign_queue_wait_seconds"
-         &&
-         match m.Registry.value with
-         | Registry.Histogram_value { count; _ } -> count > 0
-         | _ -> false)
-       (Registry.snapshot reg));
   (* metering must not perturb the deterministic merge *)
   check_string "identical merged trace" (traced_campaign ~workers:1 ()) metered;
   check "merge stage timed" true
@@ -493,7 +464,6 @@ let () =
       ("interning", [ Alcotest.test_case "find-or-create" `Quick test_interning ]);
       ( "export",
         [
-          Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
         ] );
       ("null", [ Alcotest.test_case "no-op" `Quick test_null_registry ]);

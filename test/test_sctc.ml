@@ -1,9 +1,8 @@
 (* Tests for the SCTC core: checker lifecycle, engines, violation callbacks,
-   coverage collection, report rendering, and simulation triggers. *)
+   coverage collection, and simulation triggers. *)
 
 module Checker = Sctc.Checker
 module Coverage = Sctc.Coverage
-module Report = Sctc.Report
 module Trace = Sctc.Trace
 module Trigger = Sctc.Trigger
 module Kernel = Sim.Kernel
@@ -237,62 +236,6 @@ let test_coverage_merge_and_reset () =
   | _ -> Alcotest.fail "expected incompatible merge to fail"
   | exception Invalid_argument _ -> ()
 
-(* --- report ---------------------------------------------------------------- *)
-
-let test_report_rendering () =
-  let rows =
-    [
-      Report.row ~test_cases:100 ~coverage_pct:87.5 "Read" 1.25 "pass";
-      Report.row "Write" 0.5 "Exception";
-    ]
-  in
-  let text =
-    Report.to_string ~title:"demo"
-      ~columns:[ "V.T.(s)"; "T.C."; "C.(%)"; "Result" ]
-      rows
-  in
-  let contains needle haystack =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec search i = i + nl <= hl && (String.sub haystack i nl = needle || search (i + 1)) in
-    search 0
-  in
-  Alcotest.(check bool) "title" true (contains "demo" text);
-  Alcotest.(check bool) "row name" true (contains "Read" text);
-  Alcotest.(check bool) "coverage" true (contains "87.5" text);
-  Alcotest.(check bool) "dash for missing" true (contains "-" text);
-  let csv = Report.csv rows in
-  let csv_lines = String.split_on_char '\n' csv in
-  Alcotest.(check int) "csv is header plus both rows" 3
-    (List.length csv_lines);
-  Alcotest.(check string) "csv header"
-    "name,vt_seconds,test_cases,coverage_pct,result" (List.hd csv_lines)
-
-let test_report_csv_quoting () =
-  (* RFC 4180: fields holding commas or quotes are quoted, embedded quotes
-     doubled; plain fields stay bare *)
-  let csv = Report.csv [ Report.row "Read,\"raw\"" 1.0 "ok" ] in
-  match String.split_on_char '\n' csv with
-  | [ _header; data ] ->
-    Alcotest.(check string) "quoted row" "\"Read,\"\"raw\"\"\",1.000000,,,ok"
-      data
-  | _ -> Alcotest.fail "expected exactly header and one data line"
-
-let test_report_jsonl () =
-  let rows =
-    [
-      Report.row ~test_cases:100 ~coverage_pct:87.5 "Read" 1.25 "pass";
-      Report.row "Write" 0.5 "Exception";
-    ]
-  in
-  let lines = String.split_on_char '\n' (Report.jsonl rows) in
-  Alcotest.(check int) "one object per row" 2 (List.length lines);
-  Alcotest.(check string) "row with all columns"
-    {|{"name":"Read","vt_seconds":1.250000,"test_cases":100,"coverage_pct":87.5,"result":"pass"}|}
-    (List.hd lines);
-  Alcotest.(check string) "missing columns are null"
-    {|{"name":"Write","vt_seconds":0.500000,"test_cases":null,"coverage_pct":null,"result":"Exception"}|}
-    (List.nth lines 1)
-
 (* --- sim triggers ----------------------------------------------------------- *)
 
 let test_trigger_on_clock () =
@@ -398,9 +341,6 @@ let suite_coverage =
   [
     Alcotest.test_case "basic" `Quick test_coverage_basic;
     Alcotest.test_case "merge and reset" `Quick test_coverage_merge_and_reset;
-    Alcotest.test_case "report rendering" `Quick test_report_rendering;
-    Alcotest.test_case "csv quoting" `Quick test_report_csv_quoting;
-    Alcotest.test_case "jsonl report" `Quick test_report_jsonl;
   ]
 
 let suite_trigger =

@@ -4,8 +4,8 @@
    in-memory trace bus, its events renumbered campaign-wide and rendered
    with Trace.event_to_json: same verdict vectors, same per-job errors,
    same merged counters, and a JSONL sink must receive exactly the
-   reference bytes — for any worker count, chunk size and reassembly
-   window, including windows far smaller than the job count. On top of
+   reference bytes — for any worker count and reassembly window,
+   including windows far smaller than the job count. On top of
    identity, the engine's own contracts are pinned here: strictly
    ordered emission with campaign-global seq, crash and sink-failure
    containment, a backpressure window that actually bounds parked
@@ -188,7 +188,7 @@ let reference jobs =
 (* run the reference and the engine on the same job list and check every
    observable matches; returns the engine's summary for engine-specific
    assertions on top *)
-let check_identical ?(label = "") ~workers ?chunk ?window variants =
+let check_identical ?(label = "") ~workers ?window variants =
   let tag suffix =
     Printf.sprintf "%sworkers=%d window=%s: %s" label workers
       (match window with Some w -> string_of_int w | None -> "default")
@@ -198,7 +198,7 @@ let check_identical ?(label = "") ~workers ?chunk ?window variants =
   let metrics = Registry.create () in
   let buffer = Buffer.create 4096 in
   let stream =
-    Campaign.run_stream ~metrics ~workers ?chunk ?window
+    Campaign.run_stream ~metrics ~workers ?window
       ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
       (make_jobs variants)
   in
@@ -250,7 +250,7 @@ let test_stream_matches_reference () =
 let test_tiny_window_identity () =
   List.iter
     (fun workers ->
-      ignore (check_identical ~workers ~chunk:1 ~window:1 fixed_mix))
+      ignore (check_identical ~workers ~window:1 fixed_mix))
     [ 2; 4; 7 ]
 
 (* ---- QCheck: random mixes x pools x windows ----------------------------- *)
@@ -284,7 +284,7 @@ let test_ordered_emission_and_seq () =
         List.iter (fun event -> seqs := event.Trace.seq :: !seqs) outcome.events)
   in
   let summary =
-    Campaign.run_stream ~workers:4 ~chunk:1 ~window:2 ~sinks:[ recorder ]
+    Campaign.run_stream ~workers:4 ~window:2 ~sinks:[ recorder ]
       (make_jobs fixed_mix)
   in
   let n = List.length fixed_mix in
@@ -359,12 +359,13 @@ let test_sink_failure_contained () =
 
 (* Job 0 stalls until some other worker's deposit has blocked on a full
    window (the wait counter is incremented before the Condition.wait, so
-   spinning on the metric observes exactly that state). With chunk=1 and
-   2 workers, the non-stalled worker finishes jobs 1..3 — filling the
-   window — and then blocks depositing job 4; only then does job 0
-   release and the frontier drain everything. Deterministic, not timing
-   dependent: peak_window must equal the configured window and at least
-   one backpressure wait must be recorded. *)
+   spinning on the metric observes exactly that state). With 2 workers
+   claiming one job at a time, the non-stalled worker finishes jobs
+   1..3 — filling the window — and then blocks depositing job 4; only
+   then does job 0 release and the frontier drain everything.
+   Deterministic, not timing dependent: peak_window must equal the
+   configured window and at least one backpressure wait must be
+   recorded. *)
 let test_backpressure_caps_window () =
   let window = 3 in
   let metrics = Registry.create () in
@@ -384,7 +385,7 @@ let test_backpressure_caps_window () =
              (fun _trace -> failwith "quick"))
   in
   let summary =
-    Campaign.run_stream ~metrics ~workers:2 ~chunk:1 ~window jobs
+    Campaign.run_stream ~metrics ~workers:2 ~window jobs
   in
   let stats = summary.Campaign.stream in
   Alcotest.(check int) "window recorded" window stats.Campaign.window;
@@ -436,7 +437,7 @@ let test_cancel_stops_workers_and_keeps_prefix () =
             failwith "scripted"))
   in
   let summary =
-    Campaign.run_stream ~metrics ~workers ~chunk:1 ~window:4 ~cancel
+    Campaign.run_stream ~metrics ~workers ~window:4 ~cancel
       ~sinks:[ decider ] jobs
   in
   let emitted = List.rev !emitted_indices in
@@ -562,7 +563,7 @@ let test_sharded_concat_identity () =
   let path = Filename.temp_file "stream_shards" ".jsonl" in
   let metrics = Registry.create () in
   let summary =
-    Harness.run_campaign ~workers:2 ~chunk:1
+    Harness.run_campaign ~workers:2
       ~sinks:[ Campaign.sharded_jsonl_sink ~metrics ~shards ~jobs path ]
       { plan with Harness.metrics }
   in
