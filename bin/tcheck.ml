@@ -22,6 +22,14 @@ let read_file path =
   close_in ic;
   s
 
+(* Run a text front end; bad input is one positioned line and exit 2. *)
+let front_end what f =
+  match Loc.catch f with
+  | Ok value -> value
+  | Error error ->
+    Printf.eprintf "%s: %s\n" what (Loc.to_string error);
+    exit 2
+
 let load path =
   let source =
     try read_file path
@@ -29,16 +37,10 @@ let load path =
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  match Minic.C_parser.parse_result source with
-  | Error msg ->
-    Printf.eprintf "%s: parse error: %s\n" path msg;
-    exit 2
-  | Ok program -> (
-    match Minic.Typecheck.check_result program with
-    | Error msg ->
-      Printf.eprintf "%s: type error: %s\n" path msg;
-      exit 2
-    | Ok info -> info)
+  let program =
+    front_end (path ^ ": parse error") (fun () -> Minic.C_parser.parse source)
+  in
+  front_end (path ^ ": type error") (fun () -> Minic.Typecheck.check program)
 
 (* [load] for the subcommands that execute or compile the program: every
    backend enters at [main] *)
@@ -165,29 +167,27 @@ let cmd_sim =
 let cmd_automaton =
   let action text psl =
     let syntax = if psl then `Psl else `Auto in
-    match Sctc.Prop.parse ~syntax text with
-    | Error error ->
-      Printf.eprintf "property %s\n" (Sctc.Prop.error_to_string error);
+    let formula =
+      front_end "property" (fun () -> Sctc.Prop.parse_exn ~syntax text)
+    in
+    let props = List.length (Formula.props formula) in
+    if props > Ar_automaton.max_props then begin
+      Printf.eprintf
+        "property too large: %d propositions (AR-automaton synthesis takes \
+         at most %d)\n"
+        props Ar_automaton.max_props;
       2
-    | Ok formula -> (
-      let props = List.length (Formula.props formula) in
-      if props > Ar_automaton.max_props then begin
-        Printf.eprintf
-          "property too large: %d propositions (AR-automaton synthesis \
-           takes at most %d)\n"
-          props Ar_automaton.max_props;
+    end
+    else
+      match Ar_automaton.synthesize formula with
+      | exception (Ar_automaton.Too_large _ as too_large) ->
+        prerr_endline (Printexc.to_string too_large);
         2
-      end
-      else
-        match Ar_automaton.synthesize formula with
-        | exception (Ar_automaton.Too_large _ as too_large) ->
-          prerr_endline (Printexc.to_string too_large);
-          2
-        | automaton ->
-          Printf.printf "%s\n" (Ar_automaton.stats automaton);
-          print_string
-            (Il.to_string (Il.of_automaton ~name:"property" automaton));
-          0)
+      | automaton ->
+        Printf.printf "%s\n" (Ar_automaton.stats automaton);
+        print_string
+          (Il.to_string (Il.of_automaton ~name:"property" automaton));
+        0
   in
   let property =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"PROPERTY")
@@ -228,18 +228,21 @@ let cmd_verify =
           (fun i property -> (Printf.sprintf "property%d" (i + 1), property))
           properties
     in
-    (* fail fast on malformed properties, before any session is built:
-       one structured parse error per bad property, not a crashed job *)
-    let bad =
+    (* fail fast on malformed propositions and properties, before any
+       session is built or trace file written: one positioned error per
+       bad text, not a crashed job *)
+    let bad what check texts =
       List.filter_map
         (fun (name, text) ->
-          match Sctc.Prop.parse text with
-          | Ok _ -> None
+          match Loc.catch (fun () -> ignore (check text)) with
+          | Ok () -> None
           | Error error ->
-            Some
-              (Printf.sprintf "tcheck verify: %s: %s" name
-                 (Sctc.Prop.error_to_string error)))
-        named
+            Some (Printf.sprintf "%s%s: %s" what name (Loc.to_string error)))
+        texts
+    in
+    let bad =
+      bad "--prop " (Verif.Session.check_proposition info) props
+      @ bad "tcheck verify: " Sctc.Prop.parse_exn named
     in
     if bad <> [] then begin
       List.iter (Printf.eprintf "%s\n") bad;
@@ -375,21 +378,15 @@ let cmd_absref =
        ~doc:"Predicate abstraction with refinement (BLAST analog)")
     Term.(const action $ file_arg $ timeout)
 
+let find_op name =
+  match Eee.Eee_spec.op_of_name name with
+  | Some op -> op
+  | None ->
+    Printf.eprintf "unknown operation %s\n" name;
+    exit 2
+
 let cmd_eee =
   let action approach engine op_names cases bound fault_rate common =
-    let find_op name =
-      match
-        List.find_opt
-          (fun op ->
-            String.lowercase_ascii (Eee.Eee_spec.op_name op)
-            = String.lowercase_ascii name)
-          Eee.Eee_spec.all_ops
-      with
-      | Some op -> op
-      | None ->
-        Printf.eprintf "unknown operation %s\n" name;
-        exit 2
-    in
     let ops =
       match op_names with
       | [] -> [ Eee.Eee_spec.Read ]
@@ -471,19 +468,7 @@ let cmd_smc =
       Printf.eprintf "unknown approach %d\n" approach;
       exit 2
     end;
-    let op =
-      match
-        List.find_opt
-          (fun op ->
-            String.lowercase_ascii (Eee.Eee_spec.op_name op)
-            = String.lowercase_ascii op_name)
-          Eee.Eee_spec.all_ops
-      with
-      | Some op -> op
-      | None ->
-        Printf.eprintf "unknown operation %s\n" op_name;
-        exit 2
-    in
+    let op = find_op op_name in
     (match prop with
     | Some name
       when not
@@ -496,11 +481,11 @@ let cmd_smc =
       exit 2
     | _ -> ());
     let faults =
-      match Smc.Faults.of_specs fault_specs with
-      | Ok faults -> faults
-      | Error msg ->
-        Printf.eprintf "--fault: %s\n" msg;
-        exit 2
+      List.fold_left
+        (fun faults spec ->
+          front_end ("--fault " ^ spec) (fun () ->
+              Smc.Faults.parse_knob spec faults))
+        Smc.Faults.none fault_specs
     in
     let metrics = Tcheck_cli.registry common in
     let plan =
@@ -528,11 +513,7 @@ let cmd_smc =
     let label =
       Printf.sprintf "a%d/%s" approach (Eee.Eee_spec.op_name op)
     in
-    let sinks =
-      match common.Tcheck_cli.trace_file with
-      | Some out -> [ Verif.Campaign.jsonl_file_sink out ]
-      | None -> []
-    in
+    let sinks = Tcheck_cli.trace_sinks common metrics in
     let report =
       try
         Smc.Runner.run ~metrics ~workers:common.Tcheck_cli.jobs

@@ -1,6 +1,7 @@
 (* Tcheck_cli — the option surface shared by the campaign subcommands:
    [tcheck verify], [tcheck eee] and [tcheck smc] declare --jobs, --seed,
-   --trace, --metrics, --out-shards and --window here, once. *)
+   --trace, --metrics, --out-shards and --window here, once, and open
+   their trace sinks here. *)
 
 open Cmdliner
 
@@ -101,28 +102,33 @@ let registry common =
   | Some _ -> Obs.Registry.create ()
   | None -> Obs.Registry.null
 
+(* The --trace sinks, sharded when --out-shards was given. [jobs] is the
+   campaign's job count; smc passes none, since only its runner knows
+   how many samples it draws. *)
+let trace_sinks ?jobs common metrics =
+  let fail message =
+    prerr_endline message;
+    exit 2
+  in
+  try
+    match (common.trace_file, common.out_shards, jobs) with
+    | _, Some shards, _ when shards < 1 -> fail "--out-shards must be >= 1"
+    | None, Some _, _ -> fail "--out-shards requires --trace"
+    | None, None, _ -> []
+    | Some out, None, _ -> [ Verif.Campaign.jsonl_file_sink out ]
+    | Some _, Some _, None ->
+      fail
+        "--out-shards is not supported by smc (its sample count is only \
+         known as it runs)"
+    | Some out, Some shards, Some jobs ->
+      [ Verif.Campaign.sharded_jsonl_sink ~metrics ~shards ~jobs out ]
+  with Sys_error msg | Failure msg -> fail ("--trace: " ^ msg)
+
 (* Run a job list with the trace flowing to the --trace file sinks while
    workers are still running. *)
 let execute common metrics jobs =
-  (match common.out_shards with
-  | Some shards when shards < 1 ->
-    Printf.eprintf "--out-shards must be >= 1\n";
-    exit 2
-  | Some _ when common.trace_file = None ->
-    Printf.eprintf "--out-shards requires --trace\n";
-    exit 2
-  | _ -> ());
+  let sinks = trace_sinks ~jobs:(List.length jobs) common metrics in
   try
-    let sinks =
-      match (common.trace_file, common.out_shards) with
-      | None, _ -> []
-      | Some out, None -> [ Verif.Campaign.jsonl_file_sink out ]
-      | Some out, Some shards ->
-        [
-          Verif.Campaign.sharded_jsonl_sink ~metrics ~shards
-            ~jobs:(List.length jobs) out;
-        ]
-    in
     Verif.Campaign.run_stream ~metrics ~workers:common.jobs
       ?window:common.window ~sinks jobs
   with Sys_error msg | Failure msg ->

@@ -1,5 +1,5 @@
 (** The option surface shared by the [tcheck] campaign subcommands
-    ([verify], [eee]): worker-pool shape, campaign seed, and the trace /
+    ([verify], [eee], [smc]): worker-pool shape, campaign seed, and the trace /
     metrics output files, declared once instead of per subcommand. *)
 
 type common = {
@@ -30,14 +30,20 @@ val registry : common -> Obs.Registry.t
 (** A fresh live registry when [--metrics] was given, {!Obs.Registry.null}
     otherwise. *)
 
+val trace_sinks :
+  ?jobs:int -> common -> Obs.Registry.t -> Verif.Campaign.sink list
+(** The [--trace] sinks, sharded over [jobs] jobs when [--out-shards]
+    was given. [--out-shards] below 1, without [--trace], or without
+    [jobs] (smc, whose runner alone knows its sample count), and a
+    trace file that cannot be opened, exit 2 before any job runs. *)
+
 val execute :
   common -> Obs.Registry.t -> Verif.Campaign.job list ->
   Verif.Campaign.summary
 (** Run the jobs through {!Verif.Campaign.run_stream} with the trace
     flowing to [--trace] (sharded when [--out-shards] was given) while
-    workers are still running. [--out-shards] below 1 or without
-    [--trace] exits 2 before any job runs; sink failures exit 2 with
-    [--trace] named. *)
+    workers are still running, through {!trace_sinks}; sink failures
+    exit 2 with [--trace] named. *)
 
 val finish : common -> Obs.Registry.t -> unit
 (** Write the metrics snapshot ([--metrics]); an unwritable file exits

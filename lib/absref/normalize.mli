@@ -9,5 +9,5 @@
       (variables, constants, operators). *)
 
 val program : Minic.Typecheck.info -> Minic.Typecheck.info
-(** @raise Minic.Typecheck.Type_error if re-checking the transformed
+(** @raise Loc.Error if re-checking the transformed
     program fails (a bug). *)

@@ -105,106 +105,103 @@ let pp fmt il =
 
 let to_string il = Format.asprintf "%a" pp il
 
-exception Parse_error of string
-
 (* Split "cube -> target" at the (space-delimited) arrow; cubes themselves
    may contain '-' as don't-care, so the separator is exactly " -> ". *)
-let split_arrow text =
-  let sep = " -> " in
-  let sep_len = String.length sep in
+let split_arrow at text =
   let rec find i =
-    if i + sep_len > String.length text then
-      raise (Parse_error ("missing ' -> ' in " ^ text))
-    else if String.sub text i sep_len = sep then i
+    if i + 4 > String.length text then Loc.fail at "missing ' -> ' in %s" text
+    else if String.sub text i 4 = " -> " then i
     else find (i + 1)
   in
   let j = find 0 in
-  ( String.sub text 0 j,
-    String.sub text (j + sep_len) (String.length text - j - sep_len) )
+  ( String.trim (String.sub text 0 j),
+    String.trim (String.sub text (j + 4) (String.length text - j - 4)) )
 
 (* A small line-oriented parser for the format printed above. *)
 let parse text =
-  let fail msg = raise (Parse_error msg) in
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun line -> line <> "")
-  in
-  let name = ref "" in
-  let props = ref [||] in
-  let initial = ref 0 in
-  let states : (int, kind * transition list) Hashtbl.t = Hashtbl.create 16 in
+  let name = ref "" and props = ref [||] in
+  let at_end = Loc.at_offset text (String.length text) in
+  let initial = ref (0, at_end) in
+  (* id -> kind, guard cubes with their target and line *)
+  let states = Hashtbl.create 16 in
   let current = ref None in
-  let strip_suffix suffix s =
-    if String.length s >= String.length suffix
-       && String.sub s (String.length s - String.length suffix)
-            (String.length suffix)
-          = suffix
-    then String.sub s 0 (String.length s - String.length suffix)
-    else fail (Printf.sprintf "expected %S at end of %S" suffix s)
-  in
-  List.iter
-    (fun line ->
-      if line = "}" then current := None
-      else if String.length line >= 10 && String.sub line 0 10 = "automaton " then
-        name := String.trim (strip_suffix "{" (String.sub line 10 (String.length line - 10)))
-      else if String.length line >= 7 && String.sub line 0 7 = "props: " then
+  List.iteri
+    (fun index raw ->
+      let line = String.trim raw in
+      let at = Loc.line_start ~line:(index + 1) raw in
+      let fail fmt = Loc.fail at fmt in
+      let field prefix suffix =
+        let n = String.length prefix and m = String.length suffix in
+        if String.ends_with ~suffix line && String.length line >= n + m then
+          String.sub line n (String.length line - n - m)
+        else fail "expected %S at end of %S" suffix line
+      in
+      let number text =
+        match int_of_string_opt (String.trim text) with
+        | Some n when n >= 0 -> n
+        | Some _ | None -> fail "expected a state number, found %S" text
+      in
+      if line = "" then ()
+      else if line = "}" then current := None
+      else if String.starts_with ~prefix:"automaton " line then
+        name := String.trim (field "automaton " "{")
+      else if String.starts_with ~prefix:"props: " line then
         props :=
-          String.sub line 7 (String.length line - 7)
-          |> strip_suffix ";"
-          |> String.split_on_char ','
+          String.split_on_char ',' (field "props: " ";")
           |> List.map String.trim
           |> List.filter (fun s -> s <> "")
           |> Array.of_list
-      else if String.length line >= 9 && String.sub line 0 9 = "initial: " then
-        initial :=
-          int_of_string (strip_suffix ";" (String.sub line 9 (String.length line - 9)))
-      else if String.length line >= 6 && String.sub line 0 6 = "state " then begin
-        let body = strip_suffix "{" (String.sub line 6 (String.length line - 6)) in
-        match String.split_on_char ' ' (String.trim body) with
+      else if String.starts_with ~prefix:"initial: " line then
+        initial := (number (field "initial: " ";"), at)
+      else if String.starts_with ~prefix:"state " line then begin
+        match String.split_on_char ' ' (String.trim (field "state " "{")) with
         | [ id_text; kind_text ] ->
-          let id = int_of_string id_text in
+          let id = number id_text in
           let kind =
             match kind_text with
             | "accept" -> Accept
             | "reject" -> Reject
             | "pending" -> Pend
-            | other -> fail ("unknown state kind " ^ other)
+            | other -> fail "unknown state kind %s" other
           in
           Hashtbl.replace states id (kind, []);
           current := Some id
-        | _ -> fail ("malformed state header: " ^ line)
+        | _ -> fail "malformed state header: %s" line
       end
-      else if String.length line >= 3 && String.sub line 0 3 = "on " then begin
+      else if String.starts_with ~prefix:"on " line then begin
         match !current with
         | None -> fail "transition outside state block"
         | Some id ->
-          let body = strip_suffix ";" (String.sub line 3 (String.length line - 3)) in
-          let cube_text, target_text = split_arrow body in
-          let cube = Cube.of_string (String.trim cube_text) in
-          let target = int_of_string (String.trim target_text) in
+          let cube_text, target_text = split_arrow at (field "on " ";") in
+          if String.length cube_text <> Array.length !props
+             || not (String.for_all (String.contains "01-") cube_text)
+          then
+            fail "expected a guard of 0, 1 or - over %d propositions, found %S"
+              (Array.length !props) cube_text;
+          let target = number target_text in
           let kind, transitions = Hashtbl.find states id in
           Hashtbl.replace states id
-            (kind, { guard = [ cube ]; target } :: transitions)
+            (kind, (Cube.of_string cube_text, target, at) :: transitions)
       end
-      else fail ("unrecognized line: " ^ line))
-    lines;
-  let max_id = Hashtbl.fold (fun id _ acc -> max id acc) states (-1) in
+      else fail "unrecognized line: %s" line)
+    (String.split_on_char '\n' text);
+  (* distinct ids below the state count leave no gap, so a large id
+     shows up as a missing smaller one, before anything is allocated *)
+  let count = Hashtbl.length states in
   let state_array =
-    Array.init (max_id + 1) (fun id ->
+    Array.init count (fun id ->
         match Hashtbl.find_opt states id with
-        | None -> fail (Printf.sprintf "missing state %d" id)
+        | None -> Loc.fail at_end "missing state %d" id
         | Some (kind, transitions) ->
           (* merge single-cube transitions with equal targets *)
           let grouped : (int, Cube.t list ref) Hashtbl.t = Hashtbl.create 8 in
           List.iter
-            (fun t ->
-              match t.guard with
-              | [ cube ] -> (
-                match Hashtbl.find_opt grouped t.target with
-                | Some cubes -> cubes := cube :: !cubes
-                | None -> Hashtbl.replace grouped t.target (ref [ cube ]))
-              | _ -> assert false)
+            (fun (cube, target, at) ->
+              if target >= count then
+                Loc.fail at "unknown target state %d" target;
+              match Hashtbl.find_opt grouped target with
+              | Some cubes -> cubes := cube :: !cubes
+              | None -> Hashtbl.replace grouped target (ref [ cube ]))
             transitions;
           let outgoing =
             Hashtbl.fold
@@ -215,7 +212,9 @@ let parse text =
           in
           { kind; outgoing })
   in
-  { name = !name; props = !props; initial = !initial; states = state_array }
+  let initial, at = !initial in
+  if initial >= count then Loc.fail at "unknown initial state %d" initial;
+  { name = !name; props = !props; initial; states = state_array }
 
 let num_transitions il =
   Array.fold_left

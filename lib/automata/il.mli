@@ -46,10 +46,12 @@ val next : t -> int -> int -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-exception Parse_error of string
-
 val parse : string -> t
-(** Parses the textual form produced by {!pp}. *)
+(** Parses the textual form produced by {!pp}: every state from 0 up,
+    the initial state and every target defined, every guard as wide as
+    [props].
+    @raise Loc.Error at the first malformed line, or past the end of the
+    text for a missing state. *)
 
 val num_transitions : t -> int
 (** Total transition (cube) count — the IL size metric. *)

@@ -59,11 +59,7 @@ let instrument ?(max_states = 20_000) ~property ~predicates info =
        switch (__mon_state) { per state: switch (m) -> successor }
        assert(!reject(__mon_state)); *)
   let parse_pred name =
-    let text = List.assoc name predicates in
-    match Minic.C_parser.parse_expr text with
-    | expr -> expr
-    | exception _ ->
-      raise (Instrument_error ("predicate for " ^ name ^ " does not parse"))
+    Minic.C_parser.parse_expr (List.assoc name predicates)
   in
   let bit_accum =
     Array.to_list props
@@ -203,10 +199,6 @@ let instrument ?(max_states = 20_000) ~property ~predicates info =
         };
       ]
   in
-  let instrumented = { Ast.globals; funcs = funcs @ [ mon_step ] } in
-  match Minic.Typecheck.check_result instrumented with
-  | Ok checked -> checked
-  | Error msg ->
-    raise (Instrument_error ("instrumented program does not typecheck: " ^ msg))
+  Minic.Typecheck.check { Ast.globals; funcs = funcs @ [ mon_step ] }
 
 let monitor_state_count info = Minic.Typecheck.const_value info "__MON_STATES"

@@ -23,7 +23,9 @@ val instrument :
   Minic.Typecheck.info
 (** [predicates] maps each proposition name of the property to MiniC
     boolean-expression source text (parsed with {!Minic.C_parser.parse_expr}).
-    @raise Instrument_error on missing predicates or synthesis blowup. *)
+    @raise Instrument_error on missing predicates or synthesis blowup.
+    @raise Loc.Error at a predicate's position when it does not parse
+    or the instrumented program does not typecheck. *)
 
 val monitor_state_count : Minic.Typecheck.info -> int option
 (** Number of monitor states in an instrumented program (from the

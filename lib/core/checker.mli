@@ -92,9 +92,9 @@ val add_property_text :
   string ->
   unit
 (** Parse via {!Prop.parse_exn} and add. [syntax] defaults to [`Auto],
-    as in {!Prop.parse}; every text FLTL accepts holds no PSL-only
-    keyword, so [`Auto] reads it as FLTL.
-    @raise Prop.Parse_error on malformed property text. *)
+    as there; every text FLTL accepts holds no PSL-only keyword, so
+    [`Auto] reads it as FLTL.
+    @raise Loc.Error on malformed property text. *)
 
 val property_names : t -> string list
 

@@ -1,45 +1,38 @@
-(** The single property-parsing entry point.
+(** The property grammar: FLTL and the PSL foundation-language subset.
 
-    SCTC accepts properties in FLTL or the PSL foundation-language
-    subset, each with its own grammar ({!Fltl_parser.parse},
-    {!Psl.parse}) raising its own exceptions. This module puts both
-    behind one entry with a structured error, and is what
-    {!Checker.add_property_text}, [Verif.Session], the [tcheck] CLI and
-    the examples parse through. The two grammars carry a deprecation
-    alert that only this module silences, so the [dep-strict] build
-    profile rejects any other caller.
+    Both syntaxes are one recursive-descent parser over one token stream
+    ({!Fltl_lexer}). They share the precedence ladder, lowest first:
+    {v
+      formula  := implied ( ('<->' | 'iff') implied )*
+      implied  := ored ( ('->' | 'implies') implied )?   (right associative)
+      ored     := anded ( ('|' | 'or') anded )*
+      anded    := untiled ( ('&' | 'and') untiled )*
+      untiled  := unary ( UNTIL untiled )?
+      unary    := ('!' | 'not') unary | UNARY | atom
+      atom     := 'true' | 'false' | IDENT | '(' formula ')'
+      bound    := '[' INT ']'
+    v}
+    and differ only in which operator keywords the two starred levels
+    accept:
+    - FLTL: UNTIL is [U]/[until] (strong) or [R]/[release], each with an
+      optional bound; UNARY is [X], or [F]/[G] with an optional bound.
+    - PSL: UNTIL is [until!] (strong), [until] (weak: [p until q] is
+      [q R (p | q)]) or [release]; UNARY is [always p] ([G p]), [never p]
+      ([G !p]), [eventually[!] p] ([F p]) or [next[!][n] p] ([X] applied
+      [n] times, default 1, at most 10000: each is a formula node).
 
-    Syntax selection:
-    - [`Fltl] / [`Psl]: exactly {!Fltl_parser.parse} / {!Psl.parse}.
-    - [`Auto] (the default): PSL when a PSL-only keyword ([always],
-      [never], [eventually], [next]) appears in the token stream,
-      FLTL otherwise. [until]/[release] appear in both grammars (FLTL
-      reads them as the strong [U]/[R], PSL's bare [until] is weak), so
-      they deliberately do {e not} flip detection — bare-word texts
-      keep their historical FLTL meaning. *)
+    This is what {!Checker.add_property_text}, [Verif.Session], the
+    [tcheck] CLI and the examples parse through. *)
 
 type syntax = [ `Fltl | `Psl | `Auto ]
-
-type error = {
-  line : int;
-  col : int;  (** 1-based position of the offending token *)
-  message : string;
-  input : string;  (** the property text as given *)
-}
-
-exception Parse_error of error
-
-val parse : ?syntax:syntax -> string -> (Formula.t, error) result
-(** Parse a property ([syntax] defaults to [`Auto]). Never raises. *)
+(** [`Auto] picks PSL when a PSL-only keyword ([always], [never],
+    [eventually], [next]) appears in the token stream, FLTL otherwise.
+    [until]/[release] belong to both syntaxes (FLTL reads them as the
+    strong [U]/[R], PSL's bare [until] is weak), so they do {e not} flip
+    detection: bare-word texts keep their FLTL meaning. *)
 
 val parse_exn : ?syntax:syntax -> string -> Formula.t
-(** @raise Parse_error on malformed input. *)
-
-val detect_syntax : string -> [ `Fltl | `Psl ]
-(** The syntax [`Auto] would pick. Texts that do not tokenize are
-    reported as [`Fltl] (the error surfaces at parse time). *)
-
-val error_to_string : error -> string
-(** ["LINE:COL: MESSAGE in \"INPUT\""]. *)
-
-val pp_error : Format.formatter -> error -> unit
+(** Parse a property ([syntax] defaults to [`Auto]). The text is
+    tokenized once; [Loc.catch] turns the error into a [result].
+    @raise Loc.Error at the first offending token, lexical errors
+    included. *)

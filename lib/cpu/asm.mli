@@ -13,13 +13,13 @@
     v}
 
     Branch/jump immediates may be written as numbers (already relative) or
-    as label names. *)
-
-exception Asm_error of string * int
-(** message and 1-based line number *)
+    as label names. Every instruction is passed through
+    {!Encode.encode}, which owns the field widths, so
+    {!assemble_words} encodes whatever {!assemble} accepts. *)
 
 val assemble : string -> Isa.instr list
-(** @raise Asm_error on syntax errors or unknown labels. *)
+(** @raise Loc.Error at the first column of a line with a syntax error,
+    an unknown label or an immediate out of range. *)
 
 val assemble_with_labels : string -> Isa.instr list * (string * int) list
 (** Also returns every label with its resolved word address. *)

@@ -47,6 +47,13 @@ let op_of_code = function
   | 7 -> Some Refresh
   | _ -> None
 
+(* the CLI's --op: operation names, case-insensitive *)
+let op_of_name name =
+  List.find_opt
+    (fun op ->
+      String.lowercase_ascii (op_name op) = String.lowercase_ascii name)
+    all_ops
+
 (* the function implementing each operation (fname tracking target) *)
 let entry_function = function
   | Read -> "eee_read_op"

@@ -64,24 +64,63 @@ type t = {
   mutable crash_reported : bool;
 }
 
-(* tiny pure-expression evaluator for textual proposition definitions *)
-let rec eval_pure lookup (e : Minic.Ast.expr) =
+(* A proposition definition is a pure expression over the program's
+   scalar globals (and [fname], which both backends add). *)
+let check_proposition info text =
+  let module A = Minic.Ast in
+  let rec check (e : A.expr) =
+    match e.A.edesc with
+    | A.Int_lit _ | A.Bool_lit _ -> ()
+    | A.Var "fname" -> ()
+    | A.Var x -> (
+      match Minic.Typecheck.global_type info x with
+      | Some (A.Tint | A.Tbool) -> ()
+      | Some _ -> Loc.fail e.A.epos "%s is an array, not a scalar global" x
+      | None when Minic.Typecheck.const_value info x <> None ->
+        Loc.fail e.A.epos "%s is a constant, not a global variable" x
+      | None -> Loc.fail e.A.epos "unknown global %s" x)
+    | A.Unop (_, a) -> check a
+    | A.Binop (_, a, b) ->
+      check a;
+      check b
+    | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ ->
+      Loc.fail e.A.epos "propositions must be pure expressions over globals"
+  in
+  let expr = Minic.C_parser.parse_expr text in
+  check expr;
+  expr
+
+exception Proposition_failed of string * Loc.error
+
+let () =
+  Printexc.register_printer (function
+    | Proposition_failed (name, error) ->
+      Some (Printf.sprintf "proposition %s: %s" name (Loc.to_string error))
+    | _ -> None)
+
+(* tiny evaluator for checked proposition definitions: only a zero
+   divisor can fail *)
+let rec eval_pure ~prop lookup (e : Minic.Ast.expr) =
   let module A = Minic.Ast in
   let module V = Minic.Value in
+  let eval = eval_pure ~prop lookup in
   match e.A.edesc with
   | A.Int_lit v -> v
   | A.Bool_lit b -> V.of_bool b
   | A.Var x -> lookup x
-  | A.Unop (op, a) -> V.unop op (eval_pure lookup a)
+  | A.Unop (op, a) -> V.unop op (eval a)
   | A.Binop (A.Land, a, b) ->
-    V.of_bool (V.to_bool (eval_pure lookup a) && V.to_bool (eval_pure lookup b))
+    V.of_bool (V.to_bool (eval a) && V.to_bool (eval b))
   | A.Binop (A.Lor, a, b) ->
-    V.of_bool (V.to_bool (eval_pure lookup a) || V.to_bool (eval_pure lookup b))
-  | A.Binop (op, a, b) ->
-    let va = eval_pure lookup a in
-    V.binop op va (eval_pure lookup b)
-  | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ ->
-    failwith "propositions must be pure expressions over globals"
+    V.of_bool (V.to_bool (eval a) || V.to_bool (eval b))
+  | A.Binop (op, a, b) -> (
+    let va = eval a in
+    try V.binop op va (eval b)
+    with V.Division_by_zero ->
+      raise
+        (Proposition_failed
+           (prop, { Loc.pos = e.A.epos; message = "division by zero" })))
+  | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ -> assert false
 
 let backend_name session =
   match session.runtime with
@@ -316,6 +355,17 @@ let backend_label = function
   | Derived_model -> "approach2"
 
 let create ?compiled ?derived ?info config backend =
+  let propositions =
+    match config.propositions, info, derived with
+    | [], _, _ -> []
+    | propositions, Some info, _
+    | propositions, None, Some { Esw.C2sc.model_info = info; _ } ->
+      List.map
+        (fun (name, text) -> (name, check_proposition info text))
+        propositions
+    | _, None, None ->
+      invalid_arg "Verif.Session.create: config.propositions needs ~info"
+  in
   let chk =
     Checker.create ~trace:config.trace ~metrics:config.metrics
       ~name:config.session_name ()
@@ -387,11 +437,10 @@ let create ?compiled ?derived ?info config backend =
     Trace.set_time_source config.trace time_source;
   let lookup = read_var session in
   List.iter
-    (fun (name, text) ->
-      let expr = Minic.C_parser.parse_expr text in
+    (fun (name, expr) ->
       Checker.register_sampler chk name (fun () ->
-          Minic.Value.to_bool (eval_pure lookup expr)))
-    config.propositions;
+          Minic.Value.to_bool (eval_pure ~prop:name lookup expr)))
+    propositions;
   List.iter
     (fun (name, text) ->
       Checker.add_property_text ~engine:config.engine chk ~name text)

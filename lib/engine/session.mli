@@ -27,7 +27,8 @@ type config = {
       (** name, property text — FLTL or PSL, auto-detected by
           [Sctc.Prop] *)
   propositions : (string * string) list;
-      (** name, pure boolean MiniC expression over the software's globals *)
+      (** name, pure boolean MiniC expression over the software's scalar
+          globals, read by {!check_proposition} *)
   bound : int option;  (** default time-unit budget of {!run} *)
   fuel : int;  (** statement budget of the derived model *)
   chunk : int;  (** time units per {!advance} *)
@@ -81,8 +82,25 @@ val create :
     program in one of the accepted forms — [Soc_model]: [~compiled] (or
     [~info], compiled here); [Derived_model]: [~derived] (or [~info],
     derived here). Passing a memoized
-    [~compiled]/[~derived] avoids recompiling per session.
-    @raise Invalid_argument when the needed form is missing. *)
+    [~compiled]/[~derived] avoids recompiling per session. Each of
+    [config.propositions] is read by {!check_proposition} against
+    [~info], or else [~derived]'s program.
+    @raise Invalid_argument when the needed form is missing.
+    @raise Loc.Error when a proposition does not pass
+    {!check_proposition}. *)
+
+val check_proposition : Minic.Typecheck.info -> string -> Minic.Ast.expr
+(** Read a [config.propositions] text against the program: it parses,
+    is pure, and names only the program's scalar globals or [fname].
+    {!create} reads every proposition through it; a caller that wants
+    the error before any session is built calls it first.
+    @raise Loc.Error at the first offending token. *)
+
+exception Proposition_failed of string * Loc.error
+(** A proposition's name and the operator in its text where evaluation
+    met a zero divisor, raised at the trigger that sampled it.
+    [Printexc.to_string] renders it ["proposition NAME: LINE:COL:
+    division by zero"]. *)
 
 (** {2 Introspection} *)
 

@@ -30,10 +30,6 @@ type token =
   | KW_IFF
   | EOF
 
-type position = { line : int; column : int }
-
-exception Lex_error of string * position
-
 let token_to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT n -> Printf.sprintf "integer %d" n
@@ -98,7 +94,7 @@ let tokenize text =
   let tokens = ref [] in
   let line = ref 1 and column = ref 1 in
   let index = ref 0 in
-  let here () = { line = !line; column = !column } in
+  let here () = { Loc.line = !line; column = !column } in
   let advance () =
     if !index < length then begin
       if text.[!index] = '\n' then begin
@@ -115,7 +111,7 @@ let tokenize text =
   let emit token pos = tokens := (token, pos) :: !tokens in
   let rec skip_block_comment start_pos =
     if !index + 1 >= length then
-      raise (Lex_error ("unterminated comment", start_pos))
+      Loc.fail start_pos "unterminated comment"
     else if text.[!index] = '*' && text.[!index + 1] = '/' then begin
       advance ();
       advance ()
@@ -152,7 +148,7 @@ let tokenize text =
         advance ();
         emit ARROW pos
       end
-      else raise (Lex_error ("expected '->'", pos))
+      else Loc.fail pos "expected '->'"
     | '<' ->
       advance ();
       if peek 0 = Some '-' && peek 1 = Some '>' then begin
@@ -160,7 +156,7 @@ let tokenize text =
         advance ();
         emit IFF_OP pos
       end
-      else raise (Lex_error ("expected '<->'", pos))
+      else Loc.fail pos "expected '<->'"
     | '/' ->
       advance ();
       (match peek 0 with
@@ -171,13 +167,14 @@ let tokenize text =
       | Some '*' ->
         advance ();
         skip_block_comment pos
-      | Some _ | None -> raise (Lex_error ("stray '/'", pos)))
+      | Some _ | None -> Loc.fail pos "stray '/'")
     | c when is_digit c ->
       let start = !index in
       while !index < length && is_digit text.[!index] do
         advance ()
       done;
-      emit (INT (int_of_string (String.sub text start (!index - start)))) pos
+      let digits = String.sub text start (!index - start) in
+      emit (INT (Loc.int_literal pos digits)) pos
     | c when is_ident_start c ->
       let start = !index in
       while !index < length && is_ident_char text.[!index] do
@@ -187,7 +184,7 @@ let tokenize text =
       (match keyword_of_word word with
       | Some kw -> emit kw pos
       | None -> emit (IDENT word) pos)
-    | c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, pos))
+    | c -> Loc.fail pos "illegal character %C" c
   done;
   emit EOF (here ());
   List.rev !tokens

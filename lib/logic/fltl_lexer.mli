@@ -1,4 +1,5 @@
-(** Shared lexer for the FLTL and PSL property syntaxes.
+(** The lexer of the property grammar ([Sctc.Prop]), shared by its FLTL
+    and PSL syntaxes.
 
     Reserved words (case-sensitive): [X F G U R true false] and the PSL
     keywords [always never eventually next until release abort and or not
@@ -37,12 +38,10 @@ type token =
   | KW_IFF
   | EOF
 
-type position = { line : int; column : int }
-
-exception Lex_error of string * position
-
 val token_to_string : token -> string
 
-(** [tokenize text] is the token stream with source positions.
-    @raise Lex_error on illegal characters or unterminated comments. *)
-val tokenize : string -> (token * position) list
+(** [tokenize text] is the token stream with source positions, ending in
+    [EOF].
+    @raise Loc.Error on illegal characters, unterminated comments and
+    integers that do not fit an OCaml [int]. *)
+val tokenize : string -> (token * Loc.pos) list

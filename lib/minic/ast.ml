@@ -11,7 +11,7 @@
 
    plus statement intrinsics assert(e), assume(e) and halt(). *)
 
-type position = { line : int; column : int }
+type position = Loc.pos = { line : int; column : int }
 
 let dummy_pos = { line = 0; column = 0 }
 

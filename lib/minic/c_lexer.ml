@@ -56,8 +56,6 @@ type token =
 
 type position = Ast.position
 
-exception Lex_error of string * position
-
 let token_to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT_LIT n -> Printf.sprintf "integer %d" n
@@ -229,7 +227,7 @@ let tokenize text =
         advance ();
         let rec skip () =
           if !index + 1 >= length then
-            raise (Lex_error ("unterminated comment", pos))
+            Loc.fail pos "unterminated comment"
           else if text.[!index] = '*' && text.[!index + 1] = '/' then begin
             advance ();
             advance ()
@@ -248,16 +246,16 @@ let tokenize text =
       while !index < length && is_hex_digit text.[!index] do
         advance ()
       done;
-      if !index = start then raise (Lex_error ("empty hex literal", pos));
-      let digits = String.sub text start (!index - start) in
-      emit (INT_LIT (Value.wrap (int_of_string ("0x" ^ digits)))) pos
+      if !index = start then Loc.fail pos "empty hex literal";
+      let digits = "0x" ^ String.sub text start (!index - start) in
+      emit (INT_LIT (Value.wrap (Loc.int_literal pos digits))) pos
     | c when is_digit c ->
       let start = !index in
       while !index < length && is_digit text.[!index] do
         advance ()
       done;
       let digits = String.sub text start (!index - start) in
-      emit (INT_LIT (Value.wrap (int_of_string digits))) pos
+      emit (INT_LIT (Value.wrap (Loc.int_literal pos digits))) pos
     | c when is_ident_start c ->
       let start = !index in
       while !index < length && is_ident_char text.[!index] do
@@ -267,7 +265,7 @@ let tokenize text =
       (match keyword_of_word word with
       | Some kw -> emit kw pos
       | None -> emit (IDENT word) pos)
-    | c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, pos))
+    | c -> Loc.fail pos "illegal character %C" c
   done;
   emit EOF (here ());
   List.rev !tokens

@@ -59,7 +59,9 @@ type token =
 
 type position = Ast.position
 
-exception Lex_error of string * position
-
 val token_to_string : token -> string
+
 val tokenize : string -> (token * position) list
+(** @raise Loc.Error on an illegal character, an unterminated comment,
+    an empty hex literal or an integer literal that does not fit an
+    OCaml [int]. A literal that fits wraps to 32 bits. *)

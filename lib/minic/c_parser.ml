@@ -1,5 +1,3 @@
-exception Parse_error of string * Ast.position
-
 type stream = {
   mutable tokens : (C_lexer.token * Ast.position) list;
   consts : (string, int) Hashtbl.t;
@@ -18,7 +16,7 @@ let peek2 stream =
 let advance stream =
   match stream.tokens with [] -> () | _ :: rest -> stream.tokens <- rest
 
-let fail pos msg = raise (Parse_error (msg, pos))
+let fail pos message = raise (Loc.Error { pos; message })
 
 let expect stream token =
   let got, pos = peek stream in
@@ -601,14 +599,6 @@ let parse text =
   let stream = { tokens = C_lexer.tokenize text; consts = Hashtbl.create 16 } in
   let globals, funcs = parse_topdecls stream [] [] in
   { Ast.globals; funcs }
-
-let parse_result text =
-  match parse text with
-  | program -> Ok program
-  | exception Parse_error (msg, pos) ->
-    Error (Printf.sprintf "%d:%d: %s" pos.Ast.line pos.Ast.column msg)
-  | exception C_lexer.Lex_error (msg, pos) ->
-    Error (Printf.sprintf "%d:%d: %s" pos.Ast.line pos.Ast.column msg)
 
 let parse_expr text =
   let stream = { tokens = C_lexer.tokenize text; consts = Hashtbl.create 4 } in

@@ -9,14 +9,17 @@
     Statement-position intrinsic calls are recognized and turned into their
     dedicated statement forms: [assert(e);], [assume(e);], [halt();] and
     [mem_write(a, v);]. The sugar [x++;], [x--;], [x += e;], [x -= e;] is
-    desugared into plain assignments. *)
+    desugared into plain assignments. A constant expression that divides
+    by zero is a parse error.
 
-exception Parse_error of string * Ast.position
+    These are the front end's only entries; [Loc.catch] turns their
+    error into a [result]. *)
 
 val parse : string -> Ast.program
-(** @raise Parse_error and {!C_lexer.Lex_error} on malformed input. *)
-
-val parse_result : string -> (Ast.program, string) result
+(** @raise Loc.Error at the first malformed token, lexical errors
+    included. *)
 
 val parse_expr : string -> Ast.expr
-(** Parse a single expression (for tests and property tooling). *)
+(** Parse a single expression ([--prop] propositions, [Spec_inline]
+    predicates, tests).
+    @raise Loc.Error as {!parse} does, and on trailing input. *)

@@ -1,9 +1,4 @@
-type error = { message : string; pos : Ast.position }
-
-exception Type_error of error
-
-let fail pos fmt =
-  Printf.ksprintf (fun message -> raise (Type_error { message; pos })) fmt
+let fail = Loc.fail
 
 type info = {
   tc_program : Ast.program;
@@ -382,9 +377,3 @@ let check (prog : Ast.program) =
       prog.globals
   in
   { tc_program = prog; tc_func_ids; tc_globals; tc_consts; tc_inits }
-
-let check_result prog =
-  match check prog with
-  | info -> Ok info
-  | exception Type_error { message; pos } ->
-    Error (Printf.sprintf "%d:%d: %s" pos.Ast.line pos.Ast.column message)

@@ -27,16 +27,12 @@
     the [fname] tracking variable so function sequencing can be referenced
     from temporal properties (paper, Section 3.1 step c). *)
 
-type error = { message : string; pos : Ast.position }
-
-exception Type_error of error
-
 type info
 
 val check : Ast.program -> info
-(** @raise Type_error on the first violation found. *)
-
-val check_result : Ast.program -> (info, string) result
+(** The front end's only entry; [Loc.catch] turns its error into a
+    [result].
+    @raise Loc.Error at the first violation found. *)
 
 val program : info -> Ast.program
 

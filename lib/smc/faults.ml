@@ -22,46 +22,33 @@ let apply faults config =
     jitter_max = faults.jitter_max;
   }
 
-let prob_of_string knob value =
-  match float_of_string_opt value with
-  | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-  | Some _ -> Error (Printf.sprintf "%s: probability must be in [0,1]" knob)
-  | None -> Error (Printf.sprintf "%s: expected a probability, got %S" knob value)
-
 (* "decay=P" | "power-loss=P" | "jitter=P:MAX" *)
 let parse_knob spec faults =
+  let fail offset fmt = Loc.fail (Loc.at_offset spec offset) fmt in
+  let prob offset text =
+    match float_of_string_opt text with
+    | Some p when p >= 0.0 && p <= 1.0 -> p
+    | Some _ -> fail offset "probability must be in [0,1]"
+    | None -> fail offset "expected a probability, found %S" text
+  in
   match String.index_opt spec '=' with
-  | None ->
-    Error
-      (Printf.sprintf
-         "%S: expected decay=P, power-loss=P or jitter=P:MAX" spec)
+  | None -> fail 0 "expected decay=P, power-loss=P or jitter=P:MAX"
   | Some i -> (
-    let knob = String.sub spec 0 i in
     let value = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match knob with
-    | "decay" ->
-      Result.map (fun p -> { faults with decay = p }) (prob_of_string knob value)
-    | "power-loss" ->
-      Result.map
-        (fun p -> { faults with power_loss = p })
-        (prob_of_string knob value)
+    match String.sub spec 0 i with
+    | "decay" -> { faults with decay = prob (i + 1) value }
+    | "power-loss" -> { faults with power_loss = prob (i + 1) value }
     | "jitter" -> (
       match String.index_opt value ':' with
-      | None -> Error "jitter: expected jitter=PROB:MAX_EXTRA_UNITS"
+      | None -> fail (i + 1) "expected jitter=PROB:MAX_EXTRA_UNITS"
       | Some j -> (
-        let prob = String.sub value 0 j in
+        let jitter_prob = prob (i + 1) (String.sub value 0 j) in
         let extra = String.sub value (j + 1) (String.length value - j - 1) in
-        match (prob_of_string knob prob, int_of_string_opt extra) with
-        | Ok p, Some m when m >= 1 ->
-          Ok { faults with jitter_prob = p; jitter_max = m }
-        | Ok _, _ -> Error "jitter: MAX_EXTRA_UNITS must be an int >= 1"
-        | (Error _ as e), _ -> e))
-    | other -> Error (Printf.sprintf "unknown fault knob %S" other))
-
-let of_specs specs =
-  List.fold_left
-    (fun acc spec -> Result.bind acc (parse_knob spec))
-    (Ok none) specs
+        match int_of_string_opt extra with
+        | Some m when m >= 1 -> { faults with jitter_prob; jitter_max = m }
+        | Some _ | None ->
+          fail (i + j + 2) "MAX_EXTRA_UNITS must be an int >= 1"))
+    | knob -> fail 0 "unknown fault knob %S" knob)
 
 let to_string faults =
   let parts =

@@ -35,12 +35,11 @@ val flash_faults : t -> Dataflash.Flash.fault_config
 val apply : t -> Verif.Session.config -> Verif.Session.config
 (** Set the session's [flash_faults]/[jitter_prob]/[jitter_max] fields. *)
 
-val parse_knob : string -> t -> (t, string) result
+val parse_knob : string -> t -> t
 (** Parse one command-line knob — ["decay=P"], ["power-loss=P"] or
-    ["jitter=P:MAX"] — into an update of the given record. *)
-
-val of_specs : string list -> (t, string) result
-(** Fold {!parse_knob} over a knob list, starting from {!none}. *)
+    ["jitter=P:MAX"] — into an update of the given record.
+    @raise Loc.Error at the knob name or at the value that does not
+    parse. *)
 
 val to_string : t -> string
 (** Knob syntax round trip (["none"] for {!none}), for labels/logs. *)

@@ -64,6 +64,23 @@ let test_encode_imm_range () =
   | _ -> Alcotest.fail "expected range error"
   | exception Encode.Immediate_out_of_range _ -> ()
 
+(* the assembler reports what the encoder rejects at the line's first
+   column, so assemble_words never raises Immediate_out_of_range *)
+let test_asm_imm_range () =
+  let error source =
+    match Loc.catch (fun () -> Asm.assemble_words source) with
+    | Ok _ -> Alcotest.failf "%S assembled" source
+    | Error e -> Loc.to_string e
+  in
+  Alcotest.(check string) "ALU immediate"
+    "2:3: immediate out of range in addi r1, r1, 100000"
+    (error "nop\n  addi r1, r1, 100000");
+  Alcotest.(check string) "negative lui" "1:1: immediate out of range in lui r1, -1"
+    (error "lui r1, -1");
+  Alcotest.(check string) "branch offset"
+    "1:1: immediate out of range in beq r1, r2, 9000"
+    (error "beq r1, r2, 9000")
+
 (* --- bus / ram ------------------------------------------------------------ *)
 
 let test_bus_devices () =
@@ -214,14 +231,14 @@ let build_machine words raw =
 
 let run_differential ?(fuel = 2_000_000) source =
   let program =
-    match Minic.C_parser.parse_result source with
+    match Loc.catch (fun () -> Minic.C_parser.parse source) with
     | Ok p -> p
-    | Error msg -> Alcotest.failf "parse: %s" msg
+    | Error e -> Alcotest.failf "parse: %s" (Loc.to_string e)
   in
   let info =
-    match Minic.Typecheck.check_result program with
+    match Loc.catch (fun () -> Minic.Typecheck.check program) with
     | Ok info -> info
-    | Error msg -> Alcotest.failf "typecheck: %s" msg
+    | Error e -> Alcotest.failf "typecheck: %s" (Loc.to_string e)
   in
   (* interpreter side *)
   let env = Minic.Interp.create info in
@@ -476,6 +493,7 @@ let suite_encoding =
     QCheck_alcotest.to_alcotest qcheck_encode_decode;
     QCheck_alcotest.to_alcotest qcheck_asm_roundtrip;
     Alcotest.test_case "immediate range" `Quick test_encode_imm_range;
+    Alcotest.test_case "assembler immediate range" `Quick test_asm_imm_range;
   ]
 
 let suite_machine =

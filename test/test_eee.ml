@@ -52,15 +52,14 @@ let test_spec_properties_parse () =
   List.iter
     (fun op ->
       let text = Spec.property_text ~bound:1000 op in
-      match Sctc.Prop.parse ~syntax:`Fltl text with
+      match Loc.catch (fun () -> Sctc.Prop.parse_exn ~syntax:`Fltl text) with
       | Ok f ->
         Alcotest.(check bool)
           (Spec.op_name op ^ " property has a bound")
           true
           (Formula.max_bound f = Some 1000)
       | Error error ->
-        Alcotest.failf "property does not parse: %s"
-          (Sctc.Prop.error_to_string error))
+        Alcotest.failf "property does not parse: %s" (Loc.to_string error))
     Spec.all_ops
 
 (* --- functional behaviour (fast: approach 2, no faults) ------------------- *)

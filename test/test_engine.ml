@@ -88,6 +88,43 @@ let test_approaches_agree () =
   Alcotest.(check (option int)) "non-final property has no stamp" None
     (Result.first_final_at r2 "never_overflow")
 
+(* Session.create reads every proposition through check_proposition, so
+   a library caller gets the positioned error, not the backend's own *)
+let test_propositions_checked () =
+  let create ?(info = program_info ()) propositions backend =
+    Session.create ~info
+      {
+        (config ~name:"props" ~flag:None ()) with
+        Session.propositions;
+        properties = [ ("p", "G ok") ];
+      }
+      backend
+  in
+  List.iter
+    (fun backend ->
+      match create [ ("ok", "nosuch > 1") ] backend with
+      | _ -> Alcotest.fail "unknown global accepted"
+      | exception Loc.Error e ->
+        Alcotest.(check string) "unknown global" "1:1: unknown global nosuch"
+          (Loc.to_string e))
+    [ Session.Soc_model; Session.Derived_model ];
+  (match
+     Session.create
+       ~compiled:(Mcc.Codegen.compile (program_info ()))
+       { Session.default_config with propositions = [ ("ok", "x > 0") ] }
+       Session.Soc_model
+   with
+  | _ -> Alcotest.fail "propositions read without a program"
+  | exception Invalid_argument _ -> ());
+  let session = create [ ("ok", "x / 0 > 1") ] Session.Derived_model in
+  match Session.run session with
+  | () -> Alcotest.fail "zero divisor evaluated"
+  | exception (Session.Proposition_failed (name, e) as exn) ->
+    Alcotest.(check string) "names the proposition" "ok" name;
+    Alcotest.(check string) "rendering"
+      "proposition ok: 1:3: division by zero" (Printexc.to_string exn);
+    Alcotest.(check int) "at the operator" 3 e.Loc.pos.Loc.column
+
 let kind_is_handshake e =
   match e.Trace.kind with Trace.Handshake_armed _ -> true | _ -> false
 
@@ -307,6 +344,8 @@ let test_reader_errors_are_positioned () =
 let suite =
   [
     Alcotest.test_case "approaches agree" `Quick test_approaches_agree;
+    Alcotest.test_case "propositions checked at create" `Quick
+      test_propositions_checked;
     Alcotest.test_case "trace events and JSONL round trip" `Quick
       test_trace_events_and_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_render_oracle;

@@ -217,8 +217,8 @@ let run_cpu info =
 let qcheck_compiled_equals_interpreted =
   QCheck.Test.make ~name:"compiled == interpreted (random programs)"
     ~count:300 arbitrary_program (fun program ->
-      match Minic.Typecheck.check_result program with
-      | Error msg -> QCheck.Test.fail_reportf "generator bug: %s" msg
+      match Loc.catch (fun () -> Minic.Typecheck.check program) with
+      | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info -> (
         match run_interp info, run_cpu info with
         | Some (rv1, gs1), Some (rv2, gs2) -> rv1 = rv2 && gs1 = gs2
@@ -231,8 +231,8 @@ let qcheck_program_roundtrip =
   QCheck.Test.make ~name:"pretty . parse round trip (random programs)"
     ~count:150 arbitrary_program (fun program ->
       let printed = Minic.Pretty.program_to_string program in
-      match Minic.C_parser.parse_result printed with
-      | Error msg -> QCheck.Test.fail_reportf "reparse failed: %s" msg
+      match Loc.catch (fun () -> Minic.C_parser.parse printed) with
+      | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" (Loc.to_string e)
       | Ok reparsed ->
         String.equal printed (Minic.Pretty.program_to_string reparsed))
 
@@ -240,7 +240,7 @@ let qcheck_program_roundtrip =
 let qcheck_normalize_preserves =
   QCheck.Test.make ~name:"normalize preserves behaviour (random programs)"
     ~count:150 arbitrary_program (fun program ->
-      match Minic.Typecheck.check_result program with
+      match Loc.catch (fun () -> Minic.Typecheck.check program) with
       | Error _ -> false
       | Ok info -> (
         let normalized = Absref.Normalize.program info in
@@ -343,8 +343,8 @@ let qcheck_approach1_equals_approach2 =
   QCheck.Test.make
     ~name:"approach 1 == approach 2 verdict of G (p -> F[k] q)" ~count:100
     arbitrary_monitored_program (fun (program, p, q) ->
-      match Minic.Typecheck.check_result program with
-      | Error msg -> QCheck.Test.fail_reportf "generator bug: %s" msg
+      match Loc.catch (fun () -> Minic.Typecheck.check program) with
+      | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info ->
         if not (interp_finishes info) then true
         else (

@@ -3,8 +3,7 @@
 
 module F = Formula
 
-(* parse through the unified front door ([Sctc.Prop]); the per-syntax
-   entry points carry a deprecation alert and are reserved to it *)
+(* parse through the one property grammar, [Sctc.Prop] *)
 let parse_fltl text = Sctc.Prop.parse_exn ~syntax:`Fltl text
 let parse_psl text = Sctc.Prop.parse_exn ~syntax:`Psl text
 
@@ -147,7 +146,7 @@ let test_parse_comments () =
     (parse_fltl "G (/* block */ a -> // line\n F b)")
 
 let test_parse_errors () =
-  let parse text = Sctc.Prop.parse ~syntax:`Fltl text in
+  let parse text = Loc.catch (fun () -> Sctc.Prop.parse_exn ~syntax:`Fltl text) in
   (match parse "G (a -> " with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
@@ -157,7 +156,7 @@ let test_parse_errors () =
   match parse "a b" with
   | Error error ->
     Alcotest.(check bool) "mentions trailing" true
-      (String.starts_with ~prefix:"trailing input" error.Sctc.Prop.message)
+      (String.starts_with ~prefix:"trailing input" error.Loc.message)
   | Ok _ -> Alcotest.fail "expected trailing-input error"
 
 (* round trip: printing then parsing is the identity (modulo hash-consing) *)

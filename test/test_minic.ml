@@ -9,13 +9,20 @@ module Pretty = Minic.Pretty
 module Interp = Minic.Interp
 module Value = Minic.Value
 
+(* the front ends raise Loc.Error; these read it as "LINE:COL: message" *)
+let parsed source =
+  Result.map_error Loc.to_string (Loc.catch (fun () -> C_parser.parse source))
+
+let checked program =
+  Result.map_error Loc.to_string (Loc.catch (fun () -> Typecheck.check program))
+
 let parse_ok source =
-  match C_parser.parse_result source with
+  match parsed source with
   | Ok program -> program
   | Error msg -> Alcotest.failf "unexpected parse error: %s" msg
 
 let check_ok source =
-  match Typecheck.check_result (parse_ok source) with
+  match checked (parse_ok source) with
   | Ok info -> info
   | Error msg -> Alcotest.failf "unexpected type error: %s" msg
 
@@ -89,7 +96,7 @@ let test_lexer_comments () =
 let test_lexer_error () =
   match C_lexer.tokenize "a $ b" with
   | _ -> Alcotest.fail "expected lex error"
-  | exception C_lexer.Lex_error (_, pos) ->
+  | exception Loc.Error { pos; _ } ->
     Alcotest.(check int) "column" 3 pos.Ast.column
 
 (* --- parser ---------------------------------------------------------------- *)
@@ -194,7 +201,7 @@ let test_parse_dangling_else () =
 
 let test_parse_errors () =
   let expect_error source =
-    match C_parser.parse_result source with
+    match parsed source with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "expected parse error for %S" source
   in
@@ -208,7 +215,7 @@ let test_parse_errors () =
 
 let test_typecheck_errors () =
   let expect_error source =
-    match Typecheck.check_result (parse_ok source) with
+    match checked (parse_ok source) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "expected type error for %S" source
   in
@@ -230,7 +237,7 @@ let test_typecheck_errors () =
 
 (* [source] is rejected with the message starting "LINE:COL: ..." *)
 let expect_rejected ~at source =
-  match Typecheck.check_result (parse_ok source) with
+  match checked (parse_ok source) with
   | Ok _ -> Alcotest.failf "expected a type error at %s for %S" at source
   | Error msg ->
     let prefix = at ^ ": " in
@@ -257,7 +264,7 @@ let test_typecheck_declaration_positions () =
     { Ast.f_name = "main"; f_ret = Ast.Tvoid; f_params = []; f_body = [ body ];
       f_pos = Ast.dummy_pos }
   in
-  match Typecheck.check_result { Ast.globals = []; funcs = [ main ] } with
+  match checked { Ast.globals = []; funcs = [ main ] } with
   | Error msg ->
     Alcotest.(check string)
       "for step" "3:4: declaration of x cannot be a for step" msg

@@ -203,8 +203,13 @@ let faults_testable =
 
 let test_faults_parsing () =
   Alcotest.(check bool) "none is none" true (Faults.is_none Faults.none);
-  (match Faults.of_specs [ "decay=0.1"; "power-loss=0.2"; "jitter=0.3:5" ] with
-  | Error msg -> Alcotest.failf "parse failed: %s" msg
+  let of_specs specs =
+    Loc.catch (fun () ->
+        List.fold_left (fun faults spec -> Faults.parse_knob spec faults)
+          Faults.none specs)
+  in
+  (match of_specs [ "decay=0.1"; "power-loss=0.2"; "jitter=0.3:5" ] with
+  | Error e -> Alcotest.failf "parse failed: %s" (Loc.to_string e)
   | Ok faults ->
     Alcotest.check faults_testable "all three knobs"
       { Faults.decay = 0.1; power_loss = 0.2; jitter_prob = 0.3; jitter_max = 5 }
@@ -216,7 +221,7 @@ let test_faults_parsing () =
     (Faults.to_string Faults.none);
   List.iter
     (fun spec ->
-      match Faults.of_specs [ spec ] with
+      match of_specs [ spec ] with
       | Ok _ -> Alcotest.failf "%s: expected a parse error" spec
       | Error _ -> ())
     [ "decay=2.0"; "decay=x"; "power-loss=-0.1"; "jitter=0.1"; "jitter=0.1:0";

@@ -489,8 +489,8 @@ let vm_matches_interp info =
 let qcheck_vm_equals_interp =
   QCheck.Test.make ~name:"vm == interp (random programs)" ~count:1000
     arbitrary_program (fun program ->
-      match Minic.Typecheck.check_result program with
-      | Error msg -> QCheck.Test.fail_reportf "generator bug: %s" msg
+      match Loc.catch (fun () -> Minic.Typecheck.check program) with
+      | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info -> vm_matches_interp info)
 
 (* ---- typecheck / compile oracle ---------------------------------------- *)
@@ -679,7 +679,7 @@ let qcheck_typecheck_compile =
        gen_planted)
     (fun (program, planted) ->
       match Minic.Typecheck.check program, planted with
-      | exception Minic.Typecheck.Type_error { message; pos } ->
+      | exception Loc.Error { pos; message } ->
         planted = Some pos
         || QCheck.Test.fail_reportf "rejected at %d:%d: %s" pos.Ast.line
              pos.Ast.column message
