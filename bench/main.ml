@@ -199,6 +199,23 @@ let append_campaign_record ~table members =
   output_char oc '\n';
   close_out oc
 
+(* The last committed row of [table] measured under this OCaml version:
+   cost counts are exact for a given compiler, so they gate against it
+   with no tolerance. Read before this run appends its own row. *)
+let last_row table =
+  match Verif.Bench_log.load "BENCH_campaign.json" with
+  | exception Sys_error _ -> None
+  | Error msg -> failwith ("BENCH_campaign.json: " ^ msg)
+  | Ok rows ->
+    List.fold_left
+      (fun last (row : Verif.Bench_log.row) ->
+        if row.table = table
+           && Verif.Bench_log.str_field row "ocaml_version"
+              = Some Sys.ocaml_version
+        then Some row
+        else last)
+      None rows
+
 (* one campaign run with its trace rendered by the JSONL buffer sink *)
 let traced_campaign ~workers plan =
   let buffer = Buffer.create 65536 in
@@ -215,6 +232,64 @@ let synth_seconds_sum summary =
     0.0
     (Verif.Campaign.results summary)
 
+(* The exact allocation of one sequential campaign: minor words on the
+   calling domain, which runs every job when there is one worker, with
+   the JSONL sink attached, so every event is buffered, numbered and
+   rendered. It is measured on a second run of the plan in the process:
+   one-time costs (the first session's compile, AR-automaton fills,
+   cons-table growth) depend on what else the process ran, and a repeat
+   run repeats its count exactly. *)
+type allocation = { words : int; jobs : int; events : int }
+
+let sequential_allocation plan =
+  let before = Gc.minor_words () in
+  let summary, _ = traced_campaign ~workers:1 plan in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  {
+    words;
+    jobs = List.length summary.Verif.Campaign.outcomes;
+    events =
+      List.fold_left
+        (fun acc r -> acc + r.Verif.Result.trace_events)
+        0
+        (Verif.Campaign.results summary);
+  }
+
+let per words units = float_of_int words /. float_of_int (max 1 units)
+
+(* neither minor words per job nor per trace event may rise above the
+   last campaign row of this OCaml version; both ratios are taken from
+   the rows' exact integers *)
+let allocation_gate baseline alloc =
+  let recorded field =
+    Option.bind baseline (fun row -> Verif.Bench_log.int_field row field)
+  in
+  let limit units_field =
+    match recorded "seq_minor_words", recorded units_field with
+    | Some words, Some units -> Some (per words units)
+    | _ -> None
+  in
+  let gate name value limit =
+    Printf.printf "  %-24s %14.2f  (gate: %s)\n" name value
+      (match limit with
+      | Some limit ->
+        Printf.sprintf "<= %.2f, last OCaml %s row" limit Sys.ocaml_version
+      | None -> "none, this row is the baseline");
+    match limit with Some limit -> value <= limit | None -> true
+  in
+  Printf.printf
+    "sequential allocation: %d minor words over %d jobs and %d trace events\n"
+    alloc.words alloc.jobs alloc.events;
+  let job_ok =
+    gate "minor_words_per_job" (per alloc.words alloc.jobs)
+      (limit "seq_jobs")
+  in
+  let event_ok =
+    gate "minor_words_per_event" (per alloc.words alloc.events)
+      (limit "seq_trace_events")
+  in
+  job_ok && event_ok
+
 (* One pooled run of [plan] against the recorded sequential baseline
    [(summary, jsonl)]: wall clock, per-stage times from a fresh lib/obs
    registry (simulate / check / synthesize / parse / merge), identity
@@ -222,8 +297,8 @@ let synth_seconds_sum summary =
    the cons-table contention counters of this run (deltas of the
    process-wide totals). Returns whether the round passes the CI
    gate. *)
-let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
-    jobs_n =
+let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~alloc
+    ~cores jobs_n =
   let cons_before = Formula.cons_stats () in
   let metrics = Registry.create () in
   let pooled, pooled_jsonl =
@@ -285,6 +360,7 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
          ("scale", Json.int !scale);
          ("jobs", Json.int pooled.Verif.Campaign.workers);
          ("cores", Json.int cores);
+         ("ocaml_version", Json.string Sys.ocaml_version);
          (* the parallel-speedup expectation only holds where the pool
             could actually parallelize; single-core rows record it as
             unexpected so trajectory readers skip them, as the gate does *)
@@ -323,6 +399,11 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~cores
            Json.int stream_stats.Verif.Campaign.peak_window );
          ( "stream_backpressure_waits",
            Json.int stream_stats.Verif.Campaign.backpressure_waits );
+         ("seq_minor_words", Json.int alloc.words);
+         ("seq_jobs", Json.int alloc.jobs);
+         ("seq_trace_events", Json.int alloc.events);
+         ("minor_words_per_job", Json.float (per alloc.words alloc.jobs));
+         ("minor_words_per_event", Json.float (per alloc.words alloc.events));
        ];
   (* the CI gate: identity must always hold; a slowdown only fails the
      gate where the hardware could actually have parallelized the pool *)
@@ -383,20 +464,24 @@ let run_campaign_bench () =
     }
   in
   let cores = Domain.recommended_domain_count () in
+  let baseline = last_row "campaign" in
   let sequential = traced_campaign ~workers:1 plan in
   Printf.printf "%d ops x %d cases on %d core(s); sequential baseline %.2fs\n"
     (List.length plan.Harness.ops)
     plan.Harness.cases_per_op cores (fst sequential).Verif.Campaign.wall_seconds;
+  let alloc = sequential_allocation plan in
+  let alloc_ok = allocation_gate baseline alloc in
   let ok =
     List.fold_left
-      (fun ok jobs_n -> campaign_round ~plan ~sequential ~cores jobs_n && ok)
+      (fun ok jobs_n ->
+        campaign_round ~plan ~sequential ~alloc ~cores jobs_n && ok)
       true sweep
   in
   let overhead_ok =
     run_overhead_check ~plan ~jobs_n:(List.fold_left max 1 sweep)
   in
   Printf.printf "recorded in BENCH_campaign.json\n\n";
-  ok && overhead_ok
+  ok && overhead_ok && alloc_ok
 
 (* ------------------------------------------------------------------ *)
 (* Checker trigger path: both engines, fills counted                   *)
@@ -640,23 +725,6 @@ let exec_throughput ~target backend =
   let statements, seconds = Option.get best in
   (statements, seconds, words)
 
-(* The last committed simulate row measured under this OCaml version:
-   the cost counts are exact for a given compiler, so they gate against
-   it with no tolerance. Read before this run appends its own row. *)
-let simulate_baseline () =
-  match Verif.Bench_log.load "BENCH_campaign.json" with
-  | exception Sys_error _ -> None
-  | Error msg -> failwith ("BENCH_campaign.json: " ^ msg)
-  | Ok rows ->
-    List.fold_left
-      (fun last (row : Verif.Bench_log.row) ->
-        if row.table = "simulate"
-           && Verif.Bench_log.str_field row "ocaml_version"
-              = Some Sys.ocaml_version
-        then Some row
-        else last)
-      None rows
-
 (* One full (small) EEE campaign per backend: same plan, same seed, only
    [plan.backend] differs. The determinism contract across backends is
    that verdicts and the merged golden trace are byte-identical. Returns
@@ -687,7 +755,7 @@ let run_simulate_bench () =
     !scale;
   print_endline "=========================================================";
   let target = 2_000_000 * !scale in
-  let baseline = simulate_baseline () in
+  let baseline = last_row "simulate" in
   let interp_statements, interp_seconds, interp_words =
     exec_throughput ~target Minic.Exec.Interp
   in

@@ -248,6 +248,14 @@ let cmd_verify =
       List.iter (Printf.eprintf "%s\n") bad;
       exit 2
     end;
+    (* the backend's program form, built once for every job: one
+       derived model, and with it one compiled VM program, or one
+       ISA image *)
+    let compiled, derived =
+      match backend with
+      | Verif.Session.Soc_model -> (Some (Mcc.Codegen.compile info), None)
+      | Verif.Session.Derived_model -> (None, Some (Esw.C2sc.derive info))
+    in
     let job_of (name, text) =
       Verif.Campaign.job ~label:name (fun trace ->
           let config =
@@ -264,7 +272,9 @@ let cmd_verify =
               metrics;
             }
           in
-          let session = Verif.Session.create ~info config backend in
+          let session =
+            Verif.Session.create ?compiled ?derived ~info config backend
+          in
           Verif.Session.run session;
           Verif.Session.result session)
     in

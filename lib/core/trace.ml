@@ -15,6 +15,7 @@ type sink = { on_event : event -> unit; on_close : unit -> unit }
 type t = {
   active : bool;
   mutable sinks : sink list;  (* reversed attachment order *)
+  first_seq : int;
   mutable seq : int;
   mutable time_source : unit -> int;
   mutable triggers : int;
@@ -27,17 +28,19 @@ let null =
   {
     active = false;
     sinks = [];
+    first_seq = 0;
     seq = 0;
     time_source = zero;
     triggers = 0;
     samples = 0;
   }
 
-let create () =
+let create ?(first_seq = 0) () =
   {
     active = true;
     sinks = [];
-    seq = 0;
+    first_seq;
+    seq = first_seq;
     time_source = zero;
     triggers = 0;
     samples = 0;
@@ -65,14 +68,17 @@ let emit bus kind =
     | Trigger -> bus.triggers <- bus.triggers + 1
     | Sample _ -> bus.samples <- bus.samples + 1
     | _ -> ());
-    let event = { seq = bus.seq; time_unit = bus.time_source (); kind } in
-    bus.seq <- bus.seq + 1;
-    deliver event bus.sinks
+    let seq = bus.seq in
+    bus.seq <- seq + 1;
+    (* with no sink the event is only counted: no record, no clock read *)
+    match bus.sinks with
+    | [] -> ()
+    | sinks -> deliver { seq; time_unit = bus.time_source (); kind } sinks
   end
 
 let close bus = List.iter (fun sink -> sink.on_close ()) bus.sinks
 
-let events bus = bus.seq
+let events bus = bus.seq - bus.first_seq
 let triggers bus = bus.triggers
 let samples bus = bus.samples
 

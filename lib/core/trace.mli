@@ -5,7 +5,8 @@
     watchdogs and software crashes — is published as a typed event on a
     bus. Sinks subscribe to the bus: a verification campaign attaches
     one per job that buffers the job's events for its ordered JSONL
-    output ([Verif.Campaign]), and tests attach a {!memory_sink}. The
+    output ([Verif.Campaign]) when one of its sinks reads events, and
+    tests attach a {!memory_sink}. The
     {!null} bus is a shared disabled instance; emitting into it costs
     one branch, so hot paths stay fast when tracing is off (guard
     allocations with {!enabled}).
@@ -30,7 +31,9 @@ type kind =
   | Software_crashed of { reason : string }
 
 type event = {
-  seq : int;  (** emission order on this bus, starting at 0 *)
+  seq : int;
+      (** emission order on this bus, starting at the bus's first [seq]
+          (0 unless {!create} was given another) *)
   time_unit : int;  (** backend time (cycles / statements) at emission *)
   kind : kind;
 }
@@ -44,7 +47,11 @@ val null : t
 (** The shared disabled bus: {!emit} is a no-op, {!enabled} is [false],
     counters stay zero. {!attach} on it raises [Invalid_argument]. *)
 
-val create : unit -> t
+val create : ?first_seq:int -> unit -> t
+(** A live bus with no sinks whose first event gets [seq = first_seq]
+    (default 0) and each later one the next number. A campaign starts a
+    job's bus at the campaign-global [seq] when it already knows it, so
+    the job's events need no renumbering ([Verif.Campaign]). *)
 
 val enabled : t -> bool
 (** [false] exactly for {!null}. Hot paths should guard event
@@ -58,6 +65,10 @@ val set_time_source : t -> (unit -> int) -> unit
     installs its backend's cycle/statement counter; default constant 0). *)
 
 val emit : t -> kind -> unit
+(** Count the event and, when a sink is attached, stamp it with the
+    next [seq] and the time source and deliver it to every sink. With
+    no sink attached nothing is built: the counters still move, so
+    {!events} and the others stay exact. *)
 
 val close : t -> unit
 (** Call every attached sink's [on_close]. *)
@@ -65,6 +76,9 @@ val close : t -> unit
 (** {2 Aggregate counters} *)
 
 val events : t -> int
+(** Events emitted on this bus, counted from its first [seq]: a bus
+    created with [~first_seq:k] that emitted [n] events reports [n]. *)
+
 val triggers : t -> int
 val samples : t -> int
 

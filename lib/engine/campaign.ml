@@ -25,7 +25,11 @@ type summary = {
   stream : stream_stats;
 }
 
-type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
+type sink = {
+  on_outcome : outcome -> unit;
+  on_close : unit -> unit;
+  reads_events : bool;
+}
 
 let job ~label run = { label; run }
 
@@ -83,39 +87,62 @@ let make_meters metrics =
     m_merge = Registry.stage_timer metrics Registry.Merge;
   }
 
-(* One job, on whatever domain runs it: a private bus buffering events in
-   memory, the job's exceptions confined to its outcome. The events stay
-   newest first (no reversal here); [renumber] restores their order when
-   the outcome reaches the frontier. *)
-let execute index job =
-  let bus = Trace.create () in
+(* The emission frontier as the reassembly publishes it after every
+   emission: the next job index to emit and the campaign-global seq the
+   first event of that job takes. The pair is immutable, so a claim
+   reads it consistently with one [Atomic.get] and never waits on the
+   reassembly lock, under which the sinks run. *)
+type frontier = { next : int; seq : int }
+
+(* a finished job on its way to the frontier; its bus numbered its
+   first event [first_seq] *)
+type finished = { outcome : outcome; first_seq : int }
+
+(* One job, on whatever domain runs it: a private bus, the job's
+   exceptions confined to its outcome. With [buffer] (some sink reads
+   events) a listener conses every event onto a list, newest first, not
+   reversed here; without it the bus only counts. A job claimed at the
+   frontier (with one worker, every job) starts its bus at the
+   campaign-global seq, which no later emission can move before its
+   own, so [renumber] only reverses its list. A job claimed ahead of
+   the frontier numbers from 0 and is shifted at emission. *)
+let execute ~buffer ~frontier index job =
+  let first_seq =
+    let { next; seq } = Atomic.get frontier in
+    if next = index then seq else 0
+  in
+  let bus = Trace.create ~first_seq () in
   let buffered = ref [] in
-  Trace.attach bus
-    {
-      Trace.on_event = (fun event -> buffered := event :: !buffered);
-      on_close = ignore;
-    };
+  if buffer then
+    Trace.attach bus
+      {
+        Trace.on_event = (fun event -> buffered := event :: !buffered);
+        on_close = ignore;
+      };
   let result =
     match job.run bus with
     | result -> Ok result
     | exception exn -> Error (Printexc.to_string exn)
   in
   Trace.close bus;
-  { index; label = job.label; result; events = !buffered }
+  {
+    outcome = { index; label = job.label; result; events = !buffered };
+    first_seq;
+  }
 
-let metered_execute meters index job =
+let metered_execute meters ~buffer ~frontier index job =
   if meters.metered then begin
     let started = Unix.gettimeofday () in
-    let outcome = execute index job in
+    let finished = execute ~buffer ~frontier index job in
     Registry.Timer.observe meters.m_job_seconds
       (Unix.gettimeofday () -. started);
     Registry.Counter.incr meters.m_jobs;
-    (match outcome.result with
+    (match finished.outcome.result with
     | Error _ -> Registry.Counter.incr meters.m_errors
     | Ok _ -> ());
-    outcome
+    finished
   end
-  else execute index job
+  else execute ~buffer ~frontier index job
 
 (* Every worker, the calling domain included, runs the same loop: claim
    the next job index with one atomic increment, execute the job, hand
@@ -143,7 +170,7 @@ let run_pool ~pool ~count ~stop ~execute ~deposit =
 (* --- ordered reassembly, bounded window ---------------------------------- *)
 
 (* Finished jobs are handed to this buffer on whatever domain ran them;
-   outcomes leave strictly in job order. The frontier [r_next] is the
+   outcomes leave strictly in job order. The frontier's [next] is the
    next index to emit; an out-of-order outcome parks in [r_buffered]
    until the frontier reaches it. The buffer never holds more than
    [r_window] outcomes: a worker depositing beyond a full window waits
@@ -154,10 +181,9 @@ let run_pool ~pool ~count ~stop ~execute ~deposit =
 type reassembly = {
   r_lock : Mutex.t;
   r_wake : Condition.t;
-  r_buffered : (int, outcome) Hashtbl.t;
+  r_buffered : (int, finished) Hashtbl.t;
   r_window : int;
-  mutable r_next : int;
-  mutable r_seq : int; (* campaign-global event numbering *)
+  r_frontier : frontier Atomic.t; (* written only under [r_lock] *)
   mutable r_peak : int;
   mutable r_emitted : int;
   mutable r_waits : int;
@@ -166,54 +192,66 @@ type reassembly = {
   r_slots : outcome option array; (* emitted outcomes, events dropped *)
 }
 
-(* [events] come from [execute], newest first and numbered from 0 on the
-   job's private bus; one fold rebuilds them oldest first with
-   campaign-global seq and advances [r_seq] past them *)
-let renumber reassembly events =
-  let base = reassembly.r_seq in
-  let rec fold ordered count = function
-    | [] ->
-      reassembly.r_seq <- base + count;
-      ordered
-    | (event : Trace.event) :: older ->
-      fold ({ event with seq = base + event.seq } :: ordered) (count + 1)
-        older
+let next reassembly = (Atomic.get reassembly.r_frontier).next
+
+(* [events] come from [execute], newest first and numbered from
+   [first_seq] on the job's bus; [seq] is the campaign-global seq the
+   oldest of them takes. Returns them oldest first with campaign-global
+   seq, and the seq after the newest. A bus that started at [seq] (a
+   job claimed at the frontier) is only reversed; any other is shifted
+   in the same pass, one copy of each event. *)
+let renumber ~seq ~first_seq events =
+  let shift = seq - first_seq in
+  let after =
+    match events with
+    | [] -> seq
+    | (newest : Trace.event) :: _ -> newest.seq + shift + 1
   in
-  fold [] 0 events
+  if shift = 0 then (List.rev events, after)
+  else
+    ( List.rev_map
+        (fun (event : Trace.event) -> { event with seq = event.seq + shift })
+        events,
+      after )
 
 (* Emission runs under the reassembly lock: sinks are called serially,
-   in ascending job order, with events renumbered to the campaign-global
+   in ascending job order, with events numbered in the campaign-global
    sequence — the bytes a JSONL sink writes are the campaign's merged
    trace, whatever the worker count. A raising sink is disabled for
    the rest of the run (the error resurfaces after the pool joins); the
    frontier keeps advancing so no worker is left waiting. *)
-let emit_locked reassembly meters sinks outcome =
+let emit_locked reassembly meters sinks { outcome; first_seq } =
   let started =
     if meters.metered then Unix.gettimeofday () else 0.0
   in
-  let outcome = { outcome with events = renumber reassembly outcome.events } in
+  let events, seq =
+    renumber ~seq:(Atomic.get reassembly.r_frontier).seq ~first_seq
+      outcome.events
+  in
+  let outcome = { outcome with events } in
   (if reassembly.r_sink_error = None then
      try List.iter (fun sink -> sink.on_outcome outcome) sinks
      with exn -> reassembly.r_sink_error <- Some (Printexc.to_string exn));
   reassembly.r_slots.(outcome.index) <- Some { outcome with events = [] };
   reassembly.r_emitted <- reassembly.r_emitted + 1;
-  reassembly.r_next <- outcome.index + 1;
+  Atomic.set reassembly.r_frontier { next = outcome.index + 1; seq };
   if meters.metered then begin
     Registry.Counter.incr meters.m_emitted;
     Registry.Timer.observe meters.m_merge (Unix.gettimeofday () -. started)
   end
 
-let deposit reassembly meters sinks outcome =
+let deposit reassembly meters sinks finished =
+  let index = finished.outcome.index in
   Mutex.lock reassembly.r_lock;
   if
-    outcome.index <> reassembly.r_next
+    index <> next reassembly
     && Hashtbl.length reassembly.r_buffered >= reassembly.r_window
   then begin
     let started = Unix.gettimeofday () in
     reassembly.r_waits <- reassembly.r_waits + 1;
     if meters.metered then Registry.Counter.incr meters.m_bp_waits;
     while
-      outcome.index <> reassembly.r_next
+      index <> next reassembly
       && Hashtbl.length reassembly.r_buffered >= reassembly.r_window
     do
       Condition.wait reassembly.r_wake reassembly.r_lock
@@ -222,13 +260,14 @@ let deposit reassembly meters sinks outcome =
     reassembly.r_wait_seconds <- reassembly.r_wait_seconds +. waited;
     if meters.metered then Registry.Timer.observe meters.m_bp_seconds waited
   end;
-  if outcome.index = reassembly.r_next then begin
-    emit_locked reassembly meters sinks outcome;
+  if index = next reassembly then begin
+    emit_locked reassembly meters sinks finished;
     let rec drain () =
-      match Hashtbl.find_opt reassembly.r_buffered reassembly.r_next with
+      let next = next reassembly in
+      match Hashtbl.find_opt reassembly.r_buffered next with
       | None -> ()
       | Some parked ->
-        Hashtbl.remove reassembly.r_buffered reassembly.r_next;
+        Hashtbl.remove reassembly.r_buffered next;
         emit_locked reassembly meters sinks parked;
         drain ()
     in
@@ -239,7 +278,7 @@ let deposit reassembly meters sinks outcome =
     Condition.broadcast reassembly.r_wake
   end
   else begin
-    Hashtbl.replace reassembly.r_buffered outcome.index outcome;
+    Hashtbl.replace reassembly.r_buffered index finished;
     let parked = Hashtbl.length reassembly.r_buffered in
     if parked > reassembly.r_peak then reassembly.r_peak <- parked;
     if meters.metered then
@@ -259,14 +298,15 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
   let window =
     match window with Some w -> max 1 w | None -> default_window ~pool
   in
+  (* with no sink reading events, no job attaches a listener *)
+  let buffer = List.exists (fun sink -> sink.reads_events) sinks in
   let reassembly =
     {
       r_lock = Mutex.create ();
       r_wake = Condition.create ();
       r_buffered = Hashtbl.create (window + 1);
       r_window = window;
-      r_next = 0;
-      r_seq = 0;
+      r_frontier = Atomic.make { next = 0; seq = 0 };
       r_peak = 0;
       r_emitted = 0;
       r_waits = 0;
@@ -280,7 +320,9 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
       (match cancel with
       | None -> fun () -> false
       | Some token -> fun () -> cancelled token)
-    ~execute:(fun index -> metered_execute meters index jobs.(index))
+    ~execute:(fun index ->
+      metered_execute meters ~buffer ~frontier:reassembly.r_frontier index
+        jobs.(index))
     ~deposit:(fun outcome -> deposit reassembly meters sinks outcome);
   List.iter
     (fun sink ->
@@ -296,7 +338,7 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
   (match reassembly.r_sink_error with
   | Some message -> failwith ("Verif.Campaign.run_stream: sink failed: " ^ message)
   | None -> ());
-  let executed = reassembly.r_next in
+  let executed = next reassembly in
   assert (reassembly.r_emitted = executed);
   assert (cancel <> None || executed = count);
   let outcomes =
@@ -320,7 +362,8 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
 
 (* --- streaming sinks ----------------------------------------------------- *)
 
-let sink ?(close = fun () -> ()) on_outcome = { on_outcome; on_close = close }
+let sink ?(close = fun () -> ()) ?(reads_events = true) on_outcome =
+  { on_outcome; on_close = close; reads_events }
 
 let render_outcome buffer outcome =
   List.iter
@@ -330,7 +373,7 @@ let render_outcome buffer outcome =
     outcome.events
 
 let jsonl_buffer_sink out =
-  { on_outcome = render_outcome out; on_close = (fun () -> ()) }
+  { on_outcome = render_outcome out; on_close = (fun () -> ()); reads_events = true }
 
 let jsonl_channel_sink channel =
   let buffer = Buffer.create 65536 in
@@ -341,6 +384,7 @@ let jsonl_channel_sink channel =
         render_outcome buffer outcome;
         Buffer.output_buffer channel buffer);
     on_close = (fun () -> flush channel);
+    reads_events = true;
   }
 
 let jsonl_file_sink path =
@@ -390,6 +434,7 @@ let sharded_jsonl_sink ?(metrics = Registry.null) ~shards ~jobs path =
         Buffer.output_buffer channels.(shard) buffer;
         Registry.Counter.incr flushes.(shard));
     on_close = (fun () -> Array.iter close_out channels);
+    reads_events = true;
   }
 
 (* --- deterministic merge, always in job order --------------------------- *)

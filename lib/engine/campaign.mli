@@ -15,10 +15,10 @@
     workers are still simulating.
 
     Determinism contract: output is ordered by job index, never by
-    completion order, and every job gets a private in-memory trace bus
-    whose buffered events reach the sinks in job order, renumbered with
-    a campaign-global [seq] — so verdict vectors, merged counters and
-    JSONL trace output are byte-identical for 1 worker and N workers.
+    completion order, and every job gets a private trace bus whose
+    buffered events reach the sinks in job order with a campaign-global
+    [seq] — so verdict vectors, merged counters and JSONL trace output
+    are byte-identical for 1 worker and N workers.
     Jobs must not share mutable state: a job builds its own session
     inside the engine and derives its stimulus from
     {!Stimuli.Prng.of_seed_index}, not from a shared generator. *)
@@ -38,8 +38,10 @@ type outcome = {
           is confined to its job and never poisons the pool *)
   events : Trace.event list;
       (** the job's trace with campaign-global [seq], as delivered to
-          the sinks; always [[]] in summaries (events are handed to the
-          sinks, not retained) *)
+          the sinks; [[]] when no sink of the campaign reads events (the
+          job's bus then only counts them, and [Result.trace_events]
+          still does), and always [[]] in summaries (events are handed
+          to the sinks, not retained) *)
 }
 
 type stream_stats = {
@@ -65,14 +67,24 @@ type summary = {
 
 (** A streaming consumer of campaign outcomes. [on_outcome] is called
     once per job, strictly in ascending job index order, with the
-    outcome's events already renumbered to the campaign-global [seq] —
+    outcome's events numbered with the campaign-global [seq] —
     serially, under the reassembly lock, from whichever domain deposited
     the frontier outcome (sinks need not be thread-safe, but must not
     call back into the campaign). [on_close] is called once, after the
     pool joins. A sink that raises is disabled for the rest of the run
     and the exception resurfaces as a [Failure] after the campaign
-    completes — the pool itself is never poisoned. *)
-type sink = { on_outcome : outcome -> unit; on_close : unit -> unit }
+    completes — the pool itself is never poisoned.
+
+    [reads_events] declares whether [on_outcome] reads
+    [outcome.events]. When no sink of a campaign does, its jobs buffer
+    no events and every outcome arrives with [events = []]; a sink that
+    counts or decides on verdicts says [false] so an untraced campaign
+    keeps no trace in memory. *)
+type sink = {
+  on_outcome : outcome -> unit;
+  on_close : unit -> unit;
+  reads_events : bool;
+}
 
 val job : label:string -> (Trace.t -> Result.t) -> job
 
@@ -129,6 +141,16 @@ val run_stream :
     buffers ([events = []]); [stream] carries the {!stream_stats}.
     Attach a sink (e.g. {!jsonl_buffer_sink}) to observe the trace.
 
+    Each job's events are numbered once where possible. A job claimed
+    while its index is the frontier (every job, with one worker) gets a
+    bus whose first event takes the campaign's current global [seq],
+    read from an immutable (next index, next seq) pair that the
+    reassembly publishes after each emission, without taking its lock;
+    at emission its buffered events are only reversed. A job claimed
+    ahead of the frontier numbers from 0 and is shifted in the same
+    pass that reverses it. When no sink has [reads_events], no job
+    attaches a listener: its bus only counts events.
+
     With a [cancel] token, {!cancel} stops the campaign at the next
     claim of each worker: the summary covers exactly the executed
     prefix (never dropping an already-emitted outcome),
@@ -150,13 +172,17 @@ val run_stream :
 
 (** {2 Streaming sinks} *)
 
-val sink : ?close:(unit -> unit) -> (outcome -> unit) -> sink
-(** [sink f] calls [f] per outcome; [close] defaults to a no-op. *)
+val sink :
+  ?close:(unit -> unit) -> ?reads_events:bool -> (outcome -> unit) -> sink
+(** [sink f] calls [f] per outcome; [close] defaults to a no-op.
+    [reads_events] (default [true]) says whether [f] reads
+    [outcome.events]; pass [false] for a sink that looks only at labels
+    and results, so that a campaign of such sinks buffers no events. *)
 
 val jsonl_buffer_sink : Buffer.t -> sink
 (** Append every outcome's events as JSONL, one JSON object per line,
     into a buffer: the campaign's merged trace, byte-identical for any
-    worker count. *)
+    worker count. It reads events, as do the other JSONL sinks. *)
 
 val jsonl_channel_sink : out_channel -> sink
 (** Write every outcome's events as JSONL to a channel; each outcome is

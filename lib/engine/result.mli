@@ -22,8 +22,9 @@ type t = {
   timeouts : int;  (** watchdog hits (campaigns only) *)
   coverage : Sctc.Coverage.t option;  (** return coverage (campaigns only) *)
   trace_events : int;
-      (** events the session published on its trace bus — the count a
-          streaming campaign sink receives for this job, recorded here
+      (** events the session published on its trace bus, counted even
+          when no listener is attached — the count a streaming campaign
+          sink that reads events receives for this job, recorded here
           so consumers can cross-check emission without retaining the
           event buffers themselves *)
 }

@@ -280,7 +280,8 @@ let result ?test_cases ?(timeouts = 0) ?coverage session =
     timeouts;
     coverage;
     (* the per-job handoff figure: how many events this session's bus
-       published — what a streaming campaign sink will receive *)
+       published, listener or not — what a campaign sink that reads
+       events will receive *)
     trace_events = Trace.events session.config.trace;
   }
 

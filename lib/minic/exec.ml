@@ -35,11 +35,27 @@ type t = { info : Typecheck.info; mutable impl : impl; mutable hooks : hooks }
 
 let to_string = function Interp -> "interp" | Vm -> "vm"
 
+(* The bytecode of [info], compiled by the first VM session of that info
+   and shared by every later one: a campaign of thousands of sessions
+   over one checked program lowers it once. Two domains may both find
+   the slot empty and both compile; [compare_and_set] stores exactly one
+   program and the loser adopts it, so every session of one info runs
+   the same [Bytecode.t]. Sharing is safe because a VM writes only its
+   own frames, globals and array copies, never the program. *)
+let vm_program info =
+  let slot = Typecheck.vm_program info in
+  match Atomic.get slot with
+  | Some prog -> prog
+  | None ->
+    let prog = Compile.compile info in
+    if Atomic.compare_and_set slot None (Some prog) then prog
+    else Option.get (Atomic.get slot)
+
 let create ?(backend = Vm) info =
   let impl =
     match backend with
     | Interp -> I (Interp.create info)
-    | Vm -> V (Vm.create (Compile.compile info))
+    | Vm -> V (Vm.create (vm_program info))
   in
   { info; impl; hooks = Interp.default_hooks () }
 

@@ -43,7 +43,11 @@ type t
 
 val create : ?backend:kind -> Typecheck.info -> t
 (** Instantiate a program on the chosen backend (default [Vm]).
-    Globals are initialized in declaration order either way. *)
+    Globals are initialized in declaration order either way. On the VM
+    the program is compiled by the first [create] of this [info] and
+    kept in {!Typecheck.vm_program}; every later [create], on any
+    domain, only allocates a fresh VM (globals, arrays, statement
+    count) over that shared, immutable {!Bytecode.t}. *)
 
 val set_hooks : t -> hooks -> unit
 (** Register the hooks used by {!run}/{!call} when none are passed. *)

@@ -6,6 +6,7 @@ type info = {
   tc_globals : (string * Ast.typ) list; (* non-const, declaration order *)
   tc_consts : (string * int) list;
   tc_inits : (string, int) Hashtbl.t; (* scalar and const globals *)
+  tc_vm_program : Bytecode.t option Atomic.t; (* filled by Exec.create *)
 }
 
 let program info = info.tc_program
@@ -22,6 +23,7 @@ let globals info = info.tc_globals
 let constants info = info.tc_consts
 let const_value info name = List.assoc_opt name info.tc_consts
 let init_value info name = Hashtbl.find info.tc_inits name
+let vm_program info = info.tc_vm_program
 
 (* ------------------------------------------------------------------ *)
 
@@ -376,4 +378,11 @@ let check (prog : Ast.program) =
         | _ -> None)
       prog.globals
   in
-  { tc_program = prog; tc_func_ids; tc_globals; tc_consts; tc_inits }
+  {
+    tc_program = prog;
+    tc_func_ids;
+    tc_globals;
+    tc_consts;
+    tc_inits;
+    tc_vm_program = Atomic.make None;
+  }

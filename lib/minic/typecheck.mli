@@ -58,3 +58,9 @@ val init_value : info -> string -> int
 (** The value of a scalar or const global's initializer (0 without
     one), as evaluated by {!check}.
     @raise Not_found for arrays and unknown names. *)
+
+val vm_program : info -> Bytecode.t option Atomic.t
+(** The once-filled slot that holds this program's bytecode: empty
+    after {!check}, filled by the first {!Exec.create} on the VM and
+    read by every later one, so a program checked once is compiled
+    once however many sessions run it. Only {!Exec} writes it. *)

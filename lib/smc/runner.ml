@@ -59,7 +59,8 @@ let run ?(metrics = Registry.null) ?workers ?window ?(sinks = [])
     let samples = Estimator.Chernoff.sample_count ~eps ~delta in
     let successes = ref 0 in
     let counter =
-      Campaign.sink (fun outcome -> if succeeded outcome then incr successes)
+      Campaign.sink ~reads_events:false (fun outcome ->
+          if succeeded outcome then incr successes)
     in
     let summary =
       Campaign.run_stream ~metrics ?workers ?window
@@ -94,7 +95,7 @@ let run ?(metrics = Registry.null) ?workers ?window ?(sinks = [])
        jobs already claimed still stream through but are no longer
        consumed by the test *)
     let decider =
-      Campaign.sink (fun outcome ->
+      Campaign.sink ~reads_events:false (fun outcome ->
           match Estimator.Sprt.status test with
           | Estimator.Sprt.Decided _ -> ()
           | Estimator.Sprt.Undecided -> (

@@ -67,7 +67,10 @@ val run :
   report
 (** Execute the campaign for [spec]. [job ~index] builds sample
     [index]'s job; [sinks] (e.g. a trace file sink) observe every
-    emitted outcome ahead of the estimator. In {!Sequential} mode
+    emitted outcome ahead of the estimator. The estimator's own sink
+    reads only results: [succeeded] sees [events = []] unless one of
+    [sinks] reads events, so a campaign without them buffers no trace.
+    In {!Sequential} mode
     cancellation reacts within one job per worker. With a live
     [metrics] registry the run records [smc_samples_total],
     [smc_successes_total], [smc_early_stop_at] and [smc_decision],

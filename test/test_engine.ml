@@ -155,6 +155,23 @@ let test_trace_events_and_roundtrip () =
       | Error msg -> Alcotest.failf "round trip failed: %s" msg)
     events
 
+(* a bus started at seq k numbers its events k, k+1, ... and counts its
+   own events from 0; without a sink it still counts *)
+let test_bus_first_seq () =
+  let bus = Trace.create ~first_seq:7 () in
+  let sink, events = Trace.memory_sink () in
+  Trace.attach bus sink;
+  Alcotest.(check int) "nothing emitted yet" 0 (Trace.events bus);
+  List.iter (Trace.emit bus)
+    [ Trace.Trigger; Trace.Sample { prop = "p"; value = true }; Trace.Trigger ];
+  Alcotest.(check (list int)) "numbered from the first seq" [ 7; 8; 9 ]
+    (List.map (fun e -> e.Trace.seq) (events ()));
+  Alcotest.(check int) "events counts the bus's own" 3 (Trace.events bus);
+  let quiet = Trace.create ~first_seq:5 () in
+  List.iter (Trace.emit quiet) [ Trace.Trigger; Trace.Trigger ];
+  Alcotest.(check (list int)) "a bus without sinks still counts" [ 2; 2; 0 ]
+    [ Trace.events quiet; Trace.triggers quiet; Trace.samples quiet ]
+
 (* ---- the renderer against the member-list definition ------------------ *)
 
 (* Every byte a JSON string may carry, weighted toward the ones the
@@ -348,6 +365,8 @@ let suite =
       test_propositions_checked;
     Alcotest.test_case "trace events and JSONL round trip" `Quick
       test_trace_events_and_roundtrip;
+    Alcotest.test_case "bus numbering from a first seq" `Quick
+      test_bus_first_seq;
     QCheck_alcotest.to_alcotest qcheck_render_oracle;
     QCheck_alcotest.to_alcotest qcheck_escape_oracle;
     Alcotest.test_case "campaign trace events" `Quick

@@ -301,6 +301,109 @@ let test_ordered_emission_and_seq () =
     (List.map (fun (j : Campaign.job) -> j.Campaign.label) (make_jobs fixed_mix))
     (List.map (fun o -> o.Campaign.label) summary.Campaign.outcomes)
 
+(* ---- numbering at the frontier and ahead of it -------------------------- *)
+
+(* Jobs that record the seq their bus gives their first event. With
+   [latch], job 0 is held until job 1 has finished, so on 2 workers job 1
+   is claimed ahead of the frontier (numbered from 0, shifted at
+   emission) and job 0 at it (numbered campaign-wide from the start).
+   Jobs 2 and 3 take whichever path their claim finds. *)
+let numbering_jobs ~latch first_seqs =
+  let job1_done = Atomic.make false in
+  List.init 4 (fun index ->
+      let inner =
+        session_job ~label:(Printf.sprintf "numbered-%d" index)
+          ~backend:Session.Derived_model
+          ~properties:[ ("eventually_done", "F p_done") ]
+      in
+      Campaign.job ~label:inner.Campaign.label (fun trace ->
+          if latch && index = 0 then begin
+            let fuel = ref 2_000_000_000 in
+            while (not (Atomic.get job1_done)) && !fuel > 0 do
+              decr fuel;
+              Domain.cpu_relax ()
+            done
+          end;
+          let sink, events = Trace.memory_sink () in
+          Trace.attach trace sink;
+          let result = inner.Campaign.run trace in
+          (match events () with
+          | first :: _ -> first_seqs.(index) <- first.Trace.seq
+          | [] -> ());
+          if index = 1 then Atomic.set job1_done true;
+          result))
+
+let test_frontier_and_ahead_numbering () =
+  let expected = reference (numbering_jobs ~latch:false (Array.make 4 0)) in
+  (* runs the jobs, checks the bytes and every job's trace_events, and
+     returns the first seqs and job 0's event count *)
+  let run ~workers ~latch =
+    let name = Printf.sprintf "%d worker(s)" workers in
+    let first_seqs = Array.make 4 (-1) in
+    let buffer = Buffer.create 4096 in
+    let delivered = ref [] in
+    let counter =
+      Campaign.sink (fun (o : Campaign.outcome) ->
+          delivered := List.length o.events :: !delivered)
+    in
+    let summary =
+      Campaign.run_stream ~workers
+        ~sinks:[ Campaign.jsonl_buffer_sink buffer; counter ]
+        (numbering_jobs ~latch first_seqs)
+    in
+    Alcotest.(check string) (name ^ ": JSONL == sequential reference")
+      expected.ref_jsonl (Buffer.contents buffer);
+    let counted =
+      List.map (fun r -> r.Verif.Result.trace_events) (Campaign.results summary)
+    in
+    Alcotest.(check (list int))
+      (name ^ ": each job's trace_events is its own count")
+      (List.rev !delivered) counted;
+    (first_seqs, List.hd counted)
+  in
+  let pooled, _ = run ~workers:2 ~latch:true in
+  Alcotest.(check (pair int int))
+    "job 0 at the frontier and job 1 ahead of it both number from 0" (0, 0)
+    (pooled.(0), pooled.(1));
+  let sequential, job0 = run ~workers:1 ~latch:false in
+  Alcotest.(check bool) "job 0 emits events" true (job0 > 0);
+  Alcotest.(check int)
+    "with one worker job 1 numbers from the campaign-global seq" job0
+    sequential.(1)
+
+(* ---- sinks that read no events ------------------------------------------- *)
+
+(* a campaign whose sinks read no events runs every job on a bus with no
+   listener: the same verdicts, counters and per-job trace_events as with
+   a reading sink, and every outcome arrives with events = [] *)
+let test_event_free_sinks () =
+  let run reads_events =
+    let delivered = ref [] in
+    let sink =
+      Campaign.sink ~reads_events (fun o -> delivered := o :: !delivered)
+    in
+    let summary =
+      Campaign.run_stream ~workers:2 ~sinks:[ sink ] (make_jobs fixed_mix)
+    in
+    (summary, List.rev !delivered)
+  in
+  let trace_events summary =
+    List.map (fun r -> r.Verif.Result.trace_events) (Campaign.results summary)
+  in
+  let reading, seen = run true and quiet, unseen = run false in
+  Alcotest.(check (list (triple string string string))) "same verdicts"
+    (verdict_strings reading) (verdict_strings quiet);
+  Alcotest.(check (list int)) "same counters" (counters reading)
+    (counters quiet);
+  Alcotest.(check (list int)) "same trace_events" (trace_events reading)
+    (trace_events quiet);
+  Alcotest.(check bool) "jobs counted events" true
+    (List.exists (fun n -> n > 0) (trace_events quiet));
+  Alcotest.(check bool) "the reading sink got events" true
+    (List.exists (fun (o : Campaign.outcome) -> o.events <> []) seen);
+  Alcotest.(check bool) "the event-free sinks got none" true
+    (List.for_all (fun (o : Campaign.outcome) -> o.events = []) unseen)
+
 (* ---- containment --------------------------------------------------------- *)
 
 let test_crash_outcomes_flow_to_sinks () =
@@ -729,6 +832,10 @@ let () =
         [
           Alcotest.test_case "ascending emission, campaign-global seq" `Quick
             test_ordered_emission_and_seq;
+          Alcotest.test_case "numbered at or ahead of the frontier" `Quick
+            test_frontier_and_ahead_numbering;
+          Alcotest.test_case "sinks that read no events" `Quick
+            test_event_free_sinks;
         ] );
       ( "containment",
         [

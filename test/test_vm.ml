@@ -901,6 +901,69 @@ let test_reset () =
         (Exec.read_element exec "arr" 2))
     [ Exec.Interp; Exec.Vm ]
 
+(* ---- one compiled program per checked program -------------------------- *)
+
+let vm_program info = Atomic.get (Minic.Typecheck.vm_program info)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* the first VM session of an info compiles it; a second one allocates
+   only its own VM, far below one compile of the same program (measured
+   on this one domain) *)
+let test_compiled_once () =
+  let info =
+    (Esw.C2sc.derive (Eee.Eee_program.info ())).Esw.C2sc.model_info
+  in
+  let compile = minor_words (fun () -> ignore (Minic.Compile.compile info)) in
+  Alcotest.(check bool) "no program before the first create" true
+    (Option.is_none (vm_program info));
+  ignore (Exec.create info);
+  let program = Option.get (vm_program info) in
+  let second = minor_words (fun () -> ignore (Exec.create info)) in
+  Alcotest.(check bool) "the second create keeps the first program" true
+    (Option.get (vm_program info) == program);
+  if second *. 10. > compile then
+    Alcotest.failf
+      "second create allocated %.0f minor words, one compile %.0f" second
+      compile
+
+(* four domains create and run VMs at once from one fresh info: whichever
+   of them fills the program slot, every run agrees with the
+   interpreter, so no VM writes into the shared program *)
+let test_shared_program_across_domains () =
+  let info =
+    parse_info
+      "int g; int arr[8];\n\
+       int bump(int p) { arr[p & 7] = arr[p & 7] + p; return arr[p & 7]; }\n\
+       int main(void) {\n\
+      \  int i;\n\
+      \  for (i = 0; i < 40; i = i + 1) { g = g + bump(i); }\n\
+      \  return g;\n\
+       }\n"
+  in
+  let expected = run_backend Exec.Interp info in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            List.init 25 (fun _ -> run_backend Exec.Vm info)))
+  in
+  Atomic.set go true;
+  List.iteri
+    (fun domain runs ->
+      List.iter
+        (Alcotest.(check string)
+           (Printf.sprintf "domain %d: vm == interp" domain)
+           expected)
+        runs)
+    (List.map Domain.join domains)
+
 let () =
   Alcotest.run "vm"
     [
@@ -922,5 +985,9 @@ let () =
       ( "exec",
         [
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "a second create does not recompile" `Quick
+            test_compiled_once;
+          Alcotest.test_case "four domains share one program" `Quick
+            test_shared_program_across_domains;
         ] );
     ]
