@@ -680,7 +680,8 @@ let run_checker_bench () =
   !agree && steady_fills = 0 && later_fills = 0
 
 (* ------------------------------------------------------------------ *)
-(* Simulate: bytecode VM vs tree-walking interpreter on the EEE model  *)
+(* Simulate: bytecode VM vs tree-walking interpreter on the EEE model, *)
+(* and the kernel's cost per time unit of a booted session             *)
 
 (* Raw execution throughput of one backend on the derived EEE software
    model: per round, repeated fixed-fuel runs with the default hooks
@@ -747,6 +748,31 @@ let simulate_campaign backend =
   let summary, jsonl = traced_campaign ~workers:1 plan in
   (summary, jsonl, metrics)
 
+(* Host cost of a time unit on a booted session with no properties:
+   [Session.run] over [units] CPU cycles (approach 1) or MiniC statements
+   (approach 2), so the kernel's scheduling is most of what runs. The
+   first run pays the process's one-time costs; the minor words of the
+   second, on a fresh session, are exact for a given binary. Returns the
+   time units run, those words, and the best ns per unit of three runs. *)
+let kernel_cost ~units make =
+  let run () =
+    let session = make () in
+    let first = Verif.Session.time_units session in
+    let before = Gc.minor_words () in
+    let started = Unix.gettimeofday () in
+    Verif.Session.run ~bound:units session;
+    let seconds = Unix.gettimeofday () -. started in
+    let words = int_of_float (Gc.minor_words () -. before) in
+    (Verif.Session.time_units session - first, words, seconds)
+  in
+  ignore (run ());
+  let ran, words, seconds = run () in
+  let best =
+    List.fold_left (fun best (_, _, s) -> Float.min best s) seconds
+      [ run (); run () ]
+  in
+  (ran, words, best *. 1e9 /. float_of_int ran)
+
 let run_simulate_bench () =
   print_endline "=========================================================";
   Printf.printf
@@ -795,6 +821,18 @@ let run_simulate_bench () =
     target interp_words;
   let words_ok = gate "vm_minor_words" vm_words in
   let length_ok = gate "bytecode_length" bytecode_length in
+  let a1_cycles, a1_words, a1_ns =
+    kernel_cost ~units:200_000 (fun () -> Harness.approach1 ())
+  in
+  let a2_statements, a2_words, a2_ns =
+    kernel_cost ~units:400_000 (fun () -> Harness.approach2 ())
+  in
+  Printf.printf
+    "  booted session, no properties: approach 1 %d cycles at %.0f ns, \
+     approach 2 %d statements at %.0f ns\n"
+    a1_cycles a1_ns a2_statements a2_ns;
+  let a1_ok = gate "a1_minor_words" a1_words in
+  let a2_ok = gate "a2_minor_words" a2_words in
   (* determinism contract: one small campaign per backend, only
      [plan.backend] differing — verdicts and golden JSONL must match *)
   let interp_summary, interp_jsonl, interp_metrics =
@@ -833,16 +871,23 @@ let run_simulate_bench () =
          ("vm_minor_words", Json.int vm_words);
          ("interp_minor_words", Json.int interp_words);
          ("bytecode_length", Json.int bytecode_length);
+         ("a1_cycles", Json.int a1_cycles);
+         ("a1_minor_words", Json.int a1_words);
+         ("a1_ns_per_cycle", Json.float a1_ns);
+         ("a2_statements", Json.int a2_statements);
+         ("a2_minor_words", Json.int a2_words);
+         ("a2_ns_per_statement", Json.float a2_ns);
          ("verdicts_identical", Json.bool verdicts_identical);
          ("jsonl_identical", Json.bool jsonl_identical);
          ("sim_interp_statements_total", Json.int interp_sim_statements);
          ("sim_vm_statements_total", Json.int vm_sim_statements);
        ];
   Printf.printf "recorded in BENCH_campaign.json\n\n";
-  (* the CI gate: cross-backend identity must always hold, and neither
-     exact cost count may rise above the last row of this OCaml version;
-     the speedup is wall-clock and only reported *)
-  verdicts_identical && jsonl_identical && words_ok && length_ok
+  (* the CI gate: cross-backend identity must always hold, and no exact
+     cost count may rise above the last row of this OCaml version; the
+     speedup and the ns per time unit are wall-clock and only reported *)
+  verdicts_identical && jsonl_identical && words_ok && length_ok && a1_ok
+  && a2_ok
 
 (* ------------------------------------------------------------------ *)
 (* SMC: Wald's sequential test vs the fixed-size Chernoff bound        *)
@@ -1052,14 +1097,13 @@ let micro_tests () =
   let kernel_bench =
     let kernel = Sim.Kernel.create () in
     let counter = ref 0 in
-    ignore
-      (Sim.Kernel.spawn kernel ~name:"ticker" (fun () ->
-           let rec loop () =
-             incr counter;
-             Sim.Kernel.wait_for kernel 1;
-             loop ()
-           in
-           loop ()));
+    Sim.Kernel.spawn kernel (fun () ->
+        let rec loop () =
+          incr counter;
+          Sim.Kernel.wait_for kernel 1;
+          loop ()
+        in
+        loop ());
     let horizon = ref 0 in
     Test.make ~name:"sim: timed wait roundtrip"
       (Staged.stage (fun () ->

@@ -134,12 +134,11 @@ let cmd_sim =
     Platform.Soc.load soc (Mcc.Codegen.compile info);
     (* the clock outlives the CPU: end the run at the cycle it stops *)
     let kernel = Platform.Soc.kernel soc in
-    ignore
-      (Sim.Kernel.spawn kernel ~name:"halt" (fun () ->
-           while not (Platform.Soc.cpu_stopped soc) do
-             Sim.Clock.wait_posedge (Platform.Soc.clock soc)
-           done;
-           Sim.Kernel.stop kernel));
+    Sim.Kernel.spawn kernel (fun () ->
+        while not (Platform.Soc.cpu_stopped soc) do
+          Sim.Clock.wait_posedge (Platform.Soc.clock soc)
+        done;
+        Sim.Kernel.stop kernel);
     Platform.Soc.run ~max_cycles soc;
     let cpu = Platform.Soc.cpu soc in
     (match Cpu.Cpu_core.stop_reason cpu with
@@ -334,7 +333,7 @@ let cmd_verify =
 
 let cmd_bmc =
   let action path unwind timeout =
-    let info = load path in
+    let info = load_runnable path in
     let report = Bmc.check ~unwind ~timeout_seconds:timeout info in
     (match report.Bmc.result with
     | Bmc.Safe { complete } ->
@@ -363,7 +362,7 @@ let cmd_bmc =
 
 let cmd_absref =
   let action path timeout =
-    let info = load path in
+    let info = load_runnable path in
     let report = Absref.Cegar.check ~timeout_seconds:timeout info in
     (match report.Absref.Cegar.result with
     | Absref.Cegar.Safe ->

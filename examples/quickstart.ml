@@ -52,8 +52,8 @@ let () =
   Sctc.Checker.add_property_text checker ~name:"reaches-red" "F red";
 
   (* 5. trigger the checker on the program-counter event and simulate *)
-  ignore (Sctc.Trigger.on_event kernel (Esw.Esw_model.pc_event model) checker);
-  ignore (Esw.Esw_model.start model ~entry:"main");
+  Sctc.Trigger.on_event kernel (Esw.Esw_model.pc_event model) checker;
+  Esw.Esw_model.start model ~entry:"main";
   Sim.Kernel.run ~max_time:5_000 kernel;
 
   (* 6. report *)

@@ -37,7 +37,9 @@ let check ?(unwind = 20) ?(timeout_seconds = 60.0) ?(entry = "main") info =
       sat_stats;
     }
   in
-  match Symexec.encode ~unwind ~deadline info ~entry with
+  if Option.is_none (Minic.Ast.find_func (Minic.Typecheck.program info) entry)
+  then finish (Gave_up ("no entry function " ^ entry))
+  else match Symexec.encode ~unwind ~deadline info ~entry with
   | exception Symexec.Deadline_reached -> finish Out_of_time
   | exception Symexec.Too_large n ->
     finish (Gave_up (Printf.sprintf "circuit exceeded %d nodes" n))

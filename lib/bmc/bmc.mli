@@ -37,4 +37,5 @@ val check :
   Minic.Typecheck.info ->
   report
 (** Check every assertion (plus division and array-bounds conditions)
-    of the program, starting at [entry] (default ["main"]). *)
+    of the program, starting at [entry] (default ["main"]). A program
+    without that function gives up with ["no entry function ENTRY"]. *)

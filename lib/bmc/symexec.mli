@@ -47,4 +47,5 @@ val encode :
   entry:string ->
   encoded
 (** [unwind] defaults to 20 (the limit used in the paper's CBMC
-    experiments); [max_nodes] bounds circuit size (default 20 million). *)
+    experiments); [max_nodes] bounds circuit size (default 20 million).
+    [entry] must name a function of the program ({!Bmc.check} checks it). *)

@@ -18,8 +18,6 @@ type t = {
   first_seq : int;
   mutable seq : int;
   mutable time_source : unit -> int;
-  mutable triggers : int;
-  mutable samples : int;
 }
 
 let zero () = 0
@@ -31,8 +29,6 @@ let null =
     first_seq = 0;
     seq = 0;
     time_source = zero;
-    triggers = 0;
-    samples = 0;
   }
 
 let create ?(first_seq = 0) () =
@@ -42,8 +38,6 @@ let create ?(first_seq = 0) () =
     first_seq;
     seq = first_seq;
     time_source = zero;
-    triggers = 0;
-    samples = 0;
   }
 
 let enabled bus = bus.active
@@ -64,10 +58,6 @@ let rec deliver event = function
 
 let emit bus kind =
   if bus.active then begin
-    (match kind with
-    | Trigger -> bus.triggers <- bus.triggers + 1
-    | Sample _ -> bus.samples <- bus.samples + 1
-    | _ -> ());
     let seq = bus.seq in
     bus.seq <- seq + 1;
     (* with no sink the event is only counted: no record, no clock read *)
@@ -79,8 +69,6 @@ let emit bus kind =
 let close bus = List.iter (fun sink -> sink.on_close ()) bus.sinks
 
 let events bus = bus.seq - bus.first_seq
-let triggers bus = bus.triggers
-let samples bus = bus.samples
 
 module Json = Obs.Json
 

@@ -11,8 +11,7 @@
     one branch, so hot paths stay fast when tracing is off (guard
     allocations with {!enabled}).
 
-    The bus also keeps cheap aggregate counters (events, triggers,
-    samples) that are maintained even when no sink is attached. *)
+    The bus also counts its events, even when no sink is attached. *)
 
 (** What happened. Time-unit stamping is added by the bus. *)
 type kind =
@@ -67,20 +66,17 @@ val set_time_source : t -> (unit -> int) -> unit
 val emit : t -> kind -> unit
 (** Count the event and, when a sink is attached, stamp it with the
     next [seq] and the time source and deliver it to every sink. With
-    no sink attached nothing is built: the counters still move, so
-    {!events} and the others stay exact. *)
+    no sink attached nothing is built: the count still moves, so
+    {!events} stays exact. *)
 
 val close : t -> unit
 (** Call every attached sink's [on_close]. *)
 
-(** {2 Aggregate counters} *)
+(** {2 Event count} *)
 
 val events : t -> int
 (** Events emitted on this bus, counted from its first [seq]: a bus
     created with [~first_seq:k] that emitted [n] events reports [n]. *)
-
-val triggers : t -> int
-val samples : t -> int
 
 (** {2 Sinks} *)
 

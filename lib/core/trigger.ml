@@ -1,37 +1,14 @@
-let emit_armed checker ~source =
-  let trace = Checker.trace checker in
-  if Trace.enabled trace then
-    Trace.emit trace (Trace.Handshake_armed { source })
-
 let on_event kernel event checker =
-  let body () =
-    emit_armed checker ~source:(Sim.Kernel.event_name event);
-    let rec loop () =
-      Sim.Kernel.wait_event event;
-      Checker.trigger checker;
-      loop ()
-    in
-    loop ()
-  in
-  Sim.Kernel.spawn kernel ~name:(Checker.name checker ^ ".trigger") body
+  Sim.Kernel.spawn kernel (fun () ->
+      let trace = Checker.trace checker in
+      if Trace.enabled trace then
+        Trace.emit trace
+          (Trace.Handshake_armed { source = Sim.Kernel.event_name event });
+      let rec loop () =
+        Sim.Kernel.wait_event event;
+        Checker.trigger checker;
+        loop ()
+      in
+      loop ())
 
 let on_clock kernel clock checker = on_event kernel (Sim.Clock.posedge clock) checker
-
-let on_event_when kernel event ~ready checker =
-  let body () =
-    let rec wait_ready () =
-      Sim.Kernel.wait_event event;
-      if not (ready ()) then wait_ready ()
-    in
-    wait_ready ();
-    (* the handshake completed: arm once, then step on every trigger
-       (including the one that flipped [ready]) *)
-    emit_armed checker ~source:(Sim.Kernel.event_name event);
-    let rec loop () =
-      Checker.trigger checker;
-      Sim.Kernel.wait_event event;
-      loop ()
-    in
-    loop ()
-  in
-  Sim.Kernel.spawn kernel ~name:(Checker.name checker ^ ".trigger") body

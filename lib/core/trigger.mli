@@ -3,25 +3,16 @@
     The paper's two approaches differ only in what triggers the checker:
     the microprocessor clock (approach 1) or the derived software model's
     program-counter event (approach 2). These helpers spawn the monitor
-    process that waits on the trigger and steps the checker.
+    process that waits on the trigger and steps the checker. Approach 1's
+    handshake, which waits for the software's initialization flag before
+    arming the properties, is [Platform.Esw_monitor].
 
     When the checker carries a live {!Trace.t} bus, the trigger process
     publishes a [Handshake_armed] event once it starts stepping the
     checker and a [Trigger] event before every step. *)
 
-val on_event : Sim.Kernel.t -> Sim.Kernel.event -> Checker.t -> Sim.Kernel.process
+val on_event : Sim.Kernel.t -> Sim.Kernel.event -> Checker.t -> unit
 (** Step the checker every time the event is notified. *)
 
-val on_clock : Sim.Kernel.t -> Sim.Clock.t -> Checker.t -> Sim.Kernel.process
+val on_clock : Sim.Kernel.t -> Sim.Clock.t -> Checker.t -> unit
 (** Step the checker on every rising clock edge. *)
-
-val on_event_when :
-  Sim.Kernel.t ->
-  Sim.Kernel.event ->
-  ready:(unit -> bool) ->
-  Checker.t ->
-  Sim.Kernel.process
-(** Like {!on_event} but stays idle (consuming triggers without stepping)
-    until [ready ()] becomes true — the handshake of the paper's ESW
-    monitor, which polls the software's initialization flag before arming
-    the temporal properties. *)

@@ -392,9 +392,8 @@ let create ?compiled ?derived ?info config backend =
         match config.flag with
         | Some flag -> Some (Platform.Esw_monitor.attach soc ~flag chk)
         | None ->
-          ignore
-            (Sctc.Trigger.on_clock (Platform.Soc.kernel soc)
-               (Platform.Soc.clock soc) chk);
+          Sctc.Trigger.on_clock (Platform.Soc.kernel soc)
+            (Platform.Soc.clock soc) chk;
           None
       in
       Soc { soc; monitor }
@@ -405,8 +404,8 @@ let create ?compiled ?derived ?info config backend =
         | None -> Esw.C2sc.derive (require_info "Derived_model" "derived")
       in
       let kernel, model, mbox = build_model config derived in
-      ignore (Sctc.Trigger.on_event kernel (Esw.Esw_model.pc_event model) chk);
-      ignore (Esw.Esw_model.start ~fuel:config.fuel model ~entry:"main");
+      Sctc.Trigger.on_event kernel (Esw.Esw_model.pc_event model) chk;
+      Esw.Esw_model.start ~fuel:config.fuel model ~entry:"main";
       Model { kernel; model; mbox }
   in
   let session =

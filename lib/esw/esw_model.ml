@@ -80,5 +80,4 @@ let start ?(fuel = 50_000_000) model ~entry =
       model.state <- Crashed exn);
     final_sample ()
   in
-  Sim.Kernel.spawn model.kernel ~name:(model.derived.C2sc.class_name ^ ".main")
-    body
+  Sim.Kernel.spawn model.kernel body

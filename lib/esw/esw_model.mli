@@ -53,7 +53,7 @@ val read_member : t -> string -> int
 
 val outcome : t -> outcome_state
 
-val start : ?fuel:int -> t -> entry:string -> Sim.Kernel.process
+val start : ?fuel:int -> t -> entry:string -> unit
 (** Spawn the model thread; default fuel 50 million statements. The
     process body catches software-level exceptions into [Crashed]. *)
 

@@ -298,11 +298,10 @@ let histogram ?(help = "") ?(labels = []) ?(buckets = default_time_buckets)
 
 let timer ?help ?labels registry name = histogram ?help ?labels registry name
 
-type stage = Parse | Typecheck | Synthesize | Simulate | Check | Merge
+type stage = Parse | Synthesize | Simulate | Check | Merge
 
 let stage_name = function
   | Parse -> "stage_parse_seconds"
-  | Typecheck -> "stage_typecheck_seconds"
   | Synthesize -> "stage_synthesize_seconds"
   | Simulate -> "stage_simulate_seconds"
   | Check -> "stage_check_seconds"
@@ -310,7 +309,6 @@ let stage_name = function
 
 let stage_help = function
   | Parse -> "property/proposition parsing time"
-  | Typecheck -> "MiniC typechecking time"
   | Synthesize -> "explicit AR-automaton synthesis time"
   | Simulate -> "backend simulation time (contains check)"
   | Check -> "per-trigger checker latency"

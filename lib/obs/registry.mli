@@ -105,7 +105,7 @@ val timer : ?help:string -> ?labels:labels -> t -> string -> Timer.t
     by construction — [Check] (per-trigger checker latency) runs inside
     [Simulate] — so they are a breakdown, not a partition. *)
 
-type stage = Parse | Typecheck | Synthesize | Simulate | Check | Merge
+type stage = Parse | Synthesize | Simulate | Check | Merge
 
 val stage_name : stage -> string
 (** ["stage_<stage>_seconds"], e.g. [Simulate -> "stage_simulate_seconds"]. *)

@@ -29,7 +29,7 @@ let attach_at soc ~flag_address chk =
     in
     monitor_loop ()
   in
-  ignore (Sim.Kernel.spawn kernel ~name:"esw_monitor" body);
+  Sim.Kernel.spawn kernel body;
   monitor
 
 let attach soc ~flag chk =

@@ -90,15 +90,14 @@ let create ?(config = default_config) () =
     }
   in
   (* CPU: one instruction per rising edge; flash advances every cycle *)
-  ignore
-    (Sim.Kernel.spawn kernel ~name:"cpu" (fun () ->
-         let rec cycle () =
-           Sim.Clock.wait_posedge clock;
-           Flash.tick flash_model;
-           if Cpu.Cpu_core.running core then Cpu.Cpu_core.step core;
-           cycle ()
-         in
-         cycle ()));
+  Sim.Kernel.spawn kernel (fun () ->
+      let rec cycle () =
+        Sim.Clock.wait_posedge clock;
+        Flash.tick flash_model;
+        if Cpu.Cpu_core.running core then Cpu.Cpu_core.step core;
+        cycle ()
+      in
+      cycle ());
   soc
 
 let kernel soc = soc.kernel

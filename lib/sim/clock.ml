@@ -1,39 +1,21 @@
-type t = {
-  c_name : string;
-  c_period : int;
-  posedge_event : Kernel.event;
-  negedge_event : Kernel.event;
-  mutable cycle_count : int;
-}
+type t = { posedge_event : Kernel.event; mutable cycle_count : int }
 
 let create kernel ~name ~period ?(phase = 0) () =
-  if period < 2 then invalid_arg "Clock.create: period must be >= 2";
+  if period < 1 then invalid_arg "Clock.create: period must be >= 1";
   let clock =
-    {
-      c_name = name;
-      c_period = period;
-      posedge_event = Kernel.event kernel (name ^ ".posedge");
-      negedge_event = Kernel.event kernel (name ^ ".negedge");
-      cycle_count = 0;
-    }
+    { posedge_event = Kernel.event kernel (name ^ ".posedge"); cycle_count = 0 }
   in
-  let body () =
-    if phase > 0 then Kernel.wait_for kernel phase;
-    let rec tick () =
-      clock.cycle_count <- clock.cycle_count + 1;
-      Kernel.notify clock.posedge_event;
-      Kernel.wait_for kernel (period / 2);
-      Kernel.notify clock.negedge_event;
-      Kernel.wait_for kernel (period - (period / 2));
-      tick ()
-    in
-    tick ()
-  in
-  ignore (Kernel.spawn kernel ~name body);
+  Kernel.spawn kernel (fun () ->
+      if phase > 0 then Kernel.wait_for kernel phase;
+      let rec tick () =
+        clock.cycle_count <- clock.cycle_count + 1;
+        Kernel.notify clock.posedge_event;
+        Kernel.wait_for kernel period;
+        tick ()
+      in
+      tick ());
   clock
 
 let posedge clock = clock.posedge_event
-let negedge clock = clock.negedge_event
 let cycles clock = clock.cycle_count
 let wait_posedge clock = Kernel.wait_event clock.posedge_event
-let period clock = clock.c_period

@@ -10,8 +10,6 @@ let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let is_empty heap = heap.size = 0
 
-let length heap = heap.size
-
 (* Entry ordering: by key, then by insertion sequence for stability. *)
 let before a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
@@ -45,10 +43,6 @@ let push heap key value =
 
 let min_key heap = if heap.size = 0 then None else Some heap.data.(0).key
 
-let peek heap =
-  if heap.size = 0 then None
-  else Some (heap.data.(0).key, heap.data.(0).value)
-
 let pop heap =
   if heap.size = 0 then raise Not_found;
   let top = heap.data.(0) in
@@ -73,7 +67,3 @@ let pop heap =
     down 0
   end;
   (top.key, top.value)
-
-let clear heap =
-  heap.data <- [||];
-  heap.size <- 0

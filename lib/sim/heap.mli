@@ -1,9 +1,9 @@
 (** Minimal binary min-heap keyed by integer priorities.
 
-    Used by the simulation kernel to order timed notifications. Elements with
+    Used by the simulation kernel to order timed wake-ups. Elements with
     equal keys are popped in insertion order (stable), which the kernel relies
-    on so that two notifications scheduled for the same timestamp wake
-    processes deterministically. *)
+    on so that processes due at the same time wake in the order they called
+    [Kernel.wait_for]. *)
 
 type 'a t
 
@@ -11,19 +11,12 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val length : 'a t -> int
-
 (** [push heap key value] inserts [value] with priority [key]. *)
 val push : 'a t -> int -> 'a -> unit
 
 (** [min_key heap] is the smallest key, or [None] when empty. *)
 val min_key : 'a t -> int option
 
-(** [peek heap] is the entry with the smallest key without removing it. *)
-val peek : 'a t -> (int * 'a) option
-
 (** [pop heap] removes and returns the entry with the smallest key.
     @raise Not_found when the heap is empty. *)
 val pop : 'a t -> int * 'a
-
-val clear : 'a t -> unit

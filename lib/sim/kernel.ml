@@ -1,274 +1,99 @@
-(* Discrete-event scheduler with SystemC-like delta-cycle semantics.
+(* Discrete-event scheduler with SystemC-like delta cycles.
 
-   Processes are one-shot coroutines built on OCaml 5 effect handlers: a
-   process body performs the [Wait] effect, the handler captures the
-   continuation and parks it on the awaited events; notification moves the
-   continuation back into the runnable queue.  The run loop alternates
-   SystemC's phases: evaluate -> update -> delta notification -> timed
-   advance. *)
+   A process is a shallow effect continuation. While it is not running it
+   sits in exactly one place: the runnable queue, the waiter queue of the
+   one event it waits on, or the timed heap. Scheduling is moving it
+   between these three; every queue is first in, first out and the heap is
+   stable, which gives the order contract of the interface. *)
 
-type wake_reason = Woken_by of event | Timeout
+type process = (unit, unit) Effect.Shallow.continuation
 
-and event = {
-  ev_name : string;
-  ev_kernel : t;
-  mutable waiters : waiter list;
-}
-
-(* A waiter may be armed on several events (wait_any) plus a timeout; the
-   [armed] flag guarantees a single wake-up. *)
-and waiter = {
-  w_process : process;
-  mutable armed : bool;
-  mutable reason : wake_reason option;
-}
-
-and pstate =
-  | Not_started of (unit -> unit)
-  | Suspended of (wake_reason, unit) Effect.Deep.continuation
-  | Running
-  | Finished
-
-and process = {
-  p_name : string;
-  p_id : int;
-  mutable p_state : pstate;
-}
-
-and t = {
+type t = {
   mutable time : int;
-  mutable deltas : int;
-  mutable next_pid : int;
-  runnable : (process * wake_reason) Queue.t;
-  mutable delta_pending : event list; (* delta notifications, reversed *)
-  timed : waiter_or_event Heap.t; (* timed notifications and timeouts *)
-  mutable updates : (unit -> unit) list;
+  runnable : process Queue.t;
+  notified : event Queue.t; (* delta notifications, in notify order *)
+  timed : process Heap.t;
   mutable stop_requested : bool;
-  mutable processes : process list;
 }
 
-and waiter_or_event = Timed_event of event | Timed_waiter of waiter
-
-exception Deadlock of string
+and event = { ev_name : string; ev_kernel : t; waiters : process Queue.t }
 
 let create () =
   {
     time = 0;
-    deltas = 0;
-    next_pid = 0;
     runnable = Queue.create ();
-    delta_pending = [];
+    notified = Queue.create ();
     timed = Heap.create ();
-    updates = [];
     stop_requested = false;
-    processes = [];
   }
 
 let now kernel = kernel.time
-let delta_count kernel = kernel.deltas
 
-let event kernel name = { ev_name = name; ev_kernel = kernel; waiters = [] }
+let event kernel name =
+  { ev_name = name; ev_kernel = kernel; waiters = Queue.create () }
+
 let event_name ev = ev.ev_name
+let spawn kernel body = Queue.add (Effect.Shallow.fiber body) kernel.runnable
 
-let spawn kernel ~name body =
-  let proc =
-    { p_name = name; p_id = kernel.next_pid; p_state = Not_started body }
-  in
-  kernel.next_pid <- kernel.next_pid + 1;
-  kernel.processes <- proc :: kernel.processes;
-  Queue.add (proc, Timeout) kernel.runnable;
-  proc
+type _ Effect.t +=
+  | Wait_event : event -> unit Effect.t
+  | Wait_for : t * int -> unit Effect.t
 
-let process_name proc = proc.p_name
-let is_finished proc = proc.p_state = Finished
-
-(* ------------------------------------------------------------------ *)
-(* Effects                                                             *)
-
-type wait_spec = { on_events : event list; after : int option; wk : t }
-
-type _ Effect.t += Wait : wait_spec -> wake_reason Effect.t
-
-let fire_waiter kernel waiter reason =
-  if waiter.armed then begin
-    waiter.armed <- false;
-    waiter.reason <- Some reason;
-    Queue.add (waiter.w_process, reason) kernel.runnable
-  end
-
-let wake_event_waiters ev =
-  let kernel = ev.ev_kernel in
-  let ws = ev.waiters in
-  ev.waiters <- [];
-  List.iter (fun w -> fire_waiter kernel w (Woken_by ev)) (List.rev ws)
-
-let notify_immediate ev = wake_event_waiters ev
-
-let notify ev =
-  let kernel = ev.ev_kernel in
-  kernel.delta_pending <- ev :: kernel.delta_pending
-
-let notify_in ev n =
-  if n <= 0 then notify ev
-  else Heap.push ev.ev_kernel.timed (ev.ev_kernel.time + n) (Timed_event ev)
-
-let schedule_update kernel action = kernel.updates <- action :: kernel.updates
-
-(* ------------------------------------------------------------------ *)
-(* Waiting primitives (called from inside process bodies)              *)
-
-let wait_any ?timeout events =
-  let kernel =
-    match events, timeout with
-    | ev :: _, _ -> ev.ev_kernel
-    | [], Some _ ->
-      invalid_arg "Kernel.wait_any: pure timeout needs wait_for"
-    | [], None -> invalid_arg "Kernel.wait_any: no event and no timeout"
-  in
-  Effect.perform (Wait { on_events = events; after = timeout; wk = kernel })
-
-let wait_event ev =
-  match
-    Effect.perform
-      (Wait { on_events = [ ev ]; after = None; wk = ev.ev_kernel })
-  with
-  | Woken_by _ -> ()
-  | Timeout -> assert false
+let wait_event ev = Effect.perform (Wait_event ev)
 
 let wait_for kernel n =
-  if n < 0 then invalid_arg "Kernel.wait_for: negative delay";
-  ignore (Effect.perform (Wait { on_events = []; after = Some n; wk = kernel }))
+  if n < 1 then invalid_arg "Kernel.wait_for: delay must be >= 1";
+  Effect.perform (Wait_for (kernel, n))
 
-let wait_delta kernel = wait_for kernel 0
-
+let notify ev = Queue.add ev ev.ev_kernel.notified
 let stop kernel = kernel.stop_requested <- true
-let stopped kernel = kernel.stop_requested
 
-(* ------------------------------------------------------------------ *)
-(* Scheduler                                                           *)
+(* parks the rest of a process that performed a wait *)
+let handler =
+  {
+    Effect.Shallow.retc = Fun.id;
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Wait_event ev ->
+          Some
+            (fun (k : (a, unit) Effect.Shallow.continuation) ->
+              Queue.add k ev.waiters)
+        | Wait_for (kernel, n) ->
+          Some (fun k -> Heap.push kernel.timed (kernel.time + n) k)
+        | _ -> None);
+  }
 
-let register_wait kernel proc spec cont =
-  proc.p_state <- Suspended cont;
-  let waiter = { w_process = proc; armed = true; reason = None } in
-  List.iter (fun ev -> ev.waiters <- waiter :: ev.waiters) spec.on_events;
-  match spec.after with
-  | None -> ()
-  | Some 0 ->
-    (* A zero timeout means "next delta cycle": model it as a delta
-       notification of a private event. *)
-    let ev = event kernel "<delta>" in
-    ev.waiters <- [ waiter ];
-    notify ev
-  | Some n -> Heap.push kernel.timed (kernel.time + n) (Timed_waiter waiter)
+let wake ev = Queue.transfer ev.waiters ev.ev_kernel.runnable
 
-let run_process kernel proc reason =
-  match proc.p_state with
-  | Not_started body ->
-    proc.p_state <- Running;
-    Effect.Deep.match_with body ()
-      {
-        retc = (fun () -> proc.p_state <- Finished);
-        exnc = (fun exn -> proc.p_state <- Finished; raise exn);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Wait spec ->
-              Some
-                (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                  register_wait kernel proc spec cont)
-            | _ -> None);
-      }
-  | Suspended cont ->
-    proc.p_state <- Running;
-    Effect.Deep.continue cont reason
-  | Running -> invalid_arg "Kernel: process resumed while running"
-  | Finished -> ()
+let rec wake_due kernel time =
+  match Heap.min_key kernel.timed with
+  | Some t when t = time ->
+    Queue.add (snd (Heap.pop kernel.timed)) kernel.runnable;
+    wake_due kernel time
+  | Some _ | None -> ()
 
-let pending_activity kernel =
-  (not (Queue.is_empty kernel.runnable))
-  || kernel.delta_pending <> []
-  || not (Heap.is_empty kernel.timed)
-  || kernel.updates <> []
-
-(* Timed entries for already-woken waiters are dropped lazily when popped. *)
-let fire_timed kernel entry =
-  match entry with
-  | Timed_event ev -> wake_event_waiters ev
-  | Timed_waiter w -> fire_waiter kernel w Timeout
-
-let run ?(max_time = max_int) ?(max_deltas = max_int) ?(expect_activity = false)
-    kernel =
+let run ?(max_time = max_int) kernel =
   kernel.stop_requested <- false;
-  let budget_exhausted = ref false in
   let rec cycle () =
-    (* Evaluation phase. *)
+    (* evaluation phase *)
     while not (Queue.is_empty kernel.runnable) do
-      let proc, reason = Queue.pop kernel.runnable in
-      run_process kernel proc reason
+      Effect.Shallow.continue_with (Queue.pop kernel.runnable) () handler
     done;
-    (* Update phase. *)
-    let updates = List.rev kernel.updates in
-    kernel.updates <- [];
-    List.iter (fun action -> action ()) updates;
-    if kernel.stop_requested then ()
-    else begin
-      (* Delta notification phase. *)
-      let pending = List.rev kernel.delta_pending in
-      kernel.delta_pending <- [];
-      List.iter wake_event_waiters pending;
-      if not (Queue.is_empty kernel.runnable) then begin
-        kernel.deltas <- kernel.deltas + 1;
-        if kernel.deltas >= max_deltas then budget_exhausted := true
-        else cycle ()
-      end
-      else begin
-        (* Timed advance; first discard timeout entries whose waiter was
-           already woken by an event, so stale timeouts never advance time. *)
-        let rec purge () =
-          match Heap.peek kernel.timed with
-          | Some (_, Timed_waiter w) when not w.armed ->
-            ignore (Heap.pop kernel.timed);
-            purge ()
-          | Some _ | None -> ()
-        in
-        purge ();
+    if not kernel.stop_requested then begin
+      (* delta notification phase *)
+      Queue.iter wake kernel.notified;
+      Queue.clear kernel.notified;
+      if not (Queue.is_empty kernel.runnable) then cycle ()
+      else
+        (* timed advance *)
         match Heap.min_key kernel.timed with
-        | None -> ()
-        | Some t when t > max_time -> budget_exhausted := true
-        | Some t ->
-          kernel.time <- t;
-          let rec drain () =
-            match Heap.min_key kernel.timed with
-            | Some t' when t' = t ->
-              let _, entry = Heap.pop kernel.timed in
-              fire_timed kernel entry;
-              drain ()
-            | Some _ | None -> ()
-          in
-          drain ();
+        | Some time when time <= max_time ->
+          kernel.time <- time;
+          wake_due kernel time;
           cycle ()
-      end
+        | Some _ | None -> ()
     end
   in
-  cycle ();
-  if
-    expect_activity && (not !budget_exhausted)
-    && (not kernel.stop_requested)
-    && List.exists
-         (fun p ->
-           match p.p_state with
-           | Suspended _ | Not_started _ -> true
-           | Running | Finished -> false)
-         kernel.processes
-  then
-    raise
-      (Deadlock
-         (Fmt.str "simulation ended at t=%d with suspended processes: %a"
-            kernel.time
-            Fmt.(list ~sep:comma string)
-            (List.filter_map
-               (fun p ->
-                 match p.p_state with
-                 | Suspended _ | Not_started _ -> Some p.p_name
-                 | Running | Finished -> None)
-               kernel.processes)))
+  cycle ()

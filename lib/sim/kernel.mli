@@ -1,11 +1,22 @@
-(** Discrete-event simulation kernel with SystemC-like semantics.
+(** Discrete-event simulation kernel: the part of the OSCI SystemC
+    scheduler that the paper's SCTC is stepped by.
 
-    The kernel reproduces the OSCI SystemC scheduler that the paper's SCTC
-    runs on: an evaluation phase running all runnable processes, an update
-    phase committing signal values, delta-cycle notification, and timed
-    advance. Processes are cooperative threads implemented with OCaml 5
-    effect handlers; [wait_event]/[wait_for] suspend the calling process
-    exactly like SystemC's [wait]. *)
+    A run alternates an evaluation phase, which runs every runnable
+    process, a delta-notification phase, which wakes the waiters of the
+    events notified during evaluation, and, when that wakes nobody, a
+    timed advance to the earliest pending [wait_for]. Both approaches need
+    only this: approach 1 steps the checker on a clock edge, approach 2 on
+    the derived model's program-counter event. Processes are cooperative
+    threads built on OCaml 5 effect handlers; [wait_event] and [wait_for]
+    suspend the calling process like SystemC's [wait].
+
+    Order contract (trace bytes depend on it):
+    - runnable processes run first in, first out, spawn order first;
+    - the waiters of one event wake in the order they began waiting;
+    - events notified in one evaluation phase wake their waiters in
+      [notify] order, before time advances;
+    - processes due at the same time wake in the order they called
+      [wait_for]. *)
 
 type t
 (** A simulation kernel instance. Kernels are independent; a process spawned
@@ -14,84 +25,40 @@ type t
 type event
 (** A notification channel ([sc_event] analog). *)
 
-type process
-(** Handle of a spawned process. *)
-
-(** Why a suspended process was woken up. *)
-type wake_reason =
-  | Woken_by of event  (** one of the awaited events was notified *)
-  | Timeout  (** the [timeout] of {!wait_any} elapsed first *)
-
-exception Deadlock of string
-(** Raised by {!run} when [~expect_activity:true] and the simulation ends
-    with processes still suspended and no pending notification. *)
-
 val create : unit -> t
 
 val now : t -> int
 (** Current simulation time (abstract time units). *)
 
-val delta_count : t -> int
-(** Number of delta cycles executed so far (diagnostic / bench metric). *)
-
 val event : t -> string -> event
 
 val event_name : event -> string
 
-val spawn : t -> name:string -> (unit -> unit) -> process
-(** [spawn kernel ~name body] registers a thread process. It starts running
-    at the beginning of the next {!run} evaluation phase. [body] may call the
-    wait functions below; when [body] returns, the process terminates. *)
-
-val process_name : process -> string
-
-val is_finished : process -> bool
+val spawn : t -> (unit -> unit) -> unit
+(** [spawn kernel body] registers a thread process. It starts running in
+    the next evaluation phase of {!run}. [body] may call the wait functions
+    below; when [body] returns, the process terminates. *)
 
 (** {2 Waiting — must be called from inside a process body} *)
 
 val wait_event : event -> unit
 (** Suspend until the event is notified. *)
 
-val wait_any : ?timeout:int -> event list -> wake_reason
-(** Suspend until one of the events fires, or until [timeout] time units
-    elapse (when given). An empty event list requires a timeout. *)
-
 val wait_for : t -> int -> unit
-(** Suspend for [n > 0] time units; [wait_for k 0] waits one delta cycle. *)
+(** Suspend for [n] time units.
+    @raise Invalid_argument unless [n >= 1]. *)
 
-val wait_delta : t -> unit
-(** Suspend until the next delta cycle. *)
-
-(** {2 Notification} *)
+(** {2 Notification and running} *)
 
 val notify : event -> unit
-(** Delta notification: waiters wake in the next delta cycle. *)
-
-val notify_immediate : event -> unit
-(** Immediate notification: waiters join the current evaluation phase. *)
-
-val notify_in : event -> int -> unit
-(** Timed notification after [n] time units; [n <= 0] behaves like
-    {!notify}. *)
-
-(** {2 Update phase} *)
-
-val schedule_update : t -> (unit -> unit) -> unit
-(** Register an action for the update phase of the current delta cycle
-    (used by {!Signal} to commit values). *)
-
-(** {2 Running} *)
+(** Delta notification: the event's waiters wake in the next delta cycle. *)
 
 val stop : t -> unit
-(** Request the simulation to stop at the end of the current delta cycle.
-    Callable from inside a process. *)
+(** Stop {!run} at the end of the current evaluation phase; notifications
+    made in it are delivered when {!run} is called again. Callable from
+    inside a process. *)
 
-val run : ?max_time:int -> ?max_deltas:int -> ?expect_activity:bool -> t -> unit
-(** Run until no activity remains, [stop] is called, simulation time would
-    exceed [max_time], or [max_deltas] delta cycles have executed. [run] may
-    be called again afterwards to resume. *)
-
-val stopped : t -> bool
-
-val pending_activity : t -> bool
-(** True when runnable processes or pending notifications remain. *)
+val run : ?max_time:int -> t -> unit
+(** Run until no activity remains, [stop] is called, or the next timed
+    wake-up lies past [max_time]. [run] may be called again afterwards to
+    resume. *)

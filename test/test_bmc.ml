@@ -414,6 +414,17 @@ let test_bmc_timeout () =
   | B.Out_of_time -> ()
   | _ -> Alcotest.fail "expected timeout while unwinding"
 
+(* a missing entry is a give-up without a source position *)
+let test_bmc_missing_entry () =
+  let info = info_of "int x; void helper(void) { x = 1; }" in
+  List.iter
+    (fun entry ->
+      match (B.check ~entry info).B.result with
+      | B.Gave_up msg ->
+        Alcotest.(check string) entry ("no entry function " ^ entry) msg
+      | _ -> Alcotest.fail "expected a give-up")
+    [ "main"; "nope" ]
+
 (* --- spec inlining ------------------------------------------------------------ *)
 
 let spec_program sets_ack =
@@ -494,6 +505,7 @@ let suite_bmc =
     Alcotest.test_case "switch and recursion" `Quick
       test_bmc_switch_and_recursion;
     Alcotest.test_case "timeout" `Quick test_bmc_timeout;
+    Alcotest.test_case "missing entry" `Quick test_bmc_missing_entry;
   ]
 
 let suite_spec =

@@ -144,8 +144,6 @@ let test_trace_events_and_roundtrip () =
     (List.exists kind_is_handshake events);
   Alcotest.(check bool) "verdict change published" true
     (List.exists kind_is_verdict_change events);
-  Alcotest.(check bool) "trigger counter" true (Trace.triggers bus > 0);
-  Alcotest.(check bool) "sample counter" true (Trace.samples bus > 0);
   (* every event survives the JSONL round trip *)
   List.iter
     (fun event ->
@@ -169,8 +167,8 @@ let test_bus_first_seq () =
   Alcotest.(check int) "events counts the bus's own" 3 (Trace.events bus);
   let quiet = Trace.create ~first_seq:5 () in
   List.iter (Trace.emit quiet) [ Trace.Trigger; Trace.Trigger ];
-  Alcotest.(check (list int)) "a bus without sinks still counts" [ 2; 2; 0 ]
-    [ Trace.events quiet; Trace.triggers quiet; Trace.samples quiet ]
+  Alcotest.(check int) "a bus without sinks still counts" 2
+    (Trace.events quiet)
 
 (* ---- the renderer against the member-list definition ------------------ *)
 

@@ -123,7 +123,7 @@ let test_time_is_statement_count () =
     |}
   in
   let kernel, model = model_of source in
-  ignore (Esw_model.start model ~entry:"main");
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:1000 kernel;
   (match Esw_model.outcome model with
   | Esw_model.Done (Minic.Interp.Finished _) -> ()
@@ -147,8 +147,8 @@ let test_pc_event_triggers_checker () =
   Checker.register_proposition checker
     (Esw_prop.var_pred model ~prop_name:"done30" "counter" (fun v -> v = 30));
   Checker.add_property_text checker ~name:"terminates" "F done30";
-  ignore (Trigger.on_event kernel (Esw_model.pc_event model) checker);
-  ignore (Esw_model.start model ~entry:"main");
+  Trigger.on_event kernel (Esw_model.pc_event model) checker;
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:10_000 kernel;
   check_verdict "termination observed" Verdict.True
     (Checker.verdict checker "terminates");
@@ -173,8 +173,8 @@ let test_statement_bounds () =
     (Esw_prop.var_eq model ~prop_name:"at10" "counter" 10);
   Checker.add_property_text checker ~name:"loose" "F[100] at10";
   Checker.add_property_text checker ~name:"tight" "F[5] at10";
-  ignore (Trigger.on_event kernel (Esw_model.pc_event model) checker);
-  ignore (Esw_model.start model ~entry:"main");
+  Trigger.on_event kernel (Esw_model.pc_event model) checker;
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:500 kernel;
   check_verdict "loose bound validated" Verdict.True
     (Checker.verdict checker "loose");
@@ -196,15 +196,15 @@ let test_in_function_proposition () =
   let checker = Checker.create ~name:"fn" () in
   Checker.register_proposition checker (Esw_prop.in_function model "helper");
   Checker.add_property_text checker ~name:"enters_helper" "F in_helper";
-  ignore (Trigger.on_event kernel (Esw_model.pc_event model) checker);
-  ignore (Esw_model.start model ~entry:"main");
+  Trigger.on_event kernel (Esw_model.pc_event model) checker;
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:200 kernel;
   check_verdict "helper entry observed" Verdict.True
     (Checker.verdict checker "enters_helper")
 
 let test_crash_reported () =
   let kernel, model = model_of "void main(void) { assert(false); }" in
-  ignore (Esw_model.start model ~entry:"main");
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:100 kernel;
   match Esw_model.outcome model with
   | Esw_model.Crashed (Minic.Interp.Assertion_failed _) -> ()
@@ -240,7 +240,7 @@ let test_vm_devices_from_model () =
       ~on_tick:(fun () -> Dataflash.Flash.tick flash)
       derived ~vmem
   in
-  ignore (Esw_model.start model ~entry:"main");
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:10_000 kernel;
   (match Esw_model.outcome model with
   | Esw_model.Done _ -> ()
@@ -292,8 +292,8 @@ let approach2_verdict source =
   Checker.register_proposition checker
     (Esw_prop.var_eq model ~prop_name:"bad_set" "bad" 1);
   Checker.add_property_text checker ~name:"p" "G !bad_set";
-  ignore (Trigger.on_event kernel (Esw_model.pc_event model) checker);
-  ignore (Esw_model.start model ~entry:"main");
+  Trigger.on_event kernel (Esw_model.pc_event model) checker;
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:3000 kernel;
   Checker.verdict checker "p"
 
@@ -336,8 +336,8 @@ let test_speed_advantage_of_approach2 () =
   Checker.add_property_text checker2 ~name:"p" "G !bad_set";
   let steps2 = ref 0 in
   Checker.on_violation checker2 (fun _ step -> steps2 := step);
-  ignore (Trigger.on_event kernel (Esw_model.pc_event model) checker2);
-  ignore (Esw_model.start model ~entry:"main");
+  Trigger.on_event kernel (Esw_model.pc_event model) checker2;
+  Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:3000 kernel;
   Alcotest.(check bool) "both found the violation" true
     (!steps1 > 0 && !steps2 > 0);

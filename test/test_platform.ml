@@ -188,17 +188,16 @@ let test_mailbox_request_response () =
   let kernel = Soc.kernel soc in
   let clock = Soc.clock soc in
   let responses = ref [] in
-  ignore
-    (Sim.Kernel.spawn kernel ~name:"testbench" (fun () ->
-         for i = 1 to 3 do
-           Mailbox.post_request mailbox ~op:0 ~arg0:(i * 10) ~arg1:0;
-           let rec wait_response () =
-             Sim.Clock.wait_posedge clock;
-             if not (Mailbox.response_ready mailbox) then wait_response ()
-           in
-           wait_response ();
-           responses := Mailbox.take_response mailbox :: !responses
-         done));
+  Sim.Kernel.spawn kernel (fun () ->
+      for i = 1 to 3 do
+        Mailbox.post_request mailbox ~op:0 ~arg0:(i * 10) ~arg1:0;
+        let rec wait_response () =
+          Sim.Clock.wait_posedge clock;
+          if not (Mailbox.response_ready mailbox) then wait_response ()
+        in
+        wait_response ();
+        responses := Mailbox.take_response mailbox :: !responses
+      done);
   Soc.run ~max_cycles:5000 soc;
   Alcotest.(check (list int)) "computed results" [ 20; 40; 60 ]
     (List.rev !responses);

@@ -245,78 +245,18 @@ let test_trigger_on_clock () =
   let checker = Checker.create ~name:"clocked" () in
   Checker.register_sampler checker "high" (fun () -> !level > 3);
   Checker.add_property_text checker ~name:"even" "F high";
-  ignore (Trigger.on_clock kernel clock checker);
-  ignore
-    (Kernel.spawn kernel ~name:"stim" (fun () ->
-         let rec loop () =
-           Clock.wait_posedge clock;
-           incr level;
-           loop ()
-         in
-         loop ()));
+  Trigger.on_clock kernel clock checker;
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        Clock.wait_posedge clock;
+        incr level;
+        loop ()
+      in
+      loop ());
   Kernel.run ~max_time:100 kernel;
   Alcotest.(check bool) "checker stepped once per edge" true
     (Checker.steps checker >= 9);
   check_verdict "liveness seen" Verdict.True (Checker.verdict checker "even")
-
-let test_trigger_handshake () =
-  (* on_event_when must not arm properties before the flag turns true; the
-     property G initialized would otherwise fail on the first cycles. *)
-  let kernel = Kernel.create () in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  let initialized = ref false in
-  let checker = Checker.create ~name:"hs" () in
-  Checker.register_sampler checker "initialized" (fun () -> !initialized);
-  Checker.add_property_text checker ~name:"init-stays" "G initialized";
-  ignore
-    (Trigger.on_event_when kernel (Clock.posedge clock)
-       ~ready:(fun () -> !initialized)
-       checker);
-  ignore
-    (Kernel.spawn kernel ~name:"boot" (fun () ->
-         Kernel.wait_for kernel 35;
-         initialized := true));
-  Kernel.run ~max_time:100 kernel;
-  check_verdict "no spurious violation" Verdict.Pending
-    (Checker.verdict checker "init-stays");
-  Alcotest.(check bool) "stepped after handshake only" true
-    (Checker.steps checker < 8 && Checker.steps checker > 0)
-
-let test_trigger_handshake_arms_once () =
-  (* triggers consumed while ready() is still false must not step the
-     checker, and the bus must see exactly one Handshake_armed event *)
-  let kernel = Kernel.create () in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  let trace = Trace.create () in
-  let sink, events = Trace.memory_sink () in
-  Trace.attach trace sink;
-  let initialized = ref false in
-  let checker = Checker.create ~trace ~name:"hs2" () in
-  Checker.register_sampler checker "initialized" (fun () -> !initialized);
-  Checker.add_property_text checker ~name:"init-stays" "G initialized";
-  ignore
-    (Trigger.on_event_when kernel (Clock.posedge clock)
-       ~ready:(fun () -> !initialized)
-       checker);
-  ignore
-    (Kernel.spawn kernel ~name:"boot" (fun () ->
-         Kernel.wait_for kernel 35;
-         initialized := true));
-  Kernel.run ~max_time:200 kernel;
-  let count pred = List.length (List.filter pred (events ())) in
-  Alcotest.(check int) "armed exactly once" 1
-    (count (fun e ->
-         match e.Trace.kind with Trace.Handshake_armed _ -> true | _ -> false));
-  let triggers =
-    count (fun e -> match e.Trace.kind with Trace.Trigger -> true | _ -> false)
-  in
-  Alcotest.(check bool) "steps only after the handshake" true (triggers > 0);
-  Alcotest.(check int) "every published trigger stepped the checker" triggers
-    (Checker.steps checker);
-  (* the clock edges at t = 10, 20, 30 precede the handshake: they are
-     consumed without stepping, so strictly fewer steps than edges *)
-  Alcotest.(check bool) "pre-handshake edges consumed silently" true
-    (triggers <= (200 / 10) - 3)
 
 let suite_checker =
   [
@@ -346,9 +286,6 @@ let suite_coverage =
 let suite_trigger =
   [
     Alcotest.test_case "on clock" `Quick test_trigger_on_clock;
-    Alcotest.test_case "handshake gating" `Quick test_trigger_handshake;
-    Alcotest.test_case "handshake arms exactly once" `Quick
-      test_trigger_handshake_arms_once;
   ]
 
 let () =

@@ -1,10 +1,9 @@
 module Heap = Sim.Heap
 module Kernel = Sim.Kernel
-module Signal = Sim.Signal
 module Clock = Sim.Clock
 
 (* Tests for the discrete-event simulation kernel: scheduling order, delta
-   cycles, signals, clocks, timeouts, and heap invariants. *)
+   cycles, clocks, and heap invariants. *)
 
 let test_heap_ordering () =
   let heap = Heap.create () in
@@ -45,8 +44,8 @@ let test_spawn_runs () =
   let kernel = Kernel.create () in
   let trace = ref [] in
   let log s = trace := s :: !trace in
-  ignore (Kernel.spawn kernel ~name:"a" (fun () -> log "a"));
-  ignore (Kernel.spawn kernel ~name:"b" (fun () -> log "b"));
+  Kernel.spawn kernel (fun () -> log "a");
+  Kernel.spawn kernel (fun () -> log "b");
   Kernel.run kernel;
   Alcotest.(check (list string)) "both ran in order" [ "a"; "b" ]
     (List.rev !trace)
@@ -56,147 +55,88 @@ let test_wait_notify_delta () =
   let ev = Kernel.event kernel "ev" in
   let trace = ref [] in
   let log s = trace := s :: !trace in
-  ignore
-    (Kernel.spawn kernel ~name:"waiter" (fun () ->
-         log "wait";
-         Kernel.wait_event ev;
-         log "woken"));
-  ignore
-    (Kernel.spawn kernel ~name:"notifier" (fun () ->
-         log "notify";
-         Kernel.notify ev));
+  Kernel.spawn kernel (fun () ->
+      log "wait";
+      Kernel.wait_event ev;
+      log "woken");
+  Kernel.spawn kernel (fun () ->
+      log "notify";
+      Kernel.notify ev);
   Kernel.run kernel;
   Alcotest.(check (list string))
     "delta notification wakes in next delta" [ "wait"; "notify"; "woken" ]
     (List.rev !trace);
-  Alcotest.(check int) "one delta cycle" 1 (Kernel.delta_count kernel)
-
-let test_timed_notify () =
-  let kernel = Kernel.create () in
-  let ev = Kernel.event kernel "ev" in
-  let woken_at = ref (-1) in
-  ignore
-    (Kernel.spawn kernel ~name:"waiter" (fun () ->
-         Kernel.wait_event ev;
-         woken_at := Kernel.now kernel));
-  ignore
-    (Kernel.spawn kernel ~name:"notifier" (fun () -> Kernel.notify_in ev 42));
-  Kernel.run kernel;
-  Alcotest.(check int) "woken at t=42" 42 !woken_at
+  Alcotest.(check int) "no time passed" 0 (Kernel.now kernel)
 
 let test_wait_for_accumulates () =
   let kernel = Kernel.create () in
   let times = ref [] in
-  ignore
-    (Kernel.spawn kernel ~name:"p" (fun () ->
-         Kernel.wait_for kernel 10;
-         times := Kernel.now kernel :: !times;
-         Kernel.wait_for kernel 5;
-         times := Kernel.now kernel :: !times));
+  Kernel.spawn kernel (fun () ->
+      Kernel.wait_for kernel 10;
+      times := Kernel.now kernel :: !times;
+      Kernel.wait_for kernel 5;
+      times := Kernel.now kernel :: !times);
   Kernel.run kernel;
-  Alcotest.(check (list int)) "10 then 15" [ 10; 15 ] (List.rev !times)
+  Alcotest.(check (list int)) "10 then 15" [ 10; 15 ] (List.rev !times);
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "wait_for %d" n)
+        (Invalid_argument "Kernel.wait_for: delay must be >= 1")
+        (fun () -> Kernel.wait_for kernel n))
+    [ 0; -1 ]
 
-let test_wait_any_timeout () =
+(* The order contract of [Kernel]: waiters of one event wake in the order
+   they began waiting, events notified in one delta wake in notify order,
+   every delta wake-up runs before time advances, and processes due at
+   the same time wake in the order they called [wait_for]. Spawn order
+   differs from each of these orders. *)
+let test_wake_order () =
   let kernel = Kernel.create () in
-  let ev = Kernel.event kernel "never" in
-  let result = ref None in
-  ignore
-    (Kernel.spawn kernel ~name:"p" (fun () ->
-         result := Some (Kernel.wait_any ~timeout:7 [ ev ])));
+  let a = Kernel.event kernel "a" and b = Kernel.event kernel "b" in
+  let log = ref [] in
+  let spawn name body =
+    Kernel.spawn kernel (fun () ->
+        body ();
+        log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log)
+  in
+  (* begin waiting on [a] at t = 1, 0 and 2 *)
+  spawn "p1" (fun () ->
+      Kernel.wait_for kernel 1;
+      Kernel.wait_event a);
+  spawn "p2" (fun () -> Kernel.wait_event a);
+  spawn "p3" (fun () ->
+      Kernel.wait_for kernel 2;
+      Kernel.wait_event a);
+  (* waits after [p2] did, on the event notified first *)
+  spawn "q" (fun () -> Kernel.wait_event b);
+  spawn "notifier" (fun () ->
+      Kernel.wait_for kernel 3;
+      Kernel.notify b;
+      Kernel.notify a);
+  spawn "s" (fun () -> Kernel.wait_for kernel 4);
+  (* both due at 10: [r1] called wait_for at t = 0, [r2] at t = 6 *)
+  spawn "r2" (fun () ->
+      Kernel.wait_for kernel 6;
+      Kernel.wait_for kernel 4);
+  spawn "r1" (fun () -> Kernel.wait_for kernel 10);
   Kernel.run kernel;
-  (match !result with
-  | Some Kernel.Timeout -> ()
-  | Some (Kernel.Woken_by _) -> Alcotest.fail "expected timeout"
-  | None -> Alcotest.fail "process never resumed");
-  Alcotest.(check int) "time advanced to timeout" 7 (Kernel.now kernel)
-
-let test_wait_any_event_beats_timeout () =
-  let kernel = Kernel.create () in
-  let ev = Kernel.event kernel "fast" in
-  let result = ref None in
-  ignore
-    (Kernel.spawn kernel ~name:"p" (fun () ->
-         result := Some (Kernel.wait_any ~timeout:100 [ ev ])));
-  ignore
-    (Kernel.spawn kernel ~name:"q" (fun () ->
-         Kernel.wait_for kernel 3;
-         Kernel.notify ev));
-  Kernel.run kernel;
-  (match !result with
-  | Some (Kernel.Woken_by woke) ->
-    Alcotest.(check string) "right event" "fast" (Kernel.event_name woke)
-  | Some Kernel.Timeout -> Alcotest.fail "timeout should not win"
-  | None -> Alcotest.fail "process never resumed");
-  Alcotest.(check int) "woken at t=3" 3 (Kernel.now kernel)
-
-let test_immediate_notification () =
-  let kernel = Kernel.create () in
-  let ev = Kernel.event kernel "ev" in
-  let deltas_when_woken = ref (-1) in
-  ignore
-    (Kernel.spawn kernel ~name:"waiter" (fun () ->
-         Kernel.wait_event ev;
-         deltas_when_woken := Kernel.delta_count kernel));
-  ignore
-    (Kernel.spawn kernel ~name:"notifier" (fun () ->
-         Kernel.notify_immediate ev));
-  Kernel.run kernel;
-  Alcotest.(check int) "woken without delta" 0 !deltas_when_woken
-
-let test_signal_update_semantics () =
-  let kernel = Kernel.create () in
-  let signal = Signal.create kernel ~name:"s" 0 in
-  let observed = ref [] in
-  ignore
-    (Kernel.spawn kernel ~name:"writer" (fun () ->
-         Signal.write signal 1;
-         (* not yet committed: evaluation phase still sees old value *)
-         observed := ("writer", Signal.read signal) :: !observed));
-  ignore
-    (Kernel.spawn kernel ~name:"reader" (fun () ->
-         Signal.wait_change signal;
-         observed := ("reader", Signal.read signal) :: !observed));
-  Kernel.run kernel;
-  Alcotest.(check (list (pair string int)))
-    "write commits in update phase"
-    [ ("writer", 0); ("reader", 1) ]
-    (List.rev !observed)
-
-let test_signal_last_write_wins () =
-  let kernel = Kernel.create () in
-  let signal = Signal.create kernel ~name:"s" 0 in
-  ignore
-    (Kernel.spawn kernel ~name:"writer" (fun () ->
-         Signal.write signal 1;
-         Signal.write signal 2));
-  Kernel.run kernel;
-  Alcotest.(check int) "last write" 2 (Signal.read signal)
-
-let test_signal_no_change_no_event () =
-  let kernel = Kernel.create () in
-  let signal = Signal.create kernel ~name:"s" 5 in
-  let woken = ref false in
-  ignore
-    (Kernel.spawn kernel ~name:"reader" (fun () ->
-         Signal.wait_change signal;
-         woken := true));
-  ignore
-    (Kernel.spawn kernel ~name:"writer" (fun () -> Signal.write signal 5));
-  Kernel.run kernel;
-  Alcotest.(check bool) "same value does not notify" false !woken
+  Alcotest.(check (list string))
+    "wake order"
+    [ "notifier@3"; "q@3"; "p2@3"; "p1@3"; "p3@3"; "s@4"; "r1@10"; "r2@10" ]
+    (List.rev !log)
 
 let test_clock_cycles () =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:10 () in
   let count = ref 0 in
-  ignore
-    (Kernel.spawn kernel ~name:"counter" (fun () ->
-         let rec loop () =
-           Clock.wait_posedge clock;
-           incr count;
-           loop ()
-         in
-         loop ()));
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        Clock.wait_posedge clock;
+        incr count;
+        loop ()
+      in
+      loop ());
   Kernel.run ~max_time:95 kernel;
   (* posedges at t=0,10,...,90 => 10 observed *)
   Alcotest.(check int) "ten edges observed" 10 !count;
@@ -205,30 +145,29 @@ let test_clock_cycles () =
 let test_stop_from_process () =
   let kernel = Kernel.create () in
   let steps = ref 0 in
-  ignore
-    (Kernel.spawn kernel ~name:"p" (fun () ->
-         let rec loop () =
-           incr steps;
-           if !steps = 5 then Kernel.stop kernel;
-           Kernel.wait_for kernel 1;
-           loop ()
-         in
-         loop ()));
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        incr steps;
+        if !steps = 5 then Kernel.stop kernel;
+        Kernel.wait_for kernel 1;
+        loop ()
+      in
+      loop ());
   Kernel.run kernel;
-  Alcotest.(check bool) "stopped early" true (!steps >= 5 && !steps < 20);
-  Alcotest.(check bool) "stopped flag" true (Kernel.stopped kernel)
+  Alcotest.(check int) "stopped after the fifth step" 5 !steps;
+  Alcotest.(check int) "at the end of that evaluation phase" 4
+    (Kernel.now kernel)
 
 let test_resume_after_max_time () =
   let kernel = Kernel.create () in
   let ticks = ref 0 in
-  ignore
-    (Kernel.spawn kernel ~name:"p" (fun () ->
-         let rec loop () =
-           incr ticks;
-           Kernel.wait_for kernel 10;
-           loop ()
-         in
-         loop ()));
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        incr ticks;
+        Kernel.wait_for kernel 10;
+        loop ()
+      in
+      loop ());
   Kernel.run ~max_time:35 kernel;
   let first = !ticks in
   Kernel.run ~max_time:75 kernel;
@@ -241,22 +180,20 @@ let test_producer_consumer () =
   let request = Kernel.event kernel "request" in
   let response = Kernel.event kernel "response" in
   let served = ref 0 in
-  ignore
-    (Kernel.spawn kernel ~name:"server" (fun () ->
-         let rec loop () =
-           Kernel.wait_event request;
-           incr served;
-           Kernel.notify response;
-           loop ()
-         in
-         loop ()));
-  ignore
-    (Kernel.spawn kernel ~name:"client" (fun () ->
-         for _ = 1 to 100 do
-           Kernel.notify request;
-           Kernel.wait_event response
-         done;
-         Kernel.stop kernel));
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        Kernel.wait_event request;
+        incr served;
+        Kernel.notify response;
+        loop ()
+      in
+      loop ());
+  Kernel.spawn kernel (fun () ->
+      for _ = 1 to 100 do
+        Kernel.notify request;
+        Kernel.wait_event response
+      done;
+      Kernel.stop kernel);
   Kernel.run kernel;
   Alcotest.(check int) "served all requests" 100 !served
 
@@ -267,19 +204,8 @@ let suite =
     QCheck_alcotest.to_alcotest heap_qcheck;
     Alcotest.test_case "spawn runs" `Quick test_spawn_runs;
     Alcotest.test_case "wait/notify delta" `Quick test_wait_notify_delta;
-    Alcotest.test_case "timed notify" `Quick test_timed_notify;
     Alcotest.test_case "wait_for accumulates" `Quick test_wait_for_accumulates;
-    Alcotest.test_case "wait_any timeout" `Quick test_wait_any_timeout;
-    Alcotest.test_case "wait_any event first" `Quick
-      test_wait_any_event_beats_timeout;
-    Alcotest.test_case "immediate notification" `Quick
-      test_immediate_notification;
-    Alcotest.test_case "signal update semantics" `Quick
-      test_signal_update_semantics;
-    Alcotest.test_case "signal last write wins" `Quick
-      test_signal_last_write_wins;
-    Alcotest.test_case "signal no-change no-event" `Quick
-      test_signal_no_change_no_event;
+    Alcotest.test_case "wake order" `Quick test_wake_order;
     Alcotest.test_case "clock cycles" `Quick test_clock_cycles;
     Alcotest.test_case "stop from process" `Quick test_stop_from_process;
     Alcotest.test_case "resume after max_time" `Quick
