@@ -199,9 +199,10 @@ let append_campaign_record ~table members =
   output_char oc '\n';
   close_out oc
 
-(* The last committed row of [table] measured under this OCaml version:
-   cost counts are exact for a given compiler, so they gate against it
-   with no tolerance. Read before this run appends its own row. *)
+(* The last committed row of [table] measured under this OCaml version
+   and dune profile: cost counts are exact for a given compiler and
+   profile, so they gate against it with no tolerance. Read before this
+   run appends its own row. *)
 let last_row table =
   match Verif.Bench_log.load "BENCH_campaign.json" with
   | exception Sys_error _ -> None
@@ -212,9 +213,15 @@ let last_row table =
         if row.table = table
            && Verif.Bench_log.str_field row "ocaml_version"
               = Some Sys.ocaml_version
+           && Verif.Bench_log.str_field row "dune_profile"
+              = Some Build_profile.name
         then Some row
         else last)
       None rows
+
+(* names the row a count gates against *)
+let baseline_name =
+  Printf.sprintf "last OCaml %s %s row" Sys.ocaml_version Build_profile.name
 
 (* one campaign run with its trace rendered by the JSONL buffer sink *)
 let traced_campaign ~workers plan =
@@ -258,8 +265,8 @@ let sequential_allocation plan =
 let per words units = float_of_int words /. float_of_int (max 1 units)
 
 (* neither minor words per job nor per trace event may rise above the
-   last campaign row of this OCaml version; both ratios are taken from
-   the rows' exact integers *)
+   last campaign row of this OCaml version and dune profile; both ratios
+   are taken from the rows' exact integers *)
 let allocation_gate baseline alloc =
   let recorded field =
     Option.bind baseline (fun row -> Verif.Bench_log.int_field row field)
@@ -273,7 +280,7 @@ let allocation_gate baseline alloc =
     Printf.printf "  %-24s %14.2f  (gate: %s)\n" name value
       (match limit with
       | Some limit ->
-        Printf.sprintf "<= %.2f, last OCaml %s row" limit Sys.ocaml_version
+        Printf.sprintf "<= %.2f, %s" limit baseline_name
       | None -> "none, this row is the baseline");
     match limit with Some limit -> value <= limit | None -> true
   in
@@ -361,6 +368,7 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~alloc
          ("jobs", Json.int pooled.Verif.Campaign.workers);
          ("cores", Json.int cores);
          ("ocaml_version", Json.string Sys.ocaml_version);
+         ("dune_profile", Json.string Build_profile.name);
          (* the parallel-speedup expectation only holds where the pool
             could actually parallelize; single-core rows record it as
             unexpected so trajectory readers skip them, as the gate does *)
@@ -813,7 +821,7 @@ let run_simulate_bench () =
     Printf.printf "  %-28s %12d  (gate: %s)\n" field count
       (match limit with
       | Some limit ->
-        Printf.sprintf "<= %d, last OCaml %s row" limit Sys.ocaml_version
+        Printf.sprintf "<= %d, %s" limit baseline_name
       | None -> "none, this row is the baseline");
     match limit with Some limit -> count <= limit | None -> true
   in
@@ -860,6 +868,7 @@ let run_simulate_bench () =
          ("jobs", Json.int 1);
          ("cores", Json.int cores);
          ("ocaml_version", Json.string Sys.ocaml_version);
+         ("dune_profile", Json.string Build_profile.name);
          ("target_statements", Json.int target);
          ("interp_statements", Json.int interp_statements);
          ("interp_seconds", Json.float interp_seconds);
@@ -884,8 +893,9 @@ let run_simulate_bench () =
        ];
   Printf.printf "recorded in BENCH_campaign.json\n\n";
   (* the CI gate: cross-backend identity must always hold, and no exact
-     cost count may rise above the last row of this OCaml version; the
-     speedup and the ns per time unit are wall-clock and only reported *)
+     cost count may rise above the last row of this OCaml version and
+     dune profile; the speedup and the ns per time unit are wall-clock
+     and only reported *)
   verdicts_identical && jsonl_identical && words_ok && length_ok && a1_ok
   && a2_ok
 

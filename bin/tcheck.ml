@@ -134,11 +134,9 @@ let cmd_sim =
     Platform.Soc.load soc (Mcc.Codegen.compile info);
     (* the clock outlives the CPU: end the run at the cycle it stops *)
     let kernel = Platform.Soc.kernel soc in
-    Sim.Kernel.spawn kernel (fun () ->
-        while not (Platform.Soc.cpu_stopped soc) do
-          Sim.Clock.wait_posedge (Platform.Soc.clock soc)
-        done;
-        Sim.Kernel.stop kernel);
+    Sim.Kernel.spawn_method kernel
+      (Sim.Clock.posedge (Platform.Soc.clock soc))
+      (fun () -> if Platform.Soc.cpu_stopped soc then Sim.Kernel.stop kernel);
     Platform.Soc.run ~max_cycles soc;
     let cpu = Platform.Soc.cpu soc in
     (match Cpu.Cpu_core.stop_reason cpu with

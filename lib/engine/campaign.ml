@@ -94,31 +94,50 @@ let make_meters metrics =
    reassembly lock, under which the sinks run. *)
 type frontier = { next : int; seq : int }
 
-(* a finished job on its way to the frontier; its bus numbered its
-   first event [first_seq] *)
-type finished = { outcome : outcome; first_seq : int }
+(* A job's buffered events, oldest first, in fixed-size chunks: [full]
+   holds the filled chunks newest first, [last] the chunk being filled,
+   whose first [fill] slots are used. A chunk of [chunk_length] words
+   fits the minor heap, and buffering an event costs one slot instead
+   of a list cell. *)
+type chunks = {
+  mutable full : Trace.event array list;
+  mutable last : Trace.event array;
+  mutable fill : int;
+}
+
+let chunk_length = 256
+
+let add_event chunks event =
+  if chunks.fill = Array.length chunks.last then begin
+    if chunks.fill > 0 then chunks.full <- chunks.last :: chunks.full;
+    chunks.last <- Array.make chunk_length event;
+    chunks.fill <- 0
+  end;
+  chunks.last.(chunks.fill) <- event;
+  chunks.fill <- chunks.fill + 1
+
+(* a finished job on its way to the frontier: its outcome, still
+   without events, and the events its bus numbered from [first_seq] *)
+type finished = { outcome : outcome; first_seq : int; chunks : chunks }
 
 (* One job, on whatever domain runs it: a private bus, the job's
    exceptions confined to its outcome. With [buffer] (some sink reads
-   events) a listener conses every event onto a list, newest first, not
-   reversed here; without it the bus only counts. A job claimed at the
-   frontier (with one worker, every job) starts its bus at the
-   campaign-global seq, which no later emission can move before its
-   own, so [renumber] only reverses its list. A job claimed ahead of
-   the frontier numbers from 0 and is shifted at emission. *)
+   events) a listener stores every event in [chunks]; without it the
+   bus only counts. A job claimed at the frontier (with one worker,
+   every job) starts its bus at the campaign-global seq, which no later
+   emission can move before its own, so its events keep their numbers.
+   A job claimed ahead of the frontier numbers from 0 and is shifted at
+   emission. *)
 let execute ~buffer ~frontier index job =
   let first_seq =
     let { next; seq } = Atomic.get frontier in
     if next = index then seq else 0
   in
   let bus = Trace.create ~first_seq () in
-  let buffered = ref [] in
+  let chunks = { full = []; last = [||]; fill = 0 } in
   if buffer then
     Trace.attach bus
-      {
-        Trace.on_event = (fun event -> buffered := event :: !buffered);
-        on_close = ignore;
-      };
+      { Trace.on_event = add_event chunks; on_close = ignore };
   let result =
     match job.run bus with
     | result -> Ok result
@@ -126,8 +145,9 @@ let execute ~buffer ~frontier index job =
   in
   Trace.close bus;
   {
-    outcome = { index; label = job.label; result; events = !buffered };
+    outcome = { index; label = job.label; result; events = [] };
     first_seq;
+    chunks;
   }
 
 let metered_execute meters ~buffer ~frontier index job =
@@ -194,25 +214,31 @@ type reassembly = {
 
 let next reassembly = (Atomic.get reassembly.r_frontier).next
 
-(* [events] come from [execute], newest first and numbered from
-   [first_seq] on the job's bus; [seq] is the campaign-global seq the
-   oldest of them takes. Returns them oldest first with campaign-global
-   seq, and the seq after the newest. A bus that started at [seq] (a
-   job claimed at the frontier) is only reversed; any other is shifted
-   in the same pass, one copy of each event. *)
-let renumber ~seq ~first_seq events =
+(* The outcome's [events] list, built in one backward pass over the
+   chunks [execute] filled, numbered from [first_seq] on the job's bus;
+   [seq] is the campaign-global seq the oldest of them takes. Returns
+   the list, oldest first with campaign-global seq, and the seq after
+   the newest. A bus that started at [seq] (a job claimed at the
+   frontier) keeps its events as they are; any other's are shifted in
+   the same pass, one copy of each event. *)
+let renumber ~seq ~first_seq chunks =
   let shift = seq - first_seq in
-  let after =
-    match events with
-    | [] -> seq
-    | (newest : Trace.event) :: _ -> newest.seq + shift + 1
+  let rec cons_chunk chunk i events =
+    if i < 0 then events
+    else
+      let (event : Trace.event) = chunk.(i) in
+      let event =
+        if shift = 0 then event else { event with seq = event.seq + shift }
+      in
+      cons_chunk chunk (i - 1) (event :: events)
   in
-  if shift = 0 then (List.rev events, after)
-  else
-    ( List.rev_map
-        (fun (event : Trace.event) -> { event with seq = event.seq + shift })
-        events,
-      after )
+  let events =
+    List.fold_left
+      (fun events chunk -> cons_chunk chunk (chunk_length - 1) events)
+      (cons_chunk chunks.last (chunks.fill - 1) [])
+      chunks.full
+  in
+  (events, seq + (List.length chunks.full * chunk_length) + chunks.fill)
 
 (* Emission runs under the reassembly lock: sinks are called serially,
    in ascending job order, with events numbered in the campaign-global
@@ -220,19 +246,18 @@ let renumber ~seq ~first_seq events =
    trace, whatever the worker count. A raising sink is disabled for
    the rest of the run (the error resurfaces after the pool joins); the
    frontier keeps advancing so no worker is left waiting. *)
-let emit_locked reassembly meters sinks { outcome; first_seq } =
+let emit_locked reassembly meters sinks { outcome; first_seq; chunks } =
   let started =
     if meters.metered then Unix.gettimeofday () else 0.0
   in
   let events, seq =
-    renumber ~seq:(Atomic.get reassembly.r_frontier).seq ~first_seq
-      outcome.events
+    renumber ~seq:(Atomic.get reassembly.r_frontier).seq ~first_seq chunks
   in
-  let outcome = { outcome with events } in
   (if reassembly.r_sink_error = None then
-     try List.iter (fun sink -> sink.on_outcome outcome) sinks
+     let delivered = { outcome with events } in
+     try List.iter (fun sink -> sink.on_outcome delivered) sinks
      with exn -> reassembly.r_sink_error <- Some (Printexc.to_string exn));
-  reassembly.r_slots.(outcome.index) <- Some { outcome with events = [] };
+  reassembly.r_slots.(outcome.index) <- Some outcome;
   reassembly.r_emitted <- reassembly.r_emitted + 1;
   Atomic.set reassembly.r_frontier { next = outcome.index + 1; seq };
   if meters.metered then begin

@@ -141,15 +141,18 @@ val run_stream :
     buffers ([events = []]); [stream] carries the {!stream_stats}.
     Attach a sink (e.g. {!jsonl_buffer_sink}) to observe the trace.
 
-    Each job's events are numbered once where possible. A job claimed
-    while its index is the frontier (every job, with one worker) gets a
-    bus whose first event takes the campaign's current global [seq],
-    read from an immutable (next index, next seq) pair that the
-    reassembly publishes after each emission, without taking its lock;
-    at emission its buffered events are only reversed. A job claimed
-    ahead of the frontier numbers from 0 and is shifted in the same
-    pass that reverses it. When no sink has [reads_events], no job
-    attaches a listener: its bus only counts events.
+    A job buffers its events oldest first in arrays of 256, small enough
+    for the minor heap, and the outcome's [events] list is built at
+    emission in one backward pass over them. Each event is numbered
+    once where possible. A job claimed while its index is the frontier
+    (every job, with one worker) gets a bus whose first event takes the
+    campaign's current global [seq], read from an immutable (next index,
+    next seq) pair that the reassembly publishes after each emission,
+    without taking its lock; its events keep their numbers. A job
+    claimed ahead of the frontier numbers from 0 and its events are
+    shifted in the pass that builds the list. When no sink has
+    [reads_events], no job attaches a listener: its bus only counts
+    events.
 
     With a [cancel] token, {!cancel} stops the campaign at the next
     claim of each worker: the summary covers exactly the executed

@@ -6,30 +6,23 @@ type t = {
 
 let attach_at soc ~flag_address chk =
   let monitor = { chk; init_done = false; armed_cycle = None } in
-  let kernel = Soc.kernel soc in
   let clock = Soc.clock soc in
-  let body () =
-    (* handshake: wait for the ESW to set its initialization flag *)
-    let rec wait_initialized () =
-      Sim.Clock.wait_posedge clock;
-      if Soc.read_mem soc flag_address = 0 then wait_initialized ()
-    in
-    wait_initialized ();
-    monitor.init_done <- true;
-    monitor.armed_cycle <- Some (Sim.Clock.cycles clock);
-    let trace = Sctc.Checker.trace chk in
-    if Sctc.Trace.enabled trace then
-      Sctc.Trace.emit trace
-        (Sctc.Trace.Handshake_armed { source = "esw_monitor" });
-    (* monitor the temporal properties on every clock edge *)
-    let rec monitor_loop () =
-      Sctc.Checker.trigger chk;
-      Sim.Clock.wait_posedge clock;
-      monitor_loop ()
-    in
-    monitor_loop ()
+  (* every rising edge: poll the initialization flag until the software
+     sets it (the handshake), then monitor the temporal properties, from
+     the edge that saw the flag on *)
+  let on_posedge () =
+    if monitor.init_done then Sctc.Checker.trigger chk
+    else if Soc.read_mem soc flag_address <> 0 then begin
+      monitor.init_done <- true;
+      monitor.armed_cycle <- Some (Sim.Clock.cycles clock);
+      let trace = Sctc.Checker.trace chk in
+      if Sctc.Trace.enabled trace then
+        Sctc.Trace.emit trace
+          (Sctc.Trace.Handshake_armed { source = "esw_monitor" });
+      Sctc.Checker.trigger chk
+    end
   in
-  Sim.Kernel.spawn kernel body;
+  Sim.Kernel.spawn_method (Soc.kernel soc) (Sim.Clock.posedge clock) on_posedge;
   monitor
 
 let attach soc ~flag chk =

@@ -14,10 +14,12 @@
 type t
 
 val attach : Soc.t -> flag:string -> Sctc.Checker.t -> t
-(** [attach soc ~flag checker] spawns the monitor process. [flag] is the
-    name of the software's initialization global (paper: [bool flag],
-    lines 3–5 of Fig. 3). Properties and propositions must already be
-    registered with [checker]. *)
+(** [attach soc ~flag checker] registers the monitor with the SoC's
+    kernel, a method sensitive to the clock's rising edge
+    ({!Sim.Kernel.spawn_method}) that keeps its handshake state in [t].
+    [flag] is the name of the software's initialization global (paper:
+    [bool flag], lines 3–5 of Fig. 3). Properties and propositions must
+    already be registered with [checker]. *)
 
 val attach_at : Soc.t -> flag_address:int -> Sctc.Checker.t -> t
 (** Same, with an explicit memory address for the flag. *)

@@ -35,7 +35,7 @@ type t = {
 let create ?(config = default_config) () =
   let kernel = Sim.Kernel.create () in
   let clock =
-    Sim.Clock.create kernel ~name:"cpu_clk" ~period:config.clock_period ()
+    Sim.Clock.create kernel ~name:"cpu_clk" ~period:config.clock_period
   in
   let bus = Cpu.Bus.create () in
   let ram = Cpu.Ram.create ~name:"main-ram" ~base:0 ~size:0x8000 in
@@ -90,14 +90,9 @@ let create ?(config = default_config) () =
     }
   in
   (* CPU: one instruction per rising edge; flash advances every cycle *)
-  Sim.Kernel.spawn kernel (fun () ->
-      let rec cycle () =
-        Sim.Clock.wait_posedge clock;
-        Flash.tick flash_model;
-        if Cpu.Cpu_core.running core then Cpu.Cpu_core.step core;
-        cycle ()
-      in
-      cycle ());
+  Sim.Kernel.spawn_method kernel (Sim.Clock.posedge clock) (fun () ->
+      Flash.tick flash_model;
+      if Cpu.Cpu_core.running core then Cpu.Cpu_core.step core);
   soc
 
 let kernel soc = soc.kernel

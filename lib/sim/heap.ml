@@ -1,69 +1,94 @@
-type 'a entry = { key : int; seq : int; value : 'a }
-
+(* Three parallel arrays instead of an entry record per element, so that
+   neither [push] nor [pop] allocates once the arrays have grown. An
+   element is ordered by its key, then by its insertion sequence for
+   stability. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () =
+  { keys = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
 let is_empty heap = heap.size = 0
 
-(* Entry ordering: by key, then by insertion sequence for stability. *)
-let before a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let before heap i j =
+  let ki = heap.keys.(i) and kj = heap.keys.(j) in
+  ki < kj || (ki = kj && heap.seqs.(i) < heap.seqs.(j))
 
-let grow heap entry =
-  let capacity = Array.length heap.data in
+let swap heap i j =
+  let key = heap.keys.(i) and seq = heap.seqs.(i) in
+  let value = heap.values.(i) in
+  heap.keys.(i) <- heap.keys.(j);
+  heap.seqs.(i) <- heap.seqs.(j);
+  heap.values.(i) <- heap.values.(j);
+  heap.keys.(j) <- key;
+  heap.seqs.(j) <- seq;
+  heap.values.(j) <- value
+
+let grow heap value =
+  let capacity = Array.length heap.keys in
   if heap.size = capacity then begin
-    let fresh = Array.make (max 16 (2 * capacity)) entry in
-    Array.blit heap.data 0 fresh 0 heap.size;
-    heap.data <- fresh
+    let fresh = max 16 (2 * capacity) in
+    let extend array filler =
+      let bigger = Array.make fresh filler in
+      Array.blit array 0 bigger 0 heap.size;
+      bigger
+    in
+    heap.keys <- extend heap.keys 0;
+    heap.seqs <- extend heap.seqs 0;
+    heap.values <- extend heap.values value
+  end
+
+(* top level, not local closures over [heap]: without flambda those
+   would be allocated on every push and pop *)
+let rec sift_up heap i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before heap i parent then begin
+      swap heap i parent;
+      sift_up heap parent
+    end
+  end
+
+let rec sift_down heap i =
+  let left = (2 * i) + 1 and right = (2 * i) + 2 in
+  let smallest = if left < heap.size && before heap left i then left else i in
+  let smallest =
+    if right < heap.size && before heap right smallest then right
+    else smallest
+  in
+  if smallest <> i then begin
+    swap heap i smallest;
+    sift_down heap smallest
   end
 
 let push heap key value =
-  let entry = { key; seq = heap.next_seq; value } in
+  grow heap value;
+  let last = heap.size in
+  heap.keys.(last) <- key;
+  heap.seqs.(last) <- heap.next_seq;
+  heap.values.(last) <- value;
   heap.next_seq <- heap.next_seq + 1;
-  grow heap entry;
-  heap.data.(heap.size) <- entry;
-  heap.size <- heap.size + 1;
-  (* sift up *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before heap.data.(i) heap.data.(parent) then begin
-        let tmp = heap.data.(i) in
-        heap.data.(i) <- heap.data.(parent);
-        heap.data.(parent) <- tmp;
-        up parent
-      end
-    end
-  in
-  up (heap.size - 1)
+  heap.size <- last + 1;
+  sift_up heap last
 
-let min_key heap = if heap.size = 0 then None else Some heap.data.(0).key
+let min_key heap =
+  if heap.size = 0 then raise Not_found;
+  heap.keys.(0)
 
 let pop heap =
   if heap.size = 0 then raise Not_found;
-  let top = heap.data.(0) in
-  heap.size <- heap.size - 1;
-  if heap.size > 0 then begin
-    heap.data.(0) <- heap.data.(heap.size);
-    (* sift down *)
-    let rec down i =
-      let left = (2 * i) + 1 and right = (2 * i) + 2 in
-      let smallest = ref i in
-      if left < heap.size && before heap.data.(left) heap.data.(!smallest) then
-        smallest := left;
-      if right < heap.size && before heap.data.(right) heap.data.(!smallest)
-      then smallest := right;
-      if !smallest <> i then begin
-        let tmp = heap.data.(i) in
-        heap.data.(i) <- heap.data.(!smallest);
-        heap.data.(!smallest) <- tmp;
-        down !smallest
-      end
-    in
-    down 0
+  let top = heap.values.(0) in
+  let last = heap.size - 1 in
+  heap.size <- last;
+  if last > 0 then begin
+    heap.keys.(0) <- heap.keys.(last);
+    heap.seqs.(0) <- heap.seqs.(last);
+    heap.values.(0) <- heap.values.(last);
+    sift_down heap 0
   end;
-  (top.key, top.value)
+  top

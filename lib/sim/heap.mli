@@ -3,7 +3,8 @@
     Used by the simulation kernel to order timed wake-ups. Elements with
     equal keys are popped in insertion order (stable), which the kernel relies
     on so that processes due at the same time wake in the order they called
-    [Kernel.wait_for]. *)
+    [Kernel.wait_for]. Once its arrays have grown, neither {!push}, {!min_key}
+    nor {!pop} allocates. *)
 
 type 'a t
 
@@ -14,9 +15,11 @@ val is_empty : 'a t -> bool
 (** [push heap key value] inserts [value] with priority [key]. *)
 val push : 'a t -> int -> 'a -> unit
 
-(** [min_key heap] is the smallest key, or [None] when empty. *)
-val min_key : 'a t -> int option
-
-(** [pop heap] removes and returns the entry with the smallest key.
+(** [min_key heap] is the smallest key.
     @raise Not_found when the heap is empty. *)
-val pop : 'a t -> int * 'a
+val min_key : 'a t -> int
+
+(** [pop heap] removes the entry with the smallest key and returns its
+    value; {!min_key} just before gives its key.
+    @raise Not_found when the heap is empty. *)
+val pop : 'a t -> 'a

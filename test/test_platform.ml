@@ -192,7 +192,7 @@ let test_mailbox_request_response () =
       for i = 1 to 3 do
         Mailbox.post_request mailbox ~op:0 ~arg0:(i * 10) ~arg1:0;
         let rec wait_response () =
-          Sim.Clock.wait_posedge clock;
+          Sim.Kernel.wait_event (Sim.Clock.posedge clock);
           if not (Mailbox.response_ready mailbox) then wait_response ()
         in
         wait_response ();

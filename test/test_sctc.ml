@@ -240,7 +240,7 @@ let test_coverage_merge_and_reset () =
 
 let test_trigger_on_clock () =
   let kernel = Kernel.create () in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
+  let clock = Clock.create kernel ~name:"clk" ~period:10 in
   let level = ref 0 in
   let checker = Checker.create ~name:"clocked" () in
   Checker.register_sampler checker "high" (fun () -> !level > 3);
@@ -248,7 +248,7 @@ let test_trigger_on_clock () =
   Trigger.on_clock kernel clock checker;
   Kernel.spawn kernel (fun () ->
       let rec loop () =
-        Clock.wait_posedge clock;
+        Kernel.wait_event (Clock.posedge clock);
         incr level;
         loop ()
       in
@@ -257,6 +257,48 @@ let test_trigger_on_clock () =
   Alcotest.(check bool) "checker stepped once per edge" true
     (Checker.steps checker >= 9);
   check_verdict "liveness seen" Verdict.True (Checker.verdict checker "even")
+
+(* The traced path of [Trigger.on_clock]: [Handshake_armed] in the
+   trigger's first evaluation phase, then per edge a [Trigger] and the
+   checker's samples and verdict changes. A thread spawned before the
+   trigger waits on the same clock and raises the sampled level, so each
+   sample shows whether the thread or the trigger ran first on that edge.
+   Recorded from the thread-based trigger. *)
+let test_trigger_on_clock_trace () =
+  let kernel = Kernel.create () in
+  let clock = Clock.create kernel ~name:"clk" ~period:10 in
+  let trace = Trace.create () in
+  let sink, events = Trace.memory_sink () in
+  Trace.attach trace sink;
+  Trace.set_time_source trace (fun () -> Kernel.now kernel);
+  let level = ref 0 in
+  Kernel.spawn kernel (fun () ->
+      let rec loop () =
+        Kernel.wait_event (Clock.posedge clock);
+        incr level;
+        loop ()
+      in
+      loop ());
+  let checker = Checker.create ~trace ~name:"clocked" () in
+  Checker.register_sampler checker "high" (fun () -> !level > 2);
+  Checker.add_property_text checker ~name:"eventually_high" "F high";
+  Trigger.on_clock kernel clock checker;
+  Kernel.run ~max_time:40 kernel;
+  Alcotest.(check (list string)) "traced events"
+    [
+      {|{"seq":0,"tu":0,"event":"handshake_armed","source":"clk.posedge"}|};
+      {|{"seq":1,"tu":0,"event":"trigger"}|};
+      {|{"seq":2,"tu":0,"event":"sample","prop":"high","value":false}|};
+      {|{"seq":3,"tu":0,"event":"verdict_change","property":"eventually_high","verdict":"pending"}|};
+      {|{"seq":4,"tu":10,"event":"trigger"}|};
+      {|{"seq":5,"tu":10,"event":"sample","prop":"high","value":false}|};
+      {|{"seq":6,"tu":20,"event":"trigger"}|};
+      {|{"seq":7,"tu":20,"event":"sample","prop":"high","value":true}|};
+      {|{"seq":8,"tu":20,"event":"verdict_change","property":"eventually_high","verdict":"true"}|};
+      {|{"seq":9,"tu":30,"event":"trigger"}|};
+      {|{"seq":10,"tu":40,"event":"trigger"}|};
+    ]
+    (List.map Trace.event_to_json (events ()))
 
 let suite_checker =
   [
@@ -286,6 +328,7 @@ let suite_coverage =
 let suite_trigger =
   [
     Alcotest.test_case "on clock" `Quick test_trigger_on_clock;
+    Alcotest.test_case "on clock, traced" `Quick test_trigger_on_clock_trace;
   ]
 
 let () =

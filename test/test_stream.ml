@@ -371,6 +371,72 @@ let test_frontier_and_ahead_numbering () =
     "with one worker job 1 numbers from the campaign-global seq" job0
     sequential.(1)
 
+(* ---- chunk boundaries of the job buffer ----------------------------------- *)
+
+(* A job's buffered events sit in chunks of 256 (Verif.Campaign). Jobs
+   emitting every count from 0 to one past three chunks, the last one
+   crashing after a partial trace that ends mid-chunk, must give the
+   sequential reference's JSONL and errors both when every job is
+   claimed at the frontier (one worker) and when every job but the first
+   is claimed ahead of it (two workers: job 0 is held until every other
+   job has finished, with a window wide enough that no deposit waits). *)
+let chunk = 256
+
+let crash_count = (2 * chunk) + 100
+
+let counting_jobs ~latch =
+  let counts = List.init ((3 * chunk) + 2) Fun.id @ [ crash_count ] in
+  let others_done = Atomic.make 0 in
+  let others = List.length counts - 1 in
+  List.mapi
+    (fun index count ->
+      Campaign.job ~label:(Printf.sprintf "count-%d-%d" index count)
+        (fun trace ->
+          if latch && index = 0 then begin
+            let fuel = ref 2_000_000_000 in
+            while Atomic.get others_done < others && !fuel > 0 do
+              decr fuel;
+              Domain.cpu_relax ()
+            done
+          end;
+          for case = 0 to count - 1 do
+            Trace.emit trace
+              (Trace.Test_case_begin { index = case; op = "count" })
+          done;
+          if index > 0 then Atomic.incr others_done;
+          if index = others then failwith "crashed mid-chunk";
+          {
+            Verif.Result.backend = "counter";
+            properties = [];
+            triggers = 0;
+            time_units = 0;
+            vt_seconds = 0.0;
+            synthesis_seconds = 0.0;
+            test_cases = None;
+            timeouts = 0;
+            coverage = None;
+            trace_events = Trace.events trace;
+          }))
+    counts
+
+let test_chunk_boundaries () =
+  let expected = reference (counting_jobs ~latch:false) in
+  List.iter
+    (fun (workers, latch) ->
+      let buffer = Buffer.create 65536 in
+      let jobs = counting_jobs ~latch in
+      let summary =
+        Campaign.run_stream ~workers ~window:(List.length jobs)
+          ~sinks:[ Campaign.jsonl_buffer_sink buffer ]
+          jobs
+      in
+      let name = Printf.sprintf "%d worker(s)" workers in
+      Alcotest.(check (list (pair string string))) (name ^ ": errors")
+        expected.ref_errors (Campaign.errors summary);
+      Alcotest.(check bool) (name ^ ": JSONL == sequential reference") true
+        (String.equal expected.ref_jsonl (Buffer.contents buffer)))
+    [ (1, false); (2, true) ]
+
 (* ---- sinks that read no events ------------------------------------------- *)
 
 (* a campaign whose sinks read no events runs every job on a bus with no
@@ -836,6 +902,8 @@ let () =
             test_frontier_and_ahead_numbering;
           Alcotest.test_case "sinks that read no events" `Quick
             test_event_free_sinks;
+          Alcotest.test_case "chunk boundaries at and ahead of the frontier"
+            `Quick test_chunk_boundaries;
         ] );
       ( "containment",
         [
