@@ -210,7 +210,7 @@ let compile_plan checker =
 (* explicit registration explores the domain's table to its fixpoint and
    charges the exploration this call did, an aborted one included; a table
    another registration completed costs (and reports) nothing *)
-let explore checker ?max_states automaton =
+let explore checker automaton =
   let before = Ar_automaton.build_seconds automaton in
   let charge () =
     let spent = Ar_automaton.build_seconds automaton -. before in
@@ -220,9 +220,9 @@ let explore checker ?max_states automaton =
     end
   in
   Fun.protect ~finally:charge (fun () ->
-      Ar_automaton.explore ?max_states automaton)
+      Ar_automaton.explore automaton)
 
-let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
+let add_property ?(engine = Engine.default) checker ~name formula =
   if
     Array.exists
       (fun p -> String.equal p.prop_name name)
@@ -232,7 +232,7 @@ let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
   let automaton = Ar_automaton.shared formula in
   (match (engine : Engine.t) with
   | Otf -> ()
-  | Explicit -> explore checker ?max_states automaton);
+  | Explicit -> explore checker automaton);
   let monitor = Monitor.of_automaton ~name automaton in
   checker.properties <-
     Array.append checker.properties
@@ -249,12 +249,12 @@ let add_property ?(engine = Engine.default) ?max_states checker ~name formula =
       |];
   checker.plan_stale <- true
 
-let add_property_text ?engine ?max_states ?syntax checker ~name text =
+let add_property_text ?engine ?syntax checker ~name text =
   let formula =
     Registry.Timer.time checker.meters.m_parse (fun () ->
         Prop.parse_exn ?syntax text)
   in
-  add_property ?engine ?max_states checker ~name formula
+  add_property ?engine checker ~name formula
 
 (* ------------------------------------------------------------------ *)
 (* The trigger hot path                                                *)

@@ -68,24 +68,22 @@ val proposition_names : t -> string list
 
 (** {2 Properties} *)
 
-val add_property :
-  ?engine:engine -> ?max_states:int -> t -> name:string -> Formula.t -> unit
+val add_property : ?engine:engine -> t -> name:string -> Formula.t -> unit
 (** [engine] defaults to {!Engine.default} ([Otf]). Under [Explicit] the
-    table is explored at registration, capped at [max_states] states
-    (default 200000, {!Ar_automaton.explore}); the time that exploration
-    took is added to {!synthesis_seconds}, also when it stops with
-    [Too_large], and nothing is added when an earlier registration on
-    this domain already completed the table. [Otf] ignores [max_states].
+    table is explored at registration, capped at 200000 states
+    ({!Ar_automaton.explore}); the time that exploration took is added
+    to {!synthesis_seconds}, also when it stops with [Too_large], and
+    nothing is added when an earlier registration on this domain already
+    completed the table.
     @raise Invalid_argument if a proposition in the formula's support is
     not registered, if the property name is already used, if the support
     has more than [Sys.int_size] propositions, or if [Explicit] is asked
     to explore over more than 16 propositions.
     @raise Ar_automaton.Too_large if [Explicit] exploration exceeds
-    [max_states]. *)
+    200000 states. *)
 
 val add_property_text :
   ?engine:engine ->
-  ?max_states:int ->
   ?syntax:Prop.syntax ->
   t ->
   name:string ->

@@ -224,7 +224,7 @@ let run ?bound session =
         Sim.Kernel.run ~max_time:(Sim.Kernel.now m.kernel + budget) m.kernel);
   check_crash session
 
-let boot ?(attempts = 50) session =
+let boot session =
   match session.runtime with
   | Soc s -> (
     match s.monitor with
@@ -236,7 +236,7 @@ let boot ?(attempts = 50) session =
           go (n - 1)
         end
       in
-      go attempts;
+      go 50;
       if not (Platform.Esw_monitor.initialized monitor) then
         failwith
           (Printf.sprintf "Verif.Session.boot(%s): software never initialized"

@@ -128,10 +128,10 @@ val crashed : t -> string option
 
 (** {2 Driving} *)
 
-val boot : ?attempts:int -> t -> unit
+val boot : t -> unit
 (** Bring the backend up: with an ESW monitor, run until the handshake
-    completes (at most [attempts] * 200 cycles, default 50 attempts,
-    [failwith] on failure); derived model: run one initialization chunk;
+    completes (at most 50 attempts of 200 cycles, [failwith] on
+    failure); derived model: run one initialization chunk;
     SoC without a monitor: no-op. *)
 
 val advance : t -> unit

@@ -3,7 +3,6 @@ module Ast = Minic.Ast
 type derived = {
   model_program : Ast.program;
   model_info : Minic.Typecheck.info;
-  class_name : string;
   member_vars : (string * Ast.typ) list;
   member_funcs : string list;
   converted_accesses : int;
@@ -48,7 +47,7 @@ let count_mem_accesses program =
   Ast.iter_stmts_program stmt program;
   !count
 
-let derive ?(class_name = "ESW_SC") info =
+let derive info =
   let program = Minic.Typecheck.program info in
   (* ensure the fname tracking member exists *)
   let has_fname = Ast.find_global program "fname" <> None in
@@ -82,7 +81,6 @@ let derive ?(class_name = "ESW_SC") info =
   {
     model_program;
     model_info;
-    class_name;
     member_vars =
       List.filter_map
         (fun (g : Ast.global) ->
@@ -98,10 +96,13 @@ let typ_cpp = function
   | Ast.Tvoid -> "void"
   | Ast.Tarray n -> Printf.sprintf "sc_int<32> /* [%d] */" n
 
+(* the module class every derived model renders as *)
+let class_name = "ESW_SC"
+
 let to_systemc derived =
   let buffer = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
-  line "SC_MODULE(%s) {" derived.class_name;
+  line "SC_MODULE(%s) {" class_name;
   line "  sc_event esw_pc_event;           // notified after every statement";
   line "  VirtualMemModel vmem;            // direct memory accesses go here";
   line "";
@@ -119,7 +120,7 @@ let to_systemc derived =
       else line "  void %s();" func)
     derived.member_funcs;
   line "";
-  line "  SC_CTOR(%s) : vmem(\"vmem\") {" derived.class_name;
+  line "  SC_CTOR(%s) : vmem(\"vmem\") {" class_name;
   line "    SC_THREAD(main);";
   line "  }";
   line "};";

@@ -25,12 +25,11 @@
 type derived = {
   model_program : Minic.Ast.program;  (** fname-instrumented program *)
   model_info : Minic.Typecheck.info;  (** re-checked *)
-  class_name : string;
   member_vars : (string * Minic.Ast.typ) list;
   member_funcs : string list;
   converted_accesses : int;  (** direct memory access sites mapped to VM *)
 }
 
-val derive : ?class_name:string -> Minic.Typecheck.info -> derived
+val derive : Minic.Typecheck.info -> derived
 
 val to_systemc : derived -> string

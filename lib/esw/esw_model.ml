@@ -7,12 +7,16 @@ type outcome_state =
 type t = {
   kernel : Sim.Kernel.t;
   derived : C2sc.derived;
-  vm : Vmem.t;
   exec : Minic.Exec.t;
   pc_ev : Sim.Kernel.event;
   mutable state : outcome_state;
   mutable stmt_count : int;
+  mutable delay : int; (* time units the statement just begun takes *)
 }
+
+(* what the statement hook performs: the software suspends until its
+   timed process resumes it [delay] time units later *)
+type _ Effect.t += Statement : unit Effect.t
 
 let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
     ?(backend = Minic.Exec.Vm) derived ~vmem =
@@ -24,11 +28,11 @@ let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
     {
       kernel;
       derived;
-      vm = vmem;
       exec;
       pc_ev;
       state = Not_started;
       stmt_count = 0;
+      delay = 1;
     }
   in
   Minic.Exec.set_hooks exec
@@ -47,37 +51,50 @@ let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
              statement count (and therefore the property time base under
              [statements]-driven bounds) is unaffected *)
           let extra = match jitter with None -> 0 | Some draw -> draw () in
-          Sim.Kernel.wait_for kernel (1 + max 0 extra));
+          model.delay <- 1 + max 0 extra;
+          Effect.perform Statement);
       on_function_entry = (fun _ -> ());
     };
   model
 
 let derived model = model.derived
 let pc_event model = model.pc_ev
-let vmem model = model.vm
 let statements model = model.stmt_count
 let read_member model name = Minic.Exec.read_global model.exec name
 let outcome model = model.state
-let exec model = model.exec
-let hooks model = Minic.Exec.hooks model.exec
 
 let start ?(fuel = 50_000_000) model ~entry =
   if model.state <> Not_started then
     invalid_arg "Esw_model.start: already started";
   model.state <- Running;
-  let final_sample () =
-    (* the pc event fires before each statement, so emit one final
-       notification to expose the state after the last statement *)
-    Sim.Kernel.notify model.pc_ev;
-    Sim.Kernel.wait_for model.kernel 1
-  in
   let body () =
-    (match Minic.Exec.run ~fuel model.exec ~entry with
+    match Minic.Exec.run ~fuel model.exec ~entry with
     | result -> model.state <- Done result
     | exception
         ((Minic.Exec.Assertion_failed _ | Minic.Exec.Assumption_failed _
          | Minic.Exec.Runtime_error _) as exn) ->
-      model.state <- Crashed exn);
-    final_sample ()
+      model.state <- Crashed exn
   in
-  Sim.Kernel.spawn model.kernel body
+  (* the coroutine: the rest of the software, and the handler that parks
+     it at each statement, both allocated once *)
+  let resume = ref (Effect.Shallow.fiber body) in
+  let suspend = Some (fun k -> resume := k; model.delay) in
+  let handler =
+    {
+      Effect.Shallow.retc =
+        (fun () ->
+          (* the pc event fires before each statement, so emit one final
+             notification to expose the state after the last statement *)
+          Sim.Kernel.notify model.pc_ev;
+          1);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Shallow.continuation -> int) option ->
+          match eff with Statement -> suspend | _ -> None);
+    }
+  in
+  Sim.Kernel.spawn_timed model.kernel (fun () ->
+      match model.state with
+      | Running -> Effect.Shallow.continue_with !resume () handler
+      | Not_started | Done _ | Crashed _ -> 0)

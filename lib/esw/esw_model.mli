@@ -1,12 +1,13 @@
 (** Executor for the derived software model (approach 2).
 
-    The derived model runs as a simulation thread ([SC_THREAD]); after
+    The derived model's software runs as a coroutine of its model,
+    resumed by a timed kernel process ({!Sim.Kernel.spawn_timed}): before
     every executed statement it notifies [esw_pc_event] and suspends for
     one time unit, making simulation time equal the statement count — the
-    paper's program-counter timing reference. The temporal checker attaches
-    to [pc_event]; time bounds in properties are therefore counted in
-    statements, not clock cycles, which is why the same property needs far
-    smaller bounds than under approach 1.
+    paper's program-counter timing reference. The temporal checker
+    attaches to [pc_event]; time bounds in properties are therefore
+    counted in statements, not clock cycles, which is why the same
+    property needs far smaller bounds than under approach 1.
 
     The model's memory operations are bound to a {!Vmem}; [nondet] draws
     from a deterministic stimulus stream; flash-style devices that need a
@@ -44,7 +45,7 @@ val create :
 val derived : t -> C2sc.derived
 
 val pc_event : t -> Sim.Kernel.event
-val vmem : t -> Vmem.t
+
 val statements : t -> int
 (** Statements executed so far (= simulation time units consumed). *)
 
@@ -54,11 +55,10 @@ val read_member : t -> string -> int
 val outcome : t -> outcome_state
 
 val start : ?fuel:int -> t -> entry:string -> unit
-(** Spawn the model thread; default fuel 50 million statements. The
-    process body catches software-level exceptions into [Crashed]. *)
-
-val exec : t -> Minic.Exec.t
-(** The underlying execution backend (advanced use: drivers calling
-    individual operations, backend introspection). *)
-
-val hooks : t -> Minic.Exec.hooks
+(** Spawn the model's process; default fuel 50 million statements. The
+    software's first statement runs in the next evaluation phase of
+    {!Sim.Kernel.run}. When it returns, or crashes with an assertion or
+    assumption failure or a runtime error (caught into [Crashed]), the
+    model notifies [pc_event] once more, to expose the final state, and
+    its process ends one time unit later. Any other exception escapes
+    {!Sim.Kernel.run} and ends the process. *)

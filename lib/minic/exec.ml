@@ -60,7 +60,6 @@ let create ?(backend = Vm) info =
   { info; impl; hooks = Interp.default_hooks () }
 
 let set_hooks t hooks = t.hooks <- hooks
-let hooks t = t.hooks
 
 let reset t =
   match t.impl with

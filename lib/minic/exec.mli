@@ -52,8 +52,6 @@ val create : ?backend:kind -> Typecheck.info -> t
 val set_hooks : t -> hooks -> unit
 (** Register the hooks used by {!run}/{!call} when none are passed. *)
 
-val hooks : t -> hooks
-
 val reset : t -> unit
 (** Back to the freshly created state: globals reinitialized, statement
     count zeroed. *)

@@ -1,14 +1,14 @@
 (** Free-running clock generator. Approach 1 of the paper uses the
     microprocessor clock as the timing reference of the temporal checker;
-    this module provides that clock, a periodic kernel method that
-    notifies [posedge] and counts cycles. *)
+    this module provides that clock, a timed kernel process that notifies
+    [posedge] and counts cycles. *)
 
 type t
 
 (** [create kernel ~name ~period] registers the clock with the kernel
-    ({!Kernel.spawn_periodic}): it notifies [posedge] every [period] time
+    ({!Kernel.spawn_timed}): it notifies [posedge] every [period] time
     units, the first time in the first delta cycles of the simulation.
-    Wait for an edge with [Kernel.wait_event (posedge clock)].
+    Run on every edge with [Kernel.spawn_method kernel (posedge clock)].
     @raise Invalid_argument unless [period >= 1]. *)
 val create : Kernel.t -> name:string -> period:int -> t
 

@@ -2,9 +2,9 @@
 
     Used by the simulation kernel to order timed wake-ups. Elements with
     equal keys are popped in insertion order (stable), which the kernel relies
-    on so that processes due at the same time wake in the order they called
-    [Kernel.wait_for]. Once its arrays have grown, neither {!push}, {!min_key}
-    nor {!pop} allocates. *)
+    on so that timed processes due at the same time run in the order of the
+    runs that scheduled them. Once its arrays have grown, neither {!push},
+    {!min_key} nor {!pop} allocates. *)
 
 type 'a t
 

@@ -8,29 +8,27 @@
     only this: approach 1 steps the checker on a clock edge, approach 2 on
     the derived model's program-counter event.
 
-    A process is a thread or a method. A thread ([SC_THREAD]) is a
-    cooperative thread built on OCaml 5 effect handlers; [wait_event] and
-    [wait_for] suspend it like SystemC's [wait]. A method ([SC_METHOD]
-    with static sensitivity) is a callback the kernel runs to completion
-    every time its event is notified, or every period; it never
-    suspends, so it costs no continuation.
+    Every process is a callback the kernel runs to completion; none
+    suspends. A method ([SC_METHOD] with static sensitivity) runs each
+    time its event is notified. A timed process runs again after the
+    number of time units its last run returned: the clock, and the
+    derived model's software, which suspends between statements in a
+    coroutine of its own ([Esw.Esw_model]).
 
     Order contract (trace bytes depend on it):
     - runnable processes run first in, first out, spawn order first;
-    - the waiters of one event, threads and methods alike, wake in the
-      order they began waiting;
-    - events notified in one evaluation phase wake their waiters in
+    - a method begins waiting on its event in its first evaluation phase,
+      not when it is spawned, and again, at the tail, after each run; the
+      methods of one event wake in the order they began waiting;
+    - events notified in one evaluation phase wake their methods in
       [notify] order, before time advances;
-    - processes due at the same time wake in the order they called
-      [wait_for];
-    - a method takes exactly the places of its thread equivalent (see
-      {!spawn_method} and {!spawn_periodic}): it begins waiting in its
-      first evaluation phase, not when it is spawned, and begins waiting
-      again, at the tail, after each run. *)
+    - timed processes due at the same time run in the order of the runs
+      that scheduled them, all before the methods they wake. *)
 
 type t
-(** A simulation kernel instance. Kernels are independent; a process spawned
-    on one kernel must only wait on events of the same kernel. *)
+(** A simulation kernel instance. Kernels are independent; a process
+    spawned on one kernel must only be sensitive to events of the same
+    kernel. *)
 
 type event
 (** A notification channel ([sc_event] analog). *)
@@ -46,36 +44,18 @@ val event_name : event -> string
 
 (** {2 Processes} *)
 
-val spawn : t -> (unit -> unit) -> unit
-(** [spawn kernel body] registers a thread process. It starts running in
-    the next evaluation phase of {!run}. [body] may call the wait functions
-    below; when [body] returns, the process terminates. *)
-
 val spawn_method : t -> ?init:(unit -> unit) -> event -> (unit -> unit) -> unit
 (** [spawn_method kernel ~init event f] registers a method statically
-    sensitive to [event]. It behaves exactly like the thread
-    [init (); while true do wait_event event; f () done] spawned at the
-    same point: in the next evaluation phase it runs [init] (default: do
-    nothing) and joins [event]'s waiter queue; each time the event wakes
-    it, it runs [f] and rejoins the queue at the tail. [f] may call
-    {!notify} and {!stop} but not the wait functions. *)
+    sensitive to [event]. In the next evaluation phase of {!run} it runs
+    [init] (default: do nothing) and joins [event]'s waiter queue; each
+    time the event wakes it, it runs [f] and rejoins the queue at the
+    tail. *)
 
-val spawn_periodic : t -> period:int -> (unit -> unit) -> unit
-(** [spawn_periodic kernel ~period f] registers a method that runs [f]
-    in its first evaluation phase and then every [period] time units. It
-    behaves exactly like the thread
-    [while true do f (); wait_for period done].
-    @raise Invalid_argument unless [period >= 1]. *)
-
-(** {2 Waiting — must be called from inside a thread body} *)
-
-val wait_event : event -> unit
-(** Suspend until the event is notified.
-    @raise Invalid_argument outside a thread, in a method for instance. *)
-
-val wait_for : t -> int -> unit
-(** Suspend for [n] time units.
-    @raise Invalid_argument unless [n >= 1], and outside a thread. *)
+val spawn_timed : t -> (unit -> int) -> unit
+(** [spawn_timed kernel f] registers a timed process. [f] runs in the
+    next evaluation phase of {!run}, and again [n] time units after any
+    run that returned [n >= 1]; a run that returns less ends the
+    process. *)
 
 (** {2 Notification and running} *)
 
@@ -84,10 +64,10 @@ val notify : event -> unit
 
 val stop : t -> unit
 (** Stop {!run} at the end of the current evaluation phase; notifications
-    made in it are delivered when {!run} is called again. Callable from
-    inside a thread or a method. *)
+    made in it are delivered when {!run} is called again. *)
 
 val run : ?max_time:int -> t -> unit
 (** Run until no activity remains, [stop] is called, or the next timed
     wake-up lies past [max_time]. [run] may be called again afterwards to
-    resume. *)
+    resume. An exception that escapes a process ends that process and
+    the call. *)

@@ -302,33 +302,39 @@ let test_too_large () =
   | exception Ar_automaton.Too_large n ->
     Alcotest.(check bool) "count reported" true (n > 10)
 
-(* Tables are kept per (root property, domain): a second registration of
-   the same property on this domain finds the first one's entries. An
-   aborted exploration is charged and keeps what it filled, so asking
-   again under the same cap stops at once with the same count; once the
-   table is complete, a registration under either engine fills nothing
-   and charges no synthesis time. *)
+(* Tables are kept per (root property, domain): a registration of a
+   property on this domain finds the entries an earlier exploration of
+   its table filled. An aborted exploration is charged and keeps what it
+   filled, so asking again under the same cap stops at once with the same
+   count; an explicit registration explores the rest and is charged for
+   it, and once the table is complete, a registration under either engine
+   fills nothing and charges no synthesis time. *)
 let test_second_registration_fills_nothing () =
   let formula = parse "F[150] p" in
+  let table = Ar_automaton.shared formula in
   (* the outcome ([Error count] for [Too_large]), the entries filled and
-     the synthesis seconds charged to the checker *)
-  let register ?max_states engine =
-    let checker = Sctc.Checker.create ~name:"t" () in
-    Sctc.Checker.register_sampler checker "p" (fun () -> false);
-    let before = Ar_automaton.fills () in
+     the seconds charged to the table *)
+  let explore () =
+    let before = Ar_automaton.fills ()
+    and seconds = Ar_automaton.build_seconds table in
     let outcome =
-      match
-        Sctc.Checker.add_property ~engine ?max_states checker ~name:"p" formula
-      with
+      match Ar_automaton.explore ~max_states:100 table with
       | () -> Ok ()
       | exception Ar_automaton.Too_large n -> Error n
     in
     (outcome, Ar_automaton.fills () - before,
-     Sctc.Checker.synthesis_seconds checker)
+     Ar_automaton.build_seconds table -. seconds)
   in
-  let explicit = Sctc.Engine.Explicit in
+  (* the entries filled and the synthesis seconds charged to a checker *)
+  let register engine =
+    let checker = Sctc.Checker.create ~name:"t" () in
+    Sctc.Checker.register_sampler checker "p" (fun () -> false);
+    let before = Ar_automaton.fills () in
+    Sctc.Checker.add_property ~engine checker ~name:"p" formula;
+    (Ar_automaton.fills () - before, Sctc.Checker.synthesis_seconds checker)
+  in
   let first =
-    match register ~max_states:100 explicit with
+    match explore () with
     | Error count, fills, seconds ->
       Alcotest.(check bool) "the aborted exploration filled entries" true
         (fills > 0);
@@ -336,24 +342,21 @@ let test_second_registration_fills_nothing () =
       count
     | Ok (), _, _ -> Alcotest.fail "expected Too_large"
   in
-  (match register ~max_states:100 explicit with
+  (match explore () with
   | Error second, fills, _ ->
     Alcotest.(check int) "same count re-raised" first second;
     Alcotest.(check int) "re-raised without filling" 0 fills
   | Ok (), _, _ -> Alcotest.fail "expected Too_large");
-  (match register ~max_states:1000 explicit with
-  | Ok (), fills, seconds ->
-    Alcotest.(check bool) "a larger cap explores the rest" true (fills > 0);
-    Alcotest.(check bool) "and is charged" true (seconds > 0.0)
-  | Error _, _, _ -> Alcotest.fail "the larger cap holds the countdown");
+  let fills, seconds = register Sctc.Engine.Explicit in
+  Alcotest.(check bool) "an explicit registration explores the rest" true
+    (fills > 0);
+  Alcotest.(check bool) "and is charged" true (seconds > 0.0);
   List.iter
     (fun engine ->
       let label = Sctc.Engine.to_string engine in
-      match register engine with
-      | Ok (), fills, seconds ->
-        Alcotest.(check int) (label ^ " fills nothing") 0 fills;
-        Alcotest.(check (float 0.0)) (label ^ " charges nothing") 0.0 seconds
-      | Error _, _, _ -> Alcotest.fail "the complete table is under the cap")
+      let fills, seconds = register engine in
+      Alcotest.(check int) (label ^ " fills nothing") 0 fills;
+      Alcotest.(check (float 0.0)) (label ^ " charges nothing") 0.0 seconds)
     Sctc.Engine.all;
   Alcotest.(check bool) "the shared table holds the countdown" true
     (Ar_automaton.num_states (Ar_automaton.shared formula) > 150)

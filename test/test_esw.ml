@@ -1,5 +1,5 @@
 (* Integration tests for approach 2: the derived SystemC model executes as a
-   simulation thread, the program-counter event triggers the checker, and
+   coroutine of its model, the program-counter event triggers the checker, and
    direct memory accesses go through the virtual memory model (paper
    Section 3.2). Includes a cross-approach agreement test. *)
 
@@ -131,7 +131,9 @@ let test_time_is_statement_count () =
   (* 1 inserted fname assignment + 3 statements *)
   Alcotest.(check int) "statements" 4 (Esw_model.statements model);
   (* one extra time unit for the final post-execution sample *)
-  Alcotest.(check int) "simulation time = statements + 1" 5 (Kernel.now kernel)
+  Alcotest.(check int) "simulation time = statements + 1" 5 (Kernel.now kernel);
+  Kernel.run ~max_time:1000 kernel;
+  Alcotest.(check int) "the model's process has ended" 5 (Kernel.now kernel)
 
 let test_pc_event_triggers_checker () =
   let source =
@@ -206,9 +208,13 @@ let test_crash_reported () =
   let kernel, model = model_of "void main(void) { assert(false); }" in
   Esw_model.start model ~entry:"main";
   Kernel.run ~max_time:100 kernel;
-  match Esw_model.outcome model with
+  (match Esw_model.outcome model with
   | Esw_model.Crashed (Minic.Interp.Assertion_failed _) -> ()
-  | _ -> Alcotest.fail "expected assertion crash"
+  | _ -> Alcotest.fail "expected assertion crash");
+  (* the fname assignment and the assertion, then the final sample *)
+  Alcotest.(check int) "statements" 2 (Esw_model.statements model);
+  Alcotest.(check int) "ends one time unit after the crash" 3
+    (Kernel.now kernel)
 
 let test_vm_devices_from_model () =
   (* software talks to a flash controller mapped into the VM *)

@@ -187,17 +187,17 @@ let test_mailbox_request_response () =
   (* testbench driving three requests *)
   let kernel = Soc.kernel soc in
   let clock = Soc.clock soc in
-  let responses = ref [] in
-  Sim.Kernel.spawn kernel (fun () ->
-      for i = 1 to 3 do
-        Mailbox.post_request mailbox ~op:0 ~arg0:(i * 10) ~arg1:0;
-        let rec wait_response () =
-          Sim.Kernel.wait_event (Sim.Clock.posedge clock);
-          if not (Mailbox.response_ready mailbox) then wait_response ()
-        in
-        wait_response ();
-        responses := Mailbox.take_response mailbox :: !responses
-      done);
+  let responses = ref [] and posted = ref 0 in
+  let post () =
+    incr posted;
+    Mailbox.post_request mailbox ~op:0 ~arg0:(!posted * 10) ~arg1:0
+  in
+  Sim.Kernel.spawn_method kernel (Sim.Clock.posedge clock) ~init:post
+    (fun () ->
+      if Mailbox.response_ready mailbox then begin
+        responses := Mailbox.take_response mailbox :: !responses;
+        if !posted < 3 then post ()
+      end);
   Soc.run ~max_cycles:5000 soc;
   Alcotest.(check (list int)) "computed results" [ 20; 40; 60 ]
     (List.rev !responses);

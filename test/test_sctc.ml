@@ -246,13 +246,7 @@ let test_trigger_on_clock () =
   Checker.register_sampler checker "high" (fun () -> !level > 3);
   Checker.add_property_text checker ~name:"even" "F high";
   Trigger.on_clock kernel clock checker;
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        Kernel.wait_event (Clock.posedge clock);
-        incr level;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_method kernel (Clock.posedge clock) (fun () -> incr level);
   Kernel.run ~max_time:100 kernel;
   Alcotest.(check bool) "checker stepped once per edge" true
     (Checker.steps checker >= 9);
@@ -260,10 +254,11 @@ let test_trigger_on_clock () =
 
 (* The traced path of [Trigger.on_clock]: [Handshake_armed] in the
    trigger's first evaluation phase, then per edge a [Trigger] and the
-   checker's samples and verdict changes. A thread spawned before the
-   trigger waits on the same clock and raises the sampled level, so each
-   sample shows whether the thread or the trigger ran first on that edge.
-   Recorded from the thread-based trigger. *)
+   checker's samples and verdict changes. A method spawned before the
+   trigger runs on the same clock and raises the sampled level, so each
+   sample shows whether that method or the trigger ran first on that edge.
+   Recorded from the thread-based trigger with a thread in the method's
+   place. *)
 let test_trigger_on_clock_trace () =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:10 in
@@ -272,13 +267,7 @@ let test_trigger_on_clock_trace () =
   Trace.attach trace sink;
   Trace.set_time_source trace (fun () -> Kernel.now kernel);
   let level = ref 0 in
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        Kernel.wait_event (Clock.posedge clock);
-        incr level;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_method kernel (Clock.posedge clock) (fun () -> incr level);
   let checker = Checker.create ~trace ~name:"clocked" () in
   Checker.register_sampler checker "high" (fun () -> !level > 2);
   Checker.add_property_text checker ~name:"eventually_high" "F high";

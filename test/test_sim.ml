@@ -45,10 +45,17 @@ let test_spawn_runs () =
   let kernel = Kernel.create () in
   let trace = ref [] in
   let log s = trace := s :: !trace in
-  Kernel.spawn kernel (fun () -> log "a");
-  Kernel.spawn kernel (fun () -> log "b");
+  Kernel.spawn_timed kernel (fun () ->
+      log "a";
+      0);
+  Kernel.spawn_method kernel (Kernel.event kernel "ev")
+    ~init:(fun () -> log "b")
+    ignore;
+  Kernel.spawn_timed kernel (fun () ->
+      log "c";
+      0);
   Kernel.run kernel;
-  Alcotest.(check (list string)) "both ran in order" [ "a"; "b" ]
+  Alcotest.(check (list string)) "all ran in order" [ "a"; "b"; "c" ]
     (List.rev !trace)
 
 let test_wait_notify_delta () =
@@ -56,71 +63,73 @@ let test_wait_notify_delta () =
   let ev = Kernel.event kernel "ev" in
   let trace = ref [] in
   let log s = trace := s :: !trace in
-  Kernel.spawn kernel (fun () ->
-      log "wait";
-      Kernel.wait_event ev;
-      log "woken");
-  Kernel.spawn kernel (fun () ->
+  Kernel.spawn_method kernel ev
+    ~init:(fun () -> log "wait")
+    (fun () -> log "woken");
+  Kernel.spawn_timed kernel (fun () ->
       log "notify";
-      Kernel.notify ev);
+      Kernel.notify ev;
+      0);
   Kernel.run kernel;
   Alcotest.(check (list string))
     "delta notification wakes in next delta" [ "wait"; "notify"; "woken" ]
     (List.rev !trace);
   Alcotest.(check int) "no time passed" 0 (Kernel.now kernel)
 
+(* a timed process that waits each delay of [delays] in turn, then runs
+   [f] and ends *)
+let after kernel delays f =
+  let rest = ref delays in
+  Kernel.spawn_timed kernel (fun () ->
+      match !rest with
+      | [] ->
+        f ();
+        0
+      | delay :: later ->
+        rest := later;
+        delay)
+
 let test_wait_for_accumulates () =
   let kernel = Kernel.create () in
-  let times = ref [] in
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_for kernel 10;
+  let times = ref [] and delays = ref [ 10; 5; 0 ] in
+  Kernel.spawn_timed kernel (fun () ->
       times := Kernel.now kernel :: !times;
-      Kernel.wait_for kernel 5;
-      times := Kernel.now kernel :: !times);
+      let delay = List.hd !delays in
+      delays := List.tl !delays;
+      delay);
   Kernel.run kernel;
-  Alcotest.(check (list int)) "10 then 15" [ 10; 15 ] (List.rev !times);
-  List.iter
-    (fun n ->
-      Alcotest.check_raises
-        (Printf.sprintf "wait_for %d" n)
-        (Invalid_argument "Kernel.wait_for: delay must be >= 1")
-        (fun () -> Kernel.wait_for kernel n))
-    [ 0; -1 ]
+  Alcotest.(check (list int)) "0, 10 then 15" [ 0; 10; 15 ] (List.rev !times);
+  Kernel.run kernel;
+  Alcotest.(check (list int)) "then ended" [ 0; 10; 15 ] (List.rev !times);
+  Alcotest.(check int) "at 15" 15 (Kernel.now kernel)
 
-(* The order contract of [Kernel]: waiters of one event wake in the order
-   they began waiting, events notified in one delta wake in notify order,
-   every delta wake-up runs before time advances, and processes due at
-   the same time wake in the order they called [wait_for]. Spawn order
+(* The order contract of [Kernel]: methods of one event wake in the order
+   they began waiting (their first evaluation phase), events notified in
+   one delta wake in notify order, every delta wake-up runs before time
+   advances, and timed processes due at the same time run in the order
+   of the runs that scheduled them. The order of the spawn calls below
    differs from each of these orders. *)
 let test_wake_order () =
   let kernel = Kernel.create () in
   let a = Kernel.event kernel "a" and b = Kernel.event kernel "b" in
   let log = ref [] in
-  let spawn name body =
-    Kernel.spawn kernel (fun () ->
-        body ();
-        log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log)
+  let say name () =
+    log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log
   in
   (* begin waiting on [a] at t = 1, 0 and 2 *)
-  spawn "p1" (fun () ->
-      Kernel.wait_for kernel 1;
-      Kernel.wait_event a);
-  spawn "p2" (fun () -> Kernel.wait_event a);
-  spawn "p3" (fun () ->
-      Kernel.wait_for kernel 2;
-      Kernel.wait_event a);
+  after kernel [ 1 ] (fun () -> Kernel.spawn_method kernel a (say "p1"));
+  Kernel.spawn_method kernel a (say "p2");
+  after kernel [ 2 ] (fun () -> Kernel.spawn_method kernel a (say "p3"));
   (* waits after [p2] did, on the event notified first *)
-  spawn "q" (fun () -> Kernel.wait_event b);
-  spawn "notifier" (fun () ->
-      Kernel.wait_for kernel 3;
+  Kernel.spawn_method kernel b (say "q");
+  after kernel [ 3 ] (fun () ->
       Kernel.notify b;
-      Kernel.notify a);
-  spawn "s" (fun () -> Kernel.wait_for kernel 4);
-  (* both due at 10: [r1] called wait_for at t = 0, [r2] at t = 6 *)
-  spawn "r2" (fun () ->
-      Kernel.wait_for kernel 6;
-      Kernel.wait_for kernel 4);
-  spawn "r1" (fun () -> Kernel.wait_for kernel 10);
+      Kernel.notify a;
+      say "notifier" ());
+  after kernel [ 4 ] (say "s");
+  (* both due at 10: [r1] was scheduled at t = 0, [r2] at t = 6 *)
+  after kernel [ 6; 4 ] (say "r2");
+  after kernel [ 10 ] (say "r1");
   Kernel.run kernel;
   Alcotest.(check (list string))
     "wake order"
@@ -131,29 +140,22 @@ let test_clock_cycles () =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:10 in
   let count = ref 0 in
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        Kernel.wait_event (Clock.posedge clock);
-        incr count;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_method kernel (Clock.posedge clock) (fun () -> incr count);
   Kernel.run ~max_time:95 kernel;
   (* posedges at t=0,10,...,90 => 10 observed *)
   Alcotest.(check int) "ten edges observed" 10 !count;
-  Alcotest.(check int) "clock counted them" 10 (Clock.cycles clock)
+  Alcotest.(check int) "clock counted them" 10 (Clock.cycles clock);
+  match Clock.create kernel ~name:"bad" ~period:0 with
+  | _ -> Alcotest.fail "period 0 accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_stop_from_process () =
   let kernel = Kernel.create () in
   let steps = ref 0 in
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        incr steps;
-        if !steps = 5 then Kernel.stop kernel;
-        Kernel.wait_for kernel 1;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_timed kernel (fun () ->
+      incr steps;
+      if !steps = 5 then Kernel.stop kernel;
+      1);
   Kernel.run kernel;
   Alcotest.(check int) "stopped after the fifth step" 5 !steps;
   Alcotest.(check int) "at the end of that evaluation phase" 4
@@ -162,123 +164,104 @@ let test_stop_from_process () =
 let test_resume_after_max_time () =
   let kernel = Kernel.create () in
   let ticks = ref 0 in
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        incr ticks;
-        Kernel.wait_for kernel 10;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_timed kernel (fun () ->
+      incr ticks;
+      10);
   Kernel.run ~max_time:35 kernel;
   let first = !ticks in
   Kernel.run ~max_time:75 kernel;
   Alcotest.(check bool) "made progress on resume" true (!ticks > first)
 
-(* --- methods: the order contract of [spawn_method] and [spawn_periodic] --- *)
+(* --- methods: the order contract of [spawn_method] among timed processes --- *)
 
-(* A method and threads on one event wake in the order they (re)joined
-   its queue: [t1] joined before the method and [t2] after it; at t = 1
-   the method rejoins at once and [t2] after it, while [t1] rejoins a
-   time unit later, behind both. *)
+(* Timed processes due at one time all run before the methods they wake,
+   whatever the spawn order, and a method spawned by a timed process joins
+   in that evaluation phase, behind the methods already waiting: [m1] is
+   spawned first but runs after [t] and [u] at 0 and 10, and [m2], spawned
+   by [t] at 10, still wakes on [t]'s notification at 10. *)
 let test_method_wake_order () =
   let kernel = Kernel.create () in
   let ev = Kernel.event kernel "ev" in
   let log = ref [] in
-  let say name =
+  let say name () =
     log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log
   in
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_event ev;
-      say "t1";
-      Kernel.wait_for kernel 1;
-      Kernel.wait_event ev;
-      say "t1");
-  Kernel.spawn_method kernel ev (fun () -> say "m");
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_event ev;
-      say "t2";
-      Kernel.wait_event ev;
-      say "t2");
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_for kernel 1;
+  Kernel.spawn_method kernel ev (say "m1");
+  Kernel.spawn_timed kernel (fun () ->
+      say "t" ();
       Kernel.notify ev;
-      Kernel.wait_for kernel 2;
-      Kernel.notify ev);
+      if Kernel.now kernel = 0 then 10
+      else begin
+        Kernel.spawn_method kernel ev (say "m2");
+        0
+      end);
+  Kernel.spawn_timed kernel (fun () ->
+      say "u" ();
+      if Kernel.now kernel = 0 then 10 else 0);
   Kernel.run kernel;
   Alcotest.(check (list string))
-    "wake order" [ "t1@1"; "m@1"; "t2@1"; "m@3"; "t2@3"; "t1@3" ]
+    "wake order"
+    [ "t@0"; "u@0"; "m1@0"; "t@10"; "u@10"; "m1@10"; "m2@10" ]
     (List.rev !log)
 
-(* A method spawned by a running thread joins the queue in its own first
-   evaluation phase, after the thread, which began waiting in the phase
-   that spawned the method. *)
+(* A method spawned by a running process joins the queue in its own
+   first evaluation phase, not at the spawn: [m] is spawned before [w]
+   is first evaluated, yet joins after it. *)
 let test_method_joins_when_evaluated () =
   let kernel = Kernel.create () in
   let ev = Kernel.event kernel "ev" in
   let log = ref [] in
-  let say name =
+  let say name () =
     log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log
   in
-  Kernel.spawn kernel (fun () ->
-      Kernel.spawn_method kernel ev
-        ~init:(fun () -> say "m joins")
-        (fun () -> say "m");
-      say "t waits";
-      Kernel.wait_event ev;
-      say "t");
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_for kernel 1;
-      Kernel.notify ev);
+  Kernel.spawn_timed kernel (fun () ->
+      say "m spawned" ();
+      Kernel.spawn_method kernel ev ~init:(say "m joins") (say "m");
+      0);
+  Kernel.spawn_method kernel ev ~init:(say "w joins") (say "w");
+  after kernel [ 1 ] (fun () -> Kernel.notify ev);
   Kernel.run kernel;
   Alcotest.(check (list string))
-    "joined after the thread" [ "t waits@0"; "m joins@0"; "t@1"; "m@1" ]
+    "joined after the method evaluated first"
+    [ "m spawned@0"; "w joins@0"; "m joins@0"; "w@1"; "m@1" ]
     (List.rev !log)
 
-(* A periodic method fires in its first evaluation phase and then every
-   period; at a time several processes are due they wake in the order of
-   their [wait_for] calls, the periodic method's taken where its thread
-   equivalent would call it: [t1]'s call at 0 precedes [p]'s, [t2]'s at
-   7 follows it, and at 30 [q]'s call at 15 precedes [p]'s at 20. *)
+(* A timed process returning its period runs in its first evaluation
+   phase and then every period; at a time several processes are due they
+   run in the order of the runs that scheduled them: [t1]'s run at 0
+   precedes [p]'s, [t2]'s at 7 follows it, and at 30 [q]'s run at 15
+   precedes [p]'s at 20. *)
 let test_periodic_order () =
   let kernel = Kernel.create () in
   let log = ref [] in
   let say name =
     log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log
   in
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_for kernel 10;
-      say "t1");
-  Kernel.spawn_periodic kernel ~period:10 (fun () -> say "p");
-  Kernel.spawn_periodic kernel ~period:15 (fun () -> say "q");
-  Kernel.spawn kernel (fun () ->
-      Kernel.wait_for kernel 7;
-      Kernel.wait_for kernel 3;
-      say "t2");
+  after kernel [ 10 ] (fun () -> say "t1");
+  Kernel.spawn_timed kernel (fun () ->
+      say "p";
+      10);
+  Kernel.spawn_timed kernel (fun () ->
+      say "q";
+      15);
+  after kernel [ 7; 3 ] (fun () -> say "t2");
   Kernel.run ~max_time:35 kernel;
   Alcotest.(check (list string))
     "fires at once, then every period"
     [ "p@0"; "q@0"; "t1@10"; "p@10"; "t2@10"; "q@15"; "p@20"; "q@30"; "p@30" ]
-    (List.rev !log);
-  match Kernel.spawn_periodic kernel ~period:0 ignore with
-  | () -> Alcotest.fail "period 0 accepted"
-  | exception Invalid_argument _ -> ()
+    (List.rev !log)
 
-(* [stop] from a method ends the run at the end of the evaluation phase,
-   as from a thread: the thread due in the same phase still runs, and
-   the run resumes where it stopped. *)
+(* [stop] from a method ends the run at the end of the evaluation phase:
+   the method woken behind it still runs, and the run resumes where it
+   stopped. *)
 let test_stop_from_method () =
   let kernel = Kernel.create () in
+  let clock = Clock.create kernel ~name:"clk" ~period:1 in
   let ticks = ref 0 and steps = ref 0 in
-  Kernel.spawn_periodic kernel ~period:1 (fun () ->
+  Kernel.spawn_method kernel (Clock.posedge clock) (fun () ->
       incr ticks;
       if !ticks = 5 then Kernel.stop kernel);
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        incr steps;
-        Kernel.wait_for kernel 1;
-        loop ()
-      in
-      loop ());
+  Kernel.spawn_method kernel (Clock.posedge clock) (fun () -> incr steps);
   Kernel.run kernel;
   Alcotest.(check (list int)) "stopped after the fifth tick, phase complete"
     [ 5; 5; 4 ]
@@ -287,55 +270,24 @@ let test_stop_from_method () =
   Alcotest.(check (list int)) "resumed" [ 7; 7; 6 ]
     [ !ticks; !steps; Kernel.now kernel ]
 
-(* a method never suspends: a wait function called from one is rejected
-   with [Invalid_argument], not left to escape as [Effect.Unhandled] *)
-let test_method_cannot_wait () =
-  let attempts =
-    [
-      ("wait_event", fun _ ev -> Kernel.wait_event ev);
-      ("wait_for", fun kernel _ -> Kernel.wait_for kernel 1);
-    ]
-  in
-  List.iter
-    (fun (name, wait) ->
-      let kernel = Kernel.create () in
-      let ev = Kernel.event kernel "ev" in
-      Kernel.spawn_method kernel ev (fun () -> wait kernel ev);
-      Kernel.spawn kernel (fun () -> Kernel.notify ev);
-      Alcotest.check_raises name
-        (Invalid_argument
-           (Printf.sprintf "Kernel.%s: only a thread process can wait" name))
-        (fun () -> Kernel.run kernel);
-      let kernel = Kernel.create () in
-      Kernel.spawn_periodic kernel ~period:1 (fun () ->
-          wait kernel (Kernel.event kernel "ev"));
-      Alcotest.check_raises (name ^ ", periodic")
-        (Invalid_argument
-           (Printf.sprintf "Kernel.%s: only a thread process can wait" name))
-        (fun () -> Kernel.run kernel))
-    attempts
-
 let test_producer_consumer () =
-  (* Two processes rendezvous through events; checks multi-process
+  (* Two methods rendezvous through events; checks multi-process
      interleaving over many iterations. *)
   let kernel = Kernel.create () in
   let request = Kernel.event kernel "request" in
   let response = Kernel.event kernel "response" in
-  let served = ref 0 in
-  Kernel.spawn kernel (fun () ->
-      let rec loop () =
-        Kernel.wait_event request;
-        incr served;
-        Kernel.notify response;
-        loop ()
-      in
-      loop ());
-  Kernel.spawn kernel (fun () ->
-      for _ = 1 to 100 do
-        Kernel.notify request;
-        Kernel.wait_event response
-      done;
-      Kernel.stop kernel);
+  let served = ref 0 and asked = ref 0 in
+  let ask () =
+    if !asked = 100 then Kernel.stop kernel
+    else begin
+      incr asked;
+      Kernel.notify request
+    end
+  in
+  Kernel.spawn_method kernel request (fun () ->
+      incr served;
+      Kernel.notify response);
+  Kernel.spawn_method kernel response ~init:ask ask;
   Kernel.run kernel;
   Alcotest.(check int) "served all requests" 100 !served
 
@@ -358,12 +310,12 @@ let suite =
 
 let methods =
   [
-    Alcotest.test_case "wake order with threads" `Quick test_method_wake_order;
+    Alcotest.test_case "wake order with timed processes" `Quick
+      test_method_wake_order;
     Alcotest.test_case "joins when first evaluated" `Quick
       test_method_joins_when_evaluated;
     Alcotest.test_case "periodic order" `Quick test_periodic_order;
     Alcotest.test_case "stop from a method" `Quick test_stop_from_method;
-    Alcotest.test_case "a method cannot wait" `Quick test_method_cannot_wait;
   ]
 
 let () = Alcotest.run "sim" [ ("kernel", suite); ("methods", methods) ]
