@@ -178,11 +178,15 @@ let run_fig8 () =
 (* Parallel campaign: sequential vs pooled, recorded as a trajectory   *)
 
 (* stamp bench rows with the source revision, so BENCH_campaign.json
-   rows remain attributable as the trajectory grows *)
+   rows remain attributable as the trajectory grows; "-dirty" marks a
+   tree with uncommitted changes, whose row measures code no commit
+   holds yet *)
 let git_rev =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic =
+         Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+       in
        let line = try String.trim (input_line ic) with End_of_file -> "" in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line

@@ -108,40 +108,51 @@ let default_plan =
   }
 
 (* per-(approach, op) metric handles, resolved on the calling domain so
-   job closures carry ready handles into the pool *)
+   job closures carry ready handles into the pool; a disabled registry
+   records nothing, so its jobs skip the lookups *)
 let job_meters plan ~approach ~op =
   let metrics = plan.metrics in
-  let labels =
-    [ ("approach", string_of_int approach); ("op", Eee_spec.op_name op) ]
-  in
-  let metered = Registry.enabled metrics in
-  let cases =
-    Registry.counter metrics "eee_cases_total" ~labels
-      ~help:"completed constrained-random test cases"
-  and timeouts =
-    Registry.counter metrics "eee_timeouts_total" ~labels
-      ~help:"watchdog hits during campaign jobs"
-  and triggers =
-    Registry.counter metrics "eee_triggers_total" ~labels
-      ~help:"checker triggers consumed by campaign jobs"
-  and vt =
-    Registry.timer metrics "eee_vt_seconds" ~labels
-      ~help:"per-job verification time (paper column V.T.)"
-  in
-  fun (result : Verif.Result.t) ->
-    if metered then begin
+  if not (Registry.enabled metrics) then Fun.id
+  else
+    let labels =
+      [ ("approach", string_of_int approach); ("op", Eee_spec.op_name op) ]
+    in
+    let cases =
+      Registry.counter metrics "eee_cases_total" ~labels
+        ~help:"completed constrained-random test cases"
+    and timeouts =
+      Registry.counter metrics "eee_timeouts_total" ~labels
+        ~help:"watchdog hits during campaign jobs"
+    and triggers =
+      Registry.counter metrics "eee_triggers_total" ~labels
+        ~help:"checker triggers consumed by campaign jobs"
+    and vt =
+      Registry.timer metrics "eee_vt_seconds" ~labels
+        ~help:"per-job verification time (paper column V.T.)"
+    in
+    fun (result : Verif.Result.t) ->
       Registry.Counter.add cases (Verif.Result.completed_cases result);
       Registry.Counter.add timeouts result.Verif.Result.timeouts;
       Registry.Counter.add triggers result.Verif.Result.triggers;
-      Registry.Timer.observe vt result.Verif.Result.vt_seconds
-    end;
-    result
+      Registry.Timer.observe vt result.Verif.Result.vt_seconds;
+      result
 
-(* the common job body: a fresh booted session from an explicit seed,
-   the operation's spec installed, one constrained-random campaign *)
-let plan_job plan ~approach ~op ~label ~session_seed ~driver_seed =
+(* per-job stimulus: two ints off stream [index] of the campaign seed —
+   identical for every worker count (see Prng) *)
+let job_seeds plan ~index =
+  let stream = Stimuli.Prng.of_seed_index ~seed:plan.seed ~index in
+  let session_seed = Stimuli.Prng.bits stream in
+  let driver_seed = Stimuli.Prng.bits stream in
+  (session_seed, driver_seed)
+
+(* the common job body: a fresh booted session seeded from the job
+   index, the operation's spec installed, one constrained-random
+   campaign; the seeds are drawn when the job runs, not when the job
+   list is built *)
+let plan_job plan ~approach ~op ~label ~index =
   let record = job_meters plan ~approach ~op in
   Verif.Campaign.job ~label (fun trace ->
+      let session_seed, driver_seed = job_seeds plan ~index in
       let session =
         match approach with
         | 1 ->
@@ -167,14 +178,6 @@ let plan_job plan ~approach ~op ~label ~session_seed ~driver_seed =
       in
       record (Driver.run_campaign session config op))
 
-(* per-job stimulus: two ints off stream [index] of the campaign seed —
-   identical for every worker count (see Prng) *)
-let job_seeds plan ~index =
-  let stream = Stimuli.Prng.of_seed_index ~seed:plan.seed ~index in
-  let session_seed = Stimuli.Prng.bits stream in
-  let driver_seed = Stimuli.Prng.bits stream in
-  (session_seed, driver_seed)
-
 (* the memoized program forms are lazy: force them here, on the calling
    domain, so campaign workers never race to force them *)
 let force_programs approaches =
@@ -187,21 +190,22 @@ let campaign_jobs plan =
     (fun approach -> List.map (fun op -> (approach, op)) plan.ops)
     plan.approaches
   |> List.mapi (fun index (approach, op) ->
-         let session_seed, driver_seed = job_seeds plan ~index in
          let label =
            Printf.sprintf "a%d/%s" approach (Eee_spec.op_name op)
          in
-         plan_job plan ~approach ~op ~label ~session_seed ~driver_seed)
+         plan_job plan ~approach ~op ~label ~index)
 
 (* --- statistical model checking samples ---------------------------------- *)
 
+(* one job list holds thousands of samples, so the label is concatenated:
+   the bytes of ["a%d/%s/#%d"] at a fraction of [Printf]'s cost *)
 let smc_sample_job plan ~approach ~op ~index =
   force_programs [ approach ];
-  let session_seed, driver_seed = job_seeds plan ~index in
   let label =
-    Printf.sprintf "a%d/%s/#%d" approach (Eee_spec.op_name op) index
+    "a" ^ string_of_int approach ^ "/" ^ Eee_spec.op_name op ^ "/#"
+    ^ string_of_int index
   in
-  plan_job plan ~approach ~op ~label ~session_seed ~driver_seed
+  plan_job plan ~approach ~op ~label ~index
 
 let smc_succeeded ?prop (outcome : Verif.Campaign.outcome) =
   match outcome.Verif.Campaign.result with

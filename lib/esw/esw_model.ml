@@ -9,32 +9,17 @@ type t = {
   derived : C2sc.derived;
   exec : Minic.Exec.t;
   pc_ev : Sim.Kernel.event;
+  on_tick : unit -> unit;
+  jitter : (unit -> int) option;
   mutable state : outcome_state;
   mutable stmt_count : int;
-  mutable delay : int; (* time units the statement just begun takes *)
 }
-
-(* what the statement hook performs: the software suspends until its
-   timed process resumes it [delay] time units later *)
-type _ Effect.t += Statement : unit Effect.t
 
 let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
     ?(backend = Minic.Exec.Vm) derived ~vmem =
-  let pc_ev = Sim.Kernel.event kernel "esw_pc_event" in
   let exec = Minic.Exec.create ~backend derived.C2sc.model_info in
   let prng = Stimuli.Prng.create ~seed in
   let stimulus = Stimuli.Prng.split prng "stimulus" in
-  let model =
-    {
-      kernel;
-      derived;
-      exec;
-      pc_ev;
-      state = Not_started;
-      stmt_count = 0;
-      delay = 1;
-    }
-  in
   Minic.Exec.set_hooks exec
     {
       Minic.Exec.mem_read = (fun addr -> Vmem.read vmem addr);
@@ -42,59 +27,58 @@ let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
       nondet =
         (fun ~lo ~hi ->
           lo + (Stimuli.Prng.bits stimulus land 0xFFFFF) mod (hi - lo + 1));
-      on_statement =
-        (fun _stmt ->
-          model.stmt_count <- model.stmt_count + 1;
-          on_tick ();
-          Sim.Kernel.notify pc_ev;
-          (* timing jitter stretches the statement's simulated duration;
-             statement count (and therefore the property time base under
-             [statements]-driven bounds) is unaffected *)
-          let extra = match jitter with None -> 0 | Some draw -> draw () in
-          model.delay <- 1 + max 0 extra;
-          Effect.perform Statement);
+      on_statement = (fun _ -> ());
       on_function_entry = (fun _ -> ());
     };
-  model
+  {
+    kernel;
+    derived;
+    exec;
+    pc_ev = Sim.Kernel.event kernel "esw_pc_event";
+    on_tick;
+    jitter;
+    state = Not_started;
+    stmt_count = 0;
+  }
 
 let derived model = model.derived
 let pc_event model = model.pc_ev
 let statements model = model.stmt_count
 let read_member model name = Minic.Exec.read_global model.exec name
+let member_reader model name = Minic.Exec.global_reader model.exec name
 let outcome model = model.state
+
+(* the software has ended: one final notification exposes the state
+   after its last statement, since the pc event fires before each *)
+let finish model state =
+  model.state <- state;
+  Sim.Kernel.notify model.pc_ev;
+  1
+
+(* one run of the model's timed process: the statement that began at
+   the last tick executes, up to the next tick *)
+let advance model =
+  match Minic.Exec.step model.exec with
+  | Minic.Exec.Ticked ->
+    model.stmt_count <- model.stmt_count + 1;
+    model.on_tick ();
+    Sim.Kernel.notify model.pc_ev;
+    (* timing jitter stretches the statement's simulated duration;
+       statement count (and therefore the property time base under
+       [statements]-driven bounds) is unaffected *)
+    (match model.jitter with None -> 1 | Some draw -> 1 + max 0 (draw ()))
+  | Minic.Exec.Ended result -> finish model (Done result)
+  | exception
+      ((Minic.Exec.Assertion_failed _ | Minic.Exec.Assumption_failed _
+       | Minic.Exec.Runtime_error _) as exn) ->
+    finish model (Crashed exn)
 
 let start ?(fuel = 50_000_000) model ~entry =
   if model.state <> Not_started then
     invalid_arg "Esw_model.start: already started";
+  Minic.Exec.start ~fuel model.exec ~entry;
   model.state <- Running;
-  let body () =
-    match Minic.Exec.run ~fuel model.exec ~entry with
-    | result -> model.state <- Done result
-    | exception
-        ((Minic.Exec.Assertion_failed _ | Minic.Exec.Assumption_failed _
-         | Minic.Exec.Runtime_error _) as exn) ->
-      model.state <- Crashed exn
-  in
-  (* the coroutine: the rest of the software, and the handler that parks
-     it at each statement, both allocated once *)
-  let resume = ref (Effect.Shallow.fiber body) in
-  let suspend = Some (fun k -> resume := k; model.delay) in
-  let handler =
-    {
-      Effect.Shallow.retc =
-        (fun () ->
-          (* the pc event fires before each statement, so emit one final
-             notification to expose the state after the last statement *)
-          Sim.Kernel.notify model.pc_ev;
-          1);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Shallow.continuation -> int) option ->
-          match eff with Statement -> suspend | _ -> None);
-    }
-  in
   Sim.Kernel.spawn_timed model.kernel (fun () ->
       match model.state with
-      | Running -> Effect.Shallow.continue_with !resume () handler
+      | Running -> advance model
       | Not_started | Done _ | Crashed _ -> 0)

@@ -1,9 +1,10 @@
 (** Executor for the derived software model (approach 2).
 
-    The derived model's software runs as a coroutine of its model,
-    resumed by a timed kernel process ({!Sim.Kernel.spawn_timed}): before
-    every executed statement it notifies [esw_pc_event] and suspends for
-    one time unit, making simulation time equal the statement count — the
+    The derived model's software runs in a timed kernel process
+    ({!Sim.Kernel.spawn_timed}) that steps its VM ({!Minic.Exec.step}):
+    each run executes the statement begun at the last tick up to the
+    next tick, notifies [esw_pc_event] and asks to run again one time
+    unit later, making simulation time equal the statement count — the
     paper's program-counter timing reference. The temporal checker
     attaches to [pc_event]; time bounds in properties are therefore
     counted in statements, not clock cycles, which is why the same
@@ -50,13 +51,19 @@ val statements : t -> int
 (** Statements executed so far (= simulation time units consumed). *)
 
 val read_member : t -> string -> int
-(** Observe a class member (global variable) of the running model. *)
+(** Observe a class member (global variable) of the running model.
+    @raise Invalid_argument for unknown or array members. *)
+
+val member_reader : t -> string -> unit -> int
+(** {!read_member} with the member found once, for a value sampled on
+    every trigger.
+    @raise Invalid_argument for unknown or array members, at once. *)
 
 val outcome : t -> outcome_state
 
 val start : ?fuel:int -> t -> entry:string -> unit
 (** Spawn the model's process; default fuel 50 million statements. The
-    software's first statement runs in the next evaluation phase of
+    software's first statement begins in the next evaluation phase of
     {!Sim.Kernel.run}. When it returns, or crashes with an assertion or
     assumption failure or a runtime error (caught into [Crashed]), the
     model notifies [pc_event] once more, to expose the final state, and

@@ -2,7 +2,10 @@
 
     Unlike {!Platform.Mem_prop}, these read the model's class members
     directly — there is no processor memory; the checker and the model
-    share the simulation. *)
+    share the simulation. As [Mem_prop] resolves addresses, each
+    proposition finds its member's slot once, when it is built
+    ({!Esw_model.member_reader}), and raises [Invalid_argument] then for
+    an unknown or array member. *)
 
 val var_value : Esw_model.t -> string -> int
 

@@ -208,9 +208,12 @@ let complete flash =
 (* Bit decay: with [decay_prob] per tick, one of the 16 low bits of a
    random programmed cell relaxes back toward the erased (all-ones)
    state — silent retention loss, no fault status, the software only
-   sees it when it reads the corrupted word back. *)
+   sees it when it reads the corrupted word back. The rate is tested
+   before [chance], which draws nothing for it either: passing the float
+   boxes it, and this runs every time unit. *)
 let decay flash =
-  if Stimuli.Prng.chance flash.decay_prng flash.fault_cfg.decay_prob then begin
+  let p = flash.fault_cfg.decay_prob in
+  if p > 0.0 && Stimuli.Prng.chance flash.decay_prng p then begin
     let addr =
       Stimuli.Prng.int_range flash.decay_prng ~lo:0
         ~hi:(Array.length flash.cells - 1)

@@ -29,7 +29,9 @@ type instr =
   | Jump of int
   | Jump_if_false of int  (** pop; jump when zero *)
   | Jump_if_true of int  (** pop; jump when non-zero *)
-  | Call of int  (** function table index; pops the arguments *)
+  | Call of int * int
+      (** function table index, position index for the call-depth error;
+          pops the arguments *)
   | Ret  (** pop the return value, leave the function *)
   | Pop
   | Tick of int
@@ -133,7 +135,7 @@ let pp_instr prog fmt instr =
   | Jump target -> Format.fprintf fmt "jmp %d" target
   | Jump_if_false target -> Format.fprintf fmt "jz %d" target
   | Jump_if_true target -> Format.fprintf fmt "jnz %d" target
-  | Call f -> Format.fprintf fmt "call %d ; %s" f prog.funcs.(f).fn_name
+  | Call (f, _) -> Format.fprintf fmt "call %d ; %s" f prog.funcs.(f).fn_name
   | Ret -> Format.fprintf fmt "ret"
   | Pop -> Format.fprintf fmt "pop"
   | Tick i ->

@@ -30,7 +30,9 @@ type instr =
   | Jump of int
   | Jump_if_false of int  (** pop; jump when zero *)
   | Jump_if_true of int  (** pop; jump when non-zero *)
-  | Call of int  (** function table index; pops the arguments *)
+  | Call of int * int
+      (** function table index, position index for the call-depth error;
+          pops the arguments *)
   | Ret  (** pop the return value, leave the function *)
   | Pop
   | Tick of int

@@ -92,7 +92,7 @@ let depth_delta state = function
   | Bytecode.Jump _ | Bytecode.Tick _ | Bytecode.Obs_entry _
   | Bytecode.Obs_mem_read | Bytecode.Halt_op ->
     0
-  | Bytecode.Call f -> 1 - state.func_nparams.(f)
+  | Bytecode.Call (f, _) -> 1 - state.func_nparams.(f)
 
 let emit state fstate instr =
   let buf = state.buf in
@@ -225,7 +225,10 @@ let rec compile_expr state fstate (e : Ast.expr) =
   | Ast.Call (name, args) -> (
     List.iter (compile_expr state fstate) args;
     match Hashtbl.find_opt state.func_of_name name with
-    | Some index -> ignore (emit state fstate (Bytecode.Call index))
+    | Some index ->
+      ignore
+        (emit state fstate
+           (Bytecode.Call (index, position_index state e.Ast.epos)))
     | None -> invalid_arg ("Compile: unknown function " ^ name))
   | Ast.Nondet (lo, hi) ->
     compile_expr state fstate lo;

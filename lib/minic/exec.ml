@@ -3,9 +3,9 @@
    Everything outside [lib/minic] runs programs through this module:
    the verification session's reference backend, the derived
    SystemC-like model and the EEE harness all create an [Exec.t] and
-   use the same reset/run/read/hook surface. The bytecode VM runs every
-   typechecked program; the tree-walking interpreter stays reachable as
-   the oracle the differential tests compare it against. *)
+   use the same reset/run/step/read/hook surface. The bytecode VM runs
+   every typechecked program; the tree-walking interpreter stays
+   reachable as the oracle the differential tests compare it against. *)
 
 type kind = Interp | Vm
 
@@ -25,13 +25,24 @@ type hooks = Interp.hooks = {
 exception Assertion_failed = Interp.Assertion_failed
 exception Assumption_failed = Interp.Assumption_failed
 exception Runtime_error = Interp.Runtime_error
-exception Out_of_fuel = Interp.Out_of_fuel
 
 let default_hooks = Interp.default_hooks
 
-type impl = I of Interp.env | V of Vm.t
+type progress = Vm.progress = Ticked | Ended of outcome
 
-type t = { info : Typecheck.info; mutable impl : impl; mutable hooks : hooks }
+(* The interpreter recurses on the OCaml stack, so it can stop between
+   statements only as a coroutine: its statement hook performs [Tick],
+   and [step] parks the rest of the run in [rest]. *)
+type _ Effect.t += Tick : unit Effect.t
+
+type impl =
+  | I of {
+      mutable env : Interp.env;
+      mutable rest : (unit, outcome) Effect.Shallow.continuation option;
+    }
+  | V of Vm.t
+
+type t = { info : Typecheck.info; impl : impl; mutable hooks : hooks }
 
 let to_string = function Interp -> "interp" | Vm -> "vm"
 
@@ -54,7 +65,7 @@ let vm_program info =
 let create ?(backend = Vm) info =
   let impl =
     match backend with
-    | Interp -> I (Interp.create info)
+    | Interp -> I { env = Interp.create info; rest = None }
     | Vm -> V (Vm.create (vm_program info))
   in
   { info; impl; hooks = Interp.default_hooks () }
@@ -64,41 +75,89 @@ let set_hooks t hooks = t.hooks <- hooks
 let reset t =
   match t.impl with
   | V vm -> Vm.reset vm
-  | I _ -> t.impl <- I (Interp.create t.info)
+  | I i ->
+    i.env <- Interp.create t.info;
+    i.rest <- None
 
 let run ?fuel ?hooks t ~entry =
   let hooks = match hooks with Some h -> h | None -> t.hooks in
   match t.impl with
-  | I env -> Interp.run ?fuel env hooks ~entry
+  | I i ->
+    i.rest <- None;
+    Interp.run ?fuel i.env hooks ~entry
   | V vm -> Vm.run ?fuel vm hooks ~entry
 
-let call ?hooks t ~fuel name args =
-  let hooks = match hooks with Some h -> h | None -> t.hooks in
+let start ~fuel t ~entry =
+  let hooks = t.hooks in
   match t.impl with
-  | I env -> Interp.call env hooks ~fuel name args
-  | V vm -> Vm.call vm hooks ~fuel name args
+  | V vm -> Vm.start ~fuel vm hooks ~entry
+  | I i ->
+    let hooks =
+      {
+        hooks with
+        on_statement =
+          (fun stmt ->
+            hooks.on_statement stmt;
+            Effect.perform Tick);
+      }
+    in
+    let env = i.env in
+    i.rest <-
+      Some (Effect.Shallow.fiber (fun () -> Interp.run ~fuel env hooks ~entry))
+
+let step t =
+  match t.impl with
+  | V vm -> Vm.step vm
+  | I i -> (
+    match i.rest with
+    | None -> invalid_arg "Exec.step: no run is paused"
+    | Some rest ->
+      i.rest <- None;
+      Effect.Shallow.continue_with rest ()
+        {
+          Effect.Shallow.retc = (fun outcome -> Ended outcome);
+          exnc = raise;
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, outcome) Effect.Shallow.continuation -> progress) option ->
+              match eff with
+              | Tick ->
+                Some
+                  (fun k ->
+                    i.rest <- Some k;
+                    Ticked)
+              | _ -> None);
+        })
 
 let read_global t name =
   match t.impl with
-  | I env -> Interp.read_global env name
+  | I i -> Interp.read_global i.env name
   | V vm -> Vm.read_global vm name
+
+let global_reader t name =
+  match t.impl with
+  | V vm -> Vm.global_reader vm name
+  | I i ->
+    ignore (Interp.read_global i.env name);
+    (* [reset] replaces the interpreter's environment *)
+    fun () -> read_global t name
 
 let write_global t name value =
   match t.impl with
-  | I env -> Interp.write_global env name value
+  | I i -> Interp.write_global i.env name value
   | V vm -> Vm.write_global vm name value
 
 let read_element t name index =
   match t.impl with
-  | I env -> Interp.read_element env name index
+  | I i -> Interp.read_element i.env name index
   | V vm -> Vm.read_element vm name index
 
 let globals_snapshot t =
   match t.impl with
-  | I env -> Interp.globals_snapshot env
+  | I i -> Interp.globals_snapshot i.env
   | V vm -> Vm.globals_snapshot vm
 
 let statements_executed t =
   match t.impl with
-  | I env -> Interp.statements_executed env
+  | I i -> Interp.statements_executed i.env
   | V vm -> Vm.statements_executed vm

@@ -5,6 +5,8 @@ exception Assumption_failed of Ast.position
 exception Runtime_error of string * Ast.position
 exception Out_of_fuel
 
+let max_call_depth = 10_000
+
 (* control-flow signals *)
 exception Break_signal
 exception Continue_signal
@@ -40,6 +42,7 @@ type env = {
   funcs : (string, Ast.func) Hashtbl.t;
   mutable stmt_count : int;
   mutable current_fuel : int ref;
+  mutable depth : int;  (* active calls *)
 }
 
 (* local frames: stack of scopes, each a name -> ref table *)
@@ -91,7 +94,7 @@ let rec eval env hooks frame (e : Ast.expr) : int =
     with Value.Division_by_zero -> fail pos "division by zero")
   | Ast.Call (name, arg_exprs) -> (
     let args = List.map (eval env hooks frame) arg_exprs in
-    match call_function env hooks name args with
+    match call_function env hooks pos name args with
     | Some value -> value
     | None -> fail pos "void function %s used as value" name)
   | Ast.Nondet (lo_expr, hi_expr) ->
@@ -145,7 +148,7 @@ and exec env hooks frame fuel (s : Ast.stmt) =
     match e.Ast.edesc with
     | Ast.Call (name, arg_exprs) ->
       let args = List.map (eval env hooks frame) arg_exprs in
-      ignore (call_function env hooks name args)
+      ignore (call_function env hooks e.Ast.epos name args)
     | _ -> ignore (eval env hooks frame e))
   | Ast.Assign (lhs, value_expr) ->
     let value = eval env hooks frame value_expr in
@@ -233,25 +236,35 @@ and run_cases env hooks frame fuel tail =
 and exec_list env hooks frame fuel body =
   List.iter (exec env hooks frame fuel) body
 
-and call_function env hooks name args =
+(* [pos] is the call's, for the call-depth error. Any exception but
+   [Return_signal] ends the whole run, so the depth is only restored on
+   a return. *)
+and call_function env hooks pos name args =
   match Hashtbl.find_opt env.funcs name with
   | None -> raise (Runtime_error ("unknown function " ^ name, Ast.dummy_pos))
   | Some func ->
+    if env.depth >= max_call_depth then
+      fail pos "call depth exceeds %d" max_call_depth;
+    env.depth <- env.depth + 1;
     let scope = Hashtbl.create 8 in
     List.iter2
       (fun (param, _typ) value -> Hashtbl.replace scope param (ref value))
       func.Ast.f_params args;
     hooks.on_function_entry name;
     let fuel = env.current_fuel in
-    (try
-       exec_list env hooks [ scope ] fuel func.Ast.f_body;
-       (* fell off the end *)
-       match func.Ast.f_ret with Ast.Tvoid -> None | _ -> Some 0
-     with Return_signal value -> (
-       match func.Ast.f_ret, value with
-       | Ast.Tvoid, _ -> None
-       | _, Some v -> Some v
-       | _, None -> Some 0))
+    let result =
+      try
+        exec_list env hooks [ scope ] fuel func.Ast.f_body;
+        (* fell off the end *)
+        match func.Ast.f_ret with Ast.Tvoid -> None | _ -> Some 0
+      with Return_signal value -> (
+        match func.Ast.f_ret, value with
+        | Ast.Tvoid, _ -> None
+        | _, Some v -> Some v
+        | _, None -> Some 0)
+    in
+    env.depth <- env.depth - 1;
+    result
 
 let create info =
   let prog = Typecheck.program info in
@@ -260,7 +273,15 @@ let create info =
   let funcs : (string, Ast.func) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace funcs f.Ast.f_name f) prog.Ast.funcs;
   let env =
-    { info; globals; consts; funcs; stmt_count = 0; current_fuel = ref 0 }
+    {
+      info;
+      globals;
+      consts;
+      funcs;
+      stmt_count = 0;
+      current_fuel = ref 0;
+      depth = 0;
+    }
   in
   (* initializers may reference previously initialized globals *)
   let hooks = default_hooks () in
@@ -317,18 +338,15 @@ let globals_snapshot env =
 
 let statements_executed env = env.stmt_count
 
-let call env hooks ~fuel name args =
-  env.current_fuel <- fuel;
-  call_function env hooks name args
-
 let run ?(fuel = 10_000_000) env hooks ~entry =
   (match Hashtbl.find_opt env.funcs entry with
   | None -> invalid_arg ("Interp.run: no function " ^ entry)
   | Some f ->
     if f.Ast.f_params <> [] then
       invalid_arg ("Interp.run: entry function takes parameters: " ^ entry));
-  let fuel_ref = ref fuel in
-  match call env hooks ~fuel:fuel_ref entry [] with
+  env.current_fuel <- ref fuel;
+  env.depth <- 0;
+  match call_function env hooks Ast.dummy_pos entry [] with
   | value -> Finished value
   | exception Halt_signal -> Halted
   | exception Out_of_fuel -> Fuel_exhausted

@@ -21,9 +21,11 @@ exception Assertion_failed of Ast.position
 exception Assumption_failed of Ast.position
 exception Runtime_error of string * Ast.position
 
-exception Out_of_fuel
-(** Raised by {!call} when the fuel budget runs out; {!run} converts it to
-    the [Fuel_exhausted] outcome. *)
+val max_call_depth : int
+(** The most calls active at once, the entry function's included, on
+    this interpreter and on {!Vm}. A call beyond it raises
+    {!Runtime_error} ["call depth exceeds <max_call_depth>"] at the
+    call's position, before its function-entry hook. *)
 
 type hooks = {
   mem_read : int -> int;
@@ -58,9 +60,3 @@ val run : ?fuel:int -> env -> hooks -> entry:string -> outcome
 (** Call the entry function (default fuel: 10 million statements).
     @raise Invalid_argument if [entry] does not exist or takes parameters.
     @raise Assertion_failed, Runtime_error as encountered. *)
-
-val call : env -> hooks -> fuel:int ref -> string -> int list -> int option
-(** Invoke one function with argument values (used by drivers to issue
-    individual operations against a resident program state). Returns the
-    return value, [None] for void. May raise {!Out_of_fuel},
-    {!Assertion_failed}, {!Assumption_failed} or {!Runtime_error}. *)

@@ -12,8 +12,14 @@
     suspends. A method ([SC_METHOD] with static sensitivity) runs each
     time its event is notified. A timed process runs again after the
     number of time units its last run returned: the clock, and the
-    derived model's software, which suspends between statements in a
-    coroutine of its own ([Esw.Esw_model]).
+    derived model's software, whose every run steps its VM through one
+    statement ([Esw.Esw_model]).
+
+    The runnable queue and each event's waiter queue are intrusive: a
+    process waits in at most one of them at a time, linked through a
+    field of its own, and an event notified again before its waiters
+    wake is queued once. So no scheduling step allocates once the
+    kernel's arrays have grown.
 
     Order contract (trace bytes depend on it):
     - runnable processes run first in, first out, spawn order first;

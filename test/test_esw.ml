@@ -1,7 +1,7 @@
-(* Integration tests for approach 2: the derived SystemC model executes as a
-   coroutine of its model, the program-counter event triggers the checker, and
-   direct memory accesses go through the virtual memory model (paper
-   Section 3.2). Includes a cross-approach agreement test. *)
+(* Integration tests for approach 2: the derived SystemC model executes one
+   statement per run of its timed process, the program-counter event triggers
+   the checker, and direct memory accesses go through the virtual memory
+   model (paper Section 3.2). Includes a cross-approach agreement test. *)
 
 module C2sc = Esw.C2sc
 module Vmem = Esw.Vmem
@@ -204,6 +204,23 @@ let test_in_function_proposition () =
   check_verdict "helper entry observed" Verdict.True
     (Checker.verdict checker "enters_helper")
 
+(* a proposition finds its member when it is built: an unknown or array
+   member is refused there, with the message a read of it gives *)
+let test_members_resolved_when_built () =
+  let _, model = model_of "int n; int arr[2]; void main(void) { n = 1; }" in
+  let refused what build =
+    match build () with
+    | (_ : Proposition.t) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "unknown member" "Vm.read_global: unknown nosuch"
+    (refused "unknown" (fun () -> Esw_prop.var_eq model "nosuch" 1));
+  Alcotest.(check string) "array member" "Vm.read_global: array arr"
+    (refused "array" (fun () ->
+         Esw_prop.var_pred model ~prop_name:"p" "arr" (fun v -> v > 0)));
+  let at1 = Esw_prop.var_eq model ~prop_name:"at1" "n" 1 in
+  Alcotest.(check bool) "a known member samples" false (Proposition.is_true at1)
+
 let test_crash_reported () =
   let kernel, model = model_of "void main(void) { assert(false); }" in
   Esw_model.start model ~entry:"main";
@@ -375,6 +392,8 @@ let suite_model =
     Alcotest.test_case "in_function proposition" `Quick
       test_in_function_proposition;
     Alcotest.test_case "crash reported" `Quick test_crash_reported;
+    Alcotest.test_case "members resolved when built" `Quick
+      test_members_resolved_when_built;
     Alcotest.test_case "VM devices" `Quick test_vm_devices_from_model;
   ]
 

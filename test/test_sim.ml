@@ -136,6 +136,30 @@ let test_wake_order () =
     [ "notifier@3"; "q@3"; "p2@3"; "p1@3"; "p3@3"; "s@4"; "r1@10"; "r2@10" ]
     (List.rev !log)
 
+(* An event notified again in the same evaluation phase, after another
+   event, is queued once: each method wakes once, in the order of the
+   first notifications, and a later phase notifies it afresh. *)
+let test_notify_twice () =
+  let kernel = Kernel.create () in
+  let a = Kernel.event kernel "a" and b = Kernel.event kernel "b" in
+  let log = ref [] in
+  let say name () =
+    log := Printf.sprintf "%s@%d" name (Kernel.now kernel) :: !log
+  in
+  Kernel.spawn_method kernel b (say "b1");
+  Kernel.spawn_method kernel a (say "a1");
+  Kernel.spawn_method kernel a (say "a2");
+  after kernel [ 1 ] (fun () ->
+      Kernel.notify a;
+      Kernel.notify b;
+      Kernel.notify a);
+  after kernel [ 2 ] (fun () -> Kernel.notify a);
+  Kernel.run kernel;
+  Alcotest.(check (list string))
+    "each method once, first-notification order"
+    [ "a1@1"; "a2@1"; "b1@1"; "a1@2"; "a2@2" ]
+    (List.rev !log)
+
 let test_clock_cycles () =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:10 in
@@ -300,6 +324,7 @@ let suite =
     Alcotest.test_case "wait/notify delta" `Quick test_wait_notify_delta;
     Alcotest.test_case "wait_for accumulates" `Quick test_wait_for_accumulates;
     Alcotest.test_case "wake order" `Quick test_wake_order;
+    Alcotest.test_case "notified twice in one phase" `Quick test_notify_twice;
     Alcotest.test_case "clock cycles" `Quick test_clock_cycles;
     Alcotest.test_case "stop from process" `Quick test_stop_from_process;
     Alcotest.test_case "resume after max_time" `Quick

@@ -74,27 +74,62 @@ let outcome_repr = function
   | Exec.Halted -> "halted"
   | Exec.Fuel_exhausted -> "fuel exhausted"
 
+(* the outcome of [f ()], or the crash it raised *)
+let ending f =
+  match f () with
+  | outcome -> outcome_repr outcome
+  | exception Exec.Assertion_failed p ->
+    Printf.sprintf "assert@%d:%d" p.Ast.line p.Ast.column
+  | exception Exec.Assumption_failed p ->
+    Printf.sprintf "assume@%d:%d" p.Ast.line p.Ast.column
+  | exception Exec.Runtime_error (msg, p) ->
+    Printf.sprintf "error %s@%d:%d" msg p.Ast.line p.Ast.column
+
+let globals_repr exec =
+  String.concat ","
+    (List.map
+       (fun (n, v) -> Printf.sprintf "%s=%d" n v)
+       (Exec.globals_snapshot exec))
+
+let result_repr exec outcome observations =
+  Printf.sprintf "%s | stmts=%d | %s | %s" outcome
+    (Exec.statements_executed exec)
+    (globals_repr exec) observations
+
 let run_backend ?(fuel = 20_000) backend info =
   let exec = Exec.create ~backend info in
   let buf = Buffer.create 256 in
   let hooks = recording_hooks buf in
-  let outcome =
-    match Exec.run ~fuel ~hooks exec ~entry:"main" with
-    | outcome -> outcome_repr outcome
-    | exception Exec.Assertion_failed p ->
-      Printf.sprintf "assert@%d:%d" p.Ast.line p.Ast.column
-    | exception Exec.Assumption_failed p ->
-      Printf.sprintf "assume@%d:%d" p.Ast.line p.Ast.column
-    | exception Exec.Runtime_error (msg, p) ->
-      Printf.sprintf "error %s@%d:%d" msg p.Ast.line p.Ast.column
+  let outcome = ending (fun () -> Exec.run ~fuel ~hooks exec ~entry:"main") in
+  result_repr exec outcome (Buffer.contents buf)
+
+(* The same run, one [Exec.step] at a time. Returns the transcript (each
+   step's observations and the globals after it, then the outcome or
+   crash) and the whole run in [run_backend]'s form. *)
+let step_backend ~fuel backend info =
+  let exec = Exec.create ~backend info in
+  let buf = Buffer.create 256 in
+  Exec.set_hooks exec (recording_hooks buf);
+  Exec.start ~fuel exec ~entry:"main";
+  let transcript = Buffer.create 1024 and observations = Buffer.create 256 in
+  let take () =
+    Buffer.add_buffer transcript buf;
+    Buffer.add_buffer observations buf;
+    Buffer.clear buf
   in
-  Printf.sprintf "%s | stmts=%d | %s | %s" outcome
-    (Exec.statements_executed exec)
-    (String.concat ","
-       (List.map
-          (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-          (Exec.globals_snapshot exec)))
-    (Buffer.contents buf)
+  let rec go () =
+    match Exec.step exec with
+    | Exec.Ticked ->
+      take ();
+      Printf.bprintf transcript " | %s\n" (globals_repr exec);
+      go ()
+    | Exec.Ended outcome -> outcome
+  in
+  let outcome = ending go in
+  take ();
+  Buffer.add_string transcript outcome;
+  ( Buffer.contents transcript,
+    result_repr exec outcome (Buffer.contents observations) )
 
 (* ---- generator --------------------------------------------------------- *)
 
@@ -493,6 +528,30 @@ let qcheck_vm_equals_interp =
       | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info -> vm_matches_interp info)
 
+(* Stepping: both backends stop after the same ticks with the same
+   globals and end alike, and stepping a run to its end observes exactly
+   what [Exec.run] does. The fuel is lower than [run_backend]'s because
+   every step takes a snapshot. *)
+let qcheck_step_equals_interp =
+  QCheck.Test.make ~name:"stepped vm == stepped interp == run" ~count:500
+    arbitrary_program (fun program ->
+      match Loc.catch (fun () -> Minic.Typecheck.check program) with
+      | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
+      | Ok info ->
+        let fuel = 2_000 in
+        let interp, interp_run = step_backend ~fuel Exec.Interp info in
+        let vm, vm_run = step_backend ~fuel Exec.Vm info in
+        (String.equal interp vm
+        || QCheck.Test.fail_reportf "stepped interp:\n%s\nstepped vm:\n%s" interp
+             vm)
+        && List.for_all
+             (fun (backend, stepped) ->
+               let ran = run_backend ~fuel backend info in
+               String.equal stepped ran
+               || QCheck.Test.fail_reportf "%s stepped: %s\nran:     %s"
+                    (Exec.to_string backend) stepped ran)
+             [ (Exec.Interp, interp_run); (Exec.Vm, vm_run) ])
+
 (* ---- typecheck / compile oracle ---------------------------------------- *)
 
 (* The one node a planted shape makes illegal carries this position;
@@ -842,6 +901,33 @@ let test_error_parity () =
     "int g;\nint main(void) {\n  while (1) { g = g + 1; }\n  return g;\n}\n"
     ~expect_contains:[ "fuel exhausted | stmts=500" ]
 
+(* unbounded recursion ends at the call that would make
+   [Interp.max_call_depth] + 1 calls active (the entry's counted), with
+   the same error on both backends, from a call in an expression and
+   from a call statement *)
+let test_call_depth () =
+  let error =
+    Printf.sprintf "error call depth exceeds %d" Minic.Interp.max_call_depth
+  in
+  check_run "recursive call in an expression" ~fuel:100_000
+    "int g;\n\
+     int f(int n) {\n\
+    \  g = n;\n\
+    \  return f(n + 1);\n\
+     }\n\
+     int main(void) { return f(0); }\n"
+    ~expect_contains:
+      [ error ^ "@4:10";
+        Printf.sprintf "g=%d" (Minic.Interp.max_call_depth - 2) ];
+  check_run "recursive call statement" ~fuel:100_000
+    "int g;\n\
+     void h(int n) {\n\
+    \  g = n;\n\
+    \  h(n + 1);\n\
+     }\n\
+     int main(void) { h(0); return g; }\n"
+    ~expect_contains:[ error ^ "@4:3" ]
+
 (* control-flow corners that the compiler lowers specially: switch
    fallthrough/default dispatch, do-while, short-circuit operators *)
 let test_lowering_corners () =
@@ -970,6 +1056,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest qcheck_vm_equals_interp;
+          QCheck_alcotest.to_alcotest qcheck_step_equals_interp;
           QCheck_alcotest.to_alcotest qcheck_typecheck_compile;
           QCheck_alcotest.to_alcotest qcheck_eee_mix;
         ] );
@@ -980,6 +1067,7 @@ let () =
           Alcotest.test_case "mem read/write" `Quick test_mem_opcodes;
           Alcotest.test_case "nondet" `Quick test_nondet_opcode;
           Alcotest.test_case "error parity" `Quick test_error_parity;
+          Alcotest.test_case "call depth" `Quick test_call_depth;
           Alcotest.test_case "lowering corners" `Quick test_lowering_corners;
         ] );
       ( "exec",
