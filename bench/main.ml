@@ -1127,7 +1127,7 @@ let micro_tests () =
     in
     (* support [a; b]: slot 0 toggles, b stays false *)
     let samples = [| false; false |] and map = [| 0; 1 |] in
-    let monitor = Monitor.of_automaton ~name:"m" automaton in
+    let monitor = Monitor.of_automaton automaton in
     Test.make ~name:"automata: explicit monitor step"
       (Staged.stage (fun () ->
            samples.(0) <- not samples.(0);

@@ -13,24 +13,13 @@ type t = {
   mutable node_count : int;
   entry_node : int;
   error_node : int;
-  mutable asserts : int;
 }
 
 exception Build_unsupported of string
 
 let entry g = g.entry_node
 let error g = g.error_node
-let num_nodes g = g.node_count
 let succ g n = List.rev g.succs.(n)
-let assertion_count g = g.asserts
-
-let pp_cmd fmt = function
-  | Assign (x, e) -> Format.fprintf fmt "%s := %a" x Linexpr.pp e
-  | Havoc x -> Format.fprintf fmt "havoc %s" x
-  | Assume atoms ->
-    Format.fprintf fmt "assume(%s)"
-      (String.concat " && " (List.map Linexpr.to_string atoms))
-  | Skip -> Format.fprintf fmt "skip"
 
 let fresh_node g =
   if g.node_count = Array.length g.succs then begin
@@ -354,7 +343,6 @@ and build_stmt ctx rename depth call_stack ~breaks ~node (s : Ast.stmt) :
     add_edge g node { dst = List.assoc "%exit" rename |> int_of_string; cmd = Skip; pos }
     |> fun () -> (rename, fresh_node g)
   | Ast.Assert cond ->
-    g.asserts <- g.asserts + 1;
     List.iter
       (fun conj ->
         add_edge g node { dst = g.error_node; cmd = Assume conj; pos })
@@ -436,7 +424,6 @@ let build ?(inline_depth = 24) info ~entry =
       node_count = 0;
       entry_node = 0;
       error_node = 0;
-      asserts = 0;
     }
   in
   let entry_node = fresh_node g in

@@ -25,7 +25,4 @@ val build : ?inline_depth:int -> Minic.Typecheck.info -> entry:string -> t
 
 val entry : t -> int
 val error : t -> int
-val num_nodes : t -> int
 val succ : t -> int -> edge list
-val assertion_count : t -> int
-val pp_cmd : Format.formatter -> cmd -> unit

@@ -33,4 +33,6 @@ val check :
   ?entry:string ->
   Minic.Typecheck.info ->
   report
-(** Checks all assertions of the program (normalized internally). *)
+(** Checks all assertions of the program (normalized internally).
+    No caller sets [max_iterations]; it stays for the run-ending
+    budget of ROADMAP.md ("Every run says how it ended"). *)

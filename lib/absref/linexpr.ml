@@ -62,27 +62,6 @@ let compare a b =
   let c = Int.compare a.constant b.constant in
   if c <> 0 then c else SMap.compare Int.compare a.coeffs b.coeffs
 
-let pp fmt e =
-  let first = ref true in
-  SMap.iter
-    (fun x c ->
-      if !first then begin
-        first := false;
-        if c = 1 then Format.fprintf fmt "%s" x
-        else Format.fprintf fmt "%d*%s" c x
-      end
-      else if c >= 0 then
-        if c = 1 then Format.fprintf fmt " + %s" x
-        else Format.fprintf fmt " + %d*%s" c x
-      else if c = -1 then Format.fprintf fmt " - %s" x
-      else Format.fprintf fmt " - %d*%s" (-c) x)
-    e.coeffs;
-  if !first then Format.fprintf fmt "%d" e.constant
-  else if e.constant > 0 then Format.fprintf fmt " + %d" e.constant
-  else if e.constant < 0 then Format.fprintf fmt " - %d" (-e.constant)
-
-let to_string e = Format.asprintf "%a <= 0" pp e
-
 let negate_atom e = add (scale (-1) e) (const 1)
 let atom_true e = match is_const e with Some k -> k <= 0 | None -> false
 let atom_false e = match is_const e with Some k -> k > 0 | None -> false

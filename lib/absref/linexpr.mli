@@ -5,7 +5,6 @@
 
 type t
 
-val zero : t
 val const : int -> t
 val var : string -> t
 val add : t -> t -> t
@@ -26,8 +25,8 @@ val normalize : t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+(** Kept with no caller by name: [Set.Make (Linexpr)] in {!Cegar} and
+    {!Fourier_motzkin} needs it. *)
 
 (** {2 Atoms: [e ≤ 0]} *)
 

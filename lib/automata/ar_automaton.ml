@@ -186,7 +186,6 @@ let synthesize ?max_states formula =
   t
 
 let fills () = (Domain.DLS.get domain_key).fills
-let formula a = a.formula
 let props a = a.props
 let num_states a = a.count
 let num_props a = Array.length a.props

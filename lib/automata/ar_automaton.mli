@@ -73,8 +73,6 @@ val next : t -> int -> int -> int
 val fills : unit -> int
 (** Entries the calling domain has filled so far, over all its tables. *)
 
-val formula : t -> Formula.t
-
 val props : t -> string array
 (** Proposition order defining assignment masks: bit [i] = value of
     [props.(i)]. *)

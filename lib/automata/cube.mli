@@ -10,10 +10,6 @@ type literal = Zero | One | Dash
 type t = literal array
 (** One cube over [n] proposition positions. *)
 
-val of_minterm : width:int -> int -> t
-(** [of_minterm ~width mask] converts the assignment bitmask (bit [i] is the
-    value of proposition [i]) into a fully specified cube. *)
-
 val matches : t -> int -> bool
 (** Does an assignment bitmask satisfy the cube? *)
 

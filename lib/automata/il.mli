@@ -43,13 +43,12 @@ val next : t -> int -> int -> int
     message names the automaton and spells the valuation out as a
     proposition assignment ([p=0 q=1 …]), not just the raw mask. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val parse : string -> t
-(** Parses the textual form produced by {!pp}: every state from 0 up,
-    the initial state and every target defined, every guard as wide as
-    [props].
+(** Parses the textual form produced by {!to_string}: every state from 0
+    up, the initial state and every target defined, every guard as wide
+    as [props].
     @raise Loc.Error at the first malformed line, or past the end of the
     text for a missing state. *)
 

@@ -1,5 +1,4 @@
 type t = {
-  m_name : string;
   automaton : Ar_automaton.t;
   width : int; (* support size: slots of [map] *)
   mutable state : int;
@@ -13,10 +12,9 @@ let verdict_of automaton state =
   | Ar_automaton.Reject -> Verdict.False
   | Ar_automaton.Pend -> Verdict.Pending
 
-let of_automaton ~name automaton =
+let of_automaton automaton =
   let state = Ar_automaton.initial automaton in
   {
-    m_name = name;
     automaton;
     width = Ar_automaton.num_props automaton;
     state;
@@ -24,8 +22,7 @@ let of_automaton ~name automaton =
     last_verdict = verdict_of automaton state;
   }
 
-let of_formula ~name formula = of_automaton ~name (Ar_automaton.shared formula)
-let name monitor = monitor.m_name
+let of_formula formula = of_automaton (Ar_automaton.shared formula)
 let verdict monitor = monitor.last_verdict
 let steps monitor = monitor.step_count
 let support monitor = Array.copy (Ar_automaton.props monitor.automaton)

@@ -17,13 +17,11 @@
 
 type t
 
-val of_automaton : name:string -> Ar_automaton.t -> t
+val of_automaton : Ar_automaton.t -> t
 
-val of_formula : name:string -> Formula.t -> t
+val of_formula : Formula.t -> t
 (** [of_automaton] over the calling domain's table for the formula
     ({!Ar_automaton.shared}). *)
-
-val name : t -> string
 
 val step_indexed : t -> samples:bool array -> map:int array -> Verdict.t
 (** [step_indexed monitor ~samples ~map] advances by one trigger and

@@ -36,11 +36,6 @@ let add_node graph node =
 
 let fresh_input graph name = add_node graph (Input name)
 
-let is_input graph lit =
-  match graph.nodes.(node_of lit) with
-  | Input _ -> true
-  | And _ | Const -> false
-
 let input_name graph lit =
   match graph.nodes.(node_of lit) with
   | Input name -> Some name

@@ -16,7 +16,6 @@ val true_ : lit
 val fresh_input : t -> string -> lit
 (** A free boolean input (one bit of a nondeterministic value). *)
 
-val is_input : t -> lit -> bool
 val input_name : t -> lit -> string option
 
 val neg : lit -> lit

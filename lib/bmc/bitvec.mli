@@ -7,8 +7,6 @@
 type t = Aig.lit array
 (** 32 literals, least significant bit first. *)
 
-val width : int
-
 val const : int -> t
 (** Constant from the canonical signed range. *)
 

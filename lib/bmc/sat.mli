@@ -26,4 +26,6 @@ val solve :
   int array list ->
   result * stats
 (** An empty clause (or contradictory units) yields [Unsat]. Literals must
-    satisfy [1 <= abs lit <= num_vars]. *)
+    satisfy [1 <= abs lit <= num_vars]. No caller sets [max_conflicts];
+    it stays for the run-ending budget of ROADMAP.md ("Every run says
+    how it ended"). *)

@@ -430,15 +430,6 @@ let compile ?(fname_tracking = true) info =
   emit ctx "halt";
   List.iter (fun f -> compile_function ctx f) prog.Ast.funcs;
   let asm_source = Buffer.contents ctx.buf in
-  let instructions, labels = Asm.assemble_with_labels asm_source in
-  let entries =
-    List.filter_map
-      (fun (f : Ast.func) ->
-        match List.assoc_opt ("fn_" ^ f.Ast.f_name) labels with
-        | Some addr -> Some (f.Ast.f_name, addr)
-        | None -> None)
-      prog.Ast.funcs
-  in
-  Symtab.set_entries symtab entries;
+  let instructions = Asm.assemble asm_source in
   let words = List.map Encode.encode instructions in
   { asm_source; instructions; words; symtab }

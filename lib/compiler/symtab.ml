@@ -2,7 +2,6 @@ type t = {
   layout : (string * int * int) list; (* name, address, size *)
   fname_addr : int;
   ids : (string * int) list;
-  mutable entries : (string * int) list;
 }
 
 let build info =
@@ -32,7 +31,6 @@ let build info =
     layout;
     fname_addr;
     ids = Minic.Typecheck.func_ids info;
-    entries = [];
   }
 
 let find_address symtab name =
@@ -57,13 +55,6 @@ let size_of symtab name =
 let fname_address symtab = symtab.fname_addr
 let func_id symtab name = List.assoc name symtab.ids
 
-let func_name_of_id symtab id =
-  List.find_map
-    (fun (name, fid) -> if fid = id then Some name else None)
-    symtab.ids
-
-let entry_of symtab name = List.assoc_opt name symtab.entries
-let set_entries symtab entries = symtab.entries <- entries
 let globals symtab = symtab.layout
 
 let data_words symtab =

@@ -3,8 +3,8 @@
     This is what the ESW monitor of approach 1 needs: the memory address of
     every embedded-software variable (step b of the paper's flow: "determine
     the addresses of the variables, which are located in the embedded
-    memory"), the id stored into the [fname] tracking variable by each
-    function, and function entry points. *)
+    memory") and the id stored into the [fname] tracking variable by each
+    function. *)
 
 type t
 
@@ -25,13 +25,6 @@ val fname_address : t -> int
 (** Address of the function-tracking variable. *)
 
 val func_id : t -> string -> int
-val func_name_of_id : t -> int -> string option
-
-val entry_of : t -> string -> int option
-(** Entry PC of a function (available after linking). *)
-
-val set_entries : t -> (string * int) list -> unit
-(** Called by the linker with resolved label addresses. *)
 
 val globals : t -> (string * int * int) list
 (** [(name, address, size)] in layout order. *)

@@ -120,8 +120,6 @@ let set_trace checker trace =
 
 let set_time_source checker source = checker.time_source <- source
 
-let name checker = checker.c_name
-
 let register_proposition checker prop =
   Proposition.Table.register checker.table prop
 
@@ -233,7 +231,7 @@ let add_property ?(engine = Engine.default) checker ~name formula =
   (match (engine : Engine.t) with
   | Otf -> ()
   | Explicit -> explore checker automaton);
-  let monitor = Monitor.of_automaton ~name automaton in
+  let monitor = Monitor.of_automaton automaton in
   checker.properties <-
     Array.append checker.properties
       [|

@@ -44,8 +44,6 @@ val create :
     charges property parsing and explicit exploration to the [parse] /
     [synthesize] stage timers. *)
 
-val name : t -> string
-
 (** {2 Tracing} *)
 
 val trace : t -> Trace.t
@@ -93,8 +91,6 @@ val add_property_text :
     as there; every text FLTL accepts holds no PSL-only keyword, so
     [`Auto] reads it as FLTL.
     @raise Loc.Error on malformed property text. *)
-
-val property_names : t -> string list
 
 (** {2 Monitoring} *)
 

@@ -17,8 +17,6 @@ let create ~name ~expected =
     count = 0;
   }
 
-let name coverage = coverage.cov_name
-
 let observe coverage value =
   coverage.count <- coverage.count + 1;
   if SS.mem value coverage.expected then

@@ -10,8 +10,6 @@ type t
 val create : name:string -> expected:string list -> t
 (** [expected] is the full set of values the specification allows. *)
 
-val name : t -> string
-
 val observe : t -> string -> unit
 (** Record one observation. Values outside [expected] are counted
     separately as unexpected (see {!unexpected}) — receiving one usually

@@ -19,11 +19,5 @@ let of_string_exn text =
          "Sctc.Engine.of_string_exn: unknown engine %S (expected %s)" text
          (String.concat ", " (List.map to_string all)))
 
-let pp fmt engine = Format.pp_print_string fmt (to_string engine)
-
-let describe = function
-  | Otf -> "AR-automaton filled on demand (the default)"
-  | Explicit -> "AR-automaton explored at registration"
-
 let default = Otf
 let auto_max_states = 10_000

@@ -36,14 +36,9 @@ val of_string_exn : string -> t
 (** @raise Invalid_argument on unknown names (the message lists the
     known ones). *)
 
-val pp : Format.formatter -> t -> unit
-
-val describe : t -> string
-(** One-line description, for CLI docs and bench tables. *)
-
 val default : t
 (** {!Otf}. *)
 
 val auto_max_states : int
 (** 10000: the state cap of the end-to-end benchmark's cold synthesis
-    probe. No engine reads it. *)
+    probe. No engine reads it; it stays while bench/e2e does. *)

@@ -114,4 +114,5 @@ val event_of_json : string -> (event, string) result
 
 module Json = Obs.Json
 (** The writer {!event_to_json} renders with and the reader
-    {!event_of_json} reads with. *)
+    {!event_of_json} reads with. bench/e2e renders its rows through
+    this alias. *)

@@ -60,7 +60,7 @@ let split_operands text =
   String.split_on_char ',' text |> List.map String.trim
   |> List.filter (fun s -> s <> "")
 
-let assemble_with_labels source =
+let assemble source =
   let labels : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let pending = ref [] in
   let address = ref 0 in
@@ -179,11 +179,6 @@ let assemble_with_labels source =
           | P_jal (rd, target) -> Isa.Jal (rd, resolve at here target)))
       !pending
   in
-  (instrs, Hashtbl.fold (fun name addr acc -> (name, addr) :: acc) labels [])
-
-let assemble source = fst (assemble_with_labels source)
+  instrs
 
 let assemble_words source = List.map Encode.encode (assemble source)
-
-let disassemble instrs =
-  String.concat "\n" (List.map Isa.to_string instrs)

@@ -21,11 +21,5 @@ val assemble : string -> Isa.instr list
 (** @raise Loc.Error at the first column of a line with a syntax error,
     an unknown label or an immediate out of range. *)
 
-val assemble_with_labels : string -> Isa.instr list * (string * int) list
-(** Also returns every label with its resolved word address. *)
-
 val assemble_words : string -> int list
 (** Assembled and encoded. *)
-
-val disassemble : Isa.instr list -> string
-(** Inverse direction (without label reconstruction). *)

@@ -56,8 +56,3 @@ let peek bus addr =
 
 let reads bus = bus.read_count
 let writes bus = bus.write_count
-
-let device_at bus addr =
-  match find bus addr with
-  | device -> Some device.dev_name
-  | exception Bus_error _ -> None

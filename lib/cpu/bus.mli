@@ -36,5 +36,3 @@ val peek : t -> int -> int
 val reads : t -> int
 val writes : t -> int
 (** Access counters (bus traffic statistics). *)
-
-val device_at : t -> int -> string option

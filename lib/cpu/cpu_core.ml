@@ -16,7 +16,6 @@ let create cpu_bus ~start_pc ?(stack_pointer = 0) () =
   { cpu_bus; regs; pc = start_pc; reason = Running; retired = 0 }
 
 let bus cpu = cpu.cpu_bus
-let pc cpu = cpu.pc
 let reg cpu r = cpu.regs.(r)
 
 let set_reg cpu r value =
@@ -115,10 +114,3 @@ let run ?(max_instructions = max_int) cpu =
     decr budget
   done;
   cpu.reason
-
-let reset cpu ~start_pc ?(stack_pointer = 0) () =
-  Array.fill cpu.regs 0 Isa.num_regs 0;
-  cpu.regs.(Isa.reg_sp) <- stack_pointer;
-  cpu.pc <- start_pc;
-  cpu.reason <- Running;
-  cpu.retired <- 0

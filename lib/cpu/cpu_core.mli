@@ -15,9 +15,7 @@ type t
 val create : Bus.t -> start_pc:int -> ?stack_pointer:int -> unit -> t
 
 val bus : t -> Bus.t
-val pc : t -> int
 val reg : t -> int -> int
-val set_reg : t -> int -> int -> unit
 val stop_reason : t -> stop_reason
 val running : t -> bool
 val instructions_retired : t -> int
@@ -30,5 +28,3 @@ val step : t -> unit
 val run : ?max_instructions:int -> t -> stop_reason
 (** Step until stopped or the budget runs out (for standalone tests;
     inside a simulation the platform steps the core on clock edges). *)
-
-val reset : t -> start_pc:int -> ?stack_pointer:int -> unit -> unit

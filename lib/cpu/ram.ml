@@ -28,9 +28,3 @@ let load ram addr words =
 let get ram addr =
   check ram addr;
   ram.data.(addr - ram.base)
-
-let set ram addr value =
-  check ram addr;
-  ram.data.(addr - ram.base) <- Minic.Value.wrap value
-
-let clear ram = Array.fill ram.data 0 (Array.length ram.data) 0

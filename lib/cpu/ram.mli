@@ -12,7 +12,3 @@ val load : t -> int -> int list -> unit
 
 val get : t -> int -> int
 (** Direct access by absolute address (no bus traffic). *)
-
-val set : t -> int -> int -> unit
-
-val clear : t -> unit

@@ -28,6 +28,8 @@ let install_spec ?(bound = None) ?(engine = Sctc.Engine.default)
     session ops =
   let checker = Session.checker session in
   let mbox = Session.mailbox session in
+  let done_op = Session.reader session "eee_done_op"
+  and done_ret = Session.reader session "eee_done_ret" in
   List.iter
     (fun op ->
       (* "<op>_called": entering the operation's implementation function *)
@@ -43,8 +45,8 @@ let install_spec ?(bound = None) ?(engine = Sctc.Engine.default)
           let name = Eee_spec.return_prop op code in
           let sample () =
             Mailbox.response_ready mbox
-            && Session.read_var session "eee_done_op" = Eee_spec.op_code op
-            && Session.read_var session "eee_done_ret" = code
+            && done_op () = Eee_spec.op_code op
+            && done_ret () = code
           in
           Checker.register_proposition checker (Proposition.make name sample))
         (Eee_spec.expected_returns op);

@@ -17,6 +17,8 @@ type config = {
   watchdog_chunks : int;  (** give up on an operation after this many *)
   bound : int option;  (** time bound of the response properties *)
   engine : Sctc.Checker.engine;
+      (** checker engine of the response properties; only bench/e2e
+          sets it *)
   seed : int;
 }
 

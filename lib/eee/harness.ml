@@ -18,8 +18,7 @@ let flash_quick_config ~fault_rate =
   { (flash_campaign_config ~fault_rate) with Flash.erase_ticks = 40; write_ticks = 4 }
 
 let approach1 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
-    ?(seed = 42) ?(chunk_cycles = 60) ?(trace = Verif.Trace.null)
-    ?(metrics = Registry.null) () =
+    ?(seed = 42) ?(trace = Verif.Trace.null) ?(metrics = Registry.null) () =
   let flash =
     match flash with
     | Some config -> config
@@ -31,7 +30,6 @@ let approach1 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
         Session.default_config with
         Session.session_name = "eee-approach1";
         seed;
-        chunk = chunk_cycles;
         flash = Some flash;
         flag = Some "flag";
         trace;
@@ -218,6 +216,6 @@ let smc_succeeded ?prop (outcome : Verif.Campaign.outcome) =
     in
     not (Verdict.equal verdict Verdict.False)
 
-let run_campaign ?workers ?window ?sinks plan =
-  Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?window ?sinks
+let run_campaign ?workers ?sinks plan =
+  Verif.Campaign.run_stream ~metrics:plan.metrics ?workers ?sinks
     (campaign_jobs plan)

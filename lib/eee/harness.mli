@@ -6,12 +6,9 @@
     approach-1 initialization-flag handshake completed, the approach-2
     model past its initialization chunk). *)
 
-val flash_campaign_config : fault_rate:float -> Dataflash.Flash.config
-(** Campaign flash geometry: 4 x 128 words, slow erase (wide EEE_BUSY
-    window), program/erase faults injected at [fault_rate]. *)
-
 val flash_quick_config : fault_rate:float -> Dataflash.Flash.config
-(** Same block layout as {!flash_campaign_config} but with 20x faster
+(** The campaign flash geometry (4 x 128 words, program/erase faults at
+    [fault_rate], erase failing half as often) with 20x faster
     erase/program timing, for tests that need short busy windows
     without changing what the software sees. *)
 
@@ -20,15 +17,14 @@ val approach1 :
   ?flash:Dataflash.Flash.config ->
   ?faults:Smc.Faults.t ->
   ?seed:int ->
-  ?chunk_cycles:int ->
   ?trace:Verif.Trace.t ->
   ?metrics:Obs.Registry.t ->
   unit ->
   Verif.Session.t
 (** Approach 1: compile the software, load it into the SoC, attach the ESW
     monitor (clock trigger + flag handshake), and boot until the software
-    raises its initialization flag. [chunk_cycles] is the granularity of
-    {!Verif.Session.advance} (default 60). *)
+    raises its initialization flag. {!Verif.Session.advance} runs 60
+    cycles. *)
 
 val approach2 :
   ?fault_rate:float ->
@@ -61,6 +57,8 @@ type plan = {
   cases_per_op : int;
   bound : int option;  (** response-property time bound *)
   engine : Sctc.Checker.engine;
+      (** checker engine of every job's properties; only bench/e2e sets
+          it *)
   fault_rate : float;  (** flash fault-injection probability *)
   faults : Smc.Faults.t;
       (** probabilistic fault stimuli (bit decay, power loss, handshake
@@ -70,12 +68,13 @@ type plan = {
   watchdog_chunks : int;
   seed : int;  (** campaign master seed *)
   flash : Dataflash.Flash.config option;
-      (** flash geometry/timing override; [None] means
-          {!flash_campaign_config} at [fault_rate] *)
+      (** flash geometry/timing override; [None] means the campaign
+          flash: 4 x 128 words, slow erase (a wide EEE_BUSY window),
+          program/erase faults at [fault_rate] *)
   backend : Minic.Exec.kind;
       (** MiniC execution backend for approach-2 sessions (default
           [Vm]; [Interp] is the test oracle); approach 1 executes
-          compiled code and ignores it *)
+          compiled code and ignores it. Kept while bench/e2e passes it *)
   metrics : Obs.Registry.t;
       (** threaded into every job's session, the pool, and the per-job
           [eee_*] counters/histograms labeled [{approach, op}];
@@ -94,13 +93,12 @@ val campaign_jobs : plan -> Verif.Campaign.job list
 
 val run_campaign :
   ?workers:int ->
-  ?window:int ->
   ?sinks:Verif.Campaign.sink list ->
   plan ->
   Verif.Campaign.summary
 (** {!Verif.Campaign.run_stream} over {!campaign_jobs}: outcomes flow
-    to [sinks] in job order as soon as ordering allows, under a bounded
-    reassembly [window]; results and sink bytes are identical for any
+    to [sinks] in job order as soon as ordering allows, under the default
+    reassembly window; results and sink bytes are identical for any
     [workers]. *)
 
 (** {2 Statistical model checking}

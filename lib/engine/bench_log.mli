@@ -4,7 +4,9 @@
     with its ["table"]; the file spans the repository's whole history.
     Lines are read with {!Obs.Json.parse}, so numbers follow JSON's
     grammar, the [%.6g] scientific notation the rows are written with
-    ([1.33827e+06]) included. *)
+    ([1.33827e+06]) included. Only bench/main.exe, bench/e2e and
+    test_bench_log use it; it moves under bench/ when bench/e2e next
+    changes. *)
 
 type value = Number of float | Bool of bool | String of string | Null
 

@@ -387,8 +387,8 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
 
 (* --- streaming sinks ----------------------------------------------------- *)
 
-let sink ?(close = fun () -> ()) ?(reads_events = true) on_outcome =
-  { on_outcome; on_close = close; reads_events }
+let sink ?(reads_events = true) on_outcome =
+  { on_outcome; on_close = ignore; reads_events }
 
 let render_outcome buffer outcome =
   List.iter
@@ -400,7 +400,8 @@ let render_outcome buffer outcome =
 let jsonl_buffer_sink out =
   { on_outcome = render_outcome out; on_close = (fun () -> ()); reads_events = true }
 
-let jsonl_channel_sink channel =
+let jsonl_file_sink path =
+  let channel = open_out_bin path in
   let buffer = Buffer.create 65536 in
   {
     on_outcome =
@@ -408,19 +409,8 @@ let jsonl_channel_sink channel =
         Buffer.clear buffer;
         render_outcome buffer outcome;
         Buffer.output_buffer channel buffer);
-    on_close = (fun () -> flush channel);
+    on_close = (fun () -> close_out channel);
     reads_events = true;
-  }
-
-let jsonl_file_sink path =
-  let channel = open_out_bin path in
-  let inner = jsonl_channel_sink channel in
-  {
-    inner with
-    on_close =
-      (fun () ->
-        inner.on_close ();
-        close_out channel);
   }
 
 let shard_path path ~shard =

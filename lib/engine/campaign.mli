@@ -175,9 +175,8 @@ val run_stream :
 
 (** {2 Streaming sinks} *)
 
-val sink :
-  ?close:(unit -> unit) -> ?reads_events:bool -> (outcome -> unit) -> sink
-(** [sink f] calls [f] per outcome; [close] defaults to a no-op.
+val sink : ?reads_events:bool -> (outcome -> unit) -> sink
+(** [sink f] calls [f] per outcome and does nothing on close.
     [reads_events] (default [true]) says whether [f] reads
     [outcome.events]; pass [false] for a sink that looks only at labels
     and results, so that a campaign of such sinks buffers no events. *)
@@ -187,14 +186,10 @@ val jsonl_buffer_sink : Buffer.t -> sink
     into a buffer: the campaign's merged trace, byte-identical for any
     worker count. It reads events, as do the other JSONL sinks. *)
 
-val jsonl_channel_sink : out_channel -> sink
-(** Write every outcome's events as JSONL to a channel; each outcome is
-    rendered into a reused buffer and written in one output call.
-    [on_close] flushes but does not close the channel. *)
-
 val jsonl_file_sink : string -> sink
-(** Like {!jsonl_channel_sink} into a fresh file (truncates);
-    [on_close] closes it. *)
+(** Write every outcome's events as JSONL into a fresh file (truncates);
+    each outcome is rendered into a reused buffer and written in one
+    output call, and [on_close] closes the file. *)
 
 val sharded_jsonl_sink :
   ?metrics:Obs.Registry.t -> shards:int -> jobs:int -> string -> sink

@@ -36,12 +36,6 @@ let find caller result name =
 let verdict result name = (find "verdict" result name).verdict
 let first_final_at result name = (find "first_final_at" result name).first_final_at
 
-let verdict_opt result name =
-  Option.map (fun p -> p.verdict) (find_opt result name)
-
-let first_final_at_opt result name =
-  Option.bind (find_opt result name) (fun p -> p.first_final_at)
-
 let overall result =
   List.fold_left
     (fun acc p -> Verdict.combine acc p.verdict)

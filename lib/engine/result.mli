@@ -37,13 +37,6 @@ val first_final_at : t -> string -> int option
 (** @raise Invalid_argument for unknown property names (the message
     lists the known ones). *)
 
-val verdict_opt : t -> string -> Verdict.t option
-(** Non-raising {!verdict}; [None] for unknown names. *)
-
-val first_final_at_opt : t -> string -> int option
-(** Non-raising {!first_final_at}; [None] for unknown names and for
-    properties that never reached a final verdict. *)
-
 val overall : t -> Verdict.t
 (** {!Verdict.combine} over all properties. *)
 

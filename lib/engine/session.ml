@@ -98,28 +98,38 @@ let () =
       Some (Printf.sprintf "proposition %s: %s" name (Loc.to_string error))
     | _ -> None)
 
-(* tiny evaluator for checked proposition definitions: only a zero
-   divisor can fail *)
-let rec eval_pure ~prop lookup (e : Minic.Ast.expr) =
+(* A checked proposition definition compiled once into a closure over
+   [reader]s, each global found when the session is built: evaluating
+   it allocates nothing beyond what its readers do, and only a zero
+   divisor can fail. *)
+let rec compile_pure ~prop reader (e : Minic.Ast.expr) : unit -> int =
   let module A = Minic.Ast in
   let module V = Minic.Value in
-  let eval = eval_pure ~prop lookup in
+  let compile = compile_pure ~prop reader in
   match e.A.edesc with
-  | A.Int_lit v -> v
-  | A.Bool_lit b -> V.of_bool b
-  | A.Var x -> lookup x
-  | A.Unop (op, a) -> V.unop op (eval a)
+  | A.Int_lit v -> fun () -> v
+  | A.Bool_lit b ->
+    let v = V.of_bool b in
+    fun () -> v
+  | A.Var x -> reader x
+  | A.Unop (op, a) ->
+    let a = compile a in
+    fun () -> V.unop op (a ())
   | A.Binop (A.Land, a, b) ->
-    V.of_bool (V.to_bool (eval a) && V.to_bool (eval b))
+    let a = compile a and b = compile b in
+    fun () -> V.of_bool (V.to_bool (a ()) && V.to_bool (b ()))
   | A.Binop (A.Lor, a, b) ->
-    V.of_bool (V.to_bool (eval a) || V.to_bool (eval b))
-  | A.Binop (op, a, b) -> (
-    let va = eval a in
-    try V.binop op va (eval b)
-    with V.Division_by_zero ->
-      raise
-        (Proposition_failed
-           (prop, { Loc.pos = e.A.epos; message = "division by zero" })))
+    let a = compile a and b = compile b in
+    fun () -> V.of_bool (V.to_bool (a ()) || V.to_bool (b ()))
+  | A.Binop (op, a, b) ->
+    let a = compile a and b = compile b in
+    let failed =
+      Proposition_failed
+        (prop, { Loc.pos = e.A.epos; message = "division by zero" })
+    in
+    fun () ->
+      let va = a () in
+      (try V.binop op va (b ()) with V.Division_by_zero -> raise failed)
   | A.Index _ | A.Call _ | A.Nondet _ | A.Mem_read _ -> assert false
 
 let backend_name session =
@@ -130,10 +140,16 @@ let backend_name session =
 let checker session = session.chk
 let trace session = session.config.trace
 
-let read_var session name =
+let reader session name =
   match session.runtime with
-  | Soc s -> Platform.Soc.read_var s.soc name
-  | Model m -> Esw.Esw_model.read_member m.model name
+  | Model m -> Esw.Esw_model.member_reader m.model name
+  | Soc s -> (
+    let symtab = Platform.Soc.symtab s.soc in
+    match Mcc.Symtab.find_address symtab name with
+    | Some address when Mcc.Symtab.size_of symtab name = 1 ->
+      fun () -> Platform.Soc.read_mem s.soc address
+    | Some _ -> invalid_arg ("Verif.Session.reader: array " ^ name)
+    | None -> invalid_arg ("Verif.Session.reader: unknown " ^ name))
 
 let in_function session func =
   match session.runtime with
@@ -435,11 +451,11 @@ let create ?compiled ?derived ?info config backend =
   Checker.set_time_source chk time_source;
   if Trace.enabled config.trace then
     Trace.set_time_source config.trace time_source;
-  let lookup = read_var session in
   List.iter
     (fun (name, expr) ->
+      let value = compile_pure ~prop:name (reader session) expr in
       Checker.register_sampler chk name (fun () ->
-          Minic.Value.to_bool (eval_pure ~prop:name lookup expr)))
+          Minic.Value.to_bool (value ())))
     propositions;
   List.iter
     (fun (name, text) ->

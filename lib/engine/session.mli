@@ -104,12 +104,17 @@ exception Proposition_failed of string * Loc.error
 
 (** {2 Introspection} *)
 
-val backend_name : t -> string
 val checker : t -> Sctc.Checker.t
 val trace : t -> Trace.t
 
-val read_var : t -> string -> int
-(** Observe a software global through the backend's memory interface. *)
+val reader : t -> string -> unit -> int
+(** [reader session name] observes the software's scalar global [name]
+    through the backend's memory interface: the derived model's member
+    slot ({!Esw.Esw_model.member_reader}) or, on the SoC, the word at
+    the symbol's address ({!Platform.Soc.read_mem}). The global is found
+    once, here: a read looks up no name, and on the derived model it
+    allocates nothing.
+    @raise Invalid_argument for an unknown name or an array. *)
 
 val in_function : t -> string -> Proposition.t
 (** Proposition "execution is inside this function" ([fname]-based). *)

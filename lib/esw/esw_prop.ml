@@ -1,5 +1,3 @@
-let var_value model name = Esw_model.read_member model name
-
 let var_eq model ?prop_name name value =
   let prop_name =
     match prop_name with
@@ -18,6 +16,3 @@ let in_function model func =
   let id = Minic.Typecheck.func_id info func in
   let fname = Esw_model.member_reader model "fname" in
   Proposition.make ("in_" ^ func) (fun () -> fname () = id)
-
-let entered_function model func =
-  Proposition.rose ("entered_" ^ func) (in_function model func)

@@ -7,8 +7,6 @@
     ({!Esw_model.member_reader}), and raises [Invalid_argument] then for
     an unknown or array member. *)
 
-val var_value : Esw_model.t -> string -> int
-
 val var_eq : Esw_model.t -> ?prop_name:string -> string -> int -> Proposition.t
 
 val var_pred :
@@ -16,6 +14,3 @@ val var_pred :
 
 val in_function : Esw_model.t -> string -> Proposition.t
 (** [fname] currently holds the id of the function. *)
-
-val entered_function : Esw_model.t -> string -> Proposition.t
-(** Rising-edge variant of {!in_function}. *)

@@ -240,7 +240,6 @@ let ticks_remaining flash = if flash.state = Busy then flash.remaining else 0
 let writes_completed flash = flash.writes_done
 let erases_completed flash = flash.erases_done
 let faults_injected flash = flash.faults
-let fault_config flash = flash.fault_cfg
 let decays_injected flash = flash.decays
 let power_losses_injected flash = flash.power_losses
 

@@ -90,8 +90,6 @@ val writes_completed : t -> int
 val erases_completed : t -> int
 val faults_injected : t -> int
 
-val fault_config : t -> fault_config
-
 val decays_injected : t -> int
 (** Bits decayed so far (visible cell changes only). *)
 

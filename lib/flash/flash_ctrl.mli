@@ -33,7 +33,12 @@ val window_device : t -> base:int -> size:int -> Cpu.Bus.device
 (** Read-only window of the first [size] flash words at [base]. Writes into
     the window are ignored (like writes to a ROM region). *)
 
-(** Register offsets, for software and tests. *)
+(** Register offsets and codes, for software and tests. They are the
+    device contract that the EEE software's register addresses follow,
+    so the whole map is exported, including the values no OCaml code
+    names ([reg_decays], [reg_power_losses], [cmd_erase],
+    [cmd_clear_fault], [status_fault], [result_busy],
+    [result_not_erased]). *)
 
 val reg_cmd : int
 val reg_addr : int

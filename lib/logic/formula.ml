@@ -346,9 +346,6 @@ let release bound f g =
   | False, _ -> globally bound g
   | _ -> cons (Release (bound, f, g))
 
-let conj terms = List.fold_left and_ tru terms
-let disj terms = List.fold_left or_ fls terms
-
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let hash f = f.id

@@ -42,9 +42,6 @@ val globally : int option -> t -> t
 val until : int option -> t -> t -> t
 val release : int option -> t -> t -> t
 
-val conj : t list -> t
-val disj : t list -> t
-
 (** {2 Observers} *)
 
 val equal : t -> t -> bool
@@ -66,7 +63,6 @@ val is_propositional : t -> bool
 val nnf : t -> t
 (** Negation normal form: negation pushed onto propositions. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** [eval_now f valuation] evaluates a propositional formula.

@@ -1,22 +1,14 @@
 type t = {
   p_name : string;
   p_sample : unit -> bool;
-  p_clone : (unit -> t) option;
   p_reset : (unit -> unit) option;
 }
 
-let make name sample =
-  { p_name = name; p_sample = sample; p_clone = None; p_reset = None }
-
-let make_stateful name ~clone ?reset sample =
-  { p_name = name; p_sample = sample; p_clone = Some clone; p_reset = reset }
+let make name sample = { p_name = name; p_sample = sample; p_reset = None }
 
 let name prop = prop.p_name
 let is_true prop = prop.p_sample ()
 let is_false prop = not (prop.p_sample ())
-
-let clone prop =
-  match prop.p_clone with None -> prop | Some make_copy -> make_copy ()
 
 let reset prop = match prop.p_reset with None -> () | Some f -> f ()
 
@@ -36,17 +28,18 @@ let or_ a b =
     (fun () -> a.p_sample () || b.p_sample ())
 
 let rose name inner =
-  let rec build () =
-    let previous = ref false in
-    let sample () =
-      let current = is_true inner in
-      let result = current && not !previous in
-      previous := current;
-      result
-    in
-    make_stateful name ~clone:build ~reset:(fun () -> previous := false) sample
+  let previous = ref false in
+  let sample () =
+    let current = is_true inner in
+    let result = current && not !previous in
+    previous := current;
+    result
   in
-  build ()
+  {
+    p_name = name;
+    p_sample = sample;
+    p_reset = Some (fun () -> previous := false);
+  }
 
 module Table = struct
   type table = (string, t) Hashtbl.t
@@ -71,6 +64,4 @@ module Table = struct
   let names table =
     Hashtbl.fold (fun key _ acc -> key :: acc) table []
     |> List.sort String.compare
-
-  let size table = Hashtbl.length table
 end

@@ -2,7 +2,7 @@
 
     This is the OCaml rendering of the paper's [Proposition] base class
     (Fig. 1): a proposition must evaluate to true or false, may carry state
-    (e.g. edge detectors), and can be cloned. The checker samples
+    (e.g. edge detectors), and can be reset. The checker samples
     propositions to obtain the current system state; their values feed the
     boolean layer of the temporal properties. *)
 
@@ -11,21 +11,12 @@ type t
 (** [make name sample] builds a stateless proposition. *)
 val make : string -> (unit -> bool) -> t
 
-(** [make_stateful name ~clone ~reset sample] builds a proposition carrying
-    state; [clone] must produce an independent copy and [reset] must restore
-    the initial state. *)
-val make_stateful :
-  string -> clone:(unit -> t) -> ?reset:(unit -> unit) -> (unit -> bool) -> t
-
 val name : t -> string
 
 val is_true : t -> bool
 (** Evaluate the proposition against the current system state. *)
 
 val is_false : t -> bool
-
-val clone : t -> t
-(** Independent copy; for stateless propositions this is the identity. *)
 
 val reset : t -> unit
 (** Restore initial state (no-op for stateless propositions). *)
@@ -57,5 +48,4 @@ module Table : sig
   val find : table -> string -> t option
   val find_exn : table -> string -> t
   val names : table -> string list
-  val size : table -> int
 end

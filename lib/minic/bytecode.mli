@@ -73,13 +73,3 @@ type t = {
   positions : Ast.position array;
   stmts : Ast.stmt array;  (** [Tick] payloads for [on_statement] *)
 }
-
-val instr_name : instr -> string
-(** Mnemonic only (the DESIGN.md opcode-table names). *)
-
-val pp_instr : t -> Format.formatter -> instr -> unit
-
-val disassemble : t -> string
-(** Per-function listing with resolved names, for debugging and tests. *)
-
-val stats : t -> string

@@ -142,11 +142,6 @@ let global_reader t name =
     (* [reset] replaces the interpreter's environment *)
     fun () -> read_global t name
 
-let write_global t name value =
-  match t.impl with
-  | I i -> Interp.write_global i.env name value
-  | V vm -> Vm.write_global vm name value
-
 let read_element t name index =
   match t.impl with
   | I i -> Interp.read_element i.env name index

@@ -108,8 +108,6 @@ val global_reader : t -> string -> unit -> int
     array read with no lookup. It stays valid across {!reset}.
     @raise Invalid_argument for unknown or array globals, at once. *)
 
-val write_global : t -> string -> int -> unit
-
 val read_element : t -> string -> int -> int
 
 val globals_snapshot : t -> (string * int) list

@@ -20,7 +20,6 @@ let func_name_of_id info id =
 let func_ids info = info.tc_func_ids
 let global_type info name = List.assoc_opt name info.tc_globals
 let globals info = info.tc_globals
-let constants info = info.tc_consts
 let const_value info name = List.assoc_opt name info.tc_consts
 let init_value info name = Hashtbl.find info.tc_inits name
 let vm_program info = info.tc_vm_program

@@ -49,9 +49,6 @@ val global_type : info -> string -> Ast.typ option
 val globals : info -> (string * Ast.typ) list
 (** Non-const globals in declaration order (the memory layout order). *)
 
-val constants : info -> (string * int) list
-(** Const globals with their values. *)
-
 val const_value : info -> string -> int option
 
 val init_value : info -> string -> int

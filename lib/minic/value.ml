@@ -7,9 +7,6 @@ let wrap v =
   let low = v land mask in
   if low land sign_bit <> 0 then low - (mask + 1) else low
 
-let to_unsigned v = v land mask
-let of_unsigned v = wrap v
-
 let add a b = wrap (a + b)
 let sub a b = wrap (a - b)
 let mul a b = wrap (a * b)

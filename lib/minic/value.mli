@@ -10,12 +10,6 @@ exception Division_by_zero
 val wrap : int -> int
 (** Reduce any OCaml int to the canonical signed 32-bit range. *)
 
-val to_unsigned : int -> int
-(** Canonical value reinterpreted as unsigned (0 .. 2^32-1). *)
-
-val of_unsigned : int -> int
-(** Inverse of {!to_unsigned}. *)
-
 val add : int -> int -> int
 val sub : int -> int -> int
 val mul : int -> int -> int

@@ -356,11 +356,6 @@ let global_reader vm name =
     let value = read_global vm name in
     fun () -> value
 
-let write_global vm name value =
-  match Hashtbl.find_opt vm.prog.Bytecode.global_of_name name with
-  | Some slot -> vm.globals.(slot) <- value
-  | None -> invalid_arg ("Vm.write_global: not a scalar global: " ^ name)
-
 let read_element vm name index =
   match Hashtbl.find_opt vm.prog.Bytecode.array_of_name name with
   | Some slot ->

@@ -55,8 +55,6 @@ val global_reader : t -> string -> unit -> int
     its current value, valid across {!reset}.
     @raise Invalid_argument as {!read_global}, at once. *)
 
-val write_global : t -> string -> int -> unit
-
 val read_element : t -> string -> int -> int
 (** @raise Interp.Runtime_error on out-of-bounds. *)
 

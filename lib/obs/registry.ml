@@ -198,7 +198,6 @@ module Timer = struct
         thunk
 
   let seconds = Histogram.sum
-  let count = Histogram.count
 end
 
 (* --- the registry -------------------------------------------------------- *)

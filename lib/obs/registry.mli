@@ -82,8 +82,6 @@ module Timer : sig
   val observe : t -> float -> unit
   val seconds : t -> float
   (** Total recorded seconds ({!Histogram.sum}). *)
-
-  val count : t -> int
 end
 
 (** {2 Registration} *)
@@ -94,8 +92,8 @@ val gauge : ?help:string -> ?labels:labels -> t -> string -> Gauge.t
 val histogram :
   ?help:string -> ?labels:labels -> ?buckets:float array -> t -> string ->
   Histogram.t
-(** [buckets] are strictly increasing upper bounds (default
-    {!default_time_buckets}); the [+inf] overflow bucket is implicit. *)
+(** [buckets] are strictly increasing upper bounds (default: log-spaced
+    seconds, 1us .. 10s); the [+inf] overflow bucket is implicit. *)
 
 val timer : ?help:string -> ?labels:labels -> t -> string -> Timer.t
 
@@ -111,9 +109,6 @@ val stage_name : stage -> string
 (** ["stage_<stage>_seconds"], e.g. [Simulate -> "stage_simulate_seconds"]. *)
 
 val stage_timer : t -> stage -> Timer.t
-
-val default_time_buckets : float array
-(** Log-spaced seconds: 1us .. 10s. *)
 
 (** {2 Snapshots} *)
 

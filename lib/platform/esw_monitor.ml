@@ -1,11 +1,11 @@
 type t = {
-  chk : Sctc.Checker.t;
   mutable init_done : bool;
   mutable armed_cycle : int option;
 }
 
-let attach_at soc ~flag_address chk =
-  let monitor = { chk; init_done = false; armed_cycle = None } in
+let attach soc ~flag chk =
+  let flag_address = Mcc.Symtab.address_of (Soc.symtab soc) flag in
+  let monitor = { init_done = false; armed_cycle = None } in
   let clock = Soc.clock soc in
   (* every rising edge: poll the initialization flag until the software
      sets it (the handshake), then monitor the temporal properties, from
@@ -25,9 +25,5 @@ let attach_at soc ~flag_address chk =
   Sim.Kernel.spawn_method (Soc.kernel soc) (Sim.Clock.posedge clock) on_posedge;
   monitor
 
-let attach soc ~flag chk =
-  attach_at soc ~flag_address:(Mcc.Symtab.address_of (Soc.symtab soc) flag) chk
-
 let initialized monitor = monitor.init_done
 let armed_at_cycle monitor = monitor.armed_cycle
-let checker monitor = monitor.chk

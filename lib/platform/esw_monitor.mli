@@ -21,13 +21,8 @@ val attach : Soc.t -> flag:string -> Sctc.Checker.t -> t
     [bool flag], lines 3–5 of Fig. 3). Properties and propositions must
     already be registered with [checker]. *)
 
-val attach_at : Soc.t -> flag_address:int -> Sctc.Checker.t -> t
-(** Same, with an explicit memory address for the flag. *)
-
 val initialized : t -> bool
 (** Has the handshake completed? *)
 
 val armed_at_cycle : t -> int option
 (** Clock cycle at which monitoring started. *)
-
-val checker : t -> Sctc.Checker.t

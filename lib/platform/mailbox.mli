@@ -32,6 +32,11 @@ val response_ready : t -> bool
 val take_response : t -> int
 (** Read and clear the response. @raise Invalid_argument if none. *)
 
+(** Register offsets: the device contract that the EEE software's
+    mailbox addresses follow, and the names tests address registers by.
+    The whole map is exported, [reg_req_arg0] and [reg_req_arg1] too,
+    which no OCaml code names. *)
+
 val reg_req_valid : int
 val reg_req_op : int
 val reg_req_arg0 : int

@@ -1,5 +1,3 @@
-let var_value soc name = Soc.read_var soc name
-
 let var_eq soc ?prop_name name value =
   let prop_name =
     match prop_name with
@@ -13,31 +11,10 @@ let var_pred soc ~prop_name name predicate =
   let addr = Mcc.Symtab.address_of (Soc.symtab soc) name in
   Proposition.make prop_name (fun () -> predicate (Soc.read_mem soc addr))
 
-let element_eq soc ?prop_name name index value =
-  let prop_name =
-    match prop_name with
-    | Some n -> n
-    | None -> Printf.sprintf "%s_%d_eq_%d" name index value
-  in
-  let base = Mcc.Symtab.address_of (Soc.symtab soc) name in
-  let size = Mcc.Symtab.size_of (Soc.symtab soc) name in
-  if index < 0 || index >= size then
-    invalid_arg "Mem_prop.element_eq: index out of range";
-  Proposition.make prop_name (fun () ->
-      Soc.read_mem soc (base + index) = value)
-
-let fname_of soc = Mcc.Symtab.fname_address (Soc.symtab soc)
-
 let in_function soc func =
   let id = Mcc.Symtab.func_id (Soc.symtab soc) func in
-  let addr = fname_of soc in
+  let addr = Mcc.Symtab.fname_address (Soc.symtab soc) in
   Proposition.make ("in_" ^ func) (fun () -> Soc.read_mem soc addr = id)
-
-let entered_function soc func =
-  let id = Mcc.Symtab.func_id (Soc.symtab soc) func in
-  let addr = fname_of soc in
-  Proposition.rose ("entered_" ^ func)
-    (Proposition.make (func ^ "_raw") (fun () -> Soc.read_mem soc addr = id))
 
 let register_all checker props =
   List.iter (Sctc.Checker.register_proposition checker) props

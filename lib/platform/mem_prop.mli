@@ -4,9 +4,6 @@
     memory interface, and function sequencing through the instrumented
     [fname] variable). *)
 
-val var_value : Soc.t -> string -> int
-(** Current value of a global, read through the memory interface. *)
-
 val var_eq : Soc.t -> ?prop_name:string -> string -> int -> Proposition.t
 (** [var_eq soc name v]: proposition "[name] == v". Default proposition
     name: ["<name>_eq_<v>"]. *)
@@ -15,17 +12,9 @@ val var_pred :
   Soc.t -> prop_name:string -> string -> (int -> bool) -> Proposition.t
 (** Arbitrary predicate over one variable. *)
 
-val element_eq :
-  Soc.t -> ?prop_name:string -> string -> int -> int -> Proposition.t
-(** [element_eq soc arr i v]: "arr[i] == v". *)
-
 val in_function : Soc.t -> string -> Proposition.t
 (** True while [fname] holds the id of the given function — i.e. it is the
     most recently entered function. Proposition name: ["in_<func>"]. *)
-
-val entered_function : Soc.t -> string -> Proposition.t
-(** Stateful rising-edge proposition: true for exactly one sample when
-    [fname] switches to the function's id. Name: ["entered_<func>"]. *)
 
 val register_all :
   Sctc.Checker.t -> Proposition.t list -> unit

@@ -26,7 +26,6 @@ type t = {
   core : Cpu.Cpu_core.t;
   flash_ctrl : Flash_ctrl.t;
   mbox : Mailbox.t;
-  master_prng : Stimuli.Prng.t;
   stimulus_prng : Stimuli.Prng.t;
   console : int list ref; (* reversed *)
   mutable program : Mcc.Codegen.compiled option;
@@ -83,7 +82,6 @@ let create ?(config = default_config) () =
       core;
       flash_ctrl;
       mbox;
-      master_prng;
       stimulus_prng;
       console;
       program = None;
@@ -98,10 +96,8 @@ let create ?(config = default_config) () =
 let kernel soc = soc.kernel
 let clock soc = soc.clock
 let cpu soc = soc.core
-let bus soc = soc.bus
 let flash soc = Flash_ctrl.flash soc.flash_ctrl
 let mailbox soc = soc.mbox
-let prng soc = soc.master_prng
 
 let load soc compiled =
   Cpu.Ram.load soc.ram 0 compiled.Mcc.Codegen.words;
@@ -127,6 +123,3 @@ let run ?(max_cycles = 100_000) soc =
 
 let cycles soc = Sim.Clock.cycles soc.clock
 let cpu_stopped soc = not (Cpu.Cpu_core.running soc.core)
-
-let restart_cpu soc =
-  Cpu.Cpu_core.reset soc.core ~start_pc:0 ~stack_pointer:Map.stack_top ()

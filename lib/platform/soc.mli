@@ -26,10 +26,8 @@ val create : ?config:config -> unit -> t
 val kernel : t -> Sim.Kernel.t
 val clock : t -> Sim.Clock.t
 val cpu : t -> Cpu.Cpu_core.t
-val bus : t -> Cpu.Bus.t
 val flash : t -> Dataflash.Flash.t
 val mailbox : t -> Mailbox.t
-val prng : t -> Stimuli.Prng.t
 
 val load : t -> Mcc.Codegen.compiled -> unit
 (** Load a compiled program image at address 0 and record its symbol
@@ -56,7 +54,3 @@ val run : ?max_cycles:int -> t -> unit
 val cycles : t -> int
 
 val cpu_stopped : t -> bool
-
-val restart_cpu : t -> unit
-(** Reset the CPU to the entry point (fresh PC/registers; memory, flash and
-    devices keep their state). *)

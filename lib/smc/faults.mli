@@ -29,9 +29,6 @@ type t = {
 val none : t
 val is_none : t -> bool
 
-val flash_faults : t -> Dataflash.Flash.fault_config
-(** The flash-model slice of the configuration. *)
-
 val apply : t -> Verif.Session.config -> Verif.Session.config
 (** Set the session's [flash_faults]/[jitter_prob]/[jitter_max] fields. *)
 

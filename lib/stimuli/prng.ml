@@ -11,8 +11,6 @@ let mix z =
 
 let create ~seed = { state = mix (Int64.of_int seed) }
 
-let copy g = { state = g.state }
-
 let next_int64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix g.state
@@ -28,17 +26,6 @@ let of_seed_index ~seed ~index =
     mix (Int64.mul (Int64.add (Int64.of_int index) 1L) golden_gamma)
   in
   { state = mix (Int64.logxor base salt) }
-
-(* Pure derivation of substream [index] from a parent stream: the same
-   salting scheme as [of_seed_index], but over the parent's current state
-   instead of a root seed. The parent is only read, never advanced, so
-   many domains may fork substreams off one shared base concurrently —
-   this is the domain-safe way to hand each worker its own stream. *)
-let substream g index =
-  let salt =
-    mix (Int64.mul (Int64.add (Int64.of_int index) 1L) golden_gamma)
-  in
-  { state = mix (Int64.logxor g.state salt) }
 
 (* A per-domain scratch stream (Domain.DLS). Seeded from a process-wide
    spawn counter, so its values depend on domain spawn order: fine for

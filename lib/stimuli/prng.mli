@@ -8,9 +8,6 @@ type t
 
 val create : seed:int -> t
 
-val copy : t -> t
-(** Independent generator continuing from the same state. *)
-
 val split : t -> string -> t
 (** Derive an independent, deterministically-named substream; used to give
     every stimulus source its own stream so adding one source does not
@@ -23,17 +20,10 @@ val of_seed_index : seed:int -> index:int -> t
     campaign's per-job stimulus is identical no matter how many workers
     execute it, or in which order. *)
 
-val substream : t -> int -> t
-(** [substream g index] derives stream [index] from [g]'s current state
-    without advancing [g]: a pure read of the parent, so concurrent
-    domains may fork substreams off one shared base stream — the
-    DLS-safe counterpart of {!split}. [substream (create ~seed) index]
-    equals [of_seed_index ~seed ~index]. *)
-
 (** A scratch stream private to the calling domain, stored in
     [Domain.DLS]. Its seed depends on domain spawn order, so use it only
     for diagnostics or test-interleaving shuffles — never for stimulus,
-    which must flow from {!of_seed_index}/{!substream} to stay
+    which must flow from {!of_seed_index} or {!split} to stay
     reproducible across worker counts. *)
 module Domain_local : sig
   val stream : unit -> t

@@ -1,4 +1,5 @@
 open Format
+module Ast = Minic.Ast
 
 (* C precedence levels, higher binds tighter *)
 let binop_level = function
@@ -183,4 +184,3 @@ let pp_program fmt (prog : Ast.program) =
     prog.funcs
 
 let program_to_string prog = asprintf "%a" pp_program prog
-let expr_to_string e = asprintf "%a" pp_expr e

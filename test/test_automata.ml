@@ -252,7 +252,7 @@ let qcheck_il_monitor_matches_formula_monitor =
       match Ar_automaton.synthesize ~max_states:2_000 formula with
       | exception Ar_automaton.Too_large _ -> true
       | automaton ->
-        let on_the_fly = Monitor.of_formula ~name:"otf" formula in
+        let on_the_fly = Monitor.of_formula formula in
         let support = Monitor.support on_the_fly in
         let map = Array.init (Array.length support) Fun.id in
         (* the IL side steps the guard scan over the round-tripped text *)
@@ -431,7 +431,7 @@ let test_il_roundtrip () =
   Alcotest.(check bool) "transitions counted" true (Il.num_transitions il > 0)
 
 let test_monitor_absorbing_and_reset () =
-  let monitor = Monitor.of_formula ~name:"m" (parse "F a") in
+  let monitor = Monitor.of_formula (parse "F a") in
   let step value =
     Monitor.step_indexed monitor ~samples:[| value |] ~map:[| 0 |]
   in
@@ -505,8 +505,8 @@ let qcheck_lazy_table_matches_oracles =
     (fun case ->
       let forward = List.map valuation_of_step case.trace in
       let backward = List.rev forward in
-      let one = Monitor.of_formula ~name:"one" case.formula in
-      let two = Monitor.of_formula ~name:"two" case.formula in
+      let one = Monitor.of_formula case.formula in
+      let two = Monitor.of_formula case.formula in
       let support = Monitor.support one in
       let map = Array.init (Array.length support) Fun.id in
       let step monitor valuation =
@@ -574,7 +574,7 @@ let qcheck_lazy_table_matches_oracles =
 (* A table is filled only on the domain that created it; a filled entry
    reads from any domain. *)
 let test_fill_from_another_domain () =
-  let monitor = Monitor.of_formula ~name:"m" (parse "G (a -> F[3] b)") in
+  let monitor = Monitor.of_formula (parse "G (a -> F[3] b)") in
   let step () =
     Monitor.step_indexed monitor ~samples:[| true; false |] ~map:[| 0; 1 |]
   in

@@ -83,14 +83,14 @@ let test_lifecycle_format_write_read () =
   Alcotest.(check int) "read id=3" (code "OK")
     (issue backend Spec.Read ~arg0:3 ~arg1:0);
   Alcotest.(check int) "read returns stored value" 777
-    (Verif.Session.read_var backend "eee_read_value");
+    (Verif.Session.reader backend "eee_read_value" ());
   (* overwrite: latest record wins *)
   Alcotest.(check int) "write id=3 again" (code "OK")
     (issue backend Spec.Write ~arg0:3 ~arg1:888);
   Alcotest.(check int) "read id=3 again" (code "OK")
     (issue backend Spec.Read ~arg0:3 ~arg1:0);
   Alcotest.(check int) "latest value" 888
-    (Verif.Session.read_var backend "eee_read_value");
+    (Verif.Session.reader backend "eee_read_value" ());
   (* unknown id *)
   Alcotest.(check int) "read unwritten id" (code "NO_INSTANCE")
     (issue backend Spec.Read ~arg0:9 ~arg1:0);
@@ -114,10 +114,10 @@ let test_startup_sequence_restores_state () =
   Alcotest.(check int) "read id=5 after restart" (code "OK")
     (issue backend Spec.Read ~arg0:5 ~arg1:0);
   Alcotest.(check int) "value survived" 123
-    (Verif.Session.read_var backend "eee_read_value");
+    (Verif.Session.reader backend "eee_read_value" ());
   ignore (issue backend Spec.Read ~arg0:7 ~arg1:0);
   Alcotest.(check int) "second value survived" 456
-    (Verif.Session.read_var backend "eee_read_value")
+    (Verif.Session.reader backend "eee_read_value" ())
 
 let test_startup2_requires_startup1 () =
   let backend = fresh_backend () in
@@ -153,7 +153,7 @@ let test_pool_full_and_refresh () =
   Alcotest.(check int) "read preserved id" (code "OK")
     (issue backend Spec.Read ~arg0:14 ~arg1:0);
   Alcotest.(check int) "compacted value" 62
-    (Verif.Session.read_var backend "eee_read_value")
+    (Verif.Session.reader backend "eee_read_value" ())
 
 let test_busy_during_background_erase () =
   let backend = fresh_backend () in
@@ -188,7 +188,7 @@ let test_flash_override () =
   Alcotest.(check int) "read" (code "OK")
     (issue backend Spec.Read ~arg0:2 ~arg1:0);
   Alcotest.(check int) "value round-trips" 2718
-    (Verif.Session.read_var backend "eee_read_value")
+    (Verif.Session.reader backend "eee_read_value" ())
 
 (* --- approach 1 runs the same software --------------------------------------- *)
 
@@ -201,7 +201,7 @@ let test_approach1_lifecycle () =
   Alcotest.(check int) "read" (code "OK")
     (issue backend Spec.Read ~arg0:4 ~arg1:0);
   Alcotest.(check int) "value via memory interface" 31415
-    (Verif.Session.read_var backend "eee_read_value");
+    (Verif.Session.reader backend "eee_read_value" ());
   Alcotest.(check int) "read unwritten" (code "NO_INSTANCE")
     (issue backend Spec.Read ~arg0:11 ~arg1:0)
 

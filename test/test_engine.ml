@@ -116,14 +116,87 @@ let test_propositions_checked () =
    with
   | _ -> Alcotest.fail "propositions read without a program"
   | exception Invalid_argument _ -> ());
-  let session = create [ ("ok", "x / 0 > 1") ] Session.Derived_model in
-  match Session.run session with
-  | () -> Alcotest.fail "zero divisor evaluated"
-  | exception (Session.Proposition_failed (name, e) as exn) ->
-    Alcotest.(check string) "names the proposition" "ok" name;
-    Alcotest.(check string) "rendering"
-      "proposition ok: 1:3: division by zero" (Printexc.to_string exn);
-    Alcotest.(check int) "at the operator" 3 e.Loc.pos.Loc.column
+  (* a nested zero divisor is named by the inner operator, not the outer
+     one that was evaluating it *)
+  List.iter
+    (fun (text, column) ->
+      let session = create [ ("ok", text) ] Session.Derived_model in
+      match Session.run session with
+      | () -> Alcotest.failf "%s: zero divisor evaluated" text
+      | exception (Session.Proposition_failed (name, e) as exn) ->
+        Alcotest.(check string) "names the proposition" "ok" name;
+        Alcotest.(check string) "rendering"
+          (Printf.sprintf "proposition ok: 1:%d: division by zero" column)
+          (Printexc.to_string exn);
+        Alcotest.(check int) "at the operator" column e.Loc.pos.Loc.column)
+    [ ("x / 0 > 1", 3); ("x / (x / finished) > 1", 8) ]
+
+(* an endless counter: every trigger of a long run reads a changing
+   global *)
+let endless_info () =
+  Minic.Typecheck.check
+    (Minic.C_parser.parse
+       {|
+         int flag;
+         int counter;
+         int table[4];
+         void main(void) {
+           flag = 1;
+           while (1) { counter = counter + 1; }
+         }
+       |})
+
+let test_reader_found_once () =
+  List.iter
+    (fun (backend, label) ->
+      let session =
+        Session.create ~info:(endless_info ()) Session.default_config backend
+      in
+      let counter = Session.reader session "counter" in
+      Session.run ~bound:200 session;
+      Alcotest.(check bool) (label ^ ": reads the running counter") true
+        (counter () > 0);
+      List.iter
+        (fun name ->
+          match Session.reader session name with
+          | (_ : unit -> int) ->
+            Alcotest.failf "%s: reader for %s built" label name
+          | exception Invalid_argument _ -> ())
+        [ "nosuch"; "table" ])
+    [ (Session.Soc_model, "approach 1"); (Session.Derived_model, "approach 2") ]
+
+(* A proposition is compiled once over readers, so on the derived model
+   sampling a global costs no more allocation than sampling a constant.
+   (On the SoC a read still goes through [Cpu.Bus.peek], whose device
+   search allocates a closure per access.) *)
+let test_proposition_sampling_allocates_nothing () =
+  let triggers = 10_000 in
+  let run_words text =
+    let session =
+      Session.create ~info:(endless_info ())
+        {
+          Session.default_config with
+          Session.propositions = [ ("ok", text) ];
+          properties = [ ("p", "G ok") ];
+        }
+        Session.Derived_model
+    in
+    (* fill the shared automaton entries before measuring *)
+    Session.run ~bound:100 session;
+    let steps = Sctc.Checker.steps (Session.checker session) in
+    let before = Gc.minor_words () in
+    Session.run ~bound:triggers session;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "one trigger per statement" triggers
+      (Sctc.Checker.steps (Session.checker session) - steps);
+    words
+  in
+  let constant = run_words "1 >= 0" in
+  let global = run_words "counter >= 0" in
+  if Float.abs (global -. constant) > 500. then
+    Alcotest.failf
+      "%.0f minor words sampling a global, %.0f a constant, over %d triggers"
+      global constant triggers
 
 let kind_is_handshake e =
   match e.Trace.kind with Trace.Handshake_armed _ -> true | _ -> false
@@ -369,6 +442,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_escape_oracle;
     Alcotest.test_case "campaign trace events" `Quick
       test_campaign_trace_events;
+    Alcotest.test_case "reader found once" `Quick test_reader_found_once;
+    Alcotest.test_case "sampling a global allocates nothing" `Quick
+      test_proposition_sampling_allocates_nothing;
   ]
 
 let reader =

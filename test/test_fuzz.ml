@@ -179,7 +179,7 @@ let gen_program =
   return program
 
 let arbitrary_program =
-  QCheck.make ~print:Minic.Pretty.program_to_string gen_program
+  QCheck.make ~print:Pretty.program_to_string gen_program
 
 (* ---- the differential oracle ------------------------------------------- *)
 
@@ -230,11 +230,11 @@ let qcheck_compiled_equals_interpreted =
 let qcheck_program_roundtrip =
   QCheck.Test.make ~name:"pretty . parse round trip (random programs)"
     ~count:150 arbitrary_program (fun program ->
-      let printed = Minic.Pretty.program_to_string program in
+      let printed = Pretty.program_to_string program in
       match Loc.catch (fun () -> Minic.C_parser.parse printed) with
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" (Loc.to_string e)
       | Ok reparsed ->
-        String.equal printed (Minic.Pretty.program_to_string reparsed))
+        String.equal printed (Pretty.program_to_string reparsed))
 
 (* and the normalization pass must preserve their behaviour *)
 let qcheck_normalize_preserves =
@@ -300,7 +300,7 @@ let arbitrary_monitored_program =
   QCheck.make
     ~print:(fun (program, p, q) ->
       Printf.sprintf "p := %s\nq := %s\n%s" p q
-        (Minic.Pretty.program_to_string program))
+        (Pretty.program_to_string program))
     ~shrink:(fun (program, p, q) yield ->
       shrink_program program (fun program -> yield (program, p, q)))
     QCheck.Gen.(triple gen_program gen_prop gen_prop)

@@ -5,7 +5,6 @@ module Ast = Minic.Ast
 module C_lexer = Minic.C_lexer
 module C_parser = Minic.C_parser
 module Typecheck = Minic.Typecheck
-module Pretty = Minic.Pretty
 module Interp = Minic.Interp
 module Value = Minic.Value
 

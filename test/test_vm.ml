@@ -515,7 +515,7 @@ let gen_program =
     }
 
 let arbitrary_program =
-  QCheck.make ~print:Minic.Pretty.program_to_string gen_program
+  QCheck.make ~print:Pretty.program_to_string gen_program
 
 let vm_matches_interp info =
   let a = run_backend Exec.Interp info and b = run_backend Exec.Vm info in
@@ -734,7 +734,7 @@ let qcheck_typecheck_compile =
        ~print:(fun (program, planted) ->
          Printf.sprintf "planted: %s\n%s"
            (match planted with Some _ -> "rejected" | None -> "accepted")
-           (Minic.Pretty.program_to_string program))
+           (Pretty.program_to_string program))
        gen_planted)
     (fun (program, planted) ->
       match Minic.Typecheck.check program, planted with
