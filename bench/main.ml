@@ -681,34 +681,33 @@ let run_checker_bench () =
   !agree && steady_fills = 0 && later_fills = 0
 
 (* ------------------------------------------------------------------ *)
-(* Simulate: bytecode VM vs tree-walking interpreter on the EEE model, *)
-(* and the kernel's cost per time unit of a booted session             *)
+(* Simulate: the bytecode VM on the EEE model, and the kernel's cost   *)
+(* per time unit of a booted session                                   *)
 
-(* Raw execution throughput of one backend on the derived EEE software
-   model: per round, repeated fixed-fuel runs with the default hooks
-   (fully deterministic, identical on both backends) until [target]
-   statements have been executed; the best of three rounds is reported,
-   so a loaded runner degrades both backends instead of flaking the
-   ratio. Also returns the minor words of one such run, which are exact
+(* Raw VM throughput on the derived EEE software model: per round,
+   repeated fixed-fuel runs with the default hooks (fully deterministic)
+   until [target] statements have been executed; the best of three
+   rounds is reported, so a loaded runner does not lower the figure by
+   chance. Also returns the minor words of one such run, which are exact
    for a given input and binary. *)
-let exec_throughput ~target backend =
+let vm_throughput ~target =
   let info = (Eee.Eee_program.derive ()).Esw.C2sc.model_info in
-  let exec = Minic.Exec.create ~backend info in
-  let hooks = Minic.Exec.default_hooks () in
+  let vm = Minic.Vm.create info in
+  let hooks = Minic.Vm.default_hooks () in
   (* warm-up: touch the code path (and the VM's frames) before timing *)
-  ignore (Minic.Exec.run ~fuel:20_000 ~hooks exec ~entry:"main");
-  Minic.Exec.reset exec;
+  ignore (Minic.Vm.run ~fuel:20_000 vm hooks ~entry:"main");
+  Minic.Vm.reset vm;
   let before = Gc.minor_words () in
-  ignore (Minic.Exec.run ~fuel:target ~hooks exec ~entry:"main");
+  ignore (Minic.Vm.run ~fuel:target vm hooks ~entry:"main");
   let words = int_of_float (Gc.minor_words () -. before) in
   let round () =
     let statements = ref 0 and seconds = ref 0.0 in
     while !statements < target do
-      Minic.Exec.reset exec;
+      Minic.Vm.reset vm;
       let started = Unix.gettimeofday () in
-      ignore (Minic.Exec.run ~fuel:target ~hooks exec ~entry:"main");
+      ignore (Minic.Vm.run ~fuel:target vm hooks ~entry:"main");
       seconds := !seconds +. (Unix.gettimeofday () -. started);
-      statements := !statements + Minic.Exec.statements_executed exec
+      statements := !statements + Minic.Vm.statements_executed vm
     done;
     (!statements, !seconds)
   in
@@ -726,28 +725,6 @@ let exec_throughput ~target backend =
   in
   let statements, seconds = Option.get best in
   (statements, seconds, words)
-
-(* One full (small) EEE campaign per backend: same plan, same seed, only
-   [plan.backend] differs. The determinism contract across backends is
-   that verdicts and the merged golden trace are byte-identical. Returns
-   the summary, its JSONL trace and the run's registry. *)
-let simulate_campaign backend =
-  let metrics = Registry.create () in
-  let plan =
-    {
-      Harness.default_plan with
-      Harness.ops = Spec.all_ops;
-      approaches = [ 2 ];
-      cases_per_op = 10 * !scale;
-      bound = Some 2000;
-      fault_rate = 0.03;
-      seed = 29;
-      backend;
-      metrics;
-    }
-  in
-  let summary, jsonl = traced_campaign ~workers:1 plan in
-  (summary, jsonl, metrics)
 
 (* Host cost of a time unit on a booted session with no properties:
    [Session.run] over [units] CPU cycles (approach 1) or MiniC statements
@@ -776,30 +753,17 @@ let kernel_cost ~units make =
 
 let run_simulate_bench () =
   print_endline "=========================================================";
-  Printf.printf
-    "Simulate -- bytecode VM vs reference interpreter on the EEE model \
-     (scale %d)\n"
+  Printf.printf "Simulate -- the bytecode VM on the EEE model (scale %d)\n"
     !scale;
   print_endline "=========================================================";
   let target = 2_000_000 * !scale in
   let baseline = last_row "simulate" in
-  let interp_statements, interp_seconds, interp_words =
-    exec_throughput ~target Minic.Exec.Interp
+  let vm_statements, vm_seconds, vm_words = vm_throughput ~target in
+  let vm_sps =
+    if vm_seconds > 0.0 then float_of_int vm_statements /. vm_seconds else 0.0
   in
-  let vm_statements, vm_seconds, vm_words =
-    exec_throughput ~target Minic.Exec.Vm
-  in
-  let sps statements seconds =
-    if seconds > 0.0 then float_of_int statements /. seconds else 0.0
-  in
-  let interp_sps = sps interp_statements interp_seconds
-  and vm_sps = sps vm_statements vm_seconds in
-  let speedup = if interp_sps > 0.0 then vm_sps /. interp_sps else 0.0 in
   Printf.printf "  %-28s %12.0f statements/s  (%d statements, %.3fs)\n"
-    "interpreter" interp_sps interp_statements interp_seconds;
-  Printf.printf
-    "  %-28s %12.0f statements/s  (%d statements, %.3fs)  speedup %.2fx\n"
-    "bytecode VM" vm_sps vm_statements vm_seconds speedup;
+    "bytecode VM" vm_sps vm_statements vm_seconds;
   (* deterministic cost counts: the VM's allocation over one fixed-fuel
      run and the size of the compiled EEE model *)
   let bytecode_length =
@@ -818,8 +782,6 @@ let run_simulate_bench () =
       | None -> "none, this row is the baseline");
     match limit with Some limit -> count <= limit | None -> true
   in
-  Printf.printf "  minor words over one %d-statement run: interpreter %d\n"
-    target interp_words;
   let words_ok = gate "vm_minor_words" vm_words in
   let length_ok = gate "bytecode_length" bytecode_length in
   let a1_cycles, a1_words, a1_ns =
@@ -834,23 +796,6 @@ let run_simulate_bench () =
     a1_cycles a1_ns a2_statements a2_ns;
   let a1_ok = gate "a1_minor_words" a1_words in
   let a2_ok = gate "a2_minor_words" a2_words in
-  (* determinism contract: one small campaign per backend, only
-     [plan.backend] differing — verdicts and golden JSONL must match *)
-  let interp_summary, interp_jsonl, interp_metrics =
-    simulate_campaign Minic.Exec.Interp
-  in
-  let vm_summary, vm_jsonl, vm_metrics = simulate_campaign Minic.Exec.Vm in
-  let verdicts_identical =
-    Verif.Campaign.verdicts interp_summary = Verif.Campaign.verdicts vm_summary
-  in
-  let jsonl_identical = String.equal interp_jsonl vm_jsonl in
-  let interp_sim_statements =
-    Registry.total interp_metrics "sim_interp_statements_total"
-  and vm_sim_statements = Registry.total vm_metrics "sim_vm_statements_total" in
-  Printf.printf
-    "  campaign identity: verdicts %b, merged JSONL %b (sim_interp %d / \
-     sim_vm %d statements via lib/obs)\n"
-    verdicts_identical jsonl_identical interp_sim_statements vm_sim_statements;
   let cores = Domain.recommended_domain_count () in
   let module Json = Sctc.Trace.Json in
   append_campaign_record ~table:"simulate"
@@ -863,15 +808,10 @@ let run_simulate_bench () =
          ("ocaml_version", Json.string Sys.ocaml_version);
          ("dune_profile", Json.string Build_profile.name);
          ("target_statements", Json.int target);
-         ("interp_statements", Json.int interp_statements);
-         ("interp_seconds", Json.float interp_seconds);
-         ("interp_sps", Json.float interp_sps);
          ("vm_statements", Json.int vm_statements);
          ("vm_seconds", Json.float vm_seconds);
          ("vm_sps", Json.float vm_sps);
-         ("speedup", Json.float speedup);
          ("vm_minor_words", Json.int vm_words);
-         ("interp_minor_words", Json.int interp_words);
          ("bytecode_length", Json.int bytecode_length);
          ("a1_cycles", Json.int a1_cycles);
          ("a1_minor_words", Json.int a1_words);
@@ -879,18 +819,12 @@ let run_simulate_bench () =
          ("a2_statements", Json.int a2_statements);
          ("a2_minor_words", Json.int a2_words);
          ("a2_ns_per_statement", Json.float a2_ns);
-         ("verdicts_identical", Json.bool verdicts_identical);
-         ("jsonl_identical", Json.bool jsonl_identical);
-         ("sim_interp_statements_total", Json.int interp_sim_statements);
-         ("sim_vm_statements_total", Json.int vm_sim_statements);
        ];
   Printf.printf "recorded in BENCH_campaign.json\n\n";
-  (* the CI gate: cross-backend identity must always hold, and no exact
-     cost count may rise above the last row of this OCaml version and
-     dune profile; the speedup and the ns per time unit are wall-clock
-     and only reported *)
-  verdicts_identical && jsonl_identical && words_ok && length_ok && a1_ok
-  && a2_ok
+  (* the CI gate: no exact cost count may rise above the last row of
+     this OCaml version and dune profile; the statements per second and
+     the ns per time unit are wall-clock and only reported *)
+  words_ok && length_ok && a1_ok && a2_ok
 
 (* ------------------------------------------------------------------ *)
 (* SMC: Wald's sequential test vs the fixed-size Chernoff bound        *)
@@ -1171,23 +1105,20 @@ let micro_tests () =
     Test.make ~name:"bmc: CDCL pigeonhole(4,3)"
       (Staged.stage (fun () -> ignore (Sat.solve ~num_vars:12 clauses)))
   in
-  let exec_bench backend name =
+  let vm_bench =
     let info =
       Minic.Typecheck.check
         (Minic.C_parser.parse
            "int g; int main(void) { int i; for (i = 0; i < 100; i++) { g += i; } return g; }")
     in
-    Test.make ~name
+    Test.make ~name:"minic: VM 100-iter loop"
       (Staged.stage (fun () ->
-           let exec = Minic.Exec.create ~backend info in
-           ignore (Minic.Exec.run exec ~entry:"main")))
+           let vm = Minic.Vm.create info in
+           ignore (Minic.Vm.run vm (Minic.Vm.default_hooks ()) ~entry:"main")))
   in
-  let interp_bench =
-    exec_bench Minic.Exec.Interp "minic: interpret 100-iter loop"
-  and vm_bench = exec_bench Minic.Exec.Vm "minic: VM 100-iter loop" in
   [
     kernel_bench; progression_bench; monitor_bench; cpu_bench; fm_bench;
-    sat_bench; interp_bench; vm_bench;
+    sat_bench; vm_bench;
   ]
 
 let run_micro_suite () =

@@ -72,31 +72,23 @@ let cmd_parse =
 
 let cmd_run =
   let action path fuel =
-    let info = load_runnable path in
-    let exec = Minic.Exec.create info in
-    match Minic.Exec.run ~fuel exec ~entry:"main" with
-    | Minic.Exec.Finished v ->
+    let vm = Minic.Vm.create (load_runnable path) in
+    match Minic.Vm.run ~fuel vm (Minic.Vm.default_hooks ()) ~entry:"main" with
+    | Minic.Vm.Finished v ->
       Printf.printf "finished: %s (%d statements)\n"
         (match v with Some v -> string_of_int v | None -> "void")
-        (Minic.Exec.statements_executed exec);
+        (Minic.Vm.statements_executed vm);
       0
-    | Minic.Exec.Halted ->
+    | Minic.Vm.Halted ->
       print_endline "halted";
       0
-    | Minic.Exec.Fuel_exhausted ->
+    | Minic.Vm.Fuel_exhausted ->
       print_endline "fuel exhausted";
       1
-    | exception Minic.Exec.Assertion_failed pos ->
-      Printf.printf "assertion failed at %d:%d\n" pos.Minic.Ast.line
-        pos.Minic.Ast.column;
-      1
-    | exception Minic.Exec.Assumption_failed pos ->
-      Printf.printf "assumption failed at %d:%d\n" pos.Minic.Ast.line
-        pos.Minic.Ast.column;
-      1
-    | exception Minic.Exec.Runtime_error (msg, pos) ->
-      Printf.printf "runtime error at %d:%d: %s\n" pos.Minic.Ast.line
-        pos.Minic.Ast.column msg;
+    | exception
+        (( Minic.Vm.Assertion_failed _ | Minic.Vm.Assumption_failed _
+         | Minic.Vm.Runtime_error _ ) as crash) ->
+      print_endline (Printexc.to_string crash);
       1
   in
   let fuel =

@@ -43,8 +43,10 @@ let approach1 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
   Session.boot session;
   session
 
+type backend = Vm
+
 let approach2 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
-    ?(seed = 42) ?(chunk_statements = 60) ?(backend = Minic.Exec.Vm)
+    ?(seed = 42) ?(chunk_statements = 60) ?backend:(_ : backend option)
     ?(trace = Verif.Trace.null) ?(metrics = Registry.null) () =
   let flash =
     match flash with
@@ -59,7 +61,6 @@ let approach2 ?(fault_rate = 0.02) ?flash ?(faults = Smc.Faults.none)
         seed;
         chunk = chunk_statements;
         flash = Some flash;
-        exec_backend = backend;
         trace;
         metrics;
       }
@@ -85,7 +86,7 @@ type plan = {
   watchdog_chunks : int;
   seed : int;
   flash : Flash.config option;
-  backend : Minic.Exec.kind;
+  backend : backend;
   metrics : Registry.t;
 }
 
@@ -101,7 +102,7 @@ let default_plan =
     watchdog_chunks = 200;
     seed = 7;
     flash = None;
-    backend = Minic.Exec.Vm;
+    backend = Vm;
     metrics = Registry.null;
   }
 
@@ -159,8 +160,8 @@ let plan_job plan ~approach ~op ~label ~index =
             ~metrics:plan.metrics ()
         | 2 ->
           approach2 ~fault_rate:plan.fault_rate ?flash:plan.flash
-            ~faults:plan.faults ~seed:session_seed ~backend:plan.backend
-            ~trace ~metrics:plan.metrics ()
+            ~faults:plan.faults ~seed:session_seed ~trace
+            ~metrics:plan.metrics ()
         | n -> invalid_arg (Printf.sprintf "unknown approach %d" n)
       in
       Driver.install_spec ~bound:plan.bound ~engine:plan.engine session

@@ -26,13 +26,18 @@ val approach1 :
     raises its initialization flag. {!Verif.Session.advance} runs 60
     cycles. *)
 
+type backend = Vm
+(** The one MiniC executor, {!Minic.Vm}. Nothing reads a value of this
+    type: [approach2 ?backend] and [plan.backend] stay only because
+    bench/e2e passes them, and go with the next change to bench/e2e. *)
+
 val approach2 :
   ?fault_rate:float ->
   ?flash:Dataflash.Flash.config ->
   ?faults:Smc.Faults.t ->
   ?seed:int ->
   ?chunk_statements:int ->
-  ?backend:Minic.Exec.kind ->
+  ?backend:backend ->
   ?trace:Verif.Trace.t ->
   ?metrics:Obs.Registry.t ->
   unit ->
@@ -40,8 +45,7 @@ val approach2 :
 (** Approach 2: derive the SystemC software model, map flash controller,
     flash window and mailbox into the virtual memory model, attach the
     checker to the program-counter event, and start the model thread.
-    [chunk_statements] defaults to 60; [backend] selects how the model
-    executes MiniC (default [Vm]; [Interp] is the test oracle). *)
+    [chunk_statements] defaults to 60; [backend] is ignored. *)
 
 (** {2 Parallel campaigns}
 
@@ -71,10 +75,7 @@ type plan = {
       (** flash geometry/timing override; [None] means the campaign
           flash: 4 x 128 words, slow erase (a wide EEE_BUSY window),
           program/erase faults at [fault_rate] *)
-  backend : Minic.Exec.kind;
-      (** MiniC execution backend for approach-2 sessions (default
-          [Vm]; [Interp] is the test oracle); approach 1 executes
-          compiled code and ignores it. Kept while bench/e2e passes it *)
+  backend : backend;  (** ignored; see {!backend} *)
   metrics : Obs.Registry.t;
       (** threaded into every job's session, the pool, and the per-job
           [eee_*] counters/histograms labeled [{approach, op}];

@@ -20,7 +20,6 @@ type config = {
   jitter_prob : float;
   jitter_max : int;
   flag : string option;
-  exec_backend : Minic.Exec.kind;
   trace : Trace.t;
   metrics : Registry.t;
 }
@@ -40,7 +39,6 @@ let default_config =
     jitter_prob = 0.0;
     jitter_max = 0;
     flag = None;
-    exec_backend = Minic.Exec.Vm;
     trace = Trace.null;
     metrics = Registry.null;
   }
@@ -166,13 +164,6 @@ let time_units session =
   | Soc s -> Platform.Soc.cycles s.soc
   | Model m -> Esw.Esw_model.statements m.model
 
-(* the Minic execution backend of the derived model (the SoC backend
-   executes compiled code, not MiniC) *)
-let exec_backend session =
-  match session.runtime with
-  | Model _ -> Some session.config.exec_backend
-  | Soc _ -> None
-
 let alive session =
   match session.runtime with
   | Soc s -> not (Platform.Soc.cpu_stopped s.soc)
@@ -269,14 +260,14 @@ let result ?test_cases ?(timeouts = 0) ?coverage session =
   let units = time_units session - session.units_at_timer in
   if elapsed > 0.0 then
     Registry.Gauge.set session.throughput (float_of_int units /. elapsed);
-  (match exec_backend session with
-  | Some kind ->
+  (* the derived model runs MiniC on the VM; the SoC runs compiled code *)
+  (match session.runtime with
+  | Model _ ->
     Registry.Counter.add
-      (Registry.counter session.config.metrics
-         (Printf.sprintf "sim_%s_statements_total" (Minic.Exec.to_string kind))
-         ~help:"statements simulated on this Minic execution backend")
+      (Registry.counter session.config.metrics "sim_vm_statements_total"
+         ~help:"statements the derived model ran on the MiniC VM")
       units
-  | None -> ());
+  | Soc _ -> ());
   {
     Result.backend = backend_name session;
     properties =
@@ -363,7 +354,7 @@ let build_model config derived =
   let model =
     Esw.Esw_model.create kernel ~seed:config.seed
       ~on_tick:(fun () -> Flash.tick flash)
-      ?jitter ~backend:config.exec_backend derived ~vmem
+      ?jitter derived ~vmem
   in
   (kernel, model, mbox)
 
@@ -440,13 +431,12 @@ let create ?compiled ?derived ?info config backend =
     }
   in
   session.units_at_timer <- time_units session;
-  (match exec_backend session with
-  | Some kind ->
+  (match runtime with
+  | Model _ ->
     Registry.Counter.incr
-      (Registry.counter config.metrics
-         (Printf.sprintf "sim_%s_sessions_total" (Minic.Exec.to_string kind))
-         ~help:"sessions created on this Minic execution backend")
-  | None -> ());
+      (Registry.counter config.metrics "sim_vm_sessions_total"
+         ~help:"derived-model sessions created on the MiniC VM")
+  | Soc _ -> ());
   let time_source () = time_units session in
   Checker.set_time_source chk time_source;
   if Trace.enabled config.trace then

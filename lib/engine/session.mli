@@ -12,7 +12,10 @@
       the simulation kernel with the standard device topology (data-flash
       controller + window, mailbox) mapped into its virtual memory; the
       checker is program-counter-event triggered. Time units are executed
-      statements.
+      statements. The software runs on the MiniC VM ({!Minic.Vm}); with
+      [config.metrics] enabled, the session counts itself in
+      [sim_vm_sessions_total] and, at each {!result}, its time units in
+      [sim_vm_statements_total].
 
     The session installs its time-unit counter as the checker's and the
     trace bus's time source, so first-final-verdict stamps and trace
@@ -52,10 +55,6 @@ type config = {
   flag : string option;
       (** approach-1 only: attach the ESW monitor with this
           initialization-flag variable instead of a bare clock trigger *)
-  exec_backend : Minic.Exec.kind;
-      (** how the derived model executes MiniC: the bytecode VM ([Vm],
-          the default) or the interpreter oracle ([Interp]). Ignored by
-          the SoC backend. *)
   trace : Trace.t;  (** event bus; {!Trace.null} disables tracing *)
   metrics : Obs.Registry.t;
       (** metrics registry threaded into the checker and the session's
@@ -66,7 +65,7 @@ type config = {
 val default_config : config
 (** ["session"], on-the-fly engine, no properties, no bound, fuel 50e6,
     chunk 60, seed 42, default flash, no injected faults or jitter, no
-    flag, VM exec backend, null trace, null metrics registry. *)
+    flag, null trace, null metrics registry. *)
 
 type t
 
@@ -129,7 +128,10 @@ val alive : t -> bool
 (** The software is still executing (or has not started yet). *)
 
 val crashed : t -> string option
-(** Trap / assertion failure / runtime error of the software, if any. *)
+(** How the software crashed, if it did: ["trap N"] on the SoC; on the
+    derived model the VM's crash as [Printexc.to_string] renders it,
+    such as ["assertion failed at L:C"] or ["runtime error at L:C:
+    MSG"]. *)
 
 (** {2 Driving} *)
 

@@ -1,13 +1,14 @@
 type outcome_state =
   | Not_started
   | Running
-  | Done of Minic.Exec.outcome
+  | Done of Minic.Vm.outcome
   | Crashed of exn
 
 type t = {
   kernel : Sim.Kernel.t;
   derived : C2sc.derived;
-  exec : Minic.Exec.t;
+  vm : Minic.Vm.t;
+  hooks : Minic.Vm.hooks;
   pc_ev : Sim.Kernel.event;
   on_tick : unit -> unit;
   jitter : (unit -> int) option;
@@ -15,25 +16,24 @@ type t = {
   mutable stmt_count : int;
 }
 
-let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
-    ?(backend = Minic.Exec.Vm) derived ~vmem =
-  let exec = Minic.Exec.create ~backend derived.C2sc.model_info in
+let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter derived
+    ~vmem =
   let prng = Stimuli.Prng.create ~seed in
   let stimulus = Stimuli.Prng.split prng "stimulus" in
-  Minic.Exec.set_hooks exec
-    {
-      Minic.Exec.mem_read = (fun addr -> Vmem.read vmem addr);
-      mem_write = (fun addr value -> Vmem.write vmem addr value);
-      nondet =
-        (fun ~lo ~hi ->
-          lo + (Stimuli.Prng.bits stimulus land 0xFFFFF) mod (hi - lo + 1));
-      on_statement = (fun _ -> ());
-      on_function_entry = (fun _ -> ());
-    };
   {
     kernel;
     derived;
-    exec;
+    vm = Minic.Vm.create derived.C2sc.model_info;
+    hooks =
+      {
+        Minic.Vm.mem_read = (fun addr -> Vmem.read vmem addr);
+        mem_write = (fun addr value -> Vmem.write vmem addr value);
+        nondet =
+          (fun ~lo ~hi ->
+            lo + (Stimuli.Prng.bits stimulus land 0xFFFFF) mod (hi - lo + 1));
+        on_statement = (fun _ -> ());
+        on_function_entry = (fun _ -> ());
+      };
     pc_ev = Sim.Kernel.event kernel "esw_pc_event";
     on_tick;
     jitter;
@@ -44,8 +44,8 @@ let create kernel ?(seed = 42) ?(on_tick = fun () -> ()) ?jitter
 let derived model = model.derived
 let pc_event model = model.pc_ev
 let statements model = model.stmt_count
-let read_member model name = Minic.Exec.read_global model.exec name
-let member_reader model name = Minic.Exec.global_reader model.exec name
+let read_member model name = Minic.Vm.read_global model.vm name
+let member_reader model name = Minic.Vm.global_reader model.vm name
 let outcome model = model.state
 
 (* the software has ended: one final notification exposes the state
@@ -58,8 +58,8 @@ let finish model state =
 (* one run of the model's timed process: the statement that began at
    the last tick executes, up to the next tick *)
 let advance model =
-  match Minic.Exec.step model.exec with
-  | Minic.Exec.Ticked ->
+  match Minic.Vm.step model.vm with
+  | Minic.Vm.Ticked ->
     model.stmt_count <- model.stmt_count + 1;
     model.on_tick ();
     Sim.Kernel.notify model.pc_ev;
@@ -67,16 +67,16 @@ let advance model =
        statement count (and therefore the property time base under
        [statements]-driven bounds) is unaffected *)
     (match model.jitter with None -> 1 | Some draw -> 1 + max 0 (draw ()))
-  | Minic.Exec.Ended result -> finish model (Done result)
+  | Minic.Vm.Ended result -> finish model (Done result)
   | exception
-      ((Minic.Exec.Assertion_failed _ | Minic.Exec.Assumption_failed _
-       | Minic.Exec.Runtime_error _) as exn) ->
+      ((Minic.Vm.Assertion_failed _ | Minic.Vm.Assumption_failed _
+       | Minic.Vm.Runtime_error _) as exn) ->
     finish model (Crashed exn)
 
 let start ?(fuel = 50_000_000) model ~entry =
   if model.state <> Not_started then
     invalid_arg "Esw_model.start: already started";
-  Minic.Exec.start ~fuel model.exec ~entry;
+  Minic.Vm.start ~fuel model.vm model.hooks ~entry;
   model.state <- Running;
   Sim.Kernel.spawn_timed model.kernel (fun () ->
       match model.state with

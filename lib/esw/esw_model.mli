@@ -1,7 +1,7 @@
 (** Executor for the derived software model (approach 2).
 
     The derived model's software runs in a timed kernel process
-    ({!Sim.Kernel.spawn_timed}) that steps its VM ({!Minic.Exec.step}):
+    ({!Sim.Kernel.spawn_timed}) that steps its VM ({!Minic.Vm.step}):
     each run executes the statement begun at the last tick up to the
     next tick, notifies [esw_pc_event] and asks to run again one time
     unit later, making simulation time equal the statement count — the
@@ -10,17 +10,15 @@
     counted in statements, not clock cycles, which is why the same
     property needs far smaller bounds than under approach 1.
 
-    The model's memory operations are bound to a {!Vmem}; [nondet] draws
-    from a deterministic stimulus stream; flash-style devices that need a
-    time base are advanced once per statement through [on_tick]. Execution
-    goes through {!Minic.Exec}: the model runs on the bytecode VM
-    ([backend], default [Vm]) or, as a test oracle, on the reference
-    interpreter, with identical event sequences. *)
+    The model holds its {!Minic.Vm.t} and the hooks it runs with: memory
+    operations go to a {!Vmem}, [nondet] draws from a deterministic
+    stimulus stream, and flash-style devices that need a time base are
+    advanced once per statement through [on_tick]. *)
 
 type outcome_state =
   | Not_started
   | Running
-  | Done of Minic.Exec.outcome
+  | Done of Minic.Vm.outcome
   | Crashed of exn  (** assertion failure / runtime error of the software *)
 
 type t
@@ -30,7 +28,6 @@ val create :
   ?seed:int ->
   ?on_tick:(unit -> unit) ->
   ?jitter:(unit -> int) ->
-  ?backend:Minic.Exec.kind ->
   C2sc.derived ->
   vmem:Vmem.t ->
   t

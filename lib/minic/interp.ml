@@ -1,11 +1,12 @@
-type outcome = Finished of int option | Halted | Fuel_exhausted
+(* The reference interpreter, the tests' oracle for {!Vm}: the outcome,
+   hooks and crash exceptions are the VM's own. *)
 
-exception Assertion_failed of Ast.position
-exception Assumption_failed of Ast.position
-exception Runtime_error of string * Ast.position
+type outcome = Vm.outcome = Finished of int option | Halted | Fuel_exhausted
+
+exception Assertion_failed = Vm.Assertion_failed
+exception Assumption_failed = Vm.Assumption_failed
+exception Runtime_error = Vm.Runtime_error
 exception Out_of_fuel
-
-let max_call_depth = 10_000
 
 (* control-flow signals *)
 exception Break_signal
@@ -13,7 +14,7 @@ exception Continue_signal
 exception Return_signal of int option
 exception Halt_signal
 
-type hooks = {
+type hooks = Vm.hooks = {
   mem_read : int -> int;
   mem_write : int -> int -> unit;
   nondet : lo:int -> hi:int -> int;
@@ -21,17 +22,7 @@ type hooks = {
   on_function_entry : string -> unit;
 }
 
-let default_hooks () =
-  let memory : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  {
-    mem_read =
-      (fun addr ->
-        match Hashtbl.find_opt memory addr with Some v -> v | None -> 0);
-    mem_write = (fun addr value -> Hashtbl.replace memory addr value);
-    nondet = (fun ~lo ~hi:_ -> lo);
-    on_statement = (fun _ -> ());
-    on_function_entry = (fun _ -> ());
-  }
+let default_hooks = Vm.default_hooks
 
 type cell = Scalar of int ref | Array of int array
 
@@ -243,8 +234,8 @@ and call_function env hooks pos name args =
   match Hashtbl.find_opt env.funcs name with
   | None -> raise (Runtime_error ("unknown function " ^ name, Ast.dummy_pos))
   | Some func ->
-    if env.depth >= max_call_depth then
-      fail pos "call depth exceeds %d" max_call_depth;
+    if env.depth >= Vm.max_call_depth then
+      fail pos "call depth exceeds %d" Vm.max_call_depth;
     env.depth <- env.depth + 1;
     let scope = Hashtbl.create 8 in
     List.iter2
@@ -316,18 +307,6 @@ let write_global env name value =
   | Some (Scalar cell) -> cell := value
   | Some (Array _) | None ->
     invalid_arg ("Interp.write_global: not a scalar global: " ^ name)
-
-let read_element env name index =
-  match Hashtbl.find_opt env.globals name with
-  | Some (Array data) ->
-    if index < 0 || index >= Array.length data then
-      raise
-        (Runtime_error
-           (Printf.sprintf "index %d out of bounds for %s" index name,
-            Ast.dummy_pos))
-    else data.(index)
-  | Some (Scalar _) | None ->
-    invalid_arg ("Interp.read_element: not an array: " ^ name)
 
 let globals_snapshot env =
   Hashtbl.fold

@@ -1,18 +1,16 @@
-(** Reference interpreter for MiniC.
+(** Reference interpreter for MiniC: the tests' oracle.
 
-    Executes a checked program directly on the AST. The interpreter is
-    deliberately pluggable: memory accesses, external stimuli and per-event
-    hooks are provided by the caller, because the same engine serves
-
-    - reference semantics for the compiler's differential tests, and
-    - the paper's approach 2: the derived software model executes through
-      this engine inside a simulation process, with [on_statement]
-      notifying the program-counter event and [mem_read]/[mem_write] going
-      to the virtual memory model.
+    Executes a checked program directly on the AST. No product path runs
+    it: {!Vm} is the one executor of [tcheck run], the derived model of
+    approach 2 and the benchmarks. The interpreter stays as the
+    independent semantics the differential tests hold the VM and the
+    compilers to, so it shares the VM's outcome, hooks and crash
+    exceptions (a pattern written against one matches the other) and
+    its call-depth bound {!Vm.max_call_depth}.
 
     Fuel limits bound execution of non-terminating control software. *)
 
-type outcome =
+type outcome = Vm.outcome =
   | Finished of int option  (** entry function returned (with value) *)
   | Halted  (** the program executed [halt()] *)
   | Fuel_exhausted
@@ -20,14 +18,10 @@ type outcome =
 exception Assertion_failed of Ast.position
 exception Assumption_failed of Ast.position
 exception Runtime_error of string * Ast.position
+(** The three are {!Vm}'s own exceptions, so a handler written against
+    one executor catches the other's crashes. *)
 
-val max_call_depth : int
-(** The most calls active at once, the entry function's included, on
-    this interpreter and on {!Vm}. A call beyond it raises
-    {!Runtime_error} ["call depth exceeds <max_call_depth>"] at the
-    call's position, before its function-entry hook. *)
-
-type hooks = {
+type hooks = Vm.hooks = {
   mem_read : int -> int;
   mem_write : int -> int -> unit;
   nondet : lo:int -> hi:int -> int;
@@ -36,7 +30,7 @@ type hooks = {
 }
 
 val default_hooks : unit -> hooks
-(** Sparse hashtable memory, [nondet] returning [lo], no-op events. *)
+(** {!Vm.default_hooks} *)
 
 type env
 
@@ -47,9 +41,6 @@ val read_global : env -> string -> int
 (** @raise Invalid_argument for unknown or array globals. *)
 
 val write_global : env -> string -> int -> unit
-
-val read_element : env -> string -> int -> int
-(** Array element; @raise Runtime_error on out-of-bounds. *)
 
 val globals_snapshot : env -> (string * int) list
 (** Scalar globals with current values (for debugging and propositions). *)

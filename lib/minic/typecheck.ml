@@ -6,7 +6,7 @@ type info = {
   tc_globals : (string * Ast.typ) list; (* non-const, declaration order *)
   tc_consts : (string * int) list;
   tc_inits : (string, int) Hashtbl.t; (* scalar and const globals *)
-  tc_vm_program : Bytecode.t option Atomic.t; (* filled by Exec.create *)
+  tc_vm_program : Bytecode.t option Atomic.t; (* filled by Vm.create *)
 }
 
 let program info = info.tc_program

@@ -8,8 +8,8 @@
     loop or switch, and duplicate case labels.
 
     Three of C's static rules make every name resolve lexically, so all
-    executors ({!Interp}, {!Compile}/{!Vm} and the ISA compiler) resolve
-    the names of a checked program alike:
+    executors ({!Compile}/{!Vm}, the ISA compiler and the tests'
+    {!Interp}) resolve the names of a checked program alike:
     - a declaration is only an element of a statement sequence (a
       function, block or case body, or a [for] init), never the un-braced
       body of [if]/[else]/[while]/[do]/[for], nor a [for] step;
@@ -58,6 +58,6 @@ val init_value : info -> string -> int
 
 val vm_program : info -> Bytecode.t option Atomic.t
 (** The once-filled slot that holds this program's bytecode: empty
-    after {!check}, filled by the first {!Exec.create} on the VM and
-    read by every later one, so a program checked once is compiled
-    once however many sessions run it. Only {!Exec} writes it. *)
+    after {!check}, filled by the first {!Vm.create} and read by every
+    later one, so a program checked once is compiled once however many
+    sessions run it. Only {!Vm} writes it. *)

@@ -1,4 +1,4 @@
-(* Bytecode virtual machine — the fast execution backend.
+(* The MiniC executor: a bytecode virtual machine.
 
    Executes {!Bytecode.t} produced by {!Compile}. The MiniC call stack is
    the VM's own data, not OCaml's: every activation's locals and
@@ -6,13 +6,55 @@
    base, its operands above them), and each call's return pc and
    caller's frame base in another ([frames]). So one dispatch loop runs
    the whole program without recursing, the call depth is bounded by
-   {!Interp.max_call_depth} and not by the OCaml stack, and the loop can
-   stop just after any statement tick and resume there later ({!step}).
-   All observable behavior — hook order, statement counting, fuel
-   accounting, error messages and their positions, 32-bit arithmetic —
-   reproduces {!Interp} exactly; the interpreter stays the reference
-   oracle and the differential tests in [test/test_vm.ml] hold the two
-   together. *)
+   [max_call_depth] and not by the OCaml stack, and the loop can stop
+   just after any statement tick and resume there later ({!step}).
+   The tree-walking {!Interp} is the tests' oracle: the differential
+   tests in [test/test_vm.ml] hold the VM's hook order, statement
+   counting, fuel accounting, error messages and their positions, and
+   32-bit arithmetic to the interpreter's. *)
+
+type outcome = Finished of int option | Halted | Fuel_exhausted
+
+exception Assertion_failed of Ast.position
+exception Assumption_failed of Ast.position
+exception Runtime_error of string * Ast.position
+
+(* what [tcheck run] prints, and the reason a crashed derived model
+   gives in its [software_crashed] trace event *)
+let () =
+  Printexc.register_printer (function
+    | Assertion_failed p ->
+      Some (Printf.sprintf "assertion failed at %d:%d" p.Ast.line p.Ast.column)
+    | Assumption_failed p ->
+      Some
+        (Printf.sprintf "assumption failed at %d:%d" p.Ast.line p.Ast.column)
+    | Runtime_error (msg, p) ->
+      Some
+        (Printf.sprintf "runtime error at %d:%d: %s" p.Ast.line p.Ast.column
+           msg)
+    | _ -> None)
+
+let max_call_depth = 10_000
+
+type hooks = {
+  mem_read : int -> int;
+  mem_write : int -> int -> unit;
+  nondet : lo:int -> hi:int -> int;
+  on_statement : Ast.stmt -> unit;
+  on_function_entry : string -> unit;
+}
+
+let default_hooks () =
+  let memory : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  {
+    mem_read =
+      (fun addr ->
+        match Hashtbl.find_opt memory addr with Some v -> v | None -> 0);
+    mem_write = (fun addr value -> Hashtbl.replace memory addr value);
+    nondet = (fun ~lo ~hi:_ -> lo);
+    on_statement = (fun _ -> ());
+    on_function_entry = (fun _ -> ());
+  }
 
 type t = {
   prog : Bytecode.t;
@@ -27,14 +69,31 @@ type t = {
   mutable fp : int;
   mutable depth : int;  (* active calls, the entry's included *)
   mutable fuel : int;
-  mutable hooks : Interp.hooks;
+  mutable hooks : hooks;
   mutable entry_void : bool;
   mutable paused : bool;
 }
 
-type progress = Ticked | Ended of Interp.outcome
+type progress = Ticked | Ended of outcome
 
-let create prog =
+(* The bytecode of [info], compiled by the first VM of that info and
+   shared by every later one: a campaign of thousands of sessions over
+   one checked program lowers it once. Two domains may both find the
+   slot empty and both compile; [compare_and_set] stores exactly one
+   program and the loser adopts it, so every VM of one info runs the
+   same [Bytecode.t]. Sharing is safe because a VM writes only its own
+   frames, globals and array copies, never the program. *)
+let program info =
+  let slot = Typecheck.vm_program info in
+  match Atomic.get slot with
+  | Some prog -> prog
+  | None ->
+    let prog = Compile.compile info in
+    if Atomic.compare_and_set slot None (Some prog) then prog
+    else Option.get (Atomic.get slot)
+
+let create info =
+  let prog = program info in
   {
     prog;
     globals = Array.copy prog.Bytecode.global_init;
@@ -50,7 +109,7 @@ let create prog =
     fp = 0;
     depth = 0;
     fuel = 0;
-    hooks = Interp.default_hooks ();
+    hooks = default_hooks ();
     entry_void = true;
     paused = false;
   }
@@ -65,7 +124,7 @@ let reset vm =
 let fail prog pos_index fmt =
   Printf.ksprintf
     (fun m ->
-      raise (Interp.Runtime_error (m, prog.Bytecode.positions.(pos_index))))
+      raise (Runtime_error (m, prog.Bytecode.positions.(pos_index))))
     fmt
 
 let grown array needed =
@@ -86,7 +145,7 @@ let exec vm ~pause =
   let funcs = prog.Bytecode.funcs in
   let globals = vm.globals in
   let hooks = vm.hooks in
-  let on_statement = hooks.Interp.on_statement in
+  let on_statement = hooks.on_statement in
   (* [sp]/[pc]/[fp] stay register-allocated as long as no closure
      captures them, so all stack traffic is open-coded rather than
      routed through push/pop helpers. Frame slots, operand depths, jump
@@ -208,8 +267,8 @@ let exec vm ~pause =
       decr sp;
       if Value.to_bool (Array.unsafe_get !stack !sp) then pc := target
     | Bytecode.Call (callee_index, pos) ->
-      if !depth >= Interp.max_call_depth then
-        fail prog pos "call depth exceeds %d" Interp.max_call_depth;
+      if !depth >= max_call_depth then
+        fail prog pos "call depth exceeds %d" max_call_depth;
       (* the arguments on top of the caller's operands become the
          callee's first locals *)
       let callee = Array.unsafe_get funcs callee_index in
@@ -239,7 +298,7 @@ let exec vm ~pause =
       decr depth;
       if !depth = 0 then begin
         progress :=
-          Ended (Interp.Finished (if vm.entry_void then None else Some result));
+          Ended (Finished (if vm.entry_void then None else Some result));
         running := false
       end
       else begin
@@ -253,7 +312,7 @@ let exec vm ~pause =
     | Bytecode.Pop -> decr sp
     | Bytecode.Tick stmt ->
       if !fuel <= 0 then begin
-        progress := Ended Interp.Fuel_exhausted;
+        progress := Ended Fuel_exhausted;
         running := false
       end
       else begin
@@ -271,35 +330,35 @@ let exec vm ~pause =
         end
       end
     | Bytecode.Obs_entry f ->
-      hooks.Interp.on_function_entry
+      hooks.on_function_entry
         (Array.unsafe_get funcs f).Bytecode.fn_name
     | Bytecode.Obs_mem_read ->
       let top = !sp - 1 in
       Array.unsafe_set !stack top
-        (hooks.Interp.mem_read (Array.unsafe_get !stack top))
+        (hooks.mem_read (Array.unsafe_get !stack top))
     | Bytecode.Obs_mem_write ->
       decr sp;
       let addr = Array.unsafe_get !stack !sp in
       decr sp;
       let value = Array.unsafe_get !stack !sp in
-      hooks.Interp.mem_write addr value
+      hooks.mem_write addr value
     | Bytecode.Nondet_op pos ->
       decr sp;
       let hi = Array.unsafe_get !stack !sp in
       let top = !sp - 1 in
       let lo = Array.unsafe_get !stack top in
       if lo > hi then fail prog pos "nondet with empty range [%d, %d]" lo hi
-      else Array.unsafe_set !stack top (hooks.Interp.nondet ~lo ~hi)
+      else Array.unsafe_set !stack top (hooks.nondet ~lo ~hi)
     | Bytecode.Assert_op pos ->
       decr sp;
       if not (Value.to_bool (Array.unsafe_get !stack !sp)) then
-        raise (Interp.Assertion_failed prog.Bytecode.positions.(pos))
+        raise (Assertion_failed prog.Bytecode.positions.(pos))
     | Bytecode.Assume_op pos ->
       decr sp;
       if not (Value.to_bool (Array.unsafe_get !stack !sp)) then
-        raise (Interp.Assumption_failed prog.Bytecode.positions.(pos))
+        raise (Assumption_failed prog.Bytecode.positions.(pos))
     | Bytecode.Halt_op ->
-      progress := Ended Interp.Halted;
+      progress := Ended Halted;
       running := false
   done;
   !progress
@@ -362,7 +421,7 @@ let read_element vm name index =
     let data = vm.arrays.(slot) in
     if index < 0 || index >= Array.length data then
       raise
-        (Interp.Runtime_error
+        (Runtime_error
            ( Printf.sprintf "index %d out of bounds for %s" index name,
              Ast.dummy_pos ))
     else data.(index)

@@ -198,6 +198,42 @@ let test_proposition_sampling_allocates_nothing () =
       "%.0f minor words sampling a global, %.0f a constant, over %d triggers"
       global constant triggers
 
+(* The derived model counts its session and its statements under the
+   VM, the one MiniC executor; the SoC runs compiled code and counts
+   neither *)
+let test_vm_metrics () =
+  let run backend =
+    let metrics = Obs.Registry.create () in
+    let session =
+      Session.create ~info:(endless_info ())
+        { Session.default_config with Session.metrics }
+        backend
+    in
+    Session.run ~bound:500 session;
+    let result = Session.result session in
+    let sim_names =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun m ->
+             let name = m.Obs.Registry.name in
+             if String.starts_with ~prefix:"sim_" name then Some name
+             else None)
+           (Obs.Registry.snapshot metrics))
+    in
+    (metrics, result.Result.time_units, sim_names)
+  in
+  let metrics, units, names = run Session.Derived_model in
+  Alcotest.(check (list string)) "approach 2 names"
+    [ "sim_vm_sessions_total"; "sim_vm_statements_total" ]
+    names;
+  Alcotest.(check int) "one session" 1
+    (Obs.Registry.total metrics "sim_vm_sessions_total");
+  Alcotest.(check bool) "statements ran" true (units > 0);
+  Alcotest.(check int) "statements = time units" units
+    (Obs.Registry.total metrics "sim_vm_statements_total");
+  let _, _, names = run Session.Soc_model in
+  Alcotest.(check (list string)) "approach 1 names" [] names
+
 let kind_is_handshake e =
   match e.Trace.kind with Trace.Handshake_armed _ -> true | _ -> false
 
@@ -445,6 +481,7 @@ let suite =
     Alcotest.test_case "reader found once" `Quick test_reader_found_once;
     Alcotest.test_case "sampling a global allocates nothing" `Quick
       test_proposition_sampling_allocates_nothing;
+    Alcotest.test_case "VM metrics on approach 2 only" `Quick test_vm_metrics;
   ]
 
 let reader =

@@ -133,36 +133,31 @@ let check_golden_zero_rate_faults ~approach () =
   Alcotest.(check string) "zero-rate faults reproduce the golden bytes" golden
     (project jsonl)
 
+(* The MD5 of the faulty run's projection below as the reference
+   interpreter produced it at jobs=1, recorded (4,059 bytes) when the
+   derived model could still run on the interpreter; the VM must
+   reproduce those bytes. *)
+let faulty_interp_md5 = "b34dcfb2fe57268b7a9c248c885a4ef0"
+
 (* a faulty run is replayable: the same (seed, fault config) produces
-   byte-identical traces whatever the worker count or backend — each
-   fault class draws from its own substream keyed off the session seed,
-   never from shared state *)
+   byte-identical traces whatever the worker count, and the same bytes
+   the interpreter did — each fault class draws from its own substream
+   keyed off the session seed, never from shared state *)
 let check_faulty_run_determinism () =
   let faults =
     { Smc.Faults.decay = 0.001; power_loss = 0.3; jitter_prob = 0.02;
       jitter_max = 20 }
   in
-  let run backend workers =
-    let _, jsonl =
-      run_traced ~workers
-        { (plan 2) with Harness.faults = faults; backend }
-    in
+  let run workers =
+    let _, jsonl = run_traced ~workers { (plan 2) with Harness.faults } in
     project jsonl
   in
-  let reference = run Minic.Exec.Interp 1 in
-  Alcotest.(check bool) "faulty trace is non-trivial" true
-    (String.length reference > 0);
-  List.iter
-    (fun (name, backend, workers) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s reproduces the jobs=1 interpreter bytes" name)
-        reference
-        (run backend workers))
-    [
-      ("vm, jobs=1", Minic.Exec.Vm, 1);
-      ("interp, pooled", Minic.Exec.Interp, 2);
-      ("vm, pooled", Minic.Exec.Vm, 2);
-    ]
+  let reference = run 1 in
+  Alcotest.(check string) "jobs=1 reproduces the interpreter's bytes"
+    faulty_interp_md5
+    (Digest.to_hex (Digest.string reference));
+  Alcotest.(check string) "pooled reproduces the jobs=1 bytes" reference
+    (run 2)
 
 (* ---- regeneration -------------------------------------------------------- *)
 

@@ -1,8 +1,8 @@
-(* Differential testing of the bytecode VM against the reference
-   interpreter, through the backend-agnostic [Minic.Exec] interface.
+(* Differential testing of the bytecode VM, the product's MiniC
+   executor, against the reference interpreter.
 
    The interpreter is the oracle: for every generated program, both
-   backends must produce the same outcome (including exceptions, their
+   executors must produce the same outcome (including exceptions, their
    messages and positions), the same statement count, the same final
    globals, and byte-identical observation traces (statement hooks,
    function entries, virtual-memory accesses, nondet queries). The
@@ -12,7 +12,36 @@
    unmasked division — the error paths are part of the contract. *)
 
 module Ast = Minic.Ast
-module Exec = Minic.Exec
+module Interp = Minic.Interp
+module Vm = Minic.Vm
+
+(* ---- the VM and its oracle behind one face ------------------------------ *)
+
+(* a program instantiated on one executor; [run] calls [main] *)
+type instance = {
+  run : fuel:int -> Vm.hooks -> Vm.outcome;
+  globals : unit -> (string * int) list;
+  statements : unit -> int;
+  read_global : string -> int;
+}
+
+let interp info =
+  let env = Interp.create info in
+  {
+    run = (fun ~fuel hooks -> Interp.run ~fuel env hooks ~entry:"main");
+    globals = (fun () -> Interp.globals_snapshot env);
+    statements = (fun () -> Interp.statements_executed env);
+    read_global = Interp.read_global env;
+  }
+
+let vm info =
+  let vm = Vm.create info in
+  {
+    run = (fun ~fuel hooks -> Vm.run ~fuel vm hooks ~entry:"main");
+    globals = (fun () -> Vm.globals_snapshot vm);
+    statements = (fun () -> Vm.statements_executed vm);
+    read_global = Vm.read_global vm;
+  }
 
 (* ---- observation trace ------------------------------------------------- *)
 
@@ -35,17 +64,21 @@ let stmt_tag s =
   | Ast.Halt -> "hlt"
 
 (* hooks that append every observation point to [buf]: statement ticks
-   (tag + position), function entries, vmem traffic against a small
-   deterministic memory, and nondet queries answered mid-range *)
-let recording_hooks buf =
+   (tag + position), function entries, vmem traffic and nondet queries.
+   Reads come from a small deterministic memory and nondet queries are
+   answered mid-range, unless [answers] is given: then each device read
+   takes its next value, and each nondet query its next value folded
+   into the range. *)
+let recording_hooks ?answers buf =
   let memory = Hashtbl.create 16 in
   {
-    Minic.Interp.mem_read =
+    Vm.mem_read =
       (fun addr ->
         let v =
-          match Hashtbl.find_opt memory addr with
-          | Some v -> v
-          | None -> (addr * 7) land 0xFF
+          match answers, Hashtbl.find_opt memory addr with
+          | Some next, _ -> next ()
+          | None, Some v -> v
+          | None, None -> (addr * 7) land 0xFF
         in
         Buffer.add_string buf (Printf.sprintf "R%d=%d;" addr v);
         v);
@@ -56,7 +89,9 @@ let recording_hooks buf =
     nondet =
       (fun ~lo ~hi ->
         Buffer.add_string buf (Printf.sprintf "N%d,%d;" lo hi);
-        lo + ((hi - lo) / 2));
+        match answers with
+        | Some next -> lo + (abs (next ()) mod (hi - lo + 1))
+        | None -> lo + ((hi - lo) / 2));
     on_statement =
       (fun s ->
         Buffer.add_string buf
@@ -66,51 +101,48 @@ let recording_hooks buf =
       (fun name -> Buffer.add_string buf (Printf.sprintf "F%s;" name));
   }
 
-(* ---- one run on one backend, fully reified ----------------------------- *)
+(* ---- one run on one executor, fully reified ----------------------------- *)
 
 let outcome_repr = function
-  | Exec.Finished (Some v) -> Printf.sprintf "finished %d" v
-  | Exec.Finished None -> "finished void"
-  | Exec.Halted -> "halted"
-  | Exec.Fuel_exhausted -> "fuel exhausted"
+  | Vm.Finished (Some v) -> Printf.sprintf "finished %d" v
+  | Vm.Finished None -> "finished void"
+  | Vm.Halted -> "halted"
+  | Vm.Fuel_exhausted -> "fuel exhausted"
 
 (* the outcome of [f ()], or the crash it raised *)
 let ending f =
   match f () with
   | outcome -> outcome_repr outcome
-  | exception Exec.Assertion_failed p ->
+  | exception Vm.Assertion_failed p ->
     Printf.sprintf "assert@%d:%d" p.Ast.line p.Ast.column
-  | exception Exec.Assumption_failed p ->
+  | exception Vm.Assumption_failed p ->
     Printf.sprintf "assume@%d:%d" p.Ast.line p.Ast.column
-  | exception Exec.Runtime_error (msg, p) ->
+  | exception Vm.Runtime_error (msg, p) ->
     Printf.sprintf "error %s@%d:%d" msg p.Ast.line p.Ast.column
 
-let globals_repr exec =
+let globals_repr globals =
   String.concat ","
-    (List.map
-       (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-       (Exec.globals_snapshot exec))
+    (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) globals)
 
-let result_repr exec outcome observations =
-  Printf.sprintf "%s | stmts=%d | %s | %s" outcome
-    (Exec.statements_executed exec)
-    (globals_repr exec) observations
+let result_repr outcome ~statements ~globals observations =
+  Printf.sprintf "%s | stmts=%d | %s | %s" outcome statements
+    (globals_repr globals) observations
 
-let run_backend ?(fuel = 20_000) backend info =
-  let exec = Exec.create ~backend info in
+let run_on ?(fuel = 20_000) ?answers executor info =
+  let instance = executor info in
   let buf = Buffer.create 256 in
-  let hooks = recording_hooks buf in
-  let outcome = ending (fun () -> Exec.run ~fuel ~hooks exec ~entry:"main") in
-  result_repr exec outcome (Buffer.contents buf)
+  let hooks = recording_hooks ?answers buf in
+  let outcome = ending (fun () -> instance.run ~fuel hooks) in
+  result_repr outcome ~statements:(instance.statements ())
+    ~globals:(instance.globals ()) (Buffer.contents buf)
 
-(* The same run, one [Exec.step] at a time. Returns the transcript (each
-   step's observations and the globals after it, then the outcome or
-   crash) and the whole run in [run_backend]'s form. *)
-let step_backend ~fuel backend info =
-  let exec = Exec.create ~backend info in
+(* The same run on the VM, one [Vm.step] at a time. Returns the
+   transcript (each step's observations and the globals after it, then
+   the outcome or crash) and the whole run in [run_on]'s form. *)
+let step_vm ~fuel info =
+  let vm = Vm.create info in
   let buf = Buffer.create 256 in
-  Exec.set_hooks exec (recording_hooks buf);
-  Exec.start ~fuel exec ~entry:"main";
+  Vm.start ~fuel vm (recording_hooks buf) ~entry:"main";
   let transcript = Buffer.create 1024 and observations = Buffer.create 256 in
   let take () =
     Buffer.add_buffer transcript buf;
@@ -118,18 +150,48 @@ let step_backend ~fuel backend info =
     Buffer.clear buf
   in
   let rec go () =
-    match Exec.step exec with
-    | Exec.Ticked ->
+    match Vm.step vm with
+    | Vm.Ticked ->
       take ();
-      Printf.bprintf transcript " | %s\n" (globals_repr exec);
+      Printf.bprintf transcript " | %s\n" (globals_repr (Vm.globals_snapshot vm));
       go ()
-    | Exec.Ended outcome -> outcome
+    | Vm.Ended outcome -> outcome
   in
   let outcome = ending go in
   take ();
   Buffer.add_string transcript outcome;
   ( Buffer.contents transcript,
-    result_repr exec outcome (Buffer.contents observations) )
+    result_repr outcome ~statements:(Vm.statements_executed vm)
+      ~globals:(Vm.globals_snapshot vm) (Buffer.contents observations) )
+
+(* The interpreter's run in [step_vm]'s transcript form. The statement
+   hook fires exactly where a VM step stops, after the tick and before
+   the statement, so each line is taken inside it. *)
+let interp_transcript ~fuel info =
+  let env = Interp.create info in
+  let buf = Buffer.create 256 and transcript = Buffer.create 1024 in
+  let take () =
+    Buffer.add_buffer transcript buf;
+    Buffer.clear buf
+  in
+  let recording = recording_hooks buf in
+  let hooks =
+    {
+      recording with
+      Vm.on_statement =
+        (fun s ->
+          recording.Vm.on_statement s;
+          take ();
+          Printf.bprintf transcript " | %s\n"
+            (globals_repr (Interp.globals_snapshot env)));
+    }
+  in
+  let outcome =
+    ending (fun () -> Interp.run ~fuel env hooks ~entry:"main")
+  in
+  take ();
+  Buffer.add_string transcript outcome;
+  Buffer.contents transcript
 
 (* ---- generator --------------------------------------------------------- *)
 
@@ -518,7 +580,7 @@ let arbitrary_program =
   QCheck.make ~print:Pretty.program_to_string gen_program
 
 let vm_matches_interp info =
-  let a = run_backend Exec.Interp info and b = run_backend Exec.Vm info in
+  let a = run_on interp info and b = run_on vm info in
   String.equal a b || QCheck.Test.fail_reportf "interp: %s\nvm:     %s" a b
 
 let qcheck_vm_equals_interp =
@@ -528,29 +590,27 @@ let qcheck_vm_equals_interp =
       | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info -> vm_matches_interp info)
 
-(* Stepping: both backends stop after the same ticks with the same
-   globals and end alike, and stepping a run to its end observes exactly
-   what [Exec.run] does. The fuel is lower than [run_backend]'s because
-   every step takes a snapshot. *)
+(* Stepping: the VM stops after each tick with the interpreter's
+   observations and globals at that tick's hook and ends alike, and
+   stepping a run to its end observes exactly what [Vm.run] does. The
+   fuel is lower than [run_on]'s because every step takes a
+   snapshot. *)
 let qcheck_step_equals_interp =
-  QCheck.Test.make ~name:"stepped vm == stepped interp == run" ~count:500
+  QCheck.Test.make ~name:"stepped vm == interp == run" ~count:500
     arbitrary_program (fun program ->
       match Loc.catch (fun () -> Minic.Typecheck.check program) with
       | Error e -> QCheck.Test.fail_reportf "generator bug: %s" (Loc.to_string e)
       | Ok info ->
         let fuel = 2_000 in
-        let interp, interp_run = step_backend ~fuel Exec.Interp info in
-        let vm, vm_run = step_backend ~fuel Exec.Vm info in
-        (String.equal interp vm
-        || QCheck.Test.fail_reportf "stepped interp:\n%s\nstepped vm:\n%s" interp
-             vm)
-        && List.for_all
-             (fun (backend, stepped) ->
-               let ran = run_backend ~fuel backend info in
-               String.equal stepped ran
-               || QCheck.Test.fail_reportf "%s stepped: %s\nran:     %s"
-                    (Exec.to_string backend) stepped ran)
-             [ (Exec.Interp, interp_run); (Exec.Vm, vm_run) ])
+        let expected = interp_transcript ~fuel info in
+        let stepped, stepped_run = step_vm ~fuel info in
+        let ran = run_on ~fuel vm info in
+        (String.equal expected stepped
+        || QCheck.Test.fail_reportf "interp:\n%s\nstepped vm:\n%s" expected
+             stepped)
+        && (String.equal stepped_run ran
+           || QCheck.Test.fail_reportf "vm stepped: %s\nran:       %s"
+                stepped_run ran))
 
 (* ---- typecheck / compile oracle ---------------------------------------- *)
 
@@ -745,52 +805,65 @@ let qcheck_typecheck_compile =
       | _, Some _ -> QCheck.Test.fail_reportf "planted shape accepted"
       | info, None -> vm_matches_interp info)
 
-(* ---- EEE operation-mix differential ------------------------------------ *)
+(* ---- EEE software differential ------------------------------------------ *)
 
-(* the same booted approach-2 session, the same constrained-random
-   campaign — only the execution backend differs; verdicts, time units,
-   trigger counts and coverage must agree *)
-let eee_outcome backend ~op ~seed ~cases =
-  let session =
-    Eee.Harness.approach2
-      ~flash:(Eee.Harness.flash_quick_config ~fault_rate:0.02)
-      ~seed ~backend ()
+(* The derived EEE model reaches its executor only through the hooks and
+   the ticks, so the derived program runs on both executors with one
+   seeded stream answering every device read (mailbox, flash controller
+   and window) and nondet. The answers lean toward the values the
+   software compares against — 0, 1, 2, -1, [magic] (HEADER_MAGIC), small
+   ids and operation codes — plus arbitrary words. *)
+let device_answers ~magic seed =
+  let state = Random.State.make [| seed |] in
+  fun () ->
+    match Random.State.int state 8 with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 -> 2
+    | 3 -> -1
+    | 4 -> magic
+    | 5 | 6 -> Random.State.int state 18
+    | _ -> Random.State.bits state - (1 lsl 29)
+
+(* the functions a run's observations entered *)
+let entered_functions result =
+  match String.split_on_char '|' result with
+  | [ _; _; _; observations ] ->
+    List.filter_map
+      (fun token ->
+        let token = String.trim token in
+        if token <> "" && token.[0] = 'F' then
+          Some (String.sub token 1 (String.length token - 1))
+        else None)
+      (String.split_on_char ';' observations)
+  | _ -> Alcotest.failf "unexpected run form: %s" result
+
+(* every seed's run agrees on both executors, and the seed set enters
+   every function that has a caller: all but [dfa_busy] *)
+let test_eee_software () =
+  let info = (Eee.Eee_program.derive ()).Esw.C2sc.model_info in
+  let magic = Option.get (Minic.Typecheck.const_value info "HEADER_MAGIC") in
+  let entered = Hashtbl.create 32 in
+  for seed = 1 to 30 do
+    let run executor =
+      run_on ~fuel:10_000 ~answers:(device_answers ~magic seed) executor
+        info
+    in
+    let expected = run interp and got = run vm in
+    Alcotest.(check string) (Printf.sprintf "seed %d: vm == interp" seed)
+      expected got;
+    List.iter
+      (fun name -> Hashtbl.replace entered name ())
+      (entered_functions got)
+  done;
+  let called =
+    List.filter
+      (fun name -> name <> "dfa_busy")
+      (List.map fst (Minic.Typecheck.func_ids info))
   in
-  Eee.Driver.install_spec session [ op ];
-  let config = { Eee.Driver.default_config with test_cases = cases; seed } in
-  let result = Eee.Driver.run_campaign session config op in
-  Printf.sprintf "units=%d triggers=%d cases=%d timeouts=%d %s returns=%s"
-    result.Verif.Result.time_units result.Verif.Result.triggers
-    (Verif.Result.completed_cases result)
-    result.Verif.Result.timeouts
-    (String.concat ","
-       (List.map
-          (fun p ->
-            Printf.sprintf "%s:%s%s" p.Verif.Result.property
-              (Verdict.to_string p.Verif.Result.verdict)
-              (match p.Verif.Result.first_final_at with
-              | Some tu -> Printf.sprintf "@%d" tu
-              | None -> ""))
-          result.Verif.Result.properties))
-    (String.concat ","
-       (match result.Verif.Result.coverage with
-       | Some coverage -> Sctc.Coverage.observed coverage
-       | None -> []))
-
-let arbitrary_eee_mix =
-  QCheck.make
-    ~print:(fun (op, seed, cases) ->
-      Printf.sprintf "%s seed=%d cases=%d" (Eee.Eee_spec.op_name op) seed cases)
-    QCheck.Gen.(
-      triple (oneofl Eee.Eee_spec.all_ops) (int_bound 10_000) (int_range 1 3))
-
-let qcheck_eee_mix =
-  QCheck.Test.make ~name:"EEE campaign: vm == interp (operation mixes)"
-    ~count:25 arbitrary_eee_mix (fun (op, seed, cases) ->
-      let interp = eee_outcome Exec.Interp ~op ~seed ~cases in
-      let vm = eee_outcome Exec.Vm ~op ~seed ~cases in
-      String.equal interp vm
-      || QCheck.Test.fail_reportf "interp: %s\nvm:     %s" interp vm)
+  Alcotest.(check int) "functions with a caller" 25 (List.length called);
+  Alcotest.(check (list string)) "entered" (List.sort compare called)
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys entered)))
 
 (* ---- observation-opcode unit tests ------------------------------------- *)
 
@@ -807,13 +880,13 @@ let contains s fragment =
 
 let check_run name ?fuel source ~expect_contains =
   let info = parse_info source in
-  let interp = run_backend ?fuel Exec.Interp info in
-  let vm = run_backend ?fuel Exec.Vm info in
-  Alcotest.(check string) (name ^ ": vm == interp") interp vm;
+  let expected = run_on ?fuel interp info in
+  let got = run_on ?fuel vm info in
+  Alcotest.(check string) (name ^ ": vm == interp") expected got;
   List.iter
     (fun fragment ->
-      if not (contains vm fragment) then
-        Alcotest.failf "%s: %S not found in %S" name fragment vm)
+      if not (contains got fragment) then
+        Alcotest.failf "%s: %S not found in %S" name fragment got)
     expect_contains
 
 (* Tick: the statement hook fires before each statement executes, in
@@ -823,22 +896,23 @@ let test_tick_opcode () =
   let info =
     parse_info "int g;\nint main(void) {\n  g = 1;\n  g = 2;\n  halt();\n}\n"
   in
-  let observe backend =
-    let exec = Exec.create ~backend info in
+  let observe executor =
+    let instance = executor info in
     let seen = ref [] in
-    Exec.set_hooks exec
+    let hooks =
       {
-        (Exec.default_hooks ()) with
-        Minic.Interp.on_statement =
+        (Vm.default_hooks ()) with
+        Vm.on_statement =
           (fun s ->
             seen :=
-              (stmt_tag s, s.Ast.spos.Ast.line, Exec.read_global exec "g")
+              (stmt_tag s, s.Ast.spos.Ast.line, instance.read_global "g")
               :: !seen);
-      };
-    let outcome = Exec.run ~fuel:100 exec ~entry:"main" in
-    (outcome_repr outcome, List.rev !seen, Exec.statements_executed exec)
+      }
+    in
+    let outcome = instance.run ~fuel:100 hooks in
+    (outcome_repr outcome, List.rev !seen, instance.statements ())
   in
-  let interp = observe Exec.Interp and vm = observe Exec.Vm in
+  let interp = observe interp and vm = observe vm in
   let expected =
     ("halted", [ ("asg", 3, 0); ("asg", 4, 1); ("hlt", 5, 2) ], 3)
   in
@@ -902,12 +976,12 @@ let test_error_parity () =
     ~expect_contains:[ "fuel exhausted | stmts=500" ]
 
 (* unbounded recursion ends at the call that would make
-   [Interp.max_call_depth] + 1 calls active (the entry's counted), with
-   the same error on both backends, from a call in an expression and
+   [Vm.max_call_depth] + 1 calls active (the entry's counted), with
+   the same error on both executors, from a call in an expression and
    from a call statement *)
 let test_call_depth () =
   let error =
-    Printf.sprintf "error call depth exceeds %d" Minic.Interp.max_call_depth
+    Printf.sprintf "error call depth exceeds %d" Vm.max_call_depth
   in
   check_run "recursive call in an expression" ~fuel:100_000
     "int g;\n\
@@ -918,7 +992,7 @@ let test_call_depth () =
      int main(void) { return f(0); }\n"
     ~expect_contains:
       [ error ^ "@4:10";
-        Printf.sprintf "g=%d" (Minic.Interp.max_call_depth - 2) ];
+        Printf.sprintf "g=%d" (Vm.max_call_depth - 2) ];
   check_run "recursive call statement" ~fuel:100_000
     "int g;\n\
      void h(int n) {\n\
@@ -970,22 +1044,16 @@ let test_reset () =
       "int g; int arr[4];\n\
        int main(void) { g = g + 1; arr[2] = arr[2] + 5; return g; }\n"
   in
-  List.iter
-    (fun backend ->
-      let exec = Exec.create ~backend info in
-      ignore (Exec.run ~fuel:100 exec ~entry:"main");
-      ignore (Exec.run ~fuel:100 exec ~entry:"main");
-      Exec.reset exec;
-      (match Exec.run ~fuel:100 exec ~entry:"main" with
-      | Exec.Finished (Some 1) -> ()
-      | outcome ->
-        Alcotest.failf "%s after reset: %s" (Exec.to_string backend)
-          (outcome_repr outcome));
-      Alcotest.(check int)
-        (Exec.to_string backend ^ " element after reset")
-        5
-        (Exec.read_element exec "arr" 2))
-    [ Exec.Interp; Exec.Vm ]
+  let vm = Vm.create info in
+  let run () = Vm.run ~fuel:100 vm (Vm.default_hooks ()) ~entry:"main" in
+  ignore (run ());
+  ignore (run ());
+  Vm.reset vm;
+  (match run () with
+  | Vm.Finished (Some 1) -> ()
+  | outcome -> Alcotest.failf "after reset: %s" (outcome_repr outcome));
+  Alcotest.(check int) "statements after reset" 3 (Vm.statements_executed vm);
+  Alcotest.(check int) "element after reset" 5 (Vm.read_element vm "arr" 2)
 
 (* ---- one compiled program per checked program -------------------------- *)
 
@@ -1006,9 +1074,9 @@ let test_compiled_once () =
   let compile = minor_words (fun () -> ignore (Minic.Compile.compile info)) in
   Alcotest.(check bool) "no program before the first create" true
     (Option.is_none (vm_program info));
-  ignore (Exec.create info);
+  ignore (Vm.create info);
   let program = Option.get (vm_program info) in
-  let second = minor_words (fun () -> ignore (Exec.create info)) in
+  let second = minor_words (fun () -> ignore (Vm.create info)) in
   Alcotest.(check bool) "the second create keeps the first program" true
     (Option.get (vm_program info) == program);
   if second *. 10. > compile then
@@ -1030,7 +1098,7 @@ let test_shared_program_across_domains () =
       \  return g;\n\
        }\n"
   in
-  let expected = run_backend Exec.Interp info in
+  let expected = run_on interp info in
   let go = Atomic.make false in
   let domains =
     List.init 4 (fun _ ->
@@ -1038,7 +1106,7 @@ let test_shared_program_across_domains () =
             while not (Atomic.get go) do
               Domain.cpu_relax ()
             done;
-            List.init 25 (fun _ -> run_backend Exec.Vm info)))
+            List.init 25 (fun _ -> run_on vm info)))
   in
   Atomic.set go true;
   List.iteri
@@ -1058,7 +1126,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_vm_equals_interp;
           QCheck_alcotest.to_alcotest qcheck_step_equals_interp;
           QCheck_alcotest.to_alcotest qcheck_typecheck_compile;
-          QCheck_alcotest.to_alcotest qcheck_eee_mix;
+          Alcotest.test_case "EEE software: vm == interp (device answers)"
+            `Quick test_eee_software;
         ] );
       ( "opcodes",
         [
