@@ -249,13 +249,23 @@ let synth_seconds_sum summary =
    rendered. It is measured on a second run of the plan in the process:
    one-time costs (the first session's compile, AR-automaton fills,
    cons-table growth) depend on what else the process ran, and a repeat
-   run repeats its count exactly. *)
-type allocation = { words : int; jobs : int; events : int }
+   run repeats its count exactly. [words] is counted with
+   [Registry.null]; [metering] is what a live registry adds to it, on
+   the registry's second campaign: its first creates the metric series
+   and their domain-local cells, whose cost depends on how many
+   [Domain.DLS] keys the process made before. *)
+type allocation = { words : int; jobs : int; events : int; metering : int }
 
 let sequential_allocation plan =
-  let before = Gc.minor_words () in
-  let summary, _ = traced_campaign ~workers:1 plan in
-  let words = int_of_float (Gc.minor_words () -. before) in
+  let measure metrics =
+    let before = Gc.minor_words () in
+    let summary, _ = traced_campaign ~workers:1 { plan with Harness.metrics } in
+    (summary, int_of_float (Gc.minor_words () -. before))
+  in
+  let summary, words = measure Registry.null in
+  let registry = Registry.create () in
+  ignore (measure registry);
+  let _, metered = measure registry in
   {
     words;
     jobs = List.length summary.Verif.Campaign.outcomes;
@@ -264,19 +274,22 @@ let sequential_allocation plan =
         (fun acc r -> acc + r.Verif.Result.trace_events)
         0
         (Verif.Campaign.results summary);
+    metering = metered - words;
   }
 
 let per words units = float_of_int words /. float_of_int (max 1 units)
 
-(* neither minor words per job nor per trace event may rise above the
-   last campaign row of this OCaml version and dune profile; both ratios
-   are taken from the rows' exact integers *)
+(* neither minor words per job nor per trace event, nor the metering
+   words per job, may rise above the last campaign row of this OCaml
+   version and dune profile; the ratios are taken from the rows' exact
+   integers. The metering count is the documented overhead budget of
+   lib/obs; a row without it gates nothing. *)
 let allocation_gate baseline alloc =
   let recorded field =
     Option.bind baseline (fun row -> Verif.Bench_log.int_field row field)
   in
-  let limit units_field =
-    match recorded "seq_minor_words", recorded units_field with
+  let limit words_field units_field =
+    match recorded words_field, recorded units_field with
     | Some words, Some units -> Some (per words units)
     | _ -> None
   in
@@ -293,13 +306,20 @@ let allocation_gate baseline alloc =
     alloc.words alloc.jobs alloc.events;
   let job_ok =
     gate "minor_words_per_job" (per alloc.words alloc.jobs)
-      (limit "seq_jobs")
+      (limit "seq_minor_words" "seq_jobs")
   in
   let event_ok =
     gate "minor_words_per_event" (per alloc.words alloc.events)
-      (limit "seq_trace_events")
+      (limit "seq_minor_words" "seq_trace_events")
   in
-  job_ok && event_ok
+  Printf.printf
+    "metering: %d minor words with a live registry over Registry.null\n"
+    alloc.metering;
+  let metering_ok =
+    gate "metering_words_per_job" (per alloc.metering alloc.jobs)
+      (limit "metering_minor_words" "seq_jobs")
+  in
+  job_ok && event_ok && metering_ok
 
 (* One pooled run of [plan] against the recorded sequential baseline
    [(summary, jsonl)]: wall clock, per-stage times from a fresh lib/obs
@@ -407,22 +427,19 @@ let campaign_round ~plan ~sequential:(sequential, sequential_jsonl) ~alloc
          ("seq_trace_events", Json.int alloc.events);
          ("minor_words_per_job", Json.float (per alloc.words alloc.jobs));
          ("minor_words_per_event", Json.float (per alloc.words alloc.events));
+         ("metering_minor_words", Json.int alloc.metering);
        ];
   verdicts_identical && jsonl_identical
 
-(* The documented overhead budget of lib/obs: one pooled run with a live
-   registry vs one with [Registry.null] at the same worker count. The
-   gate allows 5% relative overhead with a 0.05s absolute floor, so
-   timing noise on sub-second CI runs cannot flake the gate. *)
-let run_overhead_check ~plan ~jobs_n =
+(* Wall clock of one pooled run with a live registry against one with
+   [Registry.null] at the same worker count, best of two each,
+   interleaved. Reported only: on sub-second runs its noise exceeds the
+   overhead, so the budget is gated on [allocation.metering]. *)
+let report_overhead ~plan ~jobs_n =
   let run metrics =
     (Harness.run_campaign ~workers:jobs_n { plan with Harness.metrics })
       .Verif.Campaign.wall_seconds
   in
-  (* best of two per configuration, interleaved (null, metered, null,
-     metered): scheduler noise and allocator warm-up drift degrade one
-     round, not both, so the delta reflects the instrumentation, not
-     the box *)
   let rec rounds k (disabled, metered) =
     if k = 0 then (disabled, metered)
     else
@@ -431,19 +448,13 @@ let run_overhead_check ~plan ~jobs_n =
       rounds (k - 1) (disabled, metered)
   in
   let disabled, metered = rounds 2 (infinity, infinity) in
-  let overhead = metered -. disabled in
-  let relative = if disabled > 0.0 then overhead /. disabled else 0.0 in
-  (* the absolute noise floor grows with the workload: timing jitter on
-     a loaded runner is proportional to how long the rounds run *)
-  let floor = 0.05 *. float_of_int !scale in
-  let ok = overhead <= floor || relative <= 0.05 in
+  let relative =
+    if disabled > 0.0 then (metered -. disabled) /. disabled else 0.0
+  in
   Printf.printf
-    "metrics overhead at jobs=%d: %.3fs metered vs %.3fs disabled (%+.1f%%) \
-     -- %s (gate: <= 5%% or <= %.2fs)\n"
+    "metrics overhead at jobs=%d: %.3fs metered vs %.3fs disabled (%+.1f%%), \
+     reported only\n"
     jobs_n metered disabled (100.0 *. relative)
-    (if ok then "ok" else "EXCEEDED")
-    floor;
-  ok
 
 let run_campaign_bench () =
   let sweep = if !ci_mode then [ !jobs ] else [ 1; 2; 4; 7 ] in
@@ -478,11 +489,9 @@ let run_campaign_bench () =
         campaign_round ~plan ~sequential ~alloc ~cores jobs_n && ok)
       true sweep
   in
-  let overhead_ok =
-    run_overhead_check ~plan ~jobs_n:(List.fold_left max 1 sweep)
-  in
+  report_overhead ~plan ~jobs_n:(List.fold_left max 1 sweep);
   Printf.printf "recorded in BENCH_campaign.json\n\n";
-  ok && overhead_ok && alloc_ok
+  ok && alloc_ok
 
 (* ------------------------------------------------------------------ *)
 (* Checker trigger path: both engines, fills counted                   *)
@@ -751,6 +760,55 @@ let kernel_cost ~units make =
   in
   (ran, words, best *. 1e9 /. float_of_int ran)
 
+(* Host cost of a time unit in the kernel alone, with no model behind
+   it. Approach 2's skeleton is one timed process, due every time unit,
+   notifying an event that one method waits on; approach 1's is a
+   period-10 clock with two methods on its posedge, a cycle being its
+   time unit. The kernel is promoted to the major heap first, as a
+   session's kernel is by the time it has run a while: a pointer stored
+   into a young block skips the write barrier's work. On a kernel whose
+   tables one run has grown, the minor words of a [Kernel.run] over
+   [units] time units, less those of a [Kernel.run] over none, are what
+   the time units allocate: an exact count, 0 while no scheduling step
+   allocates. Returns those words and the best ns per time unit of three
+   runs. *)
+let skeleton_cost ~units ~period setup =
+  let words_of f =
+    let before = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let run () =
+    let kernel = Sim.Kernel.create () in
+    setup kernel;
+    Sim.Kernel.run ~max_time:period kernel;
+    Gc.minor ();
+    let now = Some (Sim.Kernel.now kernel) in
+    let idle = words_of (fun () -> Sim.Kernel.run ?max_time:now kernel) in
+    let max_time = Some (Sim.Kernel.now kernel + (units * period)) in
+    let started = Unix.gettimeofday () in
+    let busy = words_of (fun () -> Sim.Kernel.run ?max_time kernel) in
+    (busy - idle, Unix.gettimeofday () -. started)
+  in
+  let words, seconds = run () in
+  let best =
+    List.fold_left (fun best (_, s) -> Float.min best s) seconds
+      [ run (); run () ]
+  in
+  (words, best *. 1e9 /. float_of_int units)
+
+let a2_skeleton kernel =
+  let pc = Sim.Kernel.event kernel "pc" in
+  Sim.Kernel.spawn_timed kernel (fun () ->
+      Sim.Kernel.notify pc;
+      1);
+  Sim.Kernel.spawn_method kernel pc ignore
+
+let a1_skeleton kernel =
+  let clock = Sim.Clock.create kernel ~name:"clk" ~period:10 in
+  Sim.Kernel.spawn_method kernel (Sim.Clock.posedge clock) ignore;
+  Sim.Kernel.spawn_method kernel (Sim.Clock.posedge clock) ignore
+
 let run_simulate_bench () =
   print_endline "=========================================================";
   Printf.printf "Simulate -- the bytecode VM on the EEE model (scale %d)\n"
@@ -796,6 +854,19 @@ let run_simulate_bench () =
     a1_cycles a1_ns a2_statements a2_ns;
   let a1_ok = gate "a1_minor_words" a1_words in
   let a2_ok = gate "a2_minor_words" a2_words in
+  let skeleton_units = 1_000_000 in
+  let k1_words, k1_ns =
+    skeleton_cost ~units:skeleton_units ~period:10 a1_skeleton
+  in
+  let k2_words, k2_ns =
+    skeleton_cost ~units:skeleton_units ~period:1 a2_skeleton
+  in
+  Printf.printf
+    "  kernel alone, %d time units each: approach 1 (clock, two methods) \
+     %.1f ns a cycle, approach 2 (timed process, one method) %.1f ns\n"
+    skeleton_units k1_ns k2_ns;
+  let k1_ok = gate "kernel_a1_minor_words" k1_words in
+  let k2_ok = gate "kernel_a2_minor_words" k2_words in
   let cores = Domain.recommended_domain_count () in
   let module Json = Sctc.Trace.Json in
   append_campaign_record ~table:"simulate"
@@ -819,12 +890,17 @@ let run_simulate_bench () =
          ("a2_statements", Json.int a2_statements);
          ("a2_minor_words", Json.int a2_words);
          ("a2_ns_per_statement", Json.float a2_ns);
+         ("kernel_units", Json.int skeleton_units);
+         ("kernel_a1_minor_words", Json.int k1_words);
+         ("kernel_a1_ns_per_cycle", Json.float k1_ns);
+         ("kernel_a2_minor_words", Json.int k2_words);
+         ("kernel_a2_ns_per_time_unit", Json.float k2_ns);
        ];
   Printf.printf "recorded in BENCH_campaign.json\n\n";
   (* the CI gate: no exact cost count may rise above the last row of
      this OCaml version and dune profile; the statements per second and
      the ns per time unit are wall-clock and only reported *)
-  words_ok && length_ok && a1_ok && a2_ok
+  words_ok && length_ok && a1_ok && a2_ok && k1_ok && k2_ok
 
 (* ------------------------------------------------------------------ *)
 (* SMC: Wald's sequential test vs the fixed-size Chernoff bound        *)

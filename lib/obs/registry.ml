@@ -111,7 +111,10 @@ module Histogram = struct
               });
       }
 
-  let bucket_index bounds v =
+  (* typed: a polymorphic [<=] would call the C comparison and box
+     every bound it reads, so an observation's words would depend on
+     the value observed *)
+  let bucket_index (bounds : float array) (v : float) =
     let n = Array.length bounds in
     let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
     go 0

@@ -1,11 +1,11 @@
-(* Three parallel arrays instead of an entry record per element, so that
-   neither [push] nor [pop] allocates once the arrays have grown. An
-   element is ordered by its key, then by its insertion sequence for
-   stability. *)
-type 'a t = {
+(* Three parallel int arrays instead of an entry record per element, so
+   that neither [push] nor [pop] allocates once the arrays have grown,
+   and no store needs the write barrier. An element is ordered by its
+   key, then by its insertion sequence for stability. *)
+type t = {
   mutable keys : int array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -29,18 +29,18 @@ let swap heap i j =
   heap.seqs.(j) <- seq;
   heap.values.(j) <- value
 
-let grow heap value =
+let grow heap =
   let capacity = Array.length heap.keys in
   if heap.size = capacity then begin
     let fresh = max 16 (2 * capacity) in
-    let extend array filler =
-      let bigger = Array.make fresh filler in
+    let extend array =
+      let bigger = Array.make fresh 0 in
       Array.blit array 0 bigger 0 heap.size;
       bigger
     in
-    heap.keys <- extend heap.keys 0;
-    heap.seqs <- extend heap.seqs 0;
-    heap.values <- extend heap.values value
+    heap.keys <- extend heap.keys;
+    heap.seqs <- extend heap.seqs;
+    heap.values <- extend heap.values
   end
 
 (* top level, not local closures over [heap]: without flambda those
@@ -67,7 +67,7 @@ let rec sift_down heap i =
   end
 
 let push heap key value =
-  grow heap value;
+  grow heap;
   let last = heap.size in
   heap.keys.(last) <- key;
   heap.seqs.(last) <- heap.next_seq;

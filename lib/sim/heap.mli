@@ -1,25 +1,26 @@
-(** Minimal binary min-heap keyed by integer priorities.
+(** Minimal binary min-heap of integers keyed by integer priorities.
 
-    Used by the simulation kernel to order timed wake-ups. Elements with
-    equal keys are popped in insertion order (stable), which the kernel relies
-    on so that timed processes due at the same time run in the order of the
-    runs that scheduled them. Once its arrays have grown, neither {!push},
-    {!min_key} nor {!pop} allocates. *)
+    Used by the simulation kernel to order timed wake-ups by process
+    number. Elements with equal keys are popped in insertion order
+    (stable), which the kernel relies on so that timed processes due at
+    the same time run in the order of the runs that scheduled them. Keys
+    and values are ints, so no {!push} or {!pop} stores a pointer (no
+    write barrier), and once the arrays have grown none allocates. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
 (** [push heap key value] inserts [value] with priority [key]. *)
-val push : 'a t -> int -> 'a -> unit
+val push : t -> int -> int -> unit
 
 (** [min_key heap] is the smallest key.
     @raise Not_found when the heap is empty. *)
-val min_key : 'a t -> int
+val min_key : t -> int
 
 (** [pop heap] removes the entry with the smallest key and returns its
     value; {!min_key} just before gives its key.
     @raise Not_found when the heap is empty. *)
-val pop : 'a t -> 'a
+val pop : t -> int

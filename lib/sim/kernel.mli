@@ -15,11 +15,20 @@
     derived model's software, whose every run steps its VM through one
     statement ([Esw.Esw_model]).
 
-    The runnable queue and each event's waiter queue are intrusive: a
-    process waits in at most one of them at a time, linked through a
-    field of its own, and an event notified again before its waiters
-    wake is queued once. So no scheduling step allocates once the
-    kernel's arrays have grown.
+    Every process is numbered when it is spawned and every event when it
+    is created, and the scheduling state holds only those numbers, in
+    int fields and int arrays. The runnable queue and each event's
+    waiter queue are linked through one int slot per process, since a
+    process waits in at most one queue at a time. The notified list
+    holds event numbers, each at most once, and the timed heap
+    ({!Heap}) holds process numbers. The reason is the write barrier:
+    storing a pointer into a major-heap block calls [caml_modify], and
+    storing an int does not. So once the tables have grown, no
+    scheduling step allocates or stores a pointer. Only {!spawn_method}
+    and {!spawn_timed} store one, the process's callbacks, and growing
+    a table stores the grown array. An ended timed process keeps its
+    slot; a kernel lives as long as its session, so its tables stay
+    small.
 
     Order contract (trace bytes depend on it):
     - runnable processes run first in, first out, spawn order first;
@@ -33,8 +42,8 @@
 
 type t
 (** A simulation kernel instance. Kernels are independent; a process
-    spawned on one kernel must only be sensitive to events of the same
-    kernel. *)
+    spawned on one kernel may only be sensitive to events of the same
+    kernel ({!spawn_method} checks). *)
 
 type event
 (** A notification channel ([sc_event] analog). *)
@@ -55,7 +64,8 @@ val spawn_method : t -> ?init:(unit -> unit) -> event -> (unit -> unit) -> unit
     sensitive to [event]. In the next evaluation phase of {!run} it runs
     [init] (default: do nothing) and joins [event]'s waiter queue; each
     time the event wakes it, it runs [f] and rejoins the queue at the
-    tail. *)
+    tail.
+    @raise Invalid_argument if [event] belongs to another kernel. *)
 
 val spawn_timed : t -> (unit -> int) -> unit
 (** [spawn_timed kernel f] registers a timed process. [f] runs in the

@@ -8,14 +8,14 @@ module Clock = Sim.Clock
 let test_heap_ordering () =
   let heap = Heap.create () in
   List.iter (fun (k, v) -> Heap.push heap k v)
-    [ (5, "e"); (1, "a"); (3, "c"); (1, "b"); (4, "d") ];
+    [ (5, 50); (1, 11); (3, 30); (1, 10); (4, 40) ];
   let order = ref [] in
   while not (Heap.is_empty heap) do
     order := Heap.pop heap :: !order
   done;
-  (* equal keys pop in insertion order (stability) *)
-  Alcotest.(check (list string))
-    "sorted stable" [ "a"; "b"; "c"; "d"; "e" ] (List.rev !order)
+  (* equal keys pop in insertion order (stability), not in value order *)
+  Alcotest.(check (list int))
+    "sorted stable" [ 11; 10; 30; 40; 50 ] (List.rev !order)
 
 let test_heap_empty () =
   let heap = Heap.create () in
@@ -294,6 +294,20 @@ let test_stop_from_method () =
   Alcotest.(check (list int)) "resumed" [ 7; 7; 6 ]
     [ !ticks; !steps; Kernel.now kernel ]
 
+(* [spawn_method] refuses an event of another kernel: the event's number
+   would index the wrong kernel's tables. *)
+let test_cross_kernel_event () =
+  let kernel = Kernel.create () and other = Kernel.create () in
+  let foreign = Kernel.event other "foreign" in
+  let joined = ref false in
+  (match
+     Kernel.spawn_method kernel foreign ~init:(fun () -> joined := true) ignore
+   with
+  | () -> Alcotest.fail "an event of another kernel accepted"
+  | exception Invalid_argument _ -> ());
+  Kernel.run kernel;
+  Alcotest.(check bool) "the refused method never ran" false !joined
+
 let test_producer_consumer () =
   (* Two methods rendezvous through events; checks multi-process
      interleaving over many iterations. *)
@@ -315,6 +329,183 @@ let test_producer_consumer () =
   Kernel.run kernel;
   Alcotest.(check int) "served all requests" 100 !served
 
+(* --- differential: [Sim.Kernel] against the pointer-linked oracle --- *)
+
+module type KERNEL = sig
+  type t
+  type event
+
+  val create : unit -> t
+  val now : t -> int
+  val event : t -> string -> event
+
+  val spawn_method :
+    t -> ?init:(unit -> unit) -> event -> (unit -> unit) -> unit
+
+  val spawn_timed : t -> (unit -> int) -> unit
+  val notify : event -> unit
+  val stop : t -> unit
+  val run : ?max_time:int -> t -> unit
+end
+
+(* One run of a process in a random network: the events it notifies, in
+   order (the last event has no waiter); whether it calls [stop]; for a
+   timed process, the delay it returns (below 1 ends it); and a process
+   it spawns. *)
+type step = {
+  notifies : int list;
+  stops : bool;
+  delay : int;
+  spawns : proc option;
+}
+
+(* A process takes one step of its script a run, a method's [init] being
+   its first run; once the script is spent a timed process ends and a
+   method only logs its runs. So every network comes to rest. *)
+and proc =
+  | Timed_proc of step list
+  | Method_proc of { event : int; init : step; script : step list }
+
+(* [events] waited-on events plus one with no waiter; the network is run
+   up to each of [horizons] in turn, then to rest *)
+type network = { events : int; procs : proc list; horizons : int list }
+
+let rec show_step { notifies; stops; delay; spawns } =
+  Printf.sprintf "{notify [%s]%s delay %d%s}"
+    (String.concat ";" (List.map string_of_int notifies))
+    (if stops then " stop" else "")
+    delay
+    (match spawns with None -> "" | Some p -> " spawn " ^ show_proc p)
+
+and show_proc = function
+  | Timed_proc script ->
+    Printf.sprintf "timed [%s]" (String.concat "; " (List.map show_step script))
+  | Method_proc { event; init; script } ->
+    Printf.sprintf "method on %d init %s [%s]" event (show_step init)
+      (String.concat "; " (List.map show_step script))
+
+let show_network { events; procs; horizons } =
+  Printf.sprintf "%d events, horizons [%s]\n%s" events
+    (String.concat ";" (List.map string_of_int horizons))
+    (String.concat "\n" (List.map show_proc procs))
+
+let gen_network ~events ~procs =
+  let open QCheck.Gen in
+  (* several timed processes due at one time: delays of 1 to 3 *)
+  let step spawns =
+    let+ notifies = list_size (int_bound 3) (int_bound events)
+    and+ stops = map (fun n -> n = 0) (int_bound 15)
+    and+ delay = frequency [ (1, return 0); (5, int_range 1 3) ]
+    and+ spawns in
+    { notifies; stops; delay; spawns }
+  in
+  let proc spawns =
+    let script = list_size (int_range 1 5) (step spawns) in
+    oneof
+      [
+        map (fun script -> Timed_proc script) script;
+        (let+ event = int_bound (events - 1)
+         and+ init = step spawns
+         and+ script in
+         Method_proc { event; init; script });
+      ]
+  in
+  let spawned = proc (return None) in
+  let+ procs =
+    list_repeat procs
+      (proc (frequency [ (6, return None); (1, map Option.some spawned) ]))
+  and+ horizons = list_size (int_range 1 3) (int_bound 12) in
+  { events; procs; horizons = List.sort compare horizons }
+
+(* The log of one network on one kernel: (process, time) for every run,
+   processes numbered in spawn order, and (-1, time) at the end of each
+   [run] call. *)
+module Replay (K : KERNEL) = struct
+  let log network =
+    let kernel = K.create () in
+    let events =
+      Array.init (network.events + 1) (fun i ->
+          K.event kernel (string_of_int i))
+    in
+    let log = ref [] and spawned = ref 0 in
+    let rec spawn proc =
+      let id = !spawned in
+      incr spawned;
+      let ran () = log := (id, K.now kernel) :: !log in
+      let take step =
+        ran ();
+        List.iter (fun e -> K.notify events.(e)) step.notifies;
+        if step.stops then K.stop kernel;
+        Option.iter spawn step.spawns
+      in
+      match proc with
+      | Timed_proc script ->
+        let rest = ref script in
+        K.spawn_timed kernel (fun () ->
+            match !rest with
+            | [] ->
+              ran ();
+              0
+            | step :: later ->
+              rest := later;
+              take step;
+              step.delay)
+      | Method_proc { event; init; script } ->
+        let rest = ref script in
+        K.spawn_method kernel events.(event)
+          ~init:(fun () -> take init)
+          (fun () ->
+            match !rest with
+            | [] -> ran ()
+            | step :: later ->
+              rest := later;
+              take step)
+    in
+    List.iter spawn network.procs;
+    let ended () = log := (-1, K.now kernel) :: !log in
+    List.iter
+      (fun max_time ->
+        K.run ~max_time kernel;
+        ended ())
+      network.horizons;
+    (* a [stop] may end any call, and the next resumes; a call in which
+       no process runs finds the network at rest *)
+    let rec to_rest () =
+      let before = !log in
+      K.run kernel;
+      if !log != before then begin
+        ended ();
+        to_rest ()
+      end
+    in
+    to_rest ();
+    List.rev !log
+end
+
+module Numbered = Replay (Kernel)
+module Linked = Replay (Kernel_oracle)
+
+let same_runs network = Numbered.log network = Linked.log network
+
+let differential_qcheck =
+  QCheck.Test.make ~name:"numbered kernel == pointer-linked oracle" ~count:500
+    (QCheck.make ~print:show_network
+       QCheck.Gen.(
+         let* events = int_range 1 4 and* procs = int_range 1 8 in
+         gen_network ~events ~procs))
+    same_runs
+
+(* a network large enough that every table of the kernel grows several
+   times: 320 processes, and those they spawn, on 121 events *)
+let test_large_network () =
+  let network =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 30 |])
+      (gen_network ~events:120 ~procs:320)
+  in
+  let runs = Numbered.log network in
+  Alcotest.(check bool) "every process ran" true (List.length runs > 320);
+  Alcotest.(check (list (pair int int))) "same runs" (Linked.log network) runs
+
 let suite =
   [
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
@@ -331,6 +522,8 @@ let suite =
       test_resume_after_max_time;
     Alcotest.test_case "producer/consumer rendezvous" `Quick
       test_producer_consumer;
+    Alcotest.test_case "event of another kernel" `Quick
+      test_cross_kernel_event;
   ]
 
 let methods =
@@ -343,4 +536,12 @@ let methods =
     Alcotest.test_case "stop from a method" `Quick test_stop_from_method;
   ]
 
-let () = Alcotest.run "sim" [ ("kernel", suite); ("methods", methods) ]
+let differential =
+  [
+    QCheck_alcotest.to_alcotest differential_qcheck;
+    Alcotest.test_case "large network" `Quick test_large_network;
+  ]
+
+let () =
+  Alcotest.run "sim"
+    [ ("kernel", suite); ("methods", methods); ("differential", differential) ]
