@@ -88,20 +88,40 @@ val memory_sink : unit -> sink * (unit -> event list)
 val kind_label : kind -> string
 (** The JSON ["event"] tag, e.g. ["verdict_change"]. *)
 
-val event_to_json : event -> string
-(** One-line JSON object (no trailing newline). *)
+(** {3 The JSONL writer} *)
 
-val event_to_json_into : Buffer.t -> event -> unit
-(** Append exactly the bytes of {!event_to_json} to [buffer] — the hot
-    path of streaming campaign emission, where every event of every job
-    is rendered once. It appends one constant prefix per event kind,
-    writes ints as digits (a negative int goes through [string_of_int])
-    and appends each string value as it is unless a byte needs escaping,
-    in which case it escapes it byte by byte into [buffer]; for
-    non-negative ints and strings without such bytes it allocates
-    nothing beyond the buffer's own growth. The bytes equal {!Json.obj}
+type writer
+(** Renders events as JSONL, one line per event: the bytes of {!Json.obj}
     over the members [seq], [tu], [event] and the kind's fields, in that
-    order. *)
+    order, then a newline. The writer assembles its lines in a 64 KB
+    byte block of its own and hands the block's bytes to its output when
+    the block is full and on {!flush}; a line may straddle two blocks,
+    and a line longer than the block goes out in several pieces, in
+    order. Writing a line allocates nothing, except to write a negative
+    int (no emitter produces one) and to escape a string that needs it
+    outside the writer's cache of sample lines.
+
+    A writer keeps, for each prop string it has seen (by physical
+    identity, up to a constant number of them) and each value, the
+    rendered tail of that sample's line, so a sample of a shared prop
+    string is copied rather than rendered. A campaign's JSONL sinks
+    ([Verif.Campaign]) each own one writer and flush it at the end of
+    every outcome. *)
+
+val writer : (Bytes.t -> int -> int -> unit) -> writer
+(** [writer output] is a writer whose block goes out as [output block
+    pos len]; [output] must take the [len] bytes from [pos] before it
+    returns, as [Buffer.add_subbytes] and [output] do, since the block
+    is written again afterwards. *)
+
+val write : writer -> event -> unit
+(** Append the event's line to the block. *)
+
+val flush : writer -> unit
+(** Hand every line written since the last flush to the output. *)
+
+val event_to_json : event -> string
+(** The line {!write} renders for one event, without the newline. *)
 
 val event_of_json : string -> (event, string) result
 (** Inverse of {!event_to_json}: reads one line with {!Json.parse} and
@@ -113,6 +133,6 @@ val event_of_json : string -> (event, string) result
 (** {2 JSON} *)
 
 module Json = Obs.Json
-(** The writer {!event_to_json} renders with and the reader
+(** The escaper the writer renders strings with and the reader
     {!event_of_json} reads with. bench/e2e renders its rows through
     this alias. *)

@@ -390,28 +390,32 @@ let run_stream ?(metrics = Registry.null) ?(workers = 1) ?window ?cancel
 let sink ?(reads_events = true) on_outcome =
   { on_outcome; on_close = ignore; reads_events }
 
-let render_outcome buffer outcome =
-  List.iter
-    (fun event ->
-      Trace.event_to_json_into buffer event;
-      Buffer.add_char buffer '\n')
-    outcome.events
+(* Each JSONL sink renders through a [Trace.writer] of its own and
+   flushes it at the end of every outcome, so an outcome's lines have
+   reached the sink's target when [on_outcome] returns. *)
+let rec write_events writer = function
+  | [] -> ()
+  | event :: events ->
+    Trace.write writer event;
+    write_events writer events
 
-let jsonl_buffer_sink out =
-  { on_outcome = render_outcome out; on_close = (fun () -> ()); reads_events = true }
-
-let jsonl_file_sink path =
-  let channel = open_out_bin path in
-  let buffer = Buffer.create 65536 in
+let jsonl_sink ~on_close output =
+  let writer = Trace.writer output in
   {
     on_outcome =
       (fun outcome ->
-        Buffer.clear buffer;
-        render_outcome buffer outcome;
-        Buffer.output_buffer channel buffer);
-    on_close = (fun () -> close_out channel);
+        write_events writer outcome.events;
+        Trace.flush writer);
+    on_close;
     reads_events = true;
   }
+
+let jsonl_buffer_sink out =
+  jsonl_sink ~on_close:ignore (Buffer.add_subbytes out)
+
+let jsonl_file_sink path =
+  let channel = open_out_bin path in
+  jsonl_sink ~on_close:(fun () -> close_out channel) (output channel)
 
 let shard_path path ~shard =
   match Filename.extension path with
@@ -439,17 +443,21 @@ let sharded_jsonl_sink ?(metrics = Registry.null) ~shards ~jobs path =
           ~labels:[ ("shard", Printf.sprintf "%03d" shard) ]
           ~help:"outcomes flushed into this campaign output shard")
   in
-  let buffer = Buffer.create 65536 in
+  (* one writer, flushed at the end of each outcome into that
+     outcome's shard *)
+  let shard = ref 0 in
+  let sink =
+    jsonl_sink
+      ~on_close:(fun () -> Array.iter close_out channels)
+      (fun block pos len -> output channels.(!shard) block pos len)
+  in
   {
+    sink with
     on_outcome =
       (fun outcome ->
-        let shard = shard_of_job ~shards ~jobs outcome.index in
-        Buffer.clear buffer;
-        render_outcome buffer outcome;
-        Buffer.output_buffer channels.(shard) buffer;
-        Registry.Counter.incr flushes.(shard));
-    on_close = (fun () -> Array.iter close_out channels);
-    reads_events = true;
+        shard := shard_of_job ~shards ~jobs outcome.index;
+        sink.on_outcome outcome;
+        Registry.Counter.incr flushes.(!shard));
   }
 
 (* --- deterministic merge, always in job order --------------------------- *)

@@ -184,12 +184,15 @@ val sink : ?reads_events:bool -> (outcome -> unit) -> sink
 val jsonl_buffer_sink : Buffer.t -> sink
 (** Append every outcome's events as JSONL, one JSON object per line,
     into a buffer: the campaign's merged trace, byte-identical for any
-    worker count. It reads events, as do the other JSONL sinks. *)
+    worker count. It reads events, as do the other JSONL sinks. Each
+    JSONL sink renders through one {!Trace.writer} of its own and
+    flushes it at the end of every outcome, so an outcome's lines have
+    reached the buffer or file when [on_outcome] returns. *)
 
 val jsonl_file_sink : string -> sink
 (** Write every outcome's events as JSONL into a fresh file (truncates);
-    each outcome is rendered into a reused buffer and written in one
-    output call, and [on_close] closes the file. *)
+    the writer's block goes to the channel with [output], and
+    [on_close] closes the file. *)
 
 val sharded_jsonl_sink :
   ?metrics:Obs.Registry.t -> shards:int -> jobs:int -> string -> sink

@@ -13,11 +13,10 @@ let rec clean s i =
   | '"' | '\\' | '\000' .. '\031' -> false
   | _ -> clean s (i + 1)
 
-(* append [s] escaped: one scan, then the string itself when no byte
-   needs escaping (the common case: names, ops, verdicts) *)
-let add_escaped buffer s =
-  if clean s 0 then Buffer.add_string buffer s
+let escape s =
+  if clean s 0 then s
   else
+    let buffer = Buffer.create (String.length s + 8) in
     String.iter
       (fun c ->
         match c with
@@ -29,13 +28,7 @@ let add_escaped buffer s =
         | c when Char.code c < 0x20 ->
           Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
         | c -> Buffer.add_char buffer c)
-      s
-
-let escape s =
-  if clean s 0 then s
-  else
-    let buffer = Buffer.create (String.length s + 8) in
-    add_escaped buffer s;
+      s;
     Buffer.contents buffer
 
 let string s = "\"" ^ escape s ^ "\""

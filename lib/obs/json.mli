@@ -17,11 +17,6 @@ val escape : string -> string
     up, passes through unchanged. Returns [s] itself, uncopied, when no
     byte needs escaping. *)
 
-val add_escaped : Buffer.t -> string -> unit
-(** Append [escape s] to the buffer without building it: after one scan
-    that finds nothing to escape, [s] is appended as it is, so the
-    common case allocates nothing beyond the buffer's own growth. *)
-
 val string : string -> string
 (** Quoted JSON string. *)
 
